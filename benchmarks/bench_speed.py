@@ -25,28 +25,10 @@ Usage::
     python benchmarks/bench_speed.py --smoke         # CI gate: tiny grid,
                                                      # exit 1 unless the DAG
                                                      # engine is faster
-    python benchmarks/bench_speed.py --native        # scalar grid with the
-                                                     # JIT replay kernel ->
-                                                     # BENCH_native.json
-    python benchmarks/bench_speed.py --native --smoke# CI gate: tiny grid,
-                                                     # exit 1 unless native
-                                                     # is bit-identical and
-                                                     # (under numba) >= 10x
-                                                     # the DAG engine
     python benchmarks/bench_speed.py --batch         # column grid -> JSON
     python benchmarks/bench_speed.py --batch --smoke # CI gate: one column,
                                                      # exit 1 unless batch
                                                      # beats dag
-    python benchmarks/bench_speed.py --native-batch  # column grid with the
-                                                     # JIT vector-clock
-                                                     # kernel ->
-                                                     # BENCH_native_batch.json
-    python benchmarks/bench_speed.py --native-batch --smoke
-                                                     # CI gate: one column,
-                                                     # exit 1 unless
-                                                     # bit-identical and
-                                                     # (under numba) >= 3x
-                                                     # the batch engine
     python benchmarks/bench_speed.py --store         # cached-column read
                                                      # throughput, shards vs
                                                      # per-file JSON ->
@@ -700,299 +682,6 @@ def run_serve_mode(args) -> int:
     return 0
 
 
-def run_native_mode(args) -> int:
-    """``--native``: the JIT replay kernel vs the DAG and event engines.
-
-    Same grid and protocol as the scalar benchmark, with the native tier
-    added.  Kernels are warmed once up front (LLVM compilation is a
-    one-time cost sweeps also pay once), then every point is timed as a
-    complete fresh evaluation on all three engines with bit-identity
-    asserted.  The recorded document carries ``kernel_mode`` — ``"jit"``
-    on numba installs, ``"interp"`` where numba is absent and the
-    benchmark times the pure-Python twin of the kernel instead (same
-    bits, none of the speed; the committed >= 10x figure is a JIT-mode
-    number and the smoke gate only enforces it under JIT).
-    """
-    from repro.sched import native
-
-    mode = native.warm_kernels()
-    use_run_point = native.native_available()
-
-    def time_native(spec, reps):
-        lib, coll, nodes, ppn, nbytes = spec
-        best = float("inf")
-        result = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            if use_run_point:
-                r = run_point(lib, coll, nodes, ppn, nbytes, engine="native")
-                result = (r.samples, r.internode_messages)
-            else:
-                r = native.evaluate_point(lib, coll, nodes, ppn, nbytes,
-                                          force_interp=True)
-                result = (r.samples, r.internode_messages)
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    grid = SMOKE_GRID if args.smoke else GRID
-    reps = args.reps if args.reps is not None else (2 if args.smoke else 3)
-    print(
-        f"native kernel speed ({mode} mode): {len(grid)} points, "
-        f"best of {reps} reps each"
-    )
-    rows = []
-    mismatches = []
-    for spec in grid:
-        event_s, event_res = _time_point(spec, "event", reps)
-        dag_s, dag_res = _time_point(spec, "dag", reps)
-        native_s, native_res = time_native(spec, reps)
-        if event_res != dag_res:
-            mismatches.append((spec, "event-vs-dag"))
-        if native_res != (dag_res.samples, dag_res.internode_messages):
-            mismatches.append((spec, "native-vs-dag"))
-        lib, coll, nodes, ppn, nbytes = spec
-        rows.append({
-            "library": lib,
-            "collective": coll,
-            "nodes": nodes,
-            "ppn": ppn,
-            "msg_bytes": nbytes,
-            "event_s": event_s,
-            "dag_s": dag_s,
-            "native_s": native_s,
-            "native_vs_dag": dag_s / native_s,
-            "native_vs_event": event_s / native_s,
-        })
-        print(
-            f"  {lib:>15} {coll:<9} {nodes}x{ppn:<2} {nbytes:>6}B  "
-            f"dag {dag_s * 1e3:8.2f}ms  native {native_s * 1e3:8.2f}ms  "
-            f"{dag_s / native_s:6.2f}x vs dag  "
-            f"({event_s / native_s:7.2f}x vs event)",
-            flush=True,
-        )
-
-    if mismatches:
-        print(f"FAIL: engines disagree on {len(mismatches)} points:")
-        for spec, which in mismatches:
-            print(f"  {spec}: {which}")
-        return 1
-
-    npoints = len(rows)
-    event_total = sum(r["event_s"] for r in rows)
-    dag_total = sum(r["dag_s"] for r in rows)
-    native_total = sum(r["native_s"] for r in rows)
-    ratios = [r["native_vs_dag"] for r in rows]
-    aggregate = {
-        "points": npoints,
-        "kernel_mode": mode,
-        "event_points_per_sec": npoints / event_total,
-        "dag_points_per_sec": npoints / dag_total,
-        "native_points_per_sec": npoints / native_total,
-        "native_vs_dag": dag_total / native_total,
-        "native_vs_event": event_total / native_total,
-        "per_point_min": min(ratios),
-        "per_point_median": statistics.median(ratios),
-        "per_point_max": max(ratios),
-    }
-    print(
-        f"aggregate ({mode}): dag {aggregate['dag_points_per_sec']:.1f} "
-        f"pts/s, native {aggregate['native_points_per_sec']:.1f} pts/s -> "
-        f"{aggregate['native_vs_dag']:.2f}x vs dag, "
-        f"{aggregate['native_vs_event']:.1f}x vs event "
-        f"(per-point min {aggregate['per_point_min']:.2f}x / "
-        f"median {aggregate['per_point_median']:.2f}x / "
-        f"max {aggregate['per_point_max']:.2f}x)"
-    )
-
-    if args.smoke:
-        if mode == "jit":
-            # the acceptance bar: the JIT kernel must hold a real order-
-            # of-magnitude over the DAG replay on the smoke grid too
-            if aggregate["native_vs_dag"] < 10.0:
-                print("FAIL: native kernel under 10x the DAG engine")
-                return 1
-            print("smoke ok: bit-identical, native >= 10x dag (jit)")
-        else:
-            # no numba: the interp twin proves identity, not speed —
-            # gating on throughput here would test the wrong thing
-            print("smoke ok: bit-identical (interp mode; speed gate "
-                  "needs numba)")
-        return 0
-
-    out = Path(args.out) if args.out else (
-        Path(__file__).resolve().parent.parent / "BENCH_native.json"
-    )
-    doc = {
-        "benchmark": "native-jit-kernel-vs-dag-and-event-engines",
-        "python": sys.version.split()[0],
-        "kernel_mode": mode,
-        "reps": reps,
-        "protocol": (
-            "kernels warmed once up front (one-time LLVM compile excluded, "
-            "as in real sweeps); best-of-reps wall time of one fresh "
-            "evaluation per engine per point; bit-identical samples and "
-            "message counts asserted per point; kernel_mode records "
-            "whether numba JIT-compiled the kernels ('jit') or the "
-            "pure-Python interp twin was timed ('interp' - same bits, "
-            "not representative of native speed)"
-        ),
-        "points": rows,
-        "aggregate": aggregate,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}")
-    return 0
-
-
-def run_native_batch_mode(args) -> int:
-    """``--native-batch``: the JIT vector-clock column kernel vs the
-    pure-Python batch engine.
-
-    Same columns and protocol as ``--batch``, compared pairwise: each
-    full-axis column is evaluated by ``repro.sched.batch`` (the
-    pure-Python batchline) and by ``repro.sched.native_batch`` (the
-    array replay kernel), with bit-identity asserted per (point, size).
-    Kernels are warmed once up front.  The recorded document carries
-    ``kernel_mode`` — ``"jit"`` on numba installs, ``"interp"`` where
-    numba is absent and the pure-Python twin of the kernel is timed
-    instead (same bits, none of the speed; the committed >= 3x figure is
-    a JIT-mode number and the smoke gate only enforces it under JIT).
-    """
-    from repro.sched import native_batch
-    from repro.sched.batch import clear_lowering_cache
-    from repro.sched.batch import evaluate_column as batch_column
-
-    mode = native_batch.warm_kernels()
-    clear_lowering_cache()
-
-    if args.columns:
-        columns = parse_columns(args.columns)
-    else:
-        columns = BATCH_SMOKE_COLUMNS if args.smoke else BATCH_COLUMNS
-    axis = BATCH_SMOKE_AXIS if args.smoke else BATCH_AXIS
-    reps = args.reps if args.reps is not None else (2 if args.smoke else 3)
-    print(
-        f"native column kernel speed ({mode} mode): {len(columns)} columns "
-        f"x {len(axis)} sizes, best of {reps} reps each"
-    )
-
-    def time_column(evaluate, spec):
-        lib, coll, nodes, ppn = spec
-        best = float("inf")
-        col = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            col = evaluate(lib, coll, nodes, ppn, axis)
-            best = min(best, time.perf_counter() - t0)
-        return best, col
-
-    rows = []
-    mismatches = []
-    bailouts = 0
-    for spec in columns:
-        lib, coll, nodes, ppn = spec
-        batch_s, batch_col = time_column(batch_column, spec)
-        native_s, native_col = time_column(
-            native_batch.evaluate_column, spec)
-        bad = [
-            s for s in axis
-            if native_col.results[s] != batch_col.results[s]
-        ]
-        if bad:
-            mismatches.append((spec, bad))
-        bailouts += native_col.stats.native_bailouts
-        rows.append({
-            "library": lib,
-            "collective": coll,
-            "nodes": nodes,
-            "ppn": ppn,
-            "sizes": len(axis),
-            "batch_s": batch_s,
-            "native_batch_s": native_s,
-            "native_batch_vs_batch": batch_s / native_s,
-            "native_bailouts": native_col.stats.native_bailouts,
-        })
-        print(
-            f"  {lib:>15} {coll:<9} {nodes}x{ppn:<2} {len(axis)} sizes  "
-            f"batch {batch_s * 1e3:8.1f}ms  native "
-            f"{native_s * 1e3:8.1f}ms  {batch_s / native_s:5.2f}x",
-            flush=True,
-        )
-
-    if mismatches:
-        print(f"FAIL: engines disagree on {len(mismatches)} columns:")
-        for spec, bad in mismatches:
-            print(f"  {spec}: {bad[:8]}{'...' if len(bad) > 8 else ''}")
-        return 1
-
-    npoints = sum(r["sizes"] for r in rows)
-    batch_total = sum(r["batch_s"] for r in rows)
-    native_total = sum(r["native_batch_s"] for r in rows)
-    ratios = [r["native_batch_vs_batch"] for r in rows]
-    aggregate = {
-        "points": npoints,
-        "kernel_mode": mode,
-        "batch_points_per_sec": npoints / batch_total,
-        "native_batch_points_per_sec": npoints / native_total,
-        "native_batch_vs_batch": batch_total / native_total,
-        "native_bailouts": bailouts,
-        "per_column_min": min(ratios),
-        "per_column_median": statistics.median(ratios),
-        "per_column_max": max(ratios),
-    }
-    print(
-        f"aggregate ({mode}): batch "
-        f"{aggregate['batch_points_per_sec']:.1f} pts/s, native-batch "
-        f"{aggregate['native_batch_points_per_sec']:.1f} pts/s -> "
-        f"{aggregate['native_batch_vs_batch']:.2f}x vs batch "
-        f"(per-column min {aggregate['per_column_min']:.2f}x / "
-        f"median {aggregate['per_column_median']:.2f}x / "
-        f"max {aggregate['per_column_max']:.2f}x)"
-    )
-
-    if args.smoke:
-        if mode == "jit":
-            # the acceptance bar: the JIT column kernel must hold >= 3x
-            # over the pure-Python batchline on the smoke column too
-            if aggregate["native_batch_vs_batch"] < 3.0:
-                print("FAIL: native batch kernel under 3x the pure "
-                      "batch engine")
-                return 1
-            print("smoke ok: bit-identical, native-batch >= 3x batch (jit)")
-        else:
-            # no numba: the interp twin proves identity, not speed —
-            # gating on throughput here would test the wrong thing
-            print("smoke ok: bit-identical (interp mode; speed gate "
-                  "needs numba)")
-        return 0
-
-    out = Path(args.out) if args.out else (
-        Path(__file__).resolve().parent.parent / "BENCH_native_batch.json"
-    )
-    doc = {
-        "benchmark": "native-batch-kernel-vs-pure-python-batch-engine",
-        "python": sys.version.split()[0],
-        "kernel_mode": mode,
-        "reps": reps,
-        "protocol": (
-            "kernels warmed once up front (one-time LLVM compile excluded, "
-            "as in real sweeps); best-of-reps wall time per column; axis = "
-            "eighth-octave 16B..512KB (121 sizes); batch = one pure-Python "
-            "evaluate_column over the axis, native-batch = the same column "
-            "replayed by the array kernel of repro.sim.native_batchline; "
-            "bit-identical samples and message counts asserted per (point, "
-            "size); kernel_mode records whether numba JIT-compiled the "
-            "kernel ('jit') or the pure-Python interp twin was timed "
-            "('interp' - same bits, not representative of native speed)"
-        ),
-        "columns": rows,
-        "aggregate": aggregate,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}")
-    return 0
-
-
 def run_batch_mode(args) -> int:
     if args.columns:
         columns = parse_columns(args.columns)
@@ -1102,21 +791,6 @@ def main(argv=None) -> int:
              "unless batch beats dag)",
     )
     parser.add_argument(
-        "--native", action="store_true",
-        help="native-kernel benchmark: scalar grid, event vs dag vs the "
-             "JIT replay kernel -> BENCH_native.json (with --smoke: tiny "
-             "grid, exit 1 unless bit-identical, and — under numba — "
-             "native >= 10x dag)",
-    )
-    parser.add_argument(
-        "--native-batch", action="store_true", dest="native_batch",
-        help="native column-kernel benchmark: full size axes, the JIT "
-             "vector-clock replay kernel vs the pure-Python batch engine "
-             "-> BENCH_native_batch.json (with --smoke: one small column, "
-             "exit 1 unless bit-identical, and — under numba — "
-             "native-batch >= 3x batch)",
-    )
-    parser.add_argument(
         "--analytic", action="store_true",
         help="closed-form tier benchmark: full size axes, analytic vs dag, "
              "-> BENCH_analytic.json (with --smoke: one small column, exit "
@@ -1164,10 +838,6 @@ def main(argv=None) -> int:
         return run_serve_mode(args)
     if args.store:
         return run_store_mode(args)
-    if args.native_batch:
-        return run_native_batch_mode(args)
-    if args.native:
-        return run_native_mode(args)
     if args.analytic:
         return run_analytic_mode(args)
     if args.batch:

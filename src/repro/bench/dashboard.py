@@ -1,8 +1,7 @@
 """Cross-run regression dashboard — ``python -m repro.bench.dashboard``.
 
 The repository commits one ``BENCH_*.json`` document per performance
-campaign (``BENCH_fastpath.json``, ``BENCH_native.json``,
-``BENCH_batch.json``, ``BENCH_native_batch.json``,
+campaign (``BENCH_fastpath.json``, ``BENCH_batch.json``,
 ``BENCH_analytic.json``, ``BENCH_store.json``,
 ``BENCH_serve.json`` — all written by
 ``benchmarks/bench_speed.py``).  Each carries an ``aggregate`` block with
@@ -41,8 +40,6 @@ __all__ = ["main", "headline_metric"]
 _PREFERRED_METRICS = (
     "warm_points_per_sec",
     "store_points_per_sec",
-    "native_batch_points_per_sec",
-    "native_points_per_sec",
     "batch_points_per_sec",
     "analytic_points_per_sec",
     "dag_points_per_sec",

@@ -12,7 +12,7 @@ original counts and is exercised by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.baselines.base import MpiLibrary
 from repro.baselines.registry import make_library
@@ -40,43 +40,35 @@ COLLECTIVES = (
 )
 
 #: how a point is evaluated: the coroutine event loop (authoritative), the
-#: DAG fast path (bit-identical, planner-backed pairs only), the native
-#: numba-JIT kernel (bit-identical to DAG; falls back to DAG without
-#: numba), the batch engine (bit-identical, whole size columns
-#: vectorized), the analytic tier (closed-form estimates — approximate,
-#: error-bounded, never picked by ``auto``; see
-#: :mod:`repro.sched.analytic`), the native batch engine (bit-identical,
-#: whole size columns replayed in the numba-JIT vector-clock kernel of
-#: :mod:`repro.sched.native_batch`; falls back to the pure-Python batch
-#: engine without numba), or ``auto`` (native/DAG/batch whenever they
-#: apply, event loop otherwise)
-ENGINES = ("event", "dag", "native", "batch", "native-batch", "analytic",
-           "auto")
+#: DAG fast path (bit-identical, planner-backed pairs only), the batch
+#: engine (bit-identical, whole size columns vectorized), the analytic
+#: tier (closed-form estimates — approximate, error-bounded, never picked
+#: by ``auto``; see :mod:`repro.sched.analytic`), or ``auto`` (DAG/batch
+#: whenever they apply, event loop otherwise)
+ENGINES = ("event", "dag", "batch", "analytic", "auto")
 
 
 def resolve_engine(
-    engine: str, library: str, collective: str, tracing: bool = False
+    engine: str, library: str, collective: str, tracing: bool = False,
+    msg_bytes: int = 1,
 ) -> str:
     """Resolve ``auto`` to the engine that will actually run.
 
-    ``auto`` picks the replay fast path exactly when the (library,
-    collective) pair is planner-backed and no tracer is attached (phantom
-    data is implied: :func:`run_point` worlds are always phantom) — the
-    native JIT kernel when numba is importable, the pure-Python DAG
-    replay otherwise (same bits either way).  For a *single* point the
-    result is always ``"event"``, ``"dag"`` or ``"native"``; the sweep
-    runner upgrades ``auto`` columns to the batch engine itself, where
-    the whole size axis is in hand — and to the native batch kernel
-    (``"native-batch"``) wherever numba imports (see
-    :mod:`repro.bench.runner.pool`).
+    ``auto`` picks the DAG fast path exactly when the (library,
+    collective) pair is planner-backed, the message is at least one byte
+    (the planners refuse empty messages; the event loop answers them) and
+    no tracer is attached (phantom data is implied: :func:`run_point`
+    worlds are always phantom).  For a *single* point the result is
+    always ``"event"`` or ``"dag"``; the sweep runner upgrades ``auto``
+    columns to the batch engine itself, where the whole size axis is in
+    hand (see :mod:`repro.bench.runner.pool`).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     if engine == "auto":
-        if not tracing and fastpath_supported(library, collective):
-            from repro.sched.native import native_available
-
-            return "native" if native_available() else "dag"
+        if (not tracing and msg_bytes >= 1
+                and fastpath_supported(library, collective)):
+            return "dag"
         return "event"
     return engine
 
@@ -179,6 +171,54 @@ def _make_body(
     return body
 
 
+#: what every evaluator returns: (mean simulated seconds per iteration,
+#: per-iteration samples, internode messages)
+Timing = Tuple[float, Tuple[float, ...], int]
+
+
+def _timing(fast) -> Timing:
+    """A replay engine's result as :data:`Timing` (mean of the samples)."""
+    return (
+        sum(fast.samples) / len(fast.samples), fast.samples,
+        fast.internode_messages,
+    )
+
+
+def _eval_dag(library, collective, nodes, ppn, msg_bytes, **kw) -> Timing:
+    # _dag_evaluate_point is looked up here, at call time, so a wrapper
+    # installed on this module's binding sees every DAG evaluation
+    return _timing(
+        _dag_evaluate_point(library, collective, nodes, ppn, msg_bytes, **kw)
+    )
+
+
+def _eval_batch(library, collective, nodes, ppn, msg_bytes, **kw) -> Timing:
+    from repro.sched.batch import evaluate_column
+
+    col = evaluate_column(library, collective, nodes, ppn, [msg_bytes], **kw)
+    return _timing(col.results[msg_bytes])
+
+
+def _eval_analytic(library, collective, nodes, ppn, msg_bytes,
+                   **kw) -> Timing:
+    from repro.sched.analytic import evaluate_point
+
+    est = evaluate_point(library, collective, nodes, ppn, msg_bytes, **kw)
+    # the closed-form time, not the mean of its ``measure`` copies (the
+    # two differ in the last bit for some counts)
+    return est.time, est.samples, est.internode_messages
+
+
+#: the engines that evaluate a point without the event loop, each taking
+#: run_point's point arguments (``params``, ``warmup``, ``measure`` and
+#: ``thresholds`` by keyword) and returning :data:`Timing`; none can trace
+_EVALUATORS: Dict[str, Callable[..., Timing]] = {
+    "analytic": _eval_analytic,
+    "batch": _eval_batch,
+    "dag": _eval_dag,
+}
+
+
 def run_point(
     library: str,
     collective: str,
@@ -206,167 +246,67 @@ def run_point(
     (ablations); only libraries that select by size accept it.
 
     ``engine`` selects how the point is evaluated (see :data:`ENGINES`).
-    ``"dag"`` replays the compiled schedule on the analytic fast path —
-    bit-identical samples, no coroutines — and only covers planner-backed
-    pairs; it cannot trace.  ``"native"`` lowers the same opcode programs
-    to numpy arrays and replays them in the numba-JIT kernel
-    (:mod:`repro.sched.native`) — bit-identical to ``"dag"``, same
-    coverage; without numba (or with ``PIPMCOLL_NO_NATIVE=1``), and for
-    points the lowering cannot represent, it transparently runs the DAG
-    replay instead.  ``"batch"`` routes through the vectorized
-    column engine (:func:`repro.sched.batch.evaluate_column`) — same
-    coverage and bit-identity contract as ``"dag"``; a single point gains
-    nothing over it, the option exists so sweep drivers can thread one
-    engine name end to end.  ``"native-batch"`` is the batch engine with
-    its vector passes replayed by the numba-JIT kernel
-    (:mod:`repro.sched.native_batch`) — bit-identical, same coverage;
-    without numba it transparently runs the pure-Python batch engine
-    instead.  ``"analytic"`` skips simulation entirely and
-    returns the closed-form estimate (approximate — see
-    :mod:`repro.sched.analytic` for the error contract); ``auto`` never
-    selects it.  ``"auto"`` degrades to the event loop instead of raising.
+    ``"event"`` runs the coroutine event loop, the reference every other
+    engine is checked against.  ``"dag"`` replays the compiled schedule
+    on the analytic fast path — bit-identical samples, no coroutines —
+    and only covers planner-backed pairs; it cannot trace.  ``"batch"``
+    routes through the vectorized column engine
+    (:func:`repro.sched.batch.evaluate_column`) — same coverage and
+    bit-identity contract as ``"dag"``; a single point gains nothing over
+    it, the option exists so sweep drivers can thread one engine name end
+    to end.  ``"analytic"`` skips simulation entirely and returns the
+    closed-form estimate (approximate — see :mod:`repro.sched.analytic`
+    for the error contract); ``auto`` never selects it.  ``"auto"``
+    degrades to the event loop instead of raising.
     """
     if measure < 1:
         raise ValueError("need at least one measured iteration")
-    engine = resolve_engine(engine, library, collective, tracing=tracer is not None)
-    if engine == "analytic":
-        if tracer is not None:
-            raise ValueError(
-                "engine='analytic' cannot record traces; use engine='event'"
-            )
-        from repro.sched.analytic import evaluate_point as _analytic_point
-
-        est = _analytic_point(
-            library, collective, nodes, ppn, msg_bytes,
-            params=params, warmup=warmup, measure=measure,
-            thresholds=thresholds,
-        )
-        return MicrobenchResult(
-            library=library,
-            collective=collective,
-            nodes=nodes,
-            ppn=ppn,
-            msg_bytes=msg_bytes,
-            time=est.time,
-            samples=est.samples,
-            internode_messages=est.internode_messages,
-        )
-    if engine in ("batch", "native-batch"):
+    engine = resolve_engine(
+        engine, library, collective, tracing=tracer is not None,
+        msg_bytes=msg_bytes,
+    )
+    evaluate = _EVALUATORS.get(engine)
+    if evaluate is not None:
         if tracer is not None:
             raise ValueError(
                 f"engine={engine!r} cannot record traces; use engine='event'"
             )
-        if engine == "native-batch":
-            from repro.sched.native_batch import native_batch_available
-
-            if native_batch_available():
-                from repro.sched.native_batch import evaluate_column
-            else:
-                # no numba (or PIPMCOLL_NO_NATIVE=1): the pure-Python
-                # batch engine is the bit-identical fallback
-                from repro.sched.batch import evaluate_column
-        else:
-            from repro.sched.batch import evaluate_column
-
-        col = evaluate_column(
-            library, collective, nodes, ppn, [msg_bytes],
-            params=params, warmup=warmup, measure=measure,
-            thresholds=thresholds,
-        )
-        fast = col.results[msg_bytes]
-        return MicrobenchResult(
-            library=library,
-            collective=collective,
-            nodes=nodes,
-            ppn=ppn,
-            msg_bytes=msg_bytes,
-            time=sum(fast.samples) / len(fast.samples),
-            samples=fast.samples,
-            internode_messages=fast.internode_messages,
-        )
-    if engine == "native":
-        if tracer is not None:
-            raise ValueError(
-                "engine='native' cannot record traces; use engine='event'"
-            )
-        from repro.sched.native import (
-            NativeBailout,
-            native_available,
-            evaluate_point as _native_point,
-        )
-
-        fast = None
-        if native_available():
-            try:
-                fast = _native_point(
-                    library, collective, nodes, ppn, msg_bytes,
-                    params=params, warmup=warmup, measure=measure,
-                    thresholds=thresholds,
-                )
-            except NativeBailout:
-                # the lowered form cannot replay this point exactly; the
-                # DAG engine is the bit-identical pure-Python fallback
-                fast = None
-        if fast is not None:
-            return MicrobenchResult(
-                library=library,
-                collective=collective,
-                nodes=nodes,
-                ppn=ppn,
-                msg_bytes=msg_bytes,
-                time=sum(fast.samples) / len(fast.samples),
-                samples=fast.samples,
-                internode_messages=fast.internode_messages,
-            )
-        engine = "dag"
-    if engine == "dag":
-        if tracer is not None:
-            raise ValueError(
-                "engine='dag' cannot record traces; use engine='event'"
-            )
-        fast = _dag_evaluate_point(
+        time, samples, messages = evaluate(
             library, collective, nodes, ppn, msg_bytes,
             params=params, warmup=warmup, measure=measure,
             thresholds=thresholds,
         )
-        return MicrobenchResult(
-            library=library,
-            collective=collective,
-            nodes=nodes,
-            ppn=ppn,
-            msg_bytes=msg_bytes,
-            time=sum(fast.samples) / len(fast.samples),
-            samples=fast.samples,
-            internode_messages=fast.internode_messages,
+    else:
+        lib = make_library(library)
+        if thresholds is not None:
+            if not hasattr(lib, "thresholds"):
+                raise ValueError(
+                    f"library {library!r} has no size thresholds to override"
+                )
+            lib.thresholds = thresholds
+        world = lib.make_world(
+            Topology(nodes, ppn), params or bebop_broadwell(), phantom=True,
+            tracer=tracer,
         )
-    lib = make_library(library)
-    if thresholds is not None:
-        if not hasattr(lib, "thresholds"):
-            raise ValueError(
-                f"library {library!r} has no size thresholds to override"
-            )
-        lib.thresholds = thresholds
-    world = lib.make_world(
-        Topology(nodes, ppn), params or bebop_broadwell(), phantom=True,
-        tracer=tracer,
-    )
-    body = _make_body(lib, world, collective, msg_bytes)
+        body = _make_body(lib, world, collective, msg_bytes)
 
-    for _ in range(warmup):
-        world.run(body)
-    samples = []
-    for i in range(measure):
-        if tracer is not None and i == measure - 1:
-            tracer.clear()
-        samples.append(world.run(body).elapsed)
-    samples = tuple(samples)
+        for _ in range(warmup):
+            world.run(body)
+        runs = []
+        for i in range(measure):
+            if tracer is not None and i == measure - 1:
+                tracer.clear()
+            runs.append(world.run(body).elapsed)
+        samples = tuple(runs)
+        time = sum(samples) / len(samples)
+        messages = world.hw.total_internode_messages()
     return MicrobenchResult(
         library=library,
         collective=collective,
         nodes=nodes,
         ppn=ppn,
         msg_bytes=msg_bytes,
-        time=sum(samples) / len(samples),
+        time=time,
         samples=samples,
-        internode_messages=world.hw.total_internode_messages(),
+        internode_messages=messages,
     )

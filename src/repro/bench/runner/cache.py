@@ -33,14 +33,11 @@ so concurrent pool workers, parallel pytest runs, and overlapping sweeps
 of the same column all land without read-merge-replace races.
 
 Caches written before the 1.4.0 epoch used one JSON file per point
-(``<root>/<key[:2]>/<key>.json``) and per column (``<root>/columns/...``).
-The read-only fallback that kept those hitting was scheduled for one
-release and has been removed: lookups consult the shard store only.
-``python -m repro.bench.runner.cache migrate`` still ingests an explicit
-legacy JSON tree into compact shards under ``<root>/legacy/`` (a storage
-conversion — those shards are keyed under their original epoch and are
-not consulted by lookups; entries from an old epoch are stale by
-definition, which is the point of the epoch).
+(``<root>/<key[:2]>/<key>.json``) and per column (``<root>/columns/...``);
+earlier releases could also convert such trees into shards under
+``<root>/legacy/``.  Lookups consult the shard store only — entries from
+an old epoch are stale by definition, which is the point of the epoch —
+and :meth:`ResultCache.clear` still sweeps both leftovers from disk.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from repro.bench.runner.store import ShardStore
 
 __all__ = [
     "ResultCache", "cache_key", "column_key", "default_cache_dir",
-    "CACHE_EPOCH", "migrate",
+    "CACHE_EPOCH",
     "result_to_doc", "result_from_doc",
 ]
 
@@ -324,7 +321,7 @@ class ResultCache:
     # -- maintenance ------------------------------------------------------
 
     def clear(self) -> int:
-        """Delete every entry (shards, plus any migrated legacy shards or
+        """Delete every entry (shards, plus any ``legacy/`` shards or
         stray pre-1.4.0 JSON files left in the directory); discards
         pending rows; returns files removed."""
         self._pending.clear()
@@ -345,107 +342,22 @@ class ResultCache:
         return self.store.entry_count()
 
 
-# -- migration tool ---------------------------------------------------------
-
-
-def migrate(
-    root: "Path | str | None" = None, purge_json: bool = False
-) -> Dict[str, int]:
-    """Ingest a pre-1.4.0 JSON cache tree into legacy shards.
-
-    Per-point files become one-row shards and column documents become
-    whole-column shards, both under ``<root>/legacy/`` keyed by the
-    *legacy* key the JSON file was stored under (the filename).  This is
-    a storage conversion for explicit legacy trees: thousands of JSON
-    files become a handful of compact shards.  Since 1.5.0 lookups no
-    longer consult legacy entries (they were keyed under an old epoch and
-    are stale by definition), so migration is archival — inspect the
-    result with the ``stats`` subcommand.  Idempotent: entries already
-    present in the legacy store are skipped.  ``purge_json=True`` removes
-    each JSON file after successful ingestion.
-    """
-    root = Path(root) if root is not None else default_cache_dir()
-    legacy = ShardStore(root / "legacy")
-    counts = {
-        "point_files": 0, "column_files": 0, "entries": 0,
-        "skipped_entries": 0, "corrupt_files": 0, "purged_files": 0,
-    }
-
-    def ingest(key: str, rows: List[MicrobenchResult]) -> None:
-        have = legacy.group(key)
-        fresh = [r for r in rows if r.msg_bytes not in have]
-        counts["skipped_entries"] += len(rows) - len(fresh)
-        if fresh:
-            legacy.append(key, fresh)
-            counts["entries"] += len(fresh)
-
-    if root.exists():
-        for path in sorted(root.glob("*/*.json")):
-            if path.parent.name in ("columns", "shards", "legacy"):
-                continue
-            try:
-                row = _result_from_doc(json.loads(path.read_bytes()))
-            except (OSError, ValueError, KeyError, TypeError):
-                counts["corrupt_files"] += 1
-                continue
-            ingest(path.stem, [row])
-            counts["point_files"] += 1
-            if purge_json:
-                path.unlink(missing_ok=True)
-                counts["purged_files"] += 1
-        for path in sorted(root.glob("columns/*/*.json")):
-            try:
-                entries = json.loads(path.read_bytes())["entries"]
-                rows = [_result_from_doc(doc) for doc in entries.values()]
-            except (OSError, ValueError, KeyError, TypeError):
-                counts["corrupt_files"] += 1
-                continue
-            ingest(path.stem, rows)
-            counts["column_files"] += 1
-            if purge_json:
-                path.unlink(missing_ok=True)
-                counts["purged_files"] += 1
-    return counts
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.runner.cache",
         description="Result-cache maintenance tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    mig = sub.add_parser(
-        "migrate",
-        help="ingest a pre-1.4.0 JSON cache tree into compact legacy "
-             "shards (idempotent storage conversion; legacy entries are "
-             "no longer consulted by lookups)",
-    )
-    mig.add_argument(
-        "--root", default=None,
-        help=f"cache directory (default: ${_ENV_DIR} or {_DEFAULT_DIR})",
-    )
-    mig.add_argument(
-        "--purge-json", action="store_true",
-        help="delete each JSON file after successful ingestion",
-    )
     stats = sub.add_parser(
         "stats", help="print store shape (shards, entries, legacy files)"
     )
-    stats.add_argument("--root", default=None)
+    stats.add_argument(
+        "--root", default=None,
+        help=f"cache directory (default: ${_ENV_DIR} or {_DEFAULT_DIR})",
+    )
     args = parser.parse_args(argv)
 
     root = Path(args.root) if args.root else default_cache_dir()
-    if args.command == "migrate":
-        counts = migrate(root, purge_json=args.purge_json)
-        print(
-            f"migrated {counts['point_files']} point files and "
-            f"{counts['column_files']} column files -> "
-            f"{counts['entries']} new entries "
-            f"({counts['skipped_entries']} already present, "
-            f"{counts['corrupt_files']} corrupt files skipped, "
-            f"{counts['purged_files']} JSON files purged) under {root}"
-        )
-        return 0
     cache = ResultCache(root)
     legacy = ShardStore(root / "legacy")
     print(

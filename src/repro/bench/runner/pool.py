@@ -27,10 +27,14 @@ import sys
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.microbench import ENGINES, MicrobenchResult, run_point
+from repro.bench.microbench import (
+    ENGINES,
+    MicrobenchResult,
+    resolve_engine,
+    run_point,
+)
 from repro.bench.runner.cache import ResultCache
 from repro.bench.runner.points import Point
-from repro.sched.fastpath import fastpath_supported
 
 __all__ = [
     "SweepRunner", "default_runner", "run_points", "run_point_spec",
@@ -69,32 +73,18 @@ def run_point_spec(point: Point) -> MicrobenchResult:
 
 
 def _evaluate_sweep_column(points: Sequence[Point]):
-    """Evaluate one column work unit; returns the raw ``ColumnResult``.
+    """Evaluate one column work unit; returns the raw ``ColumnResult``
+    of :func:`repro.sched.batch.evaluate_column` (explicit ``"batch"``
+    and upgraded ``"auto"`` columns alike)."""
+    from repro.sched.batch import evaluate_column
 
-    Explicit ``engine="batch"`` points stay on the pure-Python batch
-    engine; ``"native-batch"`` and upgraded ``"auto"`` columns replay on
-    the native vector-clock kernel whenever it is usable
-    (:func:`repro.sched.native_batch.native_batch_available` — numba
-    importable and ``PIPMCOLL_NO_NATIVE`` unset), and fall back to the
-    pure batch engine otherwise.  Bit-identical either way.
-    """
     first = points[0]
     # fail fast with run_point's exact semantics (it refuses measure < 1
     # up front) instead of tripping a ZeroDivisionError — or an engine
     # internal error — deep inside a pool worker
     if first.measure < 1:
         raise ValueError("need at least one measured iteration")
-
-    evaluate = None
-    if first.engine != "batch":
-        from repro.sched.native_batch import native_batch_available
-
-        if native_batch_available():
-            from repro.sched.native_batch import evaluate_column as evaluate
-    if evaluate is None:
-        from repro.sched.batch import evaluate_column as evaluate
-
-    return evaluate(
+    return evaluate_column(
         first.library,
         first.collective,
         first.nodes,
@@ -142,7 +132,7 @@ def run_sweep_column_stats(
     points: Sequence[Point],
 ) -> Tuple[List[MicrobenchResult], Dict]:
     """Pool worker: :func:`run_sweep_column` plus this work unit's lowering
-    and kernel counters.
+    counters.
 
     Pool workers are separate processes, so the parent's
     ``planner_cache_info()["batch_lowering"]`` counters never see column
@@ -150,10 +140,7 @@ def run_sweep_column_stats(
     snapshots the per-process counters around the column pass and ships
     the *delta* home in the result payload, so the runner can aggregate
     lowering hits/misses across every work unit of the sweep regardless
-    of which process ran it.  The delta also carries the column's
-    ``kernel_mode`` (``""`` for the pure-Python batchline, ``"jit"`` /
-    ``"interp"`` for the native kernel) and its ``native_bailouts``
-    count, aggregated the same way.
+    of which process ran it.
     """
     from repro.sched.batch import lowering_cache_info
 
@@ -163,8 +150,6 @@ def run_sweep_column_stats(
     delta = {
         "hits": after.hits - before.hits,
         "misses": after.misses - before.misses,
-        "kernel_mode": col.stats.kernel_mode,
-        "native_bailouts": col.stats.native_bailouts,
     }
     return _column_results(points, col), delta
 
@@ -181,11 +166,11 @@ def _column_group_key(point: Point) -> Tuple:
 def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
     """Indices of column-routed points, grouped by column.
 
-    A point rides a column when its engine is ``"batch"`` or
-    ``"native-batch"`` explicitly, or when it is ``"auto"``, the pair is
-    planner-backed, and at least one other point shares its column with a
-    different size — the regime where the vectorized pass pays for
-    itself.  Shared by
+    A point rides a column when its engine is ``"batch"`` explicitly, or
+    when it is ``"auto"``, resolves to the fast path (planner-backed
+    pair, at least one byte — :func:`~repro.bench.microbench.resolve_engine`),
+    and at least one other point shares its column with a different size
+    — the regime where the vectorized pass pays for itself.  Shared by
     :class:`SweepRunner` and the :mod:`repro.serve` daemon so both fronts
     route identically (the bit-identity contract makes routing invisible
     in the results, but identical routing keeps cache traffic and
@@ -193,15 +178,17 @@ def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
     """
     groups: Dict[Tuple, List[int]] = {}
     for i, p in enumerate(points):
-        if p.engine in ("batch", "native-batch") or (
+        if p.engine == "batch" or (
             p.engine == "auto"
-            and fastpath_supported(p.library, p.collective)
+            and resolve_engine(
+                "auto", p.library, p.collective, msg_bytes=p.msg_bytes
+            ) == "dag"
         ):
             groups.setdefault(_column_group_key(p), []).append(i)
     return {
         key: idxs
         for key, idxs in groups.items()
-        if points[idxs[0]].engine in ("batch", "native-batch")
+        if points[idxs[0]].engine == "batch"
         or len({points[i].msg_bytes for i in idxs}) > 1
     }
 
@@ -251,7 +238,7 @@ class SweepRunner:
         ``PIPMCOLL_PROGRESS`` and, when set, prints to stderr.
     engine:
         Force every point onto one evaluation engine (``"event"``,
-        ``"dag"``, ``"native"``, ``"batch"`` or ``"auto"``); ``None``
+        ``"dag"``, ``"batch"``, ``"analytic"`` or ``"auto"``); ``None``
         reads ``PIPMCOLL_ENGINE`` and,
         when that is unset too, leaves each point's own ``engine`` field
         alone.  The override rewrites the points before the cache pass, so
@@ -281,22 +268,14 @@ class SweepRunner:
         if engine is not None and engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
         self.engine = engine
-        #: lowering-cache and native-kernel counters summed over every
-        #: column work unit this runner executed (pool or serial); see
-        #: run_sweep_column_stats
-        self._lowering_totals = {
-            "hits": 0, "misses": 0, "columns": 0,
-            "jit_columns": 0, "interp_columns": 0, "native_bailouts": 0,
-        }
+        #: lowering-cache counters summed over every column work unit
+        #: this runner executed (pool or serial); see run_sweep_column_stats
+        self._lowering_totals = {"hits": 0, "misses": 0, "columns": 0}
 
     def lowering_cache_totals(self) -> Dict[str, int]:
         """Batch-lowering hits/misses aggregated across all column work
         units run by this runner — survives the process pool, unlike the
-        in-process ``planner_cache_info()["batch_lowering"]`` counters.
-        ``jit_columns``/``interp_columns`` count the work units whose
-        vector passes ran on the native kernel (by tier), and
-        ``native_bailouts`` the passes the kernel handed back to the
-        pure-Python batchline."""
+        in-process ``planner_cache_info()["batch_lowering"]`` counters."""
         return dict(self._lowering_totals)
 
     # -- execution -------------------------------------------------------
@@ -387,12 +366,6 @@ class SweepRunner:
                     self._lowering_totals["hits"] += lower_delta["hits"]
                     self._lowering_totals["misses"] += lower_delta["misses"]
                     self._lowering_totals["columns"] += 1
-                    mode = lower_delta.get("kernel_mode") or ""
-                    if mode:
-                        self._lowering_totals[f"{mode}_columns"] += 1
-                    self._lowering_totals["native_bailouts"] += (
-                        lower_delta.get("native_bailouts", 0)
-                    )
                     if self.use_cache:
                         self.cache.put_many(group, col_results)
                     for i, result in zip(idxs, col_results):

@@ -160,13 +160,6 @@ class ColumnStats(NamedTuple):
     #: known to accept at most its pivot, so its sizes went straight to
     #: the DAG engine — results are bit-identical either way)
     elided_passes: int = 0
-    #: which kernel tier ran the vector passes ("" for the pure-Python
-    #: batchline; "jit"/"interp" when engine="native-batch" evaluated
-    #: the column)
-    kernel_mode: str = ""
-    #: vector passes the native kernel refused (capacity or unsupported
-    #: shape) and handed back to the pure-Python batchline
-    native_bailouts: int = 0
 
 
 class ColumnResult(NamedTuple):
@@ -1259,7 +1252,6 @@ def evaluate_column(
     warmup: int = 1,
     measure: int = 2,
     thresholds=None,
-    partition_evaluator=None,
 ) -> ColumnResult:
     """Evaluate a whole message-size column in vectorized passes.
 
@@ -1402,11 +1394,8 @@ def evaluate_column(
                 handle_divergent(part, depth, cdiv, clabels)
                 continue
             try:
-                part_results, divergent, labels = (
-                    partition_evaluator or _evaluate_partition
-                )(
-                    lowered, nodes, ppn, part, lib, params,
-                    warmup, measure,
+                part_results, divergent, labels = _evaluate_partition(
+                    lowered, nodes, ppn, part, lib, params, warmup, measure,
                 )
             except BatchDivergence as d:
                 # a size-dependent branch was not uniform: split the

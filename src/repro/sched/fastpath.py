@@ -105,8 +105,9 @@ _DISPLAY_NAMES = {
 def fastpath_supported(library: str, collective: str) -> bool:
     """Whether the DAG engine covers this (library, collective) pair.
 
-    True exactly when :func:`repro.sched.registry.plan_for` would succeed:
-    the PiP-MColl primary collectives and the flat baselines' allgather.
+    True exactly when :func:`repro.sched.registry.plan_for` would succeed
+    for a message of at least one byte: the PiP-MColl primary collectives
+    and the flat baselines' allgather.
     """
     canon = library.lower().replace("_", "-").replace(" ", "-")
     if canon not in LIBRARIES or collective not in COLLECTIVES:

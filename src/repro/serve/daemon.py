@@ -169,12 +169,9 @@ class SweepDaemon:
         #: work-unit key -> in-flight evaluation task (the coalescing
         #: table; see module docstring)
         self._inflight: Dict[str, asyncio.Task] = {}
-        #: lowering-cache and native-kernel deltas shipped home by column
-        #: work units (see run_sweep_column_stats)
-        self._lowering = {
-            "hits": 0, "misses": 0, "columns": 0,
-            "jit_columns": 0, "interp_columns": 0, "native_bailouts": 0,
-        }
+        #: lowering-cache deltas shipped home by column work units (see
+        #: run_sweep_column_stats)
+        self._lowering = {"hits": 0, "misses": 0, "columns": 0}
         self._active = 0
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
@@ -500,10 +497,6 @@ class SweepDaemon:
         self._lowering["hits"] += delta["hits"]
         self._lowering["misses"] += delta["misses"]
         self._lowering["columns"] += 1
-        mode = delta.get("kernel_mode") or ""
-        if mode:
-            self._lowering[f"{mode}_columns"] += 1
-        self._lowering["native_bailouts"] += delta.get("native_bailouts", 0)
         for point, result in zip(group, col_results):
             self.cache.put(point, result)
         return col_results

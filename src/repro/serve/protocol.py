@@ -138,6 +138,28 @@ def point_to_doc(point: Point) -> dict:
     }
 
 
+#: integer point fields -> smallest valid value.  Zero bytes is valid:
+#: the event engine answers it.
+_INT_FLOORS = {"nodes": 1, "ppn": 1, "msg_bytes": 0, "warmup": 0,
+               "measure": 1}
+
+
+def _wire_int(name: str, value) -> int:
+    """``value`` if it is a JSON integer (not a bool, not a float) no
+    smaller than ``name``'s floor in :data:`_INT_FLOORS`; raises
+    ``bad-request`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServeError(
+            "bad-request", f"{name} must be an integer, got {value!r}"
+        )
+    if value < _INT_FLOORS[name]:
+        raise ServeError(
+            "bad-request",
+            f"{name} must be >= {_INT_FLOORS[name]}, got {value}",
+        )
+    return value
+
+
 def point_from_doc(doc: dict) -> Point:
     """Rebuild a :class:`Point` from its wire form; raises
     :class:`ServeError` (``bad-request``) on anything malformed."""
@@ -156,11 +178,11 @@ def point_from_doc(doc: dict) -> Point:
         return Point(
             library=str(doc["library"]),
             collective=str(doc["collective"]),
-            nodes=int(doc["nodes"]),
-            ppn=int(doc["ppn"]),
-            msg_bytes=int(doc["msg_bytes"]),
-            warmup=int(doc.get("warmup", 1)),
-            measure=int(doc.get("measure", 2)),
+            nodes=_wire_int("nodes", doc["nodes"]),
+            ppn=_wire_int("ppn", doc["ppn"]),
+            msg_bytes=_wire_int("msg_bytes", doc["msg_bytes"]),
+            warmup=_wire_int("warmup", doc.get("warmup", 1)),
+            measure=_wire_int("measure", doc.get("measure", 2)),
             params=None if params is None else MachineParams(**params),
             thresholds=(
                 None if thresholds is None else Thresholds(**thresholds)

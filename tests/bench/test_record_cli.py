@@ -112,3 +112,11 @@ def test_unknown_figure_rejected(capsys):
 def test_unknown_scale_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["--figures", "fig06", "--scale", "galactic"])
+
+
+@pytest.mark.parametrize("engine", ("native", "native-batch"))
+def test_removed_engine_rejected(engine, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--figures", "fig06", "--scale", "small", "--engine", engine])
+    assert exc.value.code == 2
+    assert f"invalid choice: {engine!r}" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for the columnar shard store — concurrency, damage, migration.
+"""Tests for the columnar shard store — concurrency, damage, legacy trees.
 
 The store's three load-bearing promises (see
 :mod:`repro.bench.runner.store`):
@@ -7,13 +7,11 @@ The store's three load-bearing promises (see
   lose each other's rows;
 * **crash-safe** — a torn or truncated shard is skipped and removed,
   never crashed on, and an interrupted write publishes nothing;
-* **bit-identical** — everything that goes in comes back out exactly,
-  including through the legacy-JSON migration path.
+* **bit-identical** — everything that goes in comes back out exactly.
 
 The production read fallback for pre-1.4.0 JSON trees was removed after
 its scheduled one-release window; these tests fabricate the old layout
-locally to pin that ``migrate`` still converts it and that lookups no
-longer consult it.
+locally to pin that lookups no longer consult it.
 """
 
 import json
@@ -26,7 +24,6 @@ from repro.bench.runner.cache import (
     cache_key,
     column_key,
     main as cache_main,
-    migrate,
     result_to_doc,
 )
 from repro.bench.runner.pool import run_sweep_column
@@ -284,91 +281,29 @@ def test_ragged_sample_counts_pad_and_unpad_exactly(tmp_path):
         assert back[r.msg_bytes].samples == r.samples
 
 
-# -- migration: pre-1.4.0 JSON trees -> legacy shards ----------------------
-
-
-def test_migrate_point_and_column_json_round_trip_bit_identical(tmp_path):
-    results = run_sweep_column(POINTS)
-    # a legacy tree holding one per-point file and one column document
-    _write_json_point(tmp_path, POINTS[0], results[0])
-    _write_json_column(tmp_path, POINTS[1:], results[1:])
-    counts = migrate(tmp_path)
-    assert counts["point_files"] == 1
-    assert counts["column_files"] == 1
-    assert counts["entries"] == len(POINTS)
-    # migrated rows land in legacy shards bit-identically, keyed by the
-    # JSON filename (the legacy key)
-    legacy = ShardStore(tmp_path / "legacy")
-    pt_key = cache_key(POINTS[0], LEGACY_EPOCH)
-    col_key = column_key(POINTS[0], LEGACY_EPOCH)
-    assert legacy.group(pt_key)[POINTS[0].msg_bytes] == results[0]
-    col = legacy.group(col_key)
-    for p, r in zip(POINTS[1:], results[1:]):
-        got = col[p.msg_bytes]
-        assert got == r
-        assert got.samples == r.samples
-
-
-def test_migrate_is_idempotent(tmp_path):
-    results = run_sweep_column(POINTS)
-    _write_json_column(tmp_path, POINTS, results)
-    first = migrate(tmp_path)
-    again = migrate(tmp_path)
-    assert first["entries"] == len(POINTS)
-    assert again["entries"] == 0
-    assert again["skipped_entries"] == len(POINTS)
-    legacy = ShardStore(tmp_path / "legacy")
-    assert legacy.entry_count() == len(POINTS)
-
-
-def test_migrate_purge_json_removes_ingested_files(tmp_path):
-    results = run_sweep_column(POINTS)
-    _write_json_column(tmp_path, POINTS, results)
-    _write_json_point(tmp_path, POINTS[0], results[0])
-    counts = migrate(tmp_path, purge_json=True)
-    assert counts["purged_files"] == 2
-    assert not list(tmp_path.glob("columns/*/*.json"))
-    assert not [
-        p for p in tmp_path.glob("*/*.json") if p.parent.name != "legacy"
-    ]
-    assert ShardStore(tmp_path / "legacy").entry_count() == len(POINTS) + 1
-
-
-def test_migrate_skips_corrupt_files(tmp_path):
-    path = _write_json_point(
-        tmp_path, POINTS[0], run_sweep_column(POINTS[:1])[0]
-    )
-    bad = path.parent / ("0" * 64 + ".json")
-    bad.write_text("{ not json")
-    counts = migrate(tmp_path)
-    assert counts["corrupt_files"] == 1
-    assert counts["point_files"] == 1
-
-
-def test_migrate_ignores_shard_and_legacy_directories(tmp_path):
-    cache = ResultCache(tmp_path)
-    results = run_sweep_column(POINTS)
-    cache.put_many(POINTS, results)
-    counts = migrate(tmp_path)
-    assert counts == {
-        "point_files": 0, "column_files": 0, "entries": 0,
-        "skipped_entries": 0, "corrupt_files": 0, "purged_files": 0,
-    }
+# -- legacy trees: pre-1.4.0 JSON files and ``legacy/`` shards ------------
 
 
 def test_legacy_json_and_migrated_shards_no_longer_hit(tmp_path):
     """The scheduled post-1.4.0 removal: neither a raw pre-1.4.0 JSON
-    tree nor its migrated legacy shards are consulted by lookups."""
+    tree nor shards an earlier release converted it into under
+    ``legacy/`` are consulted by lookups."""
     results = run_sweep_column(POINTS)
     _write_json_column(tmp_path, POINTS[:3], results[:3])
     _write_json_point(tmp_path, POINTS[3], results[3])
     cache = ResultCache(tmp_path)
     assert cache.get_many(POINTS) == [None] * len(POINTS)
     assert cache.misses == len(POINTS)
-    migrate(tmp_path)
+    ShardStore(tmp_path / "legacy").append(
+        column_key(POINTS[0], LEGACY_EPOCH), results
+    )
     fresh = ResultCache(tmp_path)
     assert fresh.get_many(POINTS) == [None] * len(POINTS)
     assert "legacy_hits" not in fresh.stats()
+    # clear() still sweeps both leftovers off the disk
+    assert fresh.clear() == 3
+    assert not list(tmp_path.rglob("*.json"))
+    assert ShardStore(tmp_path / "legacy").entry_count() == 0
 
 
 def test_legacy_epoch_never_aliases_current_epoch():
@@ -378,15 +313,13 @@ def test_legacy_epoch_never_aliases_current_epoch():
     assert CACHE_EPOCH != LEGACY_EPOCH
 
 
-def test_migrate_cli_prints_counts(tmp_path, capsys):
-    results = run_sweep_column(POINTS)
-    _write_json_column(tmp_path, POINTS, results)
-    rc = cache_main(["migrate", "--root", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "1 column files" in out
-    assert f"{len(POINTS)} new entries" in out
+def test_stats_cli_prints_store_shape(tmp_path, capsys):
+    ResultCache(tmp_path).put_many(POINTS, run_sweep_column(POINTS))
+    ShardStore(tmp_path / "legacy").append(
+        column_key(POINTS[0], LEGACY_EPOCH), [_row(64)]
+    )
     rc = cache_main(["stats", "--root", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "legacy entries" in out
+    assert f"1 shards, {len(POINTS)} entries" in out
+    assert "1 legacy shards, 1 legacy entries" in out

@@ -104,6 +104,11 @@ def test_auto_resolves_to_dag_only_where_supported():
         == "event"
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("fast", "PiP-MColl", "allreduce")
+    for removed in ("native", "native-batch"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine(removed, "PiP-MColl", "allreduce")
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_point("PiP-MColl", "allreduce", 2, 2, 512, engine=removed)
 
 
 def test_fastpath_supported_matches_registry():

@@ -41,6 +41,8 @@ def test_point_round_trips_including_params_and_thresholds():
               params=tiny_test_machine(), engine="batch"),
         Point("PiP-MColl", "allgather", 2, 2, 1024,
               thresholds=Thresholds.always_small(), engine="event"),
+        # zero bytes and zero warm-up are valid: the event engine answers
+        Point("PiP-MColl", "allreduce", 2, 2, 0, warmup=0, engine="auto"),
     ]
     for point in points:
         doc = json.loads(json.dumps(point_to_doc(point)))
@@ -65,16 +67,45 @@ def test_malformed_point_spec_raises_bad_request():
 def test_unknown_engine_rejected_at_the_front_door():
     """Engine names are validated once, at the daemon entry, with the
     same message the SweepRunner constructor uses — a bad name must not
-    surface as an ``internal`` error from deep inside a worker."""
+    surface as an ``internal`` error from deep inside a worker.  The
+    removed JIT engine names are unknown, not aliased."""
+    for engine in ("fast", "native", "native-batch"):
+        doc = {
+            "library": "PiP-MColl", "collective": "allreduce",
+            "nodes": 2, "ppn": 2, "msg_bytes": 64, "engine": engine,
+        }
+        with pytest.raises(ServeError) as err:
+            point_from_doc(doc)
+        assert err.value.code == "bad-request"
+        assert f"unknown engine {engine!r}" in err.value.message
+        assert "known:" in err.value.message
+
+
+@pytest.mark.parametrize("field,value", [
+    ("msg_bytes", 64.5),
+    ("msg_bytes", "64"),
+    ("msg_bytes", -8),
+    ("ppn", True),
+    ("nodes", 0),
+    ("nodes", 2.0),
+    ("ppn", 0),
+    ("measure", 0),
+    ("measure", None),
+    ("warmup", -1),
+])
+def test_malformed_wire_numbers_rejected_at_the_front_door(field, value):
+    """Integer fields must be JSON integers in range: a float, string or
+    bool is never truncated or coerced, and an out-of-range count never
+    reaches a worker."""
     doc = {
         "library": "PiP-MColl", "collective": "allreduce",
-        "nodes": 2, "ppn": 2, "msg_bytes": 64, "engine": "fast",
+        "nodes": 2, "ppn": 2, "msg_bytes": 64, "engine": "auto",
+        field: value,
     }
     with pytest.raises(ServeError) as err:
         point_from_doc(doc)
     assert err.value.code == "bad-request"
-    assert "unknown engine 'fast'" in err.value.message
-    assert "known:" in err.value.message
+    assert field in err.value.message
 
 
 def test_result_doc_round_trip_is_bit_identical():

@@ -283,19 +283,25 @@ def test_unknown_op_and_bad_sweeps_answer_with_errors(tmp_path):
                 client.request({"op": "sweep",
                                 "points": [{"library": "only"}]})
             assert err.value.code == "bad-request"
+            # a spec the engines would refuse is refused at the door
+            with pytest.raises(ServeError) as err:
+                client.sweep([Point("PiP-MColl", "allgather", 2, 4, 512,
+                                    measure=0, engine="event")])
+            assert err.value.code == "bad-request"
             # the connection survives error responses
             assert client.ping()["version"] >= 1
 
 
 def test_evaluation_failure_reports_internal_not_a_hang(tmp_path):
-    bad = [Point("PiP-MColl", "allgather", 2, 4, 512,
-                 measure=0, engine="event")]
+    # a well-formed spec the DAG engine cannot evaluate: it fails inside
+    # the worker, not at the front door
+    bad = [Point("MVAPICH2", "allreduce", 2, 4, 512, engine="dag")]
     with DaemonThread(tmp_path) as harness:
         with harness.client() as client:
             with pytest.raises(ServeError) as err:
                 client.sweep(bad)
             assert err.value.code == "internal"
-            assert "measured iteration" in err.value.message
+            assert "planner-backed" in err.value.message
             assert client.ping()["pid"] > 0  # daemon is still healthy
 
 
