@@ -22,8 +22,8 @@ from repro.hw.topology import Topology
 from repro.mpi.buffer import Buffer
 from repro.mpi.datatypes import SUM
 from repro.mpi.runtime import RankCtx, World
+from repro.sched.fastpath import check_protocol, fastpath_supported
 from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
-from repro.sched.fastpath import fastpath_supported
 from repro.sim.engine import ProcGen
 from repro.sim.trace import Tracer
 from repro.util.units import KB
@@ -259,8 +259,7 @@ def run_point(
     for the error contract); ``auto`` never selects it.  ``"auto"``
     degrades to the event loop instead of raising.
     """
-    if measure < 1:
-        raise ValueError("need at least one measured iteration")
+    check_protocol(warmup, measure, (msg_bytes,))
     engine = resolve_engine(
         engine, library, collective, tracing=tracer is not None,
         msg_bytes=msg_bytes,

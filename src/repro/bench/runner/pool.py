@@ -77,19 +77,19 @@ def _evaluate_sweep_column(points: Sequence[Point]):
     of :func:`repro.sched.batch.evaluate_column` (explicit ``"batch"``
     and upgraded ``"auto"`` columns alike)."""
     from repro.sched.batch import evaluate_column
+    from repro.sched.fastpath import check_protocol
 
     first = points[0]
-    # fail fast with run_point's exact semantics (it refuses measure < 1
-    # up front) instead of tripping a ZeroDivisionError — or an engine
-    # internal error — deep inside a pool worker
-    if first.measure < 1:
-        raise ValueError("need at least one measured iteration")
+    sizes = [p.msg_bytes for p in points]
+    # fail fast with run_point's exact checks instead of tripping an
+    # engine internal error deep inside a pool worker
+    check_protocol(first.warmup, first.measure, sizes)
     return evaluate_column(
         first.library,
         first.collective,
         first.nodes,
         first.ppn,
-        [p.msg_bytes for p in points],
+        sizes,
         params=first.params,
         warmup=first.warmup,
         measure=first.measure,

@@ -55,14 +55,16 @@ def block_partition(count: int, parts: int) -> Tuple[Tuple[int, ...], Tuple[int,
     """Split ``count`` elements into ``parts`` near-equal blocks.
 
     Returns ``(counts, displs)``; the first ``count % parts`` blocks get one
-    extra element (MPI's standard block distribution).
+    extra element (MPI's standard block distribution).  Branch-free in
+    ``count``, so a planner's size vector partitions element-wise instead
+    of splitting its column by ``count % parts``.
     """
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     base, extra = divmod(count, parts)
-    counts = tuple(base + (1 if i < extra else 0) for i in range(parts))
+    counts = tuple(base + (i < extra) for i in range(parts))
     displs = []
     acc = 0
     for c in counts:

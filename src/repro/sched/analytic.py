@@ -190,8 +190,9 @@ def evaluate_axis(
         raise ValueError(
             f"no closed-form lowering for {library!r}/{collective!r}"
         )
-    if measure < 1:
-        raise ValueError("need at least one measured iteration")
+    from repro.sched.fastpath import check_protocol
+
+    check_protocol(warmup, measure, sizes)
     if not sizes:
         raise ValueError("empty size axis")
     if any(s < 1 for s in sizes):

@@ -7,20 +7,24 @@ scalar DAG engine (:mod:`repro.sched.fastpath`) already removed the
 coroutine machinery, but still pays Python event dispatch once per
 (event, size).  This module pays it once per event:
 
-1. **Group** the size axis by structural signature
-   (:func:`schedule_signature`): the planner is consulted per size (the
-   planners are ``lru_cache``'d, so this is a dict lookup in the steady
-   state), and sizes whose schedules have identical step structure — same
-   opcodes, sends, tags, handles; only counts/offsets differing — form a
-   partition.  Algorithm-selection thresholds (the 64 kB PiP-MColl
-   switches, MPICH's 80 kB-total ring switch, power-of-two dispatch) fall
-   out of this automatically: different algorithms have different
-   signatures.
-2. **Lower once per partition** (:func:`_compile_column`): the opcode
-   program is built from the pivot size's schedule with every byte
-   count/offset *gathered* across the partition — a plain int where all
-   sizes agree, an ``(S,)`` integer vector where they differ.  Lowered
-   columns are cached process-wide (see :func:`lowering_cache_info`).
+1. **Plan once per structure, then group**
+   (:func:`repro.sched.registry.plan_column`): the planners run once
+   over a :class:`~repro.sim.batchline.SizeVec` of the whole axis, and a
+   size-dependent planner branch (an algorithm switch, a zero-count
+   block) splits the axis into pieces of uniform structure.  Pieces are
+   grouped by structural signature (:func:`schedule_signature` — same
+   opcodes, sends, tags, handles; only counts/offsets differing), and
+   pieces of one signature merge into one group, so the groups are
+   exactly those per-size planning would give.
+2. **Lower once per partition**
+   (:func:`repro.sched.fastpath.lower_column`): the opcode program is
+   built from the group's plan with every byte count/offset *selected*
+   at the partition's sizes — a plain int where all sizes agree, an
+   ``(S,)`` integer vector where they differ.  Lowered columns live in
+   the process-wide lowering cache shared with the DAG engine (see
+   :func:`lowering_cache_info`); every size sent to the DAG engine is
+   lowered there first as a width-1 column, so the DAG engine replays
+   it without planning the point again.
 3. **Replay once** on a :class:`~repro.sim.batchline.BatchTimeline`: the
    same continuation machine as the scalar DAG engine, but every time is
    an ``(S,)`` array flowing through vectorized twins of the shared cost
@@ -67,6 +71,7 @@ shapes).  The order-invariance argument lives in
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import fields, is_dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,9 +81,9 @@ from repro.hw.nic import BatchFabric, BatchNic
 from repro.hw.params import MachineParams, bebop_broadwell
 from repro.mpi.transport import RTS_HEADER_BYTES
 from repro.sched.fastpath import (
+    _LOWERED,
     _OP_ADD,
     _OP_ALLOC,
-    _OP_COMPUTE,
     _OP_COPY,
     _OP_CWAIT,
     _OP_LOOKUP,
@@ -91,13 +96,16 @@ from repro.sched.fastpath import (
     _OP_WAIT,
     _Compiled,
     _Counter,
-    _DISPLAY_NAMES,
-    _has_markers,
-    _key_builder,
+    _LoweredColumn,
     _Msg,
     _Req,
     FastpathResult,
+    canonical_library,
+    check_protocol,
     fastpath_supported,
+    lower_column,
+    lowered_for,
+    lowering_cache_info,
 )
 from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
 from repro.sched.ir import (
@@ -112,11 +120,16 @@ from repro.sched.ir import (
     Schedule,
     SendStep,
     WaitStep,
-    resolve_key,
 )
-from repro.sched.registry import plan_for
+from repro.sched.registry import plan_column
 from repro.shmem.base import MsgInfo
-from repro.sim.batchline import BatchDivergence, BatchEvent, BatchTimeline
+from repro.sim.batchline import (
+    BatchDivergence,
+    BatchEvent,
+    BatchTimeline,
+    SizeVec,
+    uniform_bool,
+)
 from repro.sim.engine import DeadlockError
 
 __all__ = [
@@ -234,144 +247,44 @@ def schedule_signature(schedule: Schedule) -> tuple:
 _SIG_INTERN: Dict[tuple, tuple] = {}
 
 
-# ---------------------------------------------------------------------------
-# column lowering: one opcode program, counts gathered across the axis
-# ---------------------------------------------------------------------------
+def _merge_pieces(group: list) -> tuple:
+    """One plan piece over the sizes of same-signature plan pieces.
 
-
-def _gather_i(values: List[int]):
-    """A plain int where all sizes agree, else an int64 ``(S,)`` vector."""
-    first = values[0]
-    for v in values:
-        if v != first:
-            return np.array(values, dtype=np.int64)
-    return first
-
-
-def _gather_f(values: List[float]):
-    first = values[0]
-    for v in values:
-        if v != first:
-            return np.array(values, dtype=np.float64)
-    return first
-
-
-def _compile_column(progs: Sequence[RankProgram], index: int,
-                    ppn: int) -> _Compiled:
-    """Lower one participant's program across the partition.
-
-    ``progs[k]`` is the participant's program at the partition's ``k``-th
-    size; all share one signature.  The emitted opcode tuples use the DAG
-    engine's layout (:mod:`repro.sched.fastpath`) with every count/offset
-    field gathered via :func:`_gather_i`.
+    Pieces of one signature differ only in numeric operands (a planner
+    branch split them without changing the schedule's structure), so
+    walking their plans in lockstep and scattering every operand that
+    differs into one ``SizeVec`` over the union of their sizes gives the
+    plan an unsplit size vector would have produced.
     """
-    node = index // ppn
-    ops: list = []
-    slots: Dict = {}
-    const_tags: list = []
-    dyn_tags: list = []
+    if len(group) == 1:
+        return group[0]
+    axis = tuple(sorted(s for sizes, _ in group for s in sizes))
+    where = {s: j for j, s in enumerate(axis)}
+    slots = [[where[s] for s in sizes] for sizes, _ in group]
 
-    def key_slot(key) -> int:
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(const_tags)
-            if _has_markers(key):
-                const_tags.append(None)
-                dyn_tags.append((slot, _key_builder(key)))
-            else:
-                const_tags.append(resolve_key(key, (), {}))
-        return slot
+    def merge(values: list):
+        first = values[0]
+        if isinstance(first, tuple):
+            return tuple(merge(list(col)) for col in zip(*values))
+        if isinstance(first, dict):
+            return {k: merge([v[k] for v in values]) for k in first}
+        if is_dataclass(first):
+            return replace(first, **{
+                f.name: merge([getattr(v, f.name) for v in values])
+                for f in fields(first)
+            })
+        if any(isinstance(v, np.ndarray) for v in values) or (
+                isinstance(first, (int, float))
+                and any(v != first for v in values)):
+            out = np.zeros(len(axis), dtype=np.result_type(*values))
+            for v, idx in zip(values, slots):
+                out[idx] = v
+            return out.view(SizeVec)
+        return first
 
-    for col in zip(*(p.steps for p in progs)):
-        step = col[0]
-        cls = step.__class__
-        if cls is SendStep:
-            off = _gather_i([s.buf.offset for s in col])
-            cnt = (None if step.buf.count is None
-                   else _gather_i([s.buf.count for s in col]))
-            if step.dst // ppn == node:
-                ops.append((
-                    _OP_SEND_INTRA, step.dst, step.buf.name, off, cnt,
-                    key_slot(step.tag), step.handle,
-                ))
-            else:
-                ops.append((
-                    _OP_SEND_INTER, step.dst, step.dst // ppn,
-                    step.buf.name, off, cnt, key_slot(step.tag),
-                    step.handle,
-                ))
-        elif cls is RecvStep:
-            ops.append((
-                _OP_RECV, step.src, key_slot(step.tag), step.handle,
-            ))
-        elif cls is WaitStep:
-            if step.handles:
-                ops.append((_OP_WAIT, step.handles, len(step.handles)))
-        elif cls is CopyStep:
-            off = _gather_i([s.src.offset for s in col])
-            cnt = (None if step.src.count is None
-                   else _gather_i([s.src.count for s in col]))
-            ops.append((_OP_COPY, step.src.name, off, cnt))
-        elif cls is ReduceStep:
-            off = _gather_i([s.src.offset for s in col])
-            cnt = (None if step.src.count is None
-                   else _gather_i([s.src.count for s in col]))
-            ops.append((_OP_REDUCE, step.src.name, off, cnt))
-        elif cls is IntraOpStep:
-            kind = step.op
-            if kind == "post":
-                off = _gather_i([s.value.offset for s in col])
-                cnt = (None if step.value.count is None
-                       else _gather_i([s.value.count for s in col]))
-                ops.append((
-                    _OP_POST, key_slot(step.key), step.value.name, off, cnt,
-                ))
-            elif kind == "lookup":
-                ops.append((_OP_LOOKUP, key_slot(step.key), step.bind))
-            elif kind == "add":
-                ops.append((_OP_ADD, key_slot(step.key), step.n))
-            elif kind == "wait":
-                ops.append((_OP_CWAIT, key_slot(step.key), step.n))
-            else:  # pragma: no cover - planners only emit the four ops
-                raise ValueError(f"unknown intra op {kind!r}")
-        elif cls is AllocStep:
-            ops.append((
-                _OP_ALLOC, step.name, _gather_i([s.count for s in col]),
-            ))
-        elif cls is PhaseStep:
-            ops.append((_OP_PHASE, step.name))
-        elif cls is ComputeStep:
-            ops.append((
-                _OP_COMPUTE, _gather_f([s.seconds for s in col]),
-            ))
-        else:  # pragma: no cover - the IR is closed
-            raise TypeError(f"unknown step {step!r}")
-    return _Compiled(
-        tuple(ops), tuple(const_tags), tuple(dyn_tags),
-        progs[0].num_handles,
-    )
+    return axis, merge([planned for _, planned in group])
 
 
-class _LoweredColumn(NamedTuple):
-    compiled: Tuple[_Compiled, ...]
-    #: per-participant base env: name -> (buffer_id, gathered count)
-    envs: Tuple[dict, ...]
-    #: highest baked binding-buffer id (AllocStep ids continue from here)
-    nbufs: int
-    num_namespaces: int
-    flat: bool
-
-
-class CacheInfo(NamedTuple):
-    """``functools.CacheInfo``-compatible counters for the lowering cache."""
-
-    hits: int
-    misses: int
-    maxsize: Optional[int]
-    currsize: int
-
-
-_LOWER_CACHE: Dict[tuple, _LoweredColumn] = {}
 #: static-split labels per (lowering key, thresholds) — pure function of
 #: the lowered counts, cached so repeated sweeps skip the symbolic walk
 _SPLIT_CACHE: Dict[tuple, Optional[np.ndarray]] = {}
@@ -382,68 +295,14 @@ _SPLIT_CACHE: Dict[tuple, Optional[np.ndarray]] = {}
 #: DAG engine directly — the same steady state a repeated figure sweep
 #: runs in, with bit-identical results either way.
 _OUTCOME_CACHE: Dict[tuple, tuple] = {}
-_lower_hits = 0
-_lower_misses = 0
-
-
-def lowering_cache_info() -> CacheInfo:
-    """Counters of the process-wide lowered-column cache.
-
-    Surfaced through :func:`repro.sched.registry.planner_cache_info` as
-    ``"batch_lowering"``; a repeated grouped sweep must be pure hits
-    (``tests/bench/test_runner.py`` pins this).
-    """
-    return CacheInfo(_lower_hits, _lower_misses, None, len(_LOWER_CACHE))
 
 
 def clear_lowering_cache() -> None:
-    """Drop lowered columns and reset the counters (test isolation)."""
-    global _lower_hits, _lower_misses
-    _LOWER_CACHE.clear()
+    """Drop lowered columns, split labels and adjudication outcomes, and
+    reset the lowering counters (test isolation)."""
+    _LOWERED.clear()
     _SPLIT_CACHE.clear()
     _OUTCOME_CACHE.clear()
-    _lower_hits = 0
-    _lower_misses = 0
-
-
-def _lower_column(canon: str, collective: str, nodes: int, ppn: int,
-                  sizes: Tuple[int, ...], thresholds) -> _LoweredColumn:
-    global _lower_hits, _lower_misses
-    key = (canon, collective, nodes, ppn, thresholds, sizes)
-    hit = _LOWER_CACHE.get(key)
-    if hit is not None:
-        _lower_hits += 1
-        return hit
-    _lower_misses += 1
-    plans = [
-        plan_for(canon, collective, nodes, ppn, s, thresholds=thresholds)
-        for s in sizes
-    ]
-    schedules = [pl.schedule for pl in plans]
-    nranks = len(schedules[0].programs)
-    compiled = tuple(
-        _compile_column([sch.programs[i] for sch in schedules], i, ppn)
-        for i in range(nranks)
-    )
-    # binding buffers bake their ids at lowering time, in the same order
-    # fastpath._prepare hands out world.new_buf_id(); AllocStep ids start
-    # above them, so warm-state keys line up with the scalar engines
-    nbuf = 0
-    envs = []
-    for i in range(nranks):
-        env = {}
-        for name in plans[0].bindings[i]:
-            nbuf += 1
-            env[name] = (
-                nbuf, _gather_i([pl.bindings[i][name] for pl in plans]),
-            )
-        envs.append(env)
-    lowered = _LoweredColumn(
-        compiled, tuple(envs), nbuf, schedules[0].num_namespaces,
-        bool(plans[0].symbols),
-    )
-    _LOWER_CACHE[key] = lowered
-    return lowered
 
 
 def _static_cnt(env: dict, name, off, cnt):
@@ -573,23 +432,6 @@ def _counter_crossing(ctr, threshold: int) -> np.ndarray:
     first = np.argmax(cum >= threshold, axis=0)
     cols = np.arange(times.shape[1])
     return times[order[first, cols], cols]
-
-
-def _uniform_bool(mask) -> bool:
-    """Collapse a size-axis predicate to one bool, or split.
-
-    ``mask`` is either a plain bool (count uniform across the partition)
-    or a boolean ``(S,)`` array; a mixed array raises
-    :class:`BatchDivergence` so the caller's partition splits there.
-    """
-    if isinstance(mask, np.ndarray):
-        if mask[0]:
-            if mask.all():
-                return True
-        elif not mask.any():
-            return False
-        raise BatchDivergence(mask)
-    return mask
 
 
 class BatchWorld:
@@ -780,8 +622,8 @@ class _BatchTask:
     relative order, so the pivot size's ``(time, seq)`` tie-breaks resolve
     identically to the scalar DAG engine, and every other size inherits
     that order subject to the end-of-run divergence check.  The only new
-    logic is :func:`_uniform_bool` at the two size-dependent protocol
-    branches.
+    logic is :func:`~repro.sim.batchline.uniform_bool` at the two
+    size-dependent protocol branches.
     """
 
     __slots__ = (
@@ -1039,7 +881,7 @@ class _BatchTask:
         cnt = self._p_cnt
         req = self._p_req
         dst_nic = w.nics[self._p_node]
-        if _uniform_bool(cnt <= w.eager_threshold):
+        if uniform_bool(cnt <= w.eager_threshold):
             inject_done, arrival = self.nic.transfer(
                 tl.now, self.lr, dst_nic, cnt
             )
@@ -1262,40 +1104,38 @@ def evaluate_column(
     evaluation; sizes the vector pass cannot prove order-invariant — and
     single-size partitions — are evaluated on the DAG engine directly.
     """
-    from repro.baselines.registry import make_library
-
-    if measure < 1:
-        raise ValueError("need at least one measured iteration")
-    if not batch_supported(library, collective):
-        raise ValueError(
-            f"engine='batch' does not cover ({library!r}, {collective!r}); "
-            f"only planner-backed pairs are supported — use engine='event'"
-        )
-    canon = library.lower().replace("_", "-").replace(" ", "-")
-    lib = make_library(_DISPLAY_NAMES[canon])
-    if thresholds is not None and not hasattr(lib, "thresholds"):
-        raise ValueError(
-            f"library {library!r} has no size thresholds to override"
-        )
+    sizes = list(sizes)
+    check_protocol(warmup, measure, sizes)
+    canon, lib = canonical_library(library, collective, thresholds, "batch")
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ValueError("empty size axis")
     if params is None:
         params = bebop_broadwell()
-    uniq = sorted(set(sizes))
 
-    # group by structural signature: sizes compiled to the same opcode
-    # program share one lowered column (signatures are interned, so the
-    # group key is the object id — no per-size deep-tuple hashing)
-    groups: Dict[int, List[int]] = {}
-    for s in uniq:
-        sig = schedule_signature(
-            plan_for(canon, collective, nodes, ppn, s,
-                     thresholds=thresholds).schedule
-        )
-        groups.setdefault(id(sig), []).append(s)
+    # plan the column once per structure; pieces compiled to the same
+    # opcode program merge into one group (signatures are interned, so
+    # the group key is the object id), and groups run in the order of
+    # their smallest size, as a per-size grouping would order them
+    by_sig: Dict[int, list] = {}
+    for piece in plan_column(canon, collective, nodes, ppn,
+                             sorted(set(sizes)), thresholds):
+        sig = schedule_signature(piece[1].schedule)
+        by_sig.setdefault(id(sig), []).append(piece)
+    groups = sorted(
+        (_merge_pieces(g) for g in by_sig.values()), key=lambda g: g[0][0]
+    )
+    group_of = {s: g for g in groups for s in g[0]}
+
+    def _lower(part: Tuple[int, ...]) -> _LoweredColumn:
+        group = group_of[part[0]]
+        return lowered_for(canon, collective, nodes, ppn, part, thresholds,
+                           lambda: lower_column(group, part, ppn))
 
     def _dag(s: int) -> FastpathResult:
+        # lower the size into the shared cache first: the DAG engine
+        # replays that width-1 entry instead of planning the point again
+        _lower((s,))
         return _dag_evaluate_point(
             library, collective, nodes, ppn, s, params=params,
             warmup=warmup, measure=measure, thresholds=thresholds,
@@ -1310,17 +1150,15 @@ def evaluate_column(
     max_depth = 0
     elided = 0
     probe_mech = lib.make_mechanism()
-    for group in groups.values():
-        stack: List[Tuple[Tuple[int, ...], int]] = [(tuple(group), 0)]
+    for axis, _ in groups:
+        stack: List[Tuple[Tuple[int, ...], int]] = [(axis, 0)]
         while stack:
             part, depth = stack.pop()
             if len(part) == 1:
                 results[part[0]] = _dag(part[0])
                 singles.append(part[0])
                 continue
-            lowered = _lower_column(
-                canon, collective, nodes, ppn, part, thresholds
-            )
+            lowered = _lower(part)
             label_key = (
                 canon, collective, nodes, ppn, thresholds, part,
                 params.eager_threshold, getattr(probe_mech, "threshold",

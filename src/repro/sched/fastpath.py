@@ -13,6 +13,12 @@ and then interpreted by a small continuation machine whose suspension
 points are plain timeline callbacks — no coroutines, no ``Buffer``
 objects, no ``Transport``.
 
+One lowering serves both fast engines: :func:`lower_column` lowers any
+selection of a plan's sizes, and one process-wide cache holds the results
+keyed by ``(library, collective, nodes, ppn, thresholds, sizes)``.  A
+batch partition is an entry of its sizes; a DAG point is the width-1
+entry of its size, planned and lowered only on a miss.
+
 Bit-identity (pinned by ``tests/sched/test_fastpath.py``) rests on two
 invariants:
 
@@ -40,9 +46,12 @@ semantic reference.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from heapq import heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.hw.memory import MemoryModel
 from repro.hw.nic import NodeNic
@@ -59,7 +68,6 @@ from repro.sched.ir import (
     RankProgram,
     RecvStep,
     ReduceStep,
-    Schedule,
     SendStep,
     Sym,
     TagOffset,
@@ -79,8 +87,11 @@ from repro.sim.timeline import Timeline, TimelineEvent
 
 __all__ = [
     "fastpath_supported",
+    "check_protocol",
     "evaluate_point",
     "evaluate_tables",
+    "lower_column",
+    "lowering_cache_info",
     "FastpathResult",
     "FastWorld",
 ]
@@ -216,7 +227,61 @@ class _Compiled(NamedTuple):
     num_handles: int
 
 
-def _compile_program(program: RankProgram, index: int, ppn: int) -> _Compiled:
+class _LoweredColumn(NamedTuple):
+    """One structure's lowering over a selection of message sizes.
+
+    Every numeric operand is a plain int where the selected sizes agree
+    and an int64 ``(S,)`` vector where they differ; a DAG point is the
+    width-1 case, where every operand is an int.
+    """
+
+    compiled: Tuple[_Compiled, ...]
+    #: per-participant base env: name -> (buffer_id, element count)
+    envs: Tuple[dict, ...]
+    #: highest baked binding-buffer id (AllocStep ids continue from here)
+    nbufs: int
+    num_namespaces: int
+    flat: bool
+
+
+def _gatherer(sel: List[int]):
+    """``gather(value)``: one numeric operand at the selected sizes.
+
+    ``value`` is an int where the operand does not depend on the size,
+    else a ``SizeVec`` over the plan's sizes, of which ``sel`` picks
+    entries.  The result is a plain Python value where every selected
+    size agrees, else a plain int64 ndarray.
+    """
+    if len(sel) == 1:
+        j = sel[0]
+
+        def gather(value):
+            if isinstance(value, np.ndarray):
+                return value.item(j)
+            return value
+
+        return gather
+
+    idx = np.array(sel)
+
+    def gather(value):
+        if not isinstance(value, np.ndarray):
+            return value
+        value = value.view(np.ndarray)[idx]
+        return value.item(0) if (value == value[0]).all() else value
+
+    return gather
+
+
+def _lower_program(program: RankProgram, index: int, ppn: int,
+                   gather, resolved: Dict) -> _Compiled:
+    """Lower participant ``index``'s program into the opcode layout,
+    every numeric operand gathered at the selected sizes.
+
+    ``resolved`` maps tag keys to ``(constant, builder)`` and is shared by
+    every participant of one lowering: most keys recur on every rank, and
+    builders are pure, so each is compiled once.
+    """
     node = index // ppn
     ops: list = []
     slots: Dict = {}
@@ -227,27 +292,32 @@ def _compile_program(program: RankProgram, index: int, ppn: int) -> _Compiled:
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(const_tags)
-            if _has_markers(key):
-                const_tags.append(None)
-                dyn_tags.append((slot, _key_builder(key)))
-            else:
-                const_tags.append(resolve_key(key, (), {}))
+            entry = resolved.get(key)
+            if entry is None:
+                entry = resolved[key] = (
+                    (None, _key_builder(key)) if _has_markers(key)
+                    else (resolve_key(key, (), {}), None)
+                )
+            const_tags.append(entry[0])
+            if entry[1] is not None:
+                dyn_tags.append((slot, entry[1]))
         return slot
 
     for step in program.steps:
         cls = step.__class__
         if cls is SendStep:
             ref = step.buf
+            off = gather(ref.offset)
+            cnt = None if ref.count is None else gather(ref.count)
             if step.dst // ppn == node:
                 ops.append((
-                    _OP_SEND_INTRA, step.dst, ref.name, ref.offset,
-                    ref.count, key_slot(step.tag), step.handle,
+                    _OP_SEND_INTRA, step.dst, ref.name, off, cnt,
+                    key_slot(step.tag), step.handle,
                 ))
             else:
                 ops.append((
                     _OP_SEND_INTER, step.dst, step.dst // ppn,
-                    ref.name, ref.offset, ref.count,
-                    key_slot(step.tag), step.handle,
+                    ref.name, off, cnt, key_slot(step.tag), step.handle,
                 ))
         elif cls is RecvStep:
             ops.append((
@@ -256,19 +326,21 @@ def _compile_program(program: RankProgram, index: int, ppn: int) -> _Compiled:
         elif cls is WaitStep:
             if step.handles:
                 ops.append((_OP_WAIT, step.handles, len(step.handles)))
-        elif cls is CopyStep:
+        elif cls is CopyStep or cls is ReduceStep:
             ref = step.src
-            ops.append((_OP_COPY, ref.name, ref.offset, ref.count))
-        elif cls is ReduceStep:
-            ref = step.src
-            ops.append((_OP_REDUCE, ref.name, ref.offset, ref.count))
+            ops.append((
+                _OP_COPY if cls is CopyStep else _OP_REDUCE, ref.name,
+                gather(ref.offset),
+                None if ref.count is None else gather(ref.count),
+            ))
         elif cls is IntraOpStep:
             kind = step.op
             if kind == "post":
                 ref = step.value
                 ops.append((
-                    _OP_POST, key_slot(step.key),
-                    ref.name, ref.offset, ref.count,
+                    _OP_POST, key_slot(step.key), ref.name,
+                    gather(ref.offset),
+                    None if ref.count is None else gather(ref.count),
                 ))
             elif kind == "lookup":
                 ops.append((_OP_LOOKUP, key_slot(step.key), step.bind))
@@ -279,11 +351,11 @@ def _compile_program(program: RankProgram, index: int, ppn: int) -> _Compiled:
             else:  # pragma: no cover - planners only emit the four ops
                 raise ValueError(f"unknown intra op {kind!r}")
         elif cls is AllocStep:
-            ops.append((_OP_ALLOC, step.name, step.count))
+            ops.append((_OP_ALLOC, step.name, gather(step.count)))
         elif cls is PhaseStep:
             ops.append((_OP_PHASE, step.name))
         elif cls is ComputeStep:
-            ops.append((_OP_COMPUTE, step.seconds))
+            ops.append((_OP_COMPUTE, gather(step.seconds)))
         else:  # pragma: no cover - the IR is closed
             raise TypeError(f"unknown step {step!r}")
     return _Compiled(
@@ -291,25 +363,92 @@ def _compile_program(program: RankProgram, index: int, ppn: int) -> _Compiled:
     )
 
 
-def _compiled_for(schedule: Schedule, ppn: int) -> Tuple[_Compiled, ...]:
-    """Lower ``schedule`` for node size ``ppn``, cached on the schedule.
+def lower_column(piece: Tuple[Tuple[int, ...], PlannedCollective],
+                 part: Tuple[int, ...], ppn: int) -> _LoweredColumn:
+    """Lower the sizes ``part`` of one plan piece.
 
-    Planner schedules are ``lru_cache``d module-level singletons, so
-    stashing the lowered form on the object (keyed by ppn, which decides
-    send locality) makes compilation a once-per-process cost.
+    ``piece`` is ``(sizes, planned)``: a
+    :func:`repro.sched.registry.plan_column` piece, whose numeric
+    operands are ints or size vectors over ``sizes``, or a
+    :func:`~repro.sched.registry.plan_for` result with its one size.
+    ``part`` is any subset of ``sizes``.
     """
-    cache = getattr(schedule, "_fastpath_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(schedule, "_fastpath_cache", cache)
-    compiled = cache.get(ppn)
-    if compiled is None:
-        compiled = tuple(
-            _compile_program(prog, i, ppn)
-            for i, prog in enumerate(schedule.programs)
-        )
-        cache[ppn] = compiled
-    return compiled
+    sizes, planned = piece
+    where = {s: i for i, s in enumerate(sizes)}
+    gather = _gatherer([where[s] for s in part])
+    resolved: Dict = {}
+    compiled = tuple(
+        _lower_program(prog, i, ppn, gather, resolved)
+        for i, prog in enumerate(planned.schedule.programs)
+    )
+    # binding buffers bake their ids in participant order, so AllocStep
+    # ids continue above them exactly as a fresh world would hand out
+    # ids, and warm-state keys line up across engines
+    nbuf = 0
+    envs = []
+    for binding in planned.bindings:
+        env = {}
+        for name, count in binding.items():
+            nbuf += 1
+            env[name] = (nbuf, gather(count))
+        envs.append(env)
+    return _LoweredColumn(
+        compiled, tuple(envs), nbuf, planned.schedule.num_namespaces,
+        bool(planned.symbols),
+    )
+
+
+class CacheInfo(NamedTuple):
+    """``functools.CacheInfo``-compatible counters for the lowering cache."""
+
+    hits: int
+    misses: int
+    maxsize: Optional[int]
+    currsize: int
+
+
+class _LoweringCache:
+    """Process-wide lowered columns, keyed by ``(library, collective,
+    nodes, ppn, thresholds, sizes)``.
+
+    The one cache both fast engines lower through: a batch partition is
+    an entry of its sizes, a DAG point the width-1 entry of its size.
+    """
+
+    def __init__(self) -> None:
+        self.entries: Dict[tuple, _LoweredColumn] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: tuple, lower) -> _LoweredColumn:
+        """The entry under ``key``; ``lower()`` builds it on a miss."""
+        lowered = self.entries.get(key)
+        if lowered is not None:
+            self.hits += 1
+            return lowered
+        self.misses += 1
+        lowered = self.entries[key] = lower()
+        return lowered
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+
+_LOWERED = _LoweringCache()
+
+
+def lowering_cache_info() -> CacheInfo:
+    """Counters of the process-wide lowering cache.
+
+    Surfaced through :func:`repro.sched.registry.planner_cache_info` as
+    ``"batch_lowering"``; a repeated sweep must be pure hits
+    (``tests/bench/test_runner.py`` pins this).
+    """
+    return CacheInfo(
+        _LOWERED.hits, _LOWERED.misses, None, len(_LOWERED.entries),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +543,7 @@ class FastWorld:
     """
 
     def __init__(self, params: MachineParams, nodes: int, ppn: int,
-                 mechanism, software_overhead: float):
+                 mechanism, software_overhead: float, buf_seq_start: int):
         params.validate()
         self.params = params
         self.nodes = nodes
@@ -448,21 +587,18 @@ class FastWorld:
         self._op_seq = 0
         # per-group collective-tag counters (flat baselines)
         self._group_seqs: Dict = {}
-        # fresh abstract buffer ids (AllocStep temporaries; binding buffers)
-        self._buf_seq = 0
+        # fresh abstract buffer ids for AllocStep temporaries, numbered
+        # above the binding-buffer ids baked into the lowering
+        self._buf_seq = buf_seq_start
         self.end_times: List[float] = []
         self._live = 0
-        # rank tasks, reused across iterations of the same schedule
+        # rank tasks, reused across iterations of the same program
         self._tasks: Optional[List["_Task"]] = None
-        self._tasks_schedule: Optional[Schedule] = None
+        self._tasks_compiled: Optional[Tuple[_Compiled, ...]] = None
         #: optional (rank, phase) -> 6-column volume rows (check.py layout)
         self.acct: Optional[Dict[Tuple[int, str], List[int]]] = None
 
     # -- identity ---------------------------------------------------------
-
-    def new_buf_id(self) -> int:
-        self._buf_seq += 1
-        return self._buf_seq
 
     def next_group_tag(self, tag_key) -> tuple:
         seq = self._group_seqs.get(tag_key, 0) + 1
@@ -511,7 +647,8 @@ class FastWorld:
 
     # -- execution --------------------------------------------------------
 
-    def run_schedule(self, schedule: Schedule, envs, symbols: dict) -> float:
+    def run_schedule(self, compiled: Tuple[_Compiled, ...], envs,
+                     symbols: dict, num_namespaces: int) -> float:
         """One iteration: run every program to completion, return elapsed.
 
         ``envs[i]`` is participant ``i``'s base environment (name ->
@@ -520,17 +657,16 @@ class FastWorld:
         """
         tl = self.tl
         start = tl.now
-        k = schedule.num_namespaces
+        k = num_namespaces
         ns_values = tuple(range(self._op_seq + 1, self._op_seq + 1 + k))
         self._op_seq += k
         tasks = self._tasks
-        if tasks is None or self._tasks_schedule is not schedule:
-            compiled = _compiled_for(schedule, self.ppn)
+        if tasks is None or self._tasks_compiled is not compiled:
             tasks = [
                 _Task(self, i, compiled[i]) for i in range(len(compiled))
             ]
             self._tasks = tasks
-            self._tasks_schedule = schedule
+            self._tasks_compiled = compiled
         n = len(tasks)
         self.end_times = [start] * n
         self._live = n
@@ -988,16 +1124,34 @@ class _Task:
 # ---------------------------------------------------------------------------
 
 
-def _prepare(library: str, collective: str, nodes: int, ppn: int,
-             msg_bytes: int, params: Optional[MachineParams],
-             thresholds) -> Tuple[FastWorld, PlannedCollective, list, bool]:
-    """Shared setup: plan, world, per-participant base environments."""
+def check_protocol(warmup: int, measure: int, sizes=()) -> None:
+    """Reject a protocol or size axis no engine can evaluate.
+
+    Every engine runs ``warmup`` unrecorded iterations, then ``measure``
+    recorded ones, at integral byte counts; ``bool`` is not a size.
+    """
+    if measure < 1:
+        raise ValueError("need at least one measured iteration")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup!r}")
+    for s in sizes:
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+            raise ValueError(
+                f"message size must be an integer number of bytes, "
+                f"got {s!r}"
+            )
+
+
+def canonical_library(library: str, collective: str, thresholds,
+                      engine: str) -> Tuple[str, object]:
+    """``(registry name, library)`` for a pair the fast engines cover."""
     from repro.baselines.registry import make_library
 
     if not fastpath_supported(library, collective):
         raise ValueError(
-            f"engine='dag' does not cover ({library!r}, {collective!r}); "
-            f"only planner-backed pairs are supported — use engine='event'"
+            f"engine={engine!r} does not cover ({library!r}, "
+            f"{collective!r}); only planner-backed pairs are supported — "
+            f"use engine='event'"
         )
     canon = library.lower().replace("_", "-").replace(" ", "-")
     lib = make_library(_DISPLAY_NAMES[canon])
@@ -1005,22 +1159,56 @@ def _prepare(library: str, collective: str, nodes: int, ppn: int,
         raise ValueError(
             f"library {library!r} has no size thresholds to override"
         )
-    planned = plan_for(
-        canon, collective, nodes, ppn, msg_bytes, thresholds=thresholds
+    return canon, lib
+
+
+def lowered_for(canon: str, collective: str, nodes: int, ppn: int,
+                sizes: Tuple[int, ...], thresholds,
+                lower) -> _LoweredColumn:
+    """The shared cache's lowering of ``sizes``; ``lower()`` on a miss."""
+    return _LOWERED.get(
+        (canon, collective, nodes, ppn, thresholds, sizes), lower
     )
-    world = FastWorld(
-        params if params is not None else bebop_broadwell(),
-        nodes, ppn, lib.make_mechanism(), lib.software_overhead,
+
+
+def _prepare(library: str, collective: str, nodes: int, ppn: int,
+             msg_bytes: int, params: Optional[MachineParams],
+             thresholds) -> Tuple[FastWorld, _LoweredColumn]:
+    """Shared setup: the point's width-1 lowering and a fresh world.
+
+    The lowering comes from the shared cache; only a miss plans and
+    lowers the point.
+    """
+    canon, lib = canonical_library(library, collective, thresholds, "dag")
+    point = (msg_bytes,)
+
+    def lower() -> _LoweredColumn:
+        planned = plan_for(
+            canon, collective, nodes, ppn, msg_bytes, thresholds=thresholds
+        )
+        return lower_column((point, planned), point, ppn)
+
+    low = lowered_for(
+        canon, collective, nodes, ppn, point, thresholds, lower
     )
     # binding buffers are allocated once per point (stable identities ->
     # page-fault/attach state warms across iterations), exactly like the
-    # phantom buffers _make_body allocates once in run_point
-    envs = [
-        {name: (world.new_buf_id(), cnt) for name, cnt in binding.items()}
-        for binding in planned.bindings
-    ]
-    flat = bool(planned.symbols)  # flat baselines carry a Sym("tag")
-    return world, planned, envs, flat
+    # phantom buffers _make_body allocates once in run_point; their ids
+    # are baked into the lowering, so fresh ids continue above them
+    world = FastWorld(
+        params if params is not None else bebop_broadwell(),
+        nodes, ppn, lib.make_mechanism(), lib.software_overhead, low.nbufs,
+    )
+    return world, low
+
+
+def _run(world: FastWorld, low: _LoweredColumn, tag_key) -> float:
+    # the flat wrappers scope tags with the world communicator's tag_key
+    # plus a per-invocation sequence number
+    symbols = {"tag": world.next_group_tag(tag_key)} if low.flat else {}
+    return world.run_schedule(
+        low.compiled, low.envs, symbols, low.num_namespaces
+    )
 
 
 def evaluate_point(
@@ -1040,20 +1228,14 @@ def evaluate_point(
     iterations on the same world, then measured ones — and returns the
     per-iteration times plus the cumulative internode message count.
     """
-    if measure < 1:
-        raise ValueError("need at least one measured iteration")
-    world, planned, envs, flat = _prepare(
-        library, collective, nodes, ppn, msg_bytes, params, thresholds
+    check_protocol(warmup, measure, (msg_bytes,))
+    world, low = _prepare(
+        library, collective, nodes, ppn, int(msg_bytes), params, thresholds
     )
-    # the flat wrappers scope tags with the world communicator's tag_key
-    # plus a per-invocation sequence number
-    tag_key = hash(tuple(range(nodes * ppn))) if flat else None
+    tag_key = hash(tuple(range(nodes * ppn))) if low.flat else None
     samples = []
     for it in range(warmup + measure):
-        symbols = (
-            {"tag": world.next_group_tag(tag_key)} if flat else {}
-        )
-        elapsed = world.run_schedule(planned.schedule, envs, symbols)
+        elapsed = _run(world, low, tag_key)
         if it >= warmup:
             samples.append(elapsed)
     return FastpathResult(tuple(samples), world.internode_messages())
@@ -1075,11 +1257,9 @@ def evaluate_tables(
     the result is directly comparable to
     :func:`repro.sched.check.check_planned`'s ``per_rank`` tables.
     """
-    world, planned, envs, flat = _prepare(
+    world, low = _prepare(
         library, collective, nodes, ppn, msg_bytes, params, thresholds
     )
     world.acct = {}
-    tag_key = hash(tuple(range(nodes * ppn))) if flat else None
-    symbols = {"tag": world.next_group_tag(tag_key)} if flat else {}
-    world.run_schedule(planned.schedule, envs, symbols)
+    _run(world, low, hash(tuple(range(nodes * ppn))) if low.flat else None)
     return world.acct

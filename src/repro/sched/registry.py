@@ -6,7 +6,8 @@ the same selection logic (:class:`~repro.core.tuning.Thresholds` for
 PiP-MColl, MPICH's total-size/power-of-two selection for the flat
 baselines) — and describes the buffer environment each participant starts
 with, so :mod:`repro.sched.check` can verify the schedule without running
-the simulator.
+the simulator.  :func:`plan_column` runs the same selection once over a
+whole message-size column, for the batch engine.
 
 Coverage is exactly the planner-backed surface: the PiP-MColl primary
 collectives (scatter/allgather/allreduce, plus the forced-small variant)
@@ -21,7 +22,7 @@ with byte elements, so element counts equal byte counts throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sched.ir import Schedule
 from repro.sched.plans.baseline import (
@@ -42,6 +43,7 @@ from repro.util.units import KB
 __all__ = [
     "PlannedCollective",
     "plan_for",
+    "plan_column",
     "planner_cache_info",
     "registry_combinations",
     "LIBRARIES",
@@ -93,6 +95,20 @@ def _mcoll_thresholds(library: str, thresholds) -> "Thresholds":
     return Thresholds()
 
 
+def _validate(library: str, collective: str, nodes: int, ppn: int,
+              sizes) -> str:
+    """Canonical library name, after rejecting what no planner covers."""
+    library = _norm_library(library)
+    if collective not in COLLECTIVES:
+        raise ValueError(
+            f"no planner-backed collective {collective!r}; "
+            f"known: {list(COLLECTIVES)}"
+        )
+    if nodes < 1 or ppn < 1 or min(sizes) < 1:
+        raise ValueError("nodes, ppn and nbytes must be positive")
+    return library
+
+
 def plan_for(
     library: str,
     collective: str,
@@ -106,21 +122,73 @@ def plan_for(
     ``nbytes`` is the per-process message size in bytes (byte elements),
     matching the microbenchmark convention.
     """
-    library = _norm_library(library)
-    if collective not in COLLECTIVES:
-        raise ValueError(
-            f"no planner-backed collective {collective!r}; "
-            f"known: {list(COLLECTIVES)}"
-        )
-    if nodes < 1 or ppn < 1 or nbytes < 1:
-        raise ValueError("nodes, ppn and nbytes must be positive")
+    library = _validate(library, collective, nodes, ppn, (nbytes,))
+    return _select(library, collective, nodes, ppn, nbytes, thresholds,
+                   cached=True)
+
+
+def plan_column(
+    library: str,
+    collective: str,
+    nodes: int,
+    ppn: int,
+    sizes: Sequence[int],
+    thresholds: Optional["Thresholds"] = None,
+) -> List[Tuple[Tuple[int, ...], PlannedCollective]]:
+    """Plan a whole message-size column once per schedule structure.
+
+    Runs :func:`plan_for`'s selection and planners once over a
+    :class:`~repro.sim.batchline.SizeVec` of ``sizes``, so every count,
+    offset and binding in the returned schedules is a plain int where it
+    does not depend on the size and a ``SizeVec`` over the piece's sizes
+    where it does.  A planner branch that goes different ways at
+    different sizes raises :class:`~repro.sim.batchline.BatchDivergence`;
+    the column splits at its mask and both halves are planned again.
+    Returns ``[(sizes, planned)]`` pieces, each of uniform structure.
+    Single-size pieces plan through the cached :func:`plan_for` with a
+    plain int; vector plans bypass the planners' ``lru_cache`` (a
+    ``SizeVec`` is unhashable) and are never cached.
+    """
+    from repro.sim.batchline import BatchDivergence, SizeVec
+
+    library = _validate(library, collective, nodes, ppn, sizes)
+    pieces: List[Tuple[Tuple[int, ...], PlannedCollective]] = []
+    stack = [tuple(sizes)]
+    while stack:
+        part = stack.pop()
+        if len(part) == 1:
+            planned = plan_for(library, collective, nodes, ppn, part[0],
+                               thresholds=thresholds)
+        else:
+            try:
+                planned = _select(library, collective, nodes, ppn,
+                                  SizeVec(part), thresholds, cached=False)
+            except BatchDivergence as d:
+                stack.append(tuple(s for s, m in zip(part, d.mask) if not m))
+                stack.append(tuple(s for s, m in zip(part, d.mask) if m))
+                continue
+        pieces.append((part, planned))
+    return pieces
+
+
+def _select(library: str, collective: str, nodes: int, ppn: int, nbytes,
+            thresholds, cached: bool) -> PlannedCollective:
+    """The library's algorithm selection, for one size or a size vector.
+
+    ``cached`` picks the planners' ``lru_cache`` or, for size vectors,
+    their uncached bodies.
+    """
+
+    def plan(planner, *args) -> Schedule:
+        return (planner if cached else planner.__wrapped__)(*args)
+
     size = nodes * ppn
     world = tuple(range(size))
 
     if library in ("pip-mcoll", "pip-mcoll-small"):
         thr = _mcoll_thresholds(library, thresholds)
         if collective == "scatter":
-            schedule = plan_scatter(nodes, ppn, nbytes, 0, True)
+            schedule = plan(plan_scatter, nodes, ppn, nbytes, 0, True)
             bindings = tuple(
                 {"send": size * nbytes, "recv": nbytes} if rank == 0
                 else {"recv": nbytes}
@@ -128,17 +196,17 @@ def plan_for(
             )
         elif collective == "allgather":
             if nbytes < thr.allgather_large_bytes:
-                schedule = plan_allgather_small(nodes, ppn, nbytes)
+                schedule = plan(plan_allgather_small, nodes, ppn, nbytes)
             else:
-                schedule = plan_allgather_large(nodes, ppn, nbytes)
+                schedule = plan(plan_allgather_large, nodes, ppn, nbytes)
             bindings = tuple(
                 {"send": nbytes, "recv": size * nbytes} for _ in world
             )
         else:  # allreduce
             if nbytes < thr.allreduce_large_bytes:
-                schedule = plan_allreduce_small(nodes, ppn, nbytes)
+                schedule = plan(plan_allreduce_small, nodes, ppn, nbytes)
             else:
-                schedule = plan_allreduce_large(nodes, ppn, nbytes)
+                schedule = plan(plan_allreduce_large, nodes, ppn, nbytes)
             bindings = tuple(
                 {"send": nbytes, "recv": nbytes} for _ in world
             )
@@ -159,11 +227,11 @@ def plan_for(
     total = size * nbytes
     if total < _MPICH_ALLGATHER_RING_TOTAL:
         if is_power_of(2, size):
-            schedule = plan_allgather_recursive_doubling(world, nbytes)
+            schedule = plan(plan_allgather_recursive_doubling, world, nbytes)
         else:
-            schedule = plan_allgather_bruck(world, nbytes)
+            schedule = plan(plan_allgather_bruck, world, nbytes)
     else:
-        schedule = plan_allgather_ring(world, nbytes)
+        schedule = plan(plan_allgather_ring, world, nbytes)
     return PlannedCollective(
         label=f"{library} allgather {nodes}x{ppn} {nbytes}B "
               f"[{schedule.label}]",
@@ -183,7 +251,8 @@ def planner_cache_info() -> Dict[str, "object"]:
     maxsize, currsize).  Sweeps hit the same (shape, size) plan once per
     point per process; anything beyond one miss per distinct signature
     means re-planning, which ``tests/sched/test_fastpath.py`` guards
-    against.
+    against.  Column planning (:func:`plan_column`) bypasses these
+    caches, so batch columns leave them untouched.
     """
     planners = (
         plan_scatter,
@@ -196,11 +265,11 @@ def planner_cache_info() -> Dict[str, "object"]:
         plan_allgather_ring,
     )
     info = {fn.__name__: fn.cache_info() for fn in planners}
-    # the batch engine's lowering cache is the same kind of animal — one
-    # compiled artifact per structural signature, re-use counted — so it
+    # the fast engines' shared lowering cache is the same kind of animal —
+    # one compiled artifact per (structure, sizes), re-use counted — so it
     # reports through the same window (lazy import: the registry must not
     # pull in the engine stack)
-    from repro.sched.batch import lowering_cache_info
+    from repro.sched.fastpath import lowering_cache_info
 
     info["batch_lowering"] = lowering_cache_info()
     return info

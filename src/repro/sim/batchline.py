@@ -116,7 +116,10 @@ from typing import Any, Callable, Dict, List
 
 import numpy as np
 
-__all__ = ["BatchDivergence", "BatchTimeline", "BatchEvent"]
+__all__ = [
+    "BatchDivergence", "BatchTimeline", "BatchEvent", "SizeVec",
+    "uniform_bool",
+]
 
 
 class BatchDivergence(Exception):
@@ -131,6 +134,64 @@ class BatchDivergence(Exception):
     def __init__(self, mask: np.ndarray):
         super().__init__("size-dependent branch is not uniform")
         self.mask = mask
+
+
+def uniform_bool(mask) -> bool:
+    """Collapse a size-axis predicate to one bool, or split.
+
+    ``mask`` is either a plain bool (count uniform across the partition)
+    or a boolean ``(S,)`` array; a mixed array raises
+    :class:`BatchDivergence` so the caller's partition splits there.
+    """
+    if isinstance(mask, np.ndarray):
+        if mask[0]:
+            if mask.all():
+                return True
+        elif not mask.any():
+            return False
+        raise BatchDivergence(mask)
+    return mask
+
+
+class SizeVec(np.ndarray):
+    """A column's message sizes, planned as one integer value.
+
+    The planners run unchanged on a ``SizeVec`` in place of their
+    ``count``: element-wise ``+ - * // % divmod`` give every size its own
+    value, and every place the planner *branches* on a size (``if``,
+    ``and``/``or``, ``min``/``max``, ``range``, ``int``) collapses the
+    vector to one plain Python value when all sizes agree, or raises
+    :class:`BatchDivergence` with the mask to split the column at — the
+    same rule as :func:`uniform_bool` applies to the runtime branches.
+
+    In-place operators return new arrays instead of writing through: a
+    planner's ``acc += c`` must never change an array an emitted step
+    already holds.  Like every ndarray, a ``SizeVec`` is unhashable, so
+    it can never enter a planner's ``lru_cache`` by accident.
+    """
+
+    def __new__(cls, sizes) -> "SizeVec":
+        return np.asarray(sizes, dtype=np.int64).view(cls)
+
+    def __bool__(self) -> bool:
+        return uniform_bool(self.view(np.ndarray) != 0)
+
+    def __index__(self) -> int:
+        values = self.view(np.ndarray)
+        same = values == values[0]
+        if not same.all():
+            raise BatchDivergence(same)
+        return int(values[0])
+
+    __int__ = __index__
+
+    __iadd__ = np.ndarray.__add__
+    __isub__ = np.ndarray.__sub__
+    __imul__ = np.ndarray.__mul__
+    __ifloordiv__ = np.ndarray.__floordiv__
+    __imod__ = np.ndarray.__mod__
+    __ilshift__ = np.ndarray.__lshift__
+    __irshift__ = np.ndarray.__rshift__
 
 
 class BatchTimeline:

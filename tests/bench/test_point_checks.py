@@ -1,0 +1,70 @@
+"""Every engine refuses the same impossible protocols and sizes.
+
+A negative warm-up count or a message size that is not an integer must
+fail identically on every engine — one ``ValueError`` naming the value —
+instead of each engine answering something different.
+"""
+
+import numpy as np
+import pytest
+
+from repro.bench.microbench import ENGINES, run_point
+from repro.bench.runner import Point
+from repro.bench.runner.pool import run_sweep_column
+from repro.sched.batch import evaluate_column
+from repro.sched.fastpath import evaluate_point
+
+BAD_SIZES = (64.5, True, np.float64(64.0), "64")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_negative_warmup_rejected_on_every_engine(engine):
+    with pytest.raises(ValueError, match="warmup"):
+        run_point("PiP-MColl", "allgather", 2, 2, 64, warmup=-1,
+                  measure=2, engine=engine)
+
+
+def test_negative_warmup_rejected_by_the_replay_entry_points():
+    with pytest.raises(ValueError, match="warmup"):
+        evaluate_point("PiP-MColl", "allgather", 2, 2, 64, warmup=-1)
+    with pytest.raises(ValueError, match="warmup"):
+        evaluate_column("PiP-MColl", "allgather", 2, 2, [64, 4096],
+                        warmup=-1)
+    points = [Point("PiP-MColl", "allgather", 2, 2, s, warmup=-1,
+                    engine="batch") for s in (64, 4096)]
+    with pytest.raises(ValueError, match="warmup"):
+        run_sweep_column(points)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("size", BAD_SIZES, ids=repr)
+def test_non_integer_size_rejected_on_every_engine(engine, size):
+    with pytest.raises(ValueError, match="integer") as info:
+        run_point("PiP-MColl", "allgather", 2, 2, size, engine=engine)
+    assert repr(size) in str(info.value)
+
+
+@pytest.mark.parametrize("size", BAD_SIZES, ids=repr)
+def test_non_integer_size_rejected_in_a_column(size):
+    with pytest.raises(ValueError, match="integer") as info:
+        evaluate_column("PiP-MColl", "allgather", 2, 2, [size, 128])
+    assert repr(size) in str(info.value)
+    with pytest.raises(ValueError, match="integer"):
+        evaluate_point("PiP-MColl", "allgather", 2, 2, size)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_numpy_integer_size_is_the_plain_int_size(engine):
+    want = run_point("PiP-MColl", "allgather", 2, 2, 64, engine=engine)
+    got = run_point("PiP-MColl", "allgather", 2, 2, np.int64(64),
+                    engine=engine)
+    assert got.samples == want.samples
+    assert got.internode_messages == want.internode_messages
+
+
+def test_numpy_integer_sizes_evaluate_as_plain_ints():
+    want = evaluate_column("PiP-MColl", "allgather", 2, 2, [64, 128])
+    got = evaluate_column("PiP-MColl", "allgather", 2, 2,
+                          np.array([64, 128]))
+    assert got.results == want.results
+    assert all(type(s) is int for s in got.results)
