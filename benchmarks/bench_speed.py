@@ -15,9 +15,11 @@ points/sec land in ``BENCH_batch.json``.
 
 Every rep is a complete fresh evaluation (world construction included);
 ``best-of-N`` wall times are reported because the shared CI boxes are
-noisy.  Planner ``lru_cache``s — and, for the batch engine, the lowering
-cache — are warm after the first rep on both sides, the same steady state
-a figure sweep runs in.
+noisy.  The reps run in one process, so planner ``lru_cache``s, the
+shared lowering cache and, for the batch engine, the adjudication-outcome
+cache are warm after the first rep: the reps measure repeat evaluation
+of a column.  A figure sweep or the ``repro.serve`` daemon evaluates each
+column once per process and never reaches that state.
 
 Usage::
 

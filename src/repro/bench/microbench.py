@@ -105,7 +105,8 @@ class MicrobenchResult:
     time: float
     #: per-iteration simulated times (warm-up excluded)
     samples: Tuple[float, ...]
-    #: total internode messages in the final iteration (diagnostics)
+    #: internode messages summed over every warm-up and measured
+    #: iteration (diagnostics)
     internode_messages: int
 
 

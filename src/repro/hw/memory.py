@@ -15,12 +15,12 @@ stage (§IV-A) therefore absorbs fault costs exactly like the real runs do.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Hashable, Set, Tuple
+from typing import Hashable, Set
 
 import numpy as np
 
 from repro.hw.params import MachineParams
-from repro.sim.batchline import BatchDivergence
+from repro.sim.batchline import uniform_bool
 from repro.sim.engine import Delay, Engine, ProcGen
 from repro.sim.resources import MultiServer
 
@@ -42,14 +42,6 @@ class MemoryModel:
 
     # -- cost arithmetic (no simulated blocking) --------------------------
 
-    def copy_service(self, nbytes: int) -> float:
-        """Lane occupancy for copying ``nbytes`` at core speed."""
-        return nbytes / self.params.core_copy_bw
-
-    def reduce_service(self, nbytes: int) -> float:
-        """Lane occupancy for reducing ``nbytes`` (read+op+write streams)."""
-        return nbytes / self.params.reduce_bw
-
     def fault_cost(self, region: Hashable, nbytes: int) -> float:
         """Page-fault cost for touching ``region``; warm after first touch.
 
@@ -61,10 +53,6 @@ class MemoryModel:
         self._warmed.add(region)
         pages = -(-nbytes // self.params.page_size)
         return pages * self.params.page_fault_time
-
-    def forget_warm_state(self) -> None:
-        """Drop page-fault warm state (used between benchmark repetitions)."""
-        self._warmed.clear()
 
     # -- occupancy closures (reserve lanes now, return the blocked time) --
 
@@ -123,10 +111,6 @@ class MemoryModel:
         """Block the calling process for one ``nbytes`` reduction."""
         yield Delay(self.reduce_occupy(self.engine.now, nbytes, extra_fixed))
 
-    def utilisation(self) -> Tuple[float, int]:
-        """(total lane-busy seconds, operations served)."""
-        return self.lanes.busy_time, self.lanes.served
-
 
 class BatchMemory:
     """Vector-over-sizes mirror of :class:`MemoryModel`.
@@ -145,9 +129,11 @@ class BatchMemory:
     start values as the scalar heap.
 
     Size-dependent branches (``nbytes > 0``, cold-vs-warm page faults with
-    ``nbytes == 0`` short-circuits) must be uniform across the partition;
-    mixed masks raise :class:`~repro.sim.batchline.BatchDivergence` so the
-    batch engine can split the size axis there.
+    ``nbytes == 0`` short-circuits) collapse through
+    :func:`~repro.sim.batchline.uniform_bool`: a mixed mask raises
+    :class:`~repro.sim.batchline.BatchDivergence` so the batch engine
+    splits the size axis there.  Scalar counts take the same branches as
+    :class:`MemoryModel`.
     """
 
     def __init__(self, engine, params: MachineParams, node: int, width: int):
@@ -162,16 +148,7 @@ class BatchMemory:
 
     def _occupy(self, now, nbytes, extra_fixed, bw: float):
         blocked = self.params.copy_latency + extra_fixed
-        if isinstance(nbytes, np.ndarray):
-            pos = nbytes > 0
-            if pos[0]:
-                if not pos.all():
-                    raise BatchDivergence(pos)
-            elif not pos.any():
-                return blocked
-            else:
-                raise BatchDivergence(pos)
-        elif nbytes <= 0:
+        if not uniform_bool(nbytes > 0):
             return blocked
         lanes = self._lane_free
         service = nbytes / bw
@@ -206,20 +183,9 @@ class BatchMemory:
         the region; a partition mixing zero and nonzero counts on a cold
         region would therefore diverge structurally (some sizes warm it,
         some don't) and must be split.  An already-warm region costs 0
-        for every size, mixed mask or not.
+        for every size, mixed mask or not, so it is checked first.
         """
-        if isinstance(nbytes, np.ndarray):
-            zero = nbytes == 0
-            if zero.all():
-                return 0.0
-            if region in self._warmed:
-                return 0.0
-            if zero.any():
-                raise BatchDivergence(~zero)
-            self._warmed.add(region)
-            pages = -(-nbytes // self.params.page_size)
-            return pages * self.params.page_fault_time
-        if nbytes == 0 or region in self._warmed:
+        if region in self._warmed or not uniform_bool(nbytes != 0):
             return 0.0
         self._warmed.add(region)
         pages = -(-nbytes // self.params.page_size)

@@ -53,21 +53,6 @@ class NodeNic:
         self.messages_sent = 0
         self.bytes_sent = 0
 
-    def inject_service(self, nbytes: int, dma: bool = False) -> float:
-        """Injection-pipeline occupancy for one message.
-
-        Eager messages are copied by the CPU into bounce buffers
-        (``proc_bandwidth``); rendezvous data is DMA-pulled by the NIC
-        (``proc_dma_bandwidth``) and only costs the process its doorbell.
-        """
-        p = self.params
-        bw = p.proc_dma_bandwidth if dma else p.proc_bandwidth
-        return max(1.0 / p.proc_msg_rate, nbytes / bw)
-
-    def wire_service(self, nbytes: int) -> float:
-        """NIC bandwidth-server occupancy for one message."""
-        return nbytes / self.params.nic_bandwidth
-
     def transfer(
         self, now: float, src_local: int, dst: "NodeNic", nbytes: int,
         dma: bool = False,
@@ -93,7 +78,10 @@ class NodeNic:
         # arithmetic, same accounting fields): this function runs once per
         # simulated message and the method-call overhead of five reserve/
         # admit calls dominated its cost.
-        # 1. per-process injection
+        # 1. per-process injection: eager data is copied by the CPU into
+        # bounce buffers (``proc_bandwidth``); rendezvous data is DMA-pulled
+        # by the NIC (``proc_dma_bandwidth``) and only costs the process
+        # its doorbell, floored by the per-process message rate
         inj = self.inject[src_local]
         service = nbytes / (p.proc_dma_bandwidth if dma else p.proc_bandwidth)
         rate_floor = 1.0 / p.proc_msg_rate

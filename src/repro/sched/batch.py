@@ -7,15 +7,13 @@ scalar DAG engine (:mod:`repro.sched.fastpath`) already removed the
 coroutine machinery, but still pays Python event dispatch once per
 (event, size).  This module pays it once per event:
 
-1. **Plan once per structure, then group**
+1. **Plan once per structure**
    (:func:`repro.sched.registry.plan_column`): the planners run once
    over a :class:`~repro.sim.batchline.SizeVec` of the whole axis, and a
    size-dependent planner branch (an algorithm switch, a zero-count
-   block) splits the axis into pieces of uniform structure.  Pieces are
-   grouped by structural signature (:func:`schedule_signature` — same
-   opcodes, sends, tags, handles; only counts/offsets differing), and
-   pieces of one signature merge into one group, so the groups are
-   exactly those per-size planning would give.
+   block) splits the axis into pieces of uniform structure.  Each piece
+   is one group; ``tests/sched/test_plan_column.py`` pins the pieces as
+   exactly the structure groups per-size planning would give.
 2. **Lower once per partition**
    (:func:`repro.sched.fastpath.lower_column`): the opcode program is
    built from the group's plan with every byte count/offset *selected*
@@ -33,17 +31,14 @@ coroutine machinery, but still pays Python event dispatch once per
    arithmetic operation-for-operation.
 4. **Verify, then fall back where needed.**  Size-dependent *branches*
    (internode eager/rendezvous at ``eager_threshold``, hybrid intranode
-   mechanism picks, cold-fault zero-size short-circuits) are pre-split
-   statically where possible: :func:`_static_split_labels` walks the
-   lowered program symbolically, evaluates every threshold predicate over
-   the partition's byte counts, and splits the partition into uniform
-   classes *before* running (cached per structure key).  Predicates the
-   static walk cannot see raise
-   :class:`~repro.sim.batchline.BatchDivergence` at run time with the
-   offending mask, and the partition splits there as a backstop.
-   Size-dependent *orderings* (a contended FIFO serviced in a different
-   order at some size) are caught after the run by the timeline's
-   conflict-equivalence check
+   mechanism picks, zero-count short-circuits) go through
+   :func:`~repro.sim.batchline.uniform_bool`, the same rule the planners
+   split by: a mixed mask raises
+   :class:`~repro.sim.batchline.BatchDivergence`, the pass is abandoned
+   (each pass runs in a fresh :class:`BatchWorld`, so nothing leaks) and
+   the partition splits at the mask.  Size-dependent *orderings* (a
+   contended FIFO serviced in a different order at some size) are caught
+   after the run by the timeline's conflict-equivalence check
    (:meth:`~repro.sim.batchline.BatchTimeline.order_divergence`): every
    dispatch records the resources it touches, and a size is divergent iff
    some resource's access order under the pivot differs from that size's
@@ -71,7 +66,6 @@ shapes).  The order-invariance argument lives in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import fields, is_dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,50 +96,29 @@ from repro.sched.fastpath import (
     FastpathResult,
     canonical_library,
     check_protocol,
-    fastpath_supported,
     lower_column,
     lowered_for,
     lowering_cache_info,
 )
 from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
-from repro.sched.ir import (
-    AllocStep,
-    ComputeStep,
-    CopyStep,
-    IntraOpStep,
-    PhaseStep,
-    RankProgram,
-    RecvStep,
-    ReduceStep,
-    Schedule,
-    SendStep,
-    WaitStep,
-)
 from repro.sched.registry import plan_column
 from repro.shmem.base import MsgInfo
 from repro.sim.batchline import (
     BatchDivergence,
     BatchEvent,
     BatchTimeline,
-    SizeVec,
     uniform_bool,
 )
 from repro.sim.engine import DeadlockError
 
 __all__ = [
-    "batch_supported",
     "evaluate_column",
     "ColumnResult",
     "ColumnStats",
-    "schedule_signature",
     "lowering_cache_info",
     "clear_lowering_cache",
     "BatchWorld",
 ]
-
-#: the batch engine covers exactly the DAG engine's surface — it *is* the
-#: DAG engine with the size axis vectorized, and falls back to it per size
-batch_supported = fastpath_supported
 
 
 #: re-adjudication recursion bound: a divergent signature cluster may be
@@ -183,199 +156,22 @@ class ColumnResult(NamedTuple):
     stats: ColumnStats
 
 
-# ---------------------------------------------------------------------------
-# structural signatures: which sizes share one lowered program
-# ---------------------------------------------------------------------------
-
-
-def _ref_sig(ref) -> tuple:
-    # offsets/counts are data (gathered at lowering); name and the
-    # whole-buffer marker are structure
-    return (ref.name, ref.count is None)
-
-
-def _program_signature(program: RankProgram) -> tuple:
-    sig: list = []
-    append = sig.append
-    for step in program.steps:
-        cls = step.__class__
-        if cls is SendStep:
-            append(("s", step.dst, step.handle, step.tag,
-                    _ref_sig(step.buf)))
-        elif cls is RecvStep:
-            append(("r", step.src, step.handle, step.tag))
-        elif cls is WaitStep:
-            append(("w", step.handles))
-        elif cls is CopyStep:
-            append(("c", _ref_sig(step.src), step.dst.name))
-        elif cls is ReduceStep:
-            append(("d", _ref_sig(step.src), step.dst.name))
-        elif cls is IntraOpStep:
-            append(("i", step.op, step.key, step.bind, step.n,
-                    None if step.value is None else _ref_sig(step.value)))
-        elif cls is AllocStep:
-            append(("a", step.name, step.dtype_of))
-        elif cls is PhaseStep:
-            append(("p", step.name))
-        elif cls is ComputeStep:
-            append(("x",))
-        else:  # pragma: no cover - the IR is closed
-            raise TypeError(f"unknown step {step!r}")
-    return (tuple(sig), program.num_handles)
-
-
-def schedule_signature(schedule: Schedule) -> tuple:
-    """The schedule's structure with all counts/offsets erased.
-
-    Two schedules with equal signatures run the *same* opcode program —
-    same step classes, peers, tags, handle slots, buffer names — and
-    differ only in numeric operands, so their sizes can share one lowered
-    column.  Cached on the schedule object (planner schedules are
-    ``lru_cache``'d singletons), like the DAG engine's lowering cache.
-    """
-    sig = getattr(schedule, "_batch_signature", None)
-    if sig is None:
-        sig = (schedule.num_namespaces,
-               tuple(_program_signature(p) for p in schedule.programs))
-        # intern: equal signatures become one object, so grouping can key
-        # on identity instead of re-hashing a large nested tuple per size
-        sig = _SIG_INTERN.setdefault(sig, sig)
-        object.__setattr__(schedule, "_batch_signature", sig)
-    return sig
-
-
-_SIG_INTERN: Dict[tuple, tuple] = {}
-
-
-def _merge_pieces(group: list) -> tuple:
-    """One plan piece over the sizes of same-signature plan pieces.
-
-    Pieces of one signature differ only in numeric operands (a planner
-    branch split them without changing the schedule's structure), so
-    walking their plans in lockstep and scattering every operand that
-    differs into one ``SizeVec`` over the union of their sizes gives the
-    plan an unsplit size vector would have produced.
-    """
-    if len(group) == 1:
-        return group[0]
-    axis = tuple(sorted(s for sizes, _ in group for s in sizes))
-    where = {s: j for j, s in enumerate(axis)}
-    slots = [[where[s] for s in sizes] for sizes, _ in group]
-
-    def merge(values: list):
-        first = values[0]
-        if isinstance(first, tuple):
-            return tuple(merge(list(col)) for col in zip(*values))
-        if isinstance(first, dict):
-            return {k: merge([v[k] for v in values]) for k in first}
-        if is_dataclass(first):
-            return replace(first, **{
-                f.name: merge([getattr(v, f.name) for v in values])
-                for f in fields(first)
-            })
-        if any(isinstance(v, np.ndarray) for v in values) or (
-                isinstance(first, (int, float))
-                and any(v != first for v in values)):
-            out = np.zeros(len(axis), dtype=np.result_type(*values))
-            for v, idx in zip(values, slots):
-                out[idx] = v
-            return out.view(SizeVec)
-        return first
-
-    return axis, merge([planned for _, planned in group])
-
-
-#: static-split labels per (lowering key, thresholds) — pure function of
-#: the lowered counts, cached so repeated sweeps skip the symbolic walk
-_SPLIT_CACHE: Dict[tuple, Optional[np.ndarray]] = {}
 #: adjudication outcomes per (lowering key, protocol, params): passes are
 #: deterministic, so the divergence mask and signature labels of a
 #: partition never change between runs.  A pass known to accept at most
-#: its pivot is skipped on later evaluations and its sizes routed to the
-#: DAG engine directly — the same steady state a repeated figure sweep
-#: runs in, with bit-identical results either way.
+#: its pivot is skipped when the same column is evaluated again in this
+#: process and its sizes routed to the DAG engine directly, with
+#: bit-identical results either way.  Only in-process repeats hit it
+#: (``benchmarks/bench_speed.py --batch`` takes the best of three); a
+#: figure sweep or the daemon evaluates each column once.
 _OUTCOME_CACHE: Dict[tuple, tuple] = {}
 
 
 def clear_lowering_cache() -> None:
-    """Drop lowered columns, split labels and adjudication outcomes, and
-    reset the lowering counters (test isolation)."""
+    """Drop lowered columns and adjudication outcomes, and reset the
+    lowering counters (test isolation)."""
     _LOWERED.clear()
-    _SPLIT_CACHE.clear()
     _OUTCOME_CACHE.clear()
-
-
-def _static_cnt(env: dict, name, off, cnt):
-    """Best-effort byte count of one op: int, ``(S,)`` vector, or None."""
-    if cnt is not None:
-        return cnt
-    base = env.get(name)
-    if base is None:
-        return None  # bound by a board lookup: unknown until runtime
-    return base[1] - off
-
-
-def _static_split_labels(lowered: _LoweredColumn, params: MachineParams,
-                         mech, nsizes: int):
-    """Class labels from statically-known size-dependent branches.
-
-    Walks the lowered ops symbolically, evaluating every predicate the
-    runtime will branch on — internode eager/rendezvous at
-    ``eager_threshold``, hybrid mechanism picks, ``nbytes > 0``
-    short-circuits — against the gathered count vectors.  Sizes whose
-    predicate outcomes all agree form one class; splitting the partition
-    by label *before* the run avoids starting a vectorized pass that a
-    :class:`BatchDivergence` would abort halfway.  Counts bound at
-    runtime (board lookups) stay invisible here; the runtime checks
-    remain as the safety net.  Returns None when no split is needed.
-    """
-    masks: List[np.ndarray] = []
-    seen = set()
-
-    def consider(mask: np.ndarray) -> None:
-        if mask[0]:
-            if mask.all():
-                return
-        elif not mask.any():
-            return
-        key = mask.tobytes()
-        if key not in seen:
-            seen.add(key)
-            masks.append(mask)
-
-    eager = params.eager_threshold
-    thr = getattr(mech, "threshold", None)
-    for comp, env0 in zip(lowered.compiled, lowered.envs):
-        env = dict(env0)
-        for op in comp.ops:
-            code = op[0]
-            if code == _OP_SEND_INTRA:
-                cnt = _static_cnt(env, op[2], op[3], op[4])
-                if isinstance(cnt, np.ndarray):
-                    if thr is not None:
-                        consider(cnt < thr)
-                    consider(cnt > 0)
-            elif code == _OP_SEND_INTER:
-                cnt = _static_cnt(env, op[3], op[4], op[5])
-                if isinstance(cnt, np.ndarray):
-                    consider(cnt <= eager)
-                    consider(cnt > 0)
-            elif code == _OP_COPY or code == _OP_REDUCE:
-                cnt = _static_cnt(env, op[1], op[2], op[3])
-                if isinstance(cnt, np.ndarray):
-                    consider(cnt > 0)
-            elif code == _OP_ALLOC:
-                env[op[1]] = (0, op[2])
-            elif code == _OP_LOOKUP:
-                if op[2] is not None:
-                    env.pop(op[2], None)  # runtime-bound: unknown
-    if not masks:
-        return None
-    labels = np.zeros(nsizes, dtype=np.int64)
-    for mask in masks:
-        labels <<= 1
-        labels |= mask
-    return labels if len(np.unique(labels)) > 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -1113,17 +909,12 @@ def evaluate_column(
     if params is None:
         params = bebop_broadwell()
 
-    # plan the column once per structure; pieces compiled to the same
-    # opcode program merge into one group (signatures are interned, so
-    # the group key is the object id), and groups run in the order of
-    # their smallest size, as a per-size grouping would order them
-    by_sig: Dict[int, list] = {}
-    for piece in plan_column(canon, collective, nodes, ppn,
-                             sorted(set(sizes)), thresholds):
-        sig = schedule_signature(piece[1].schedule)
-        by_sig.setdefault(id(sig), []).append(piece)
+    # plan the column once per structure; each piece is one group, and
+    # groups run in the order of their smallest size
     groups = sorted(
-        (_merge_pieces(g) for g in by_sig.values()), key=lambda g: g[0][0]
+        plan_column(canon, collective, nodes, ppn, sorted(set(sizes)),
+                    thresholds),
+        key=lambda piece: piece[0][0],
     )
     group_of = {s: g for g in groups for s in g[0]}
 
@@ -1149,116 +940,95 @@ def evaluate_column(
     retries = 0
     max_depth = 0
     elided = 0
-    probe_mech = lib.make_mechanism()
-    for axis, _ in groups:
-        stack: List[Tuple[Tuple[int, ...], int]] = [(axis, 0)]
-        while stack:
-            part, depth = stack.pop()
-            if len(part) == 1:
-                results[part[0]] = _dag(part[0])
-                singles.append(part[0])
-                continue
-            lowered = _lower(part)
-            label_key = (
-                canon, collective, nodes, ppn, thresholds, part,
-                params.eager_threshold, getattr(probe_mech, "threshold",
-                                                None),
-            )
-            try:
-                labels = _SPLIT_CACHE[label_key]
-            except KeyError:
-                labels = _SPLIT_CACHE[label_key] = _static_split_labels(
-                    lowered, params, probe_mech, len(part)
-                )
-            if labels is not None:
-                # statically-known protocol thresholds partition the
-                # axis; split before running instead of aborting mid-pass
-                classes: Dict[int, List[int]] = {}
-                for s, lab in zip(part, labels):
-                    classes.setdefault(int(lab), []).append(s)
-                splits += len(classes) - 1
-                for sub in classes.values():
-                    stack.append((tuple(sub), depth))
-                continue
+    # (partition, re-adjudication depth); a group's sub-partitions are
+    # pushed on top of the later groups, so each group finishes first
+    stack: List[Tuple[Tuple[int, ...], int]] = [
+        (axis, 0) for axis, _ in reversed(groups)
+    ]
 
-            def handle_divergent(part, depth, divergent, labels):
-                # event order at these sizes differed from the pivot's.
-                # Sizes whose runs inverted the *same* conflict pairs
-                # (equal divergence signatures) overwhelmingly agree with
-                # each other, so each signature cluster is re-batched
-                # under its own pivot, recursively up to _REBATCH_DEPTH
-                # levels.  A cluster as large as its partition cannot
-                # make progress (the pass is deterministic), so it —
-                # like singleton clusters and depth exhaustion — goes to
-                # the DAG engine.
-                nonlocal retries, max_depth
-                if depth >= _REBATCH_DEPTH:
-                    for s, bad in zip(part, divergent):
-                        if bad:
-                            fallback.append(s)
-                            results[s] = _dag(s)
-                    return
-                clusters: Dict[int, List[int]] = {}
-                for s, lab, bad in zip(part, labels, divergent):
-                    if bad:
-                        clusters.setdefault(int(lab), []).append(s)
-                for sub in clusters.values():
-                    if len(sub) == 1 or len(sub) == len(part):
-                        for s in sub:
-                            fallback.append(s)
-                            results[s] = _dag(s)
-                    else:
-                        retries += 1
-                        if depth + 1 > max_depth:
-                            max_depth = depth + 1
-                        stack.append((tuple(sub), depth + 1))
+    def handle_divergent(part, depth, divergent, labels):
+        # event order at these sizes differed from the pivot's.  Sizes
+        # whose runs inverted the *same* conflict pairs (equal divergence
+        # signatures) overwhelmingly agree with each other, so each
+        # signature cluster is re-batched under its own pivot,
+        # recursively up to _REBATCH_DEPTH levels.  A cluster as large as
+        # its partition cannot make progress (the pass is deterministic),
+        # so it — like singleton clusters and depth exhaustion — goes to
+        # the DAG engine.
+        nonlocal retries, max_depth
+        if depth >= _REBATCH_DEPTH:
+            for s, bad in zip(part, divergent):
+                if bad:
+                    fallback.append(s)
+                    results[s] = _dag(s)
+            return
+        clusters: Dict[int, List[int]] = {}
+        for s, lab, bad in zip(part, labels, divergent):
+            if bad:
+                clusters.setdefault(int(lab), []).append(s)
+        for sub in clusters.values():
+            if len(sub) == 1 or len(sub) == len(part):
+                for s in sub:
+                    fallback.append(s)
+                    results[s] = _dag(s)
+            else:
+                retries += 1
+                if depth + 1 > max_depth:
+                    max_depth = depth + 1
+                stack.append((tuple(sub), depth + 1))
 
-            outcome_key = (
-                canon, collective, nodes, ppn, thresholds, part,
-                warmup, measure, params,
-            )
-            cached = _OUTCOME_CACHE.get(outcome_key)
-            if (cached is not None
-                    and len(part) - int(cached[0].sum()) <= 1):
-                # steady state: the pass is known to accept at most its
-                # pivot, so running it buys nothing over evaluating that
-                # one size directly (results are bit-identical)
-                elided += 1
-                cdiv, clabels = cached
-                for s, bad in zip(part, cdiv):
-                    if not bad:
-                        fallback.append(s)
-                        results[s] = _dag(s)
-                handle_divergent(part, depth, cdiv, clabels)
-                continue
-            try:
-                part_results, divergent, labels = _evaluate_partition(
-                    lowered, nodes, ppn, part, lib, params, warmup, measure,
-                )
-            except BatchDivergence as d:
-                # a size-dependent branch was not uniform: split the
-                # partition at the mask and retry both halves
-                splits += 1
-                mask = d.mask
-                a = tuple(s for s, m in zip(part, mask) if m)
-                b = tuple(s for s, m in zip(part, mask) if not m)
-                if not a or not b:  # pragma: no cover - raisers check this
-                    raise RuntimeError(
-                        "BatchDivergence with a uniform mask"
-                    ) from d
-                stack.append((a, depth))
-                stack.append((b, depth))
-                continue
-            _OUTCOME_CACHE[outcome_key] = (divergent, labels)
-            partitions.append(part)
-            any_divergent = False
-            for s, r, bad in zip(part, part_results, divergent):
+    while stack:
+        part, depth = stack.pop()
+        if len(part) == 1:
+            results[part[0]] = _dag(part[0])
+            singles.append(part[0])
+            continue
+        lowered = _lower(part)
+        outcome_key = (
+            canon, collective, nodes, ppn, thresholds, part,
+            warmup, measure, params,
+        )
+        cached = _OUTCOME_CACHE.get(outcome_key)
+        if cached is not None and len(part) - int(cached[0].sum()) <= 1:
+            # steady state: the pass is known to accept at most its pivot,
+            # so running it buys nothing over evaluating that one size
+            # directly (results are bit-identical)
+            elided += 1
+            cdiv, clabels = cached
+            for s, bad in zip(part, cdiv):
                 if not bad:
-                    results[s] = r
-                else:
-                    any_divergent = True
-            if any_divergent:
-                handle_divergent(part, depth, divergent, labels)
+                    fallback.append(s)
+                    results[s] = _dag(s)
+            handle_divergent(part, depth, cdiv, clabels)
+            continue
+        try:
+            part_results, divergent, labels = _evaluate_partition(
+                lowered, nodes, ppn, part, lib, params, warmup, measure,
+            )
+        except BatchDivergence as d:
+            # a size-dependent branch was not uniform: split the partition
+            # at the mask and retry both halves
+            splits += 1
+            mask = d.mask
+            a = tuple(s for s, m in zip(part, mask) if m)
+            b = tuple(s for s, m in zip(part, mask) if not m)
+            if not a or not b:  # pragma: no cover - raisers check this
+                raise RuntimeError(
+                    "BatchDivergence with a uniform mask"
+                ) from d
+            stack.append((a, depth))
+            stack.append((b, depth))
+            continue
+        _OUTCOME_CACHE[outcome_key] = (divergent, labels)
+        partitions.append(part)
+        any_divergent = False
+        for s, r, bad in zip(part, part_results, divergent):
+            if not bad:
+                results[s] = r
+            else:
+                any_divergent = True
+        if any_divergent:
+            handle_divergent(part, depth, divergent, labels)
     stats = ColumnStats(
         tuple(partitions), tuple(sorted(fallback)), tuple(sorted(singles)),
         splits, retries, max_depth, elided,

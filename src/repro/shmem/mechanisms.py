@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Set, Tuple
 
-from numpy import ndarray
-
 from repro.shmem.base import MsgInfo, ShmemMechanism
-from repro.sim.batchline import BatchDivergence
+from repro.sim.batchline import uniform_bool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.memory import MemoryModel
@@ -146,19 +144,13 @@ class HybridMechanism(ShmemMechanism):
         Under the batch engine ``nbytes`` is an array over the message-size
         axis; the pick must then be uniform across the partition — a mixed
         mask is a structural divergence (different mechanisms mean
-        different cost closures and warm state), reported via
-        :class:`~repro.sim.batchline.BatchDivergence` so the engine can
-        split the size axis at this threshold.
+        different cost closures and warm state), so
+        :func:`~repro.sim.batchline.uniform_bool` raises
+        :class:`~repro.sim.batchline.BatchDivergence` and the engine
+        splits the size axis at this threshold.
         """
-        if isinstance(nbytes, ndarray):
-            small = nbytes < self.threshold
-            if small[0]:
-                if small.all():
-                    return self.small
-            elif not small.any():
-                return self.large
-            raise BatchDivergence(small)
-        return self.small if nbytes < self.threshold else self.large
+        return (self.small if uniform_bool(nbytes < self.threshold)
+                else self.large)
 
     def eager_for(self, nbytes: int) -> bool:
         return self.pick(nbytes).eager

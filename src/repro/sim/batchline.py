@@ -102,10 +102,10 @@ mediated write-before-read.
 Branches on message size (eager/rendezvous protocol choice, hybrid
 intranode mechanisms, warm/cold fault state) cannot be captured by an
 order check because they change *which* callbacks run.  Cost closures and
-the batch interpreter therefore verify that every size-dependent predicate
-is uniform across the partition and raise :class:`BatchDivergence` with
-the offending mask otherwise; the batch engine splits the partition at
-that boundary and retries.
+the batch interpreter therefore pass every size-dependent predicate
+through :func:`uniform_bool`, which collapses a uniform mask to one bool
+and raises :class:`BatchDivergence` with a mixed one; the batch engine
+splits the partition at that boundary and retries.
 """
 
 from __future__ import annotations
@@ -248,10 +248,6 @@ class BatchTimeline:
         self._seq += 1
         heappush(self._heap, (time[0], self._seq, fn, value, time,
                               self._cur))
-
-    def defer(self, fn: Callable[[Any], None], value: Any = None) -> None:
-        """Run ``fn(value)`` at the current time, after already-ready work."""
-        self._ready.append((fn, value, None))
 
     def touch(self, key) -> None:
         """Record that the current dispatch segment accessed resource
@@ -537,13 +533,13 @@ class BatchEvent:
 
     Dispatch positions match :class:`~repro.sim.timeline.TimelineEvent` —
     waiters are appended to the ready deque in registration order at
-    trigger time, and waiting on an already-triggered event defers the
-    callback — but every resume carries the elementwise
-    ``max(reach, trigger)`` of the waiter's arrival and the trigger time
-    as its ``now`` override: exactly the time each size's own scalar run
-    would resume at, whichever side arrived first there.  The pivot
-    component equals the dispatching pop's time, so pivot arithmetic is
-    untouched.
+    trigger time, and a replay task waiting on an already-triggered event
+    appends its callback to the ready deque itself — but every resume
+    carries the elementwise ``max(reach, trigger)`` of the waiter's
+    arrival and the trigger time as its ``now`` override: exactly the time
+    each size's own scalar run would resume at, whichever side arrived
+    first there.  The pivot component equals the dispatching pop's time,
+    so pivot arithmetic is untouched.
     """
 
     __slots__ = ("_tl", "triggered", "value", "t", "_waiters")
@@ -556,13 +552,6 @@ class BatchEvent:
         self.t: Any = None
         #: (callback, reach-time vector) pairs
         self._waiters: list = []
-
-    def wait(self, fn: Callable[[Any], None]) -> None:
-        tl = self._tl
-        if self.triggered:
-            tl._ready.append((fn, self.value, np.maximum(tl.now, self.t)))
-        else:
-            self._waiters.append((fn, tl.now))
 
     def trigger(self, value: Any = None) -> None:
         self.trigger_at(value, self._tl.now)

@@ -47,14 +47,6 @@ class Timeline:
         self._seq += 1
         heappush(self._heap, (time, self._seq, fn, value))
 
-    def defer(self, fn: Callable[[Any], None], value: Any = None) -> None:
-        """Run ``fn(value)`` at the current time, after already-ready work.
-
-        The analogue of the engine's ready-deque hop (resuming a process
-        that waited on an already-triggered event).
-        """
-        self._ready.append((fn, value))
-
     def run(self) -> float:
         """Dispatch until both queues drain; returns the final time.
 
@@ -83,8 +75,10 @@ class TimelineEvent:
     Waiters are callbacks (a rank task's ``advance`` method); they are
     appended to the timeline's ready deque in registration order at
     trigger time — byte-for-byte the ordering :class:`~repro.sim.engine.Event`
-    gives suspended processes.  Waiting on an already-triggered event
-    defers the callback with the stored value (the engine's ready hop).
+    gives suspended processes.  The replay tasks wait inline: on an
+    already-triggered event they append the callback with the stored value
+    to the ready deque (the engine's ready hop), otherwise to
+    ``_waiters``.
     """
 
     __slots__ = ("_tl", "triggered", "value", "_waiters")
@@ -94,12 +88,6 @@ class TimelineEvent:
         self.triggered = False
         self.value: Any = None
         self._waiters: list = []
-
-    def wait(self, fn: Callable[[Any], None]) -> None:
-        if self.triggered:
-            self._tl._ready.append((fn, self.value))
-        else:
-            self._waiters.append(fn)
 
     def trigger(self, value: Any = None) -> None:
         self.triggered = True

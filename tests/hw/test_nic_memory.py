@@ -1,8 +1,11 @@
 """Tests for the NIC and memory hardware models."""
 
+import numpy as np
 import pytest
 
 from repro.hw import ClusterHW, Topology, tiny_test_machine
+from repro.hw.memory import BatchMemory
+from repro.sim.batchline import BatchDivergence
 from repro.sim.engine import Engine
 
 
@@ -161,8 +164,60 @@ class TestMemory:
         p = hw.params
         assert mem.fault_cost("k", 1) == pytest.approx(p.page_fault_time)
 
-    def test_forget_warm_state(self, hw):
-        mem = hw.memories[0]
-        mem.fault_cost("k", 100)
-        mem.forget_warm_state()
-        assert mem.fault_cost("k", 100) > 0
+
+class _Shim:
+    """The batch engine's ``engine`` duck: records conflict accesses."""
+
+    def __init__(self):
+        self.touches = []
+
+    def touch_ok(self, key, ok):
+        self.touches.append((key, ok))
+
+
+@pytest.fixture()
+def bmem():
+    return BatchMemory(_Shim(), tiny_test_machine(), node=0, width=3)
+
+
+class TestBatchMemory:
+    """The size-dependent branches split a partition on a mixed mask and
+    collapse a uniform one, like :class:`MemoryModel` per size."""
+
+    def test_copy_of_mixed_zero_counts_splits(self, bmem):
+        nbytes = np.array([0, 64, 0])
+        with pytest.raises(BatchDivergence) as info:
+            bmem.copy_occupy(np.zeros(3), nbytes, 1e-6)
+        assert info.value.mask.tolist() == (nbytes > 0).tolist()
+
+    def test_copy_of_all_zero_counts_reserves_nothing(self, bmem):
+        lanes = bmem._lane_free.copy()
+        blocked = bmem.copy_occupy(np.zeros(3), np.zeros(3, dtype=np.int64),
+                                   1e-6)
+        assert blocked == bmem.params.copy_latency + 1e-6
+        assert np.array_equal(bmem._lane_free, lanes)
+        assert bmem.engine.touches == []
+
+    def test_warm_region_costs_nothing_even_for_a_mixed_mask(self, bmem):
+        bmem._warmed.add("k")
+        assert bmem.fault_cost("k", np.array([0, 4096, 0])) == 0.0
+
+    def test_cold_region_with_a_mixed_mask_splits_and_stays_cold(self, bmem):
+        nbytes = np.array([0, 4096, 0])
+        with pytest.raises(BatchDivergence) as info:
+            bmem.fault_cost("k", nbytes)
+        assert info.value.mask.tolist() == (nbytes != 0).tolist()
+        assert "k" not in bmem._warmed
+
+    def test_cold_region_with_all_zero_counts_stays_cold(self, bmem):
+        assert bmem.fault_cost("k", np.zeros(3, dtype=np.int64)) == 0.0
+        assert "k" not in bmem._warmed
+
+    def test_cold_region_with_nonzero_counts_faults_and_warms(self, bmem):
+        p = bmem.params
+        nbytes = np.array([1, p.page_size, p.page_size + 1])
+        cost = bmem.fault_cost("k", nbytes)
+        assert cost.tolist() == [p.page_fault_time, p.page_fault_time,
+                                 2 * p.page_fault_time]
+        assert "k" in bmem._warmed
+        assert bmem.fault_cost("k", nbytes) == 0.0
