@@ -108,13 +108,6 @@ def main(argv=None) -> int:
              "skipped — it is not point-backed)",
     )
     parser.add_argument(
-        "--error-report", action="store_true",
-        help="skip the figures and measure the analytic tier's error "
-             "against the exact engines across the registry grid, "
-             "persisting results/analytic_error.json (exit 1 if the "
-             "documented bound is violated)",
-    )
-    parser.add_argument(
         "--check", action="store_true",
         help="after each figure, rerun it serially with the cache off and "
              "assert the series are identical (determinism self-test)",
@@ -132,13 +125,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scale = SCALES[args.scale]
-    if args.error_report:
-        from repro.models.calibrate import format_summary, write_error_report
-
-        doc = write_error_report()
-        print(format_summary(doc))
-        print("wrote results/analytic_error.json")
-        return 0 if doc["within_bound"] else 1
     if args.trace or args.trace_point:
         if not (args.trace and args.trace_point):
             parser.error("--trace and --trace-point must be used together")

@@ -21,7 +21,8 @@ Calibration sources:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["MachineParams", "bebop_broadwell", "tiny_test_machine"]
 
@@ -101,7 +102,25 @@ class MachineParams:
         return replace(self, **kwargs)
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on physically meaningless settings."""
+        """Raise ``ValueError`` on physically meaningless settings.
+
+        Every field must be a number that is finite as a float, and not a
+        bool (``fabric_bandwidth`` may also be None): NaN fails every
+        ordering check below, and an infinite cost or rate turns
+        simulated times into NaN.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "fabric_bandwidth":
+                continue
+            try:
+                finite = math.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or huge
+                finite = False
+            if isinstance(value, bool) or not finite:
+                raise ValueError(
+                    f"{f.name} must be a finite number, got {value!r}"
+                )
         positive = [
             "wire_latency", "nic_msg_rate", "nic_bandwidth", "proc_msg_rate",
             "proc_bandwidth", "proc_dma_bandwidth", "core_copy_bw",

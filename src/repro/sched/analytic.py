@@ -27,8 +27,8 @@ modelled, so counts can undercount the exact engines' totals for
 above-threshold messages.
 
 Coverage is the planner-backed registry surface
-(:func:`repro.sched.registry.registry_combinations`), same as the DAG and
-batch engines; :func:`analytic_supported` reports it.
+(:data:`repro.sched.registry.PLANNER_BACKED`), same as the DAG and batch
+engines; :func:`analytic_supported` reports it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ from repro.models.formulas import (
     flat_allgather_refined,
     scatter_refined,
 )
+from repro.sched.registry import (
+    MCOLL_VARIANTS,
+    _mcoll_thresholds,
+    canonical_name,
+    planner_backed,
+)
 
 __all__ = [
     "ERROR_BOUND",
@@ -65,22 +71,9 @@ __all__ = [
 #: docstring; measured headroom lives in results/analytic_error.json)
 ERROR_BOUND = 0.5
 
-_MCOLL = ("pip-mcoll", "pip-mcoll-small")
-_FLAT = ("pip-mpich", "openmpi")
-
-
-def _canon(name: str) -> str:
-    return name.lower().replace("_", "-").replace(" ", "-")
-
-
-def analytic_supported(library: str, collective: str) -> bool:
-    """True when the pair has a closed-form lowering (registry surface)."""
-    lib = _canon(library)
-    if lib in _MCOLL:
-        return collective in ("scatter", "allgather", "allreduce")
-    if lib in _FLAT:
-        return collective == "allgather"
-    return False
+#: whether a pair has a closed-form lowering: exactly the planner-backed
+#: pairs
+analytic_supported = planner_backed
 
 
 @dataclass(frozen=True)
@@ -136,16 +129,6 @@ def _static_messages(
     return check_planned(piece, ppn).internode_messages
 
 
-def _mcoll_thresholds(
-    library: str, thresholds: Optional[Thresholds]
-) -> Thresholds:
-    if thresholds is not None:
-        return thresholds
-    if library == "pip-mcoll-small":
-        return Thresholds.always_small()
-    return Thresholds()
-
-
 def _regime_ids(
     library: str,
     collective: str,
@@ -155,7 +138,7 @@ def _regime_ids(
     thresholds: Optional[Thresholds],
 ) -> np.ndarray:
     """Algorithm-regime id per size, mirroring ``plan_for``'s selection."""
-    if library in _MCOLL:
+    if library in MCOLL_VARIANTS:
         thr = _mcoll_thresholds(library, thresholds)
         if collective == "allgather":
             return (sizes >= thr.allgather_large_bytes).astype(int)
@@ -185,7 +168,7 @@ def evaluate_axis(
     variants, MPICH total-size/power-of-two switching for the flat
     baselines).  See the module docstring for the accuracy contract.
     """
-    library = _canon(library)
+    library = canonical_name(library)
     if not analytic_supported(library, collective):
         raise ValueError(
             f"no closed-form lowering for {library!r}/{collective!r}"
@@ -198,10 +181,11 @@ def evaluate_axis(
     if any(s < 1 for s in sizes):
         raise ValueError("message sizes must be positive")
     machine = params or bebop_broadwell()
+    machine.validate()
     ap = _analytic_params(machine)
     cb = np.asarray(list(sizes), dtype=float)
 
-    if library in _MCOLL:
+    if library in MCOLL_VARIANTS:
         thr = _mcoll_thresholds(library, thresholds)
         if collective == "scatter":
             times = scatter_refined(ap, cb, nodes, ppn)

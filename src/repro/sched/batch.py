@@ -24,8 +24,14 @@ coroutine machinery, but still pays Python event dispatch once per
    lowered there first as a width-1 column, so the DAG engine replays
    it without planning the point again.
 3. **Replay once** on a :class:`~repro.sim.batchline.BatchTimeline`: the
-   same continuation machine as the scalar DAG engine, but every time is
-   an ``(S,)`` array flowing through vectorized twins of the shared cost
+   scalar DAG engine's continuation machine with a vector clock, by
+   subclassing.  :class:`BatchWorld` extends
+   :class:`~repro.sched.fastpath.FastWorld` and :class:`_BatchTask`
+   extends its ``_Task``; they inherit the matching, board and counter
+   logic and every continuation that only schedules, and override only
+   the code the vector clock changes (the hardware, the interpreter, and
+   the continuations that stamp per-size resume times).  Every time is an
+   ``(S,)`` array flowing through vectorized twins of the shared cost
    closures (:class:`~repro.hw.nic.BatchNic`,
    :class:`~repro.hw.memory.BatchMemory`) that replicate the scalar
    arithmetic operation-for-operation.
@@ -73,7 +79,6 @@ import numpy as np
 from repro.hw.memory import BatchMemory
 from repro.hw.nic import BatchFabric, BatchNic
 from repro.hw.params import MachineParams, bebop_broadwell
-from repro.mpi.transport import RTS_HEADER_BYTES
 from repro.sched.fastpath import (
     _LOWERED,
     _OP_ADD,
@@ -90,10 +95,13 @@ from repro.sched.fastpath import (
     _OP_WAIT,
     _Compiled,
     _Counter,
+    _EngineShim,
     _LoweredColumn,
     _Msg,
     _Req,
+    _Task,
     FastpathResult,
+    FastWorld,
     canonical_library,
     check_protocol,
     lower_column,
@@ -102,13 +110,7 @@ from repro.sched.fastpath import (
 )
 from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
 from repro.sched.registry import plan_column
-from repro.shmem.base import MsgInfo
-from repro.sim.batchline import (
-    BatchDivergence,
-    BatchEvent,
-    BatchTimeline,
-    uniform_bool,
-)
+from repro.sim.batchline import BatchDivergence, BatchEvent, BatchTimeline
 from repro.sim.engine import DeadlockError
 
 __all__ = [
@@ -179,20 +181,16 @@ def clear_lowering_cache() -> None:
 # ---------------------------------------------------------------------------
 
 
-class _BatchShim:
+class _BatchShim(_EngineShim):
     """Duck-typed ``engine`` for :class:`BatchMemory`: vector ``.now``
     plus the timeline's conflict recorder."""
 
-    __slots__ = ("_tl", "touch", "touch_ok")
+    __slots__ = ("touch", "touch_ok")
 
     def __init__(self, tl: BatchTimeline):
-        self._tl = tl
+        super().__init__(tl)
         self.touch = tl.touch
         self.touch_ok = tl.touch_ok
-
-    @property
-    def now(self) -> np.ndarray:
-        return self._tl.now
 
 
 def _counter_crossing(ctr, threshold: int) -> np.ndarray:
@@ -230,13 +228,16 @@ def _counter_crossing(ctr, threshold: int) -> np.ndarray:
     return times[order[first, cols], cols]
 
 
-class BatchWorld:
+class BatchWorld(FastWorld):
     """Hardware + matching state for one partition's vectorized pass.
 
-    The width-``S`` twin of :class:`~repro.sched.fastpath.FastWorld`:
-    identical matching/board/counter logic (none of it touches times),
-    with the per-node NICs and memories replaced by their vector mirrors.
-    Warm state (page faults, XPMEM expose/attach) is keyed by structural
+    A :class:`~repro.sched.fastpath.FastWorld` whose clock is a vector:
+    the per-node NICs and memories are their width-``S`` mirrors.  The
+    match tables, boards, counters, tag sequencing, message counts and
+    the warm-up/measure loop are inherited; the matching overrides
+    (``_deliver``, ``_complete_send``) pair exactly as the scalar ones do
+    but stamp per-size resume times (max-resume) and record conflict
+    accesses for the end-of-run check.  Warm state (page faults, XPMEM expose/attach) is keyed by structural
     ids only, and every mutation happens on the single shared execution
     path, so it evolves exactly as in each size's own scalar run.
     """
@@ -244,45 +245,12 @@ class BatchWorld:
     def __init__(self, params: MachineParams, nodes: int, ppn: int,
                  mechanism, software_overhead: float, width: int,
                  buf_seq_start: int):
-        params.validate()
-        self.params = params
-        self.nodes = nodes
-        self.ppn = ppn
-        self.size = nodes * ppn
         self.width = width
-        self.mechanism = mechanism
-        self.software_overhead = software_overhead
-        self.send_overhead = params.send_overhead
-        self.recv_overhead = params.recv_overhead
-        self.wire_latency = params.wire_latency
-        self.eager_threshold = params.eager_threshold
-        self.pip_post_time = params.pip_post_time
-        self.pip_flag_time = params.pip_flag_time
-        self.tl = BatchTimeline(width)
-        shim = _BatchShim(self.tl)
-        self.fabric = (
-            BatchFabric(width) if params.fabric_bandwidth else None
-        )
-        self.nics = [
-            BatchNic(params, node, ppn, width, self.tl, fabric=self.fabric)
-            for node in range(nodes)
-        ]
-        self.mems = [
-            BatchMemory(shim, params, node, width) for node in range(nodes)
-        ]
-        self.info = MsgInfo(
-            src_rank=0, dst_rank=0, nbytes=0, src_buffer_id=0
-        )
-        self.boards: List[Dict] = [{} for _ in range(nodes)]
-        self.counters: List[Dict] = [{} for _ in range(nodes)]
-        self.arrived: List[Dict] = [{} for _ in range(self.size)]
-        self.posted: List[Dict] = [{} for _ in range(self.size)]
-        self._op_seq = 0
-        self._group_seqs: Dict = {}
-        self._buf_seq = buf_seq_start
-        self.end_times: List[np.ndarray] = []
-        self._live = 0
-        self._tasks: Optional[List["_BatchTask"]] = None
+        super().__init__(params, nodes, ppn, mechanism, software_overhead,
+                         buf_seq_start)
+        # buffer-identity conflicts only exist for mechanisms with warm
+        # state (page-fault regions, expose/attach caches)
+        self.track_mb = getattr(mechanism, "warm_state", True)
         #: (counter, threshold, reach, resume-used) per counter-wait
         #: resume, validated post hoc against the full add log
         self._ct_checks: List[tuple] = []
@@ -290,13 +258,20 @@ class BatchWorld:
         #: every size must fall back (never happens for planner schedules)
         self._board_conflict = False
 
-    def next_group_tag(self, tag_key) -> tuple:
-        seq = self._group_seqs.get(tag_key, 0) + 1
-        self._group_seqs[tag_key] = seq
-        return (tag_key, seq)
-
-    def internode_messages(self) -> int:
-        return sum(nic.messages_sent for nic in self.nics)
+    def _build_hardware(self, params: MachineParams) -> None:
+        width = self.width
+        self.tl = BatchTimeline(width)
+        shim = _BatchShim(self.tl)
+        self.fabric = BatchFabric(width) if params.fabric_bandwidth else None
+        self.nics = [
+            BatchNic(params, node, self.ppn, width, self.tl,
+                     fabric=self.fabric)
+            for node in range(self.nodes)
+        ]
+        self.mems = [
+            BatchMemory(shim, params, node, width)
+            for node in range(self.nodes)
+        ]
 
     # -- transport matching (same pairing as FastWorld; resume times are
     # -- exact per size via the max-resume overrides) ---------------------
@@ -410,83 +385,25 @@ class BatchWorld:
         return end - start
 
 
-class _BatchTask:
+class _BatchTask(_Task):
     """One participant's lowered program over the vector clock.
 
-    A line-for-line mirror of :class:`repro.sched.fastpath._Task`: every
-    suspension point schedules exactly one timeline callback in the same
-    relative order, so the pivot size's ``(time, seq)`` tie-breaks resolve
+    The DAG engine's continuation machine
+    (:class:`repro.sched.fastpath._Task`), inherited: every suspension
+    point schedules exactly one timeline callback in the same relative
+    order, so the pivot size's ``(time, seq)`` tie-breaks resolve
     identically to the scalar DAG engine, and every other size inherits
-    that order subject to the end-of-run divergence check.  The only new
-    logic is :func:`~repro.sim.batchline.uniform_bool` at the two
-    size-dependent protocol branches.
+    that order subject to the end-of-run divergence check.  It overrides
+    only the continuations whose bodies touch the vector clock: the
+    interpreter and the wait, receive, post and add continuations, which
+    stamp per-size resume times (max-resume), log counter adds and record
+    conflict accesses.  The size-dependent protocol branches go through
+    :func:`~repro.sim.batchline.uniform_bool` on either clock: the
+    inherited eager/rendezvous branch of ``_send_inter``, and the hybrid
+    mechanism's pick inside the shared cost closures.
     """
 
-    __slots__ = (
-        "w", "tl", "index", "rank", "node", "lr", "ops", "nops", "pc",
-        "env", "handles", "num_handles", "tags", "dyn_tags", "track_mb",
-        "mem", "nic", "mech", "board", "ctrs", "arr", "post_q",
-        "wait_handles", "wait_len", "wait_idx",
-        "_p_dst", "_p_node", "_p_bid", "_p_cnt", "_p_tag", "_p_req",
-        "_p_key", "_p_val", "_p_bind",
-        "_c_next_wait", "_c_recv_work", "_c_recv_done", "_c_send_inter",
-        "_c_send_intra", "_c_post", "_c_lookup", "_c_lookup_bind",
-        "_c_add", "_c_cwait",
-    )
-
-    def __init__(self, w: BatchWorld, index: int, compiled: _Compiled):
-        self.w = w
-        self.tl = w.tl
-        self.index = index
-        self.rank = index
-        self.node, self.lr = divmod(index, w.ppn)
-        self.ops = compiled.ops
-        self.nops = len(compiled.ops)
-        self.pc = 0
-        self.env: dict = {}
-        self.num_handles = compiled.num_handles
-        self.handles: list = []
-        self.dyn_tags = compiled.dyn_tags
-        self.tags = (
-            list(compiled.const_tags) if compiled.dyn_tags
-            else compiled.const_tags
-        )
-        self.mem = w.mems[self.node]
-        self.nic = w.nics[self.node]
-        self.mech = w.mechanism
-        # buffer-identity conflicts only exist for mechanisms with warm
-        # state (page-fault regions, expose/attach caches)
-        self.track_mb = getattr(w.mechanism, "warm_state", True)
-        self.board = w.boards[self.node]
-        self.ctrs = w.counters[self.node]
-        self.arr = w.arrived[index]
-        self.post_q = w.posted[index]
-        self.wait_handles: tuple = ()
-        self.wait_len = 0
-        self.wait_idx = 0
-        self._p_dst = self._p_node = self._p_bid = self._p_cnt = 0
-        self._p_tag = self._p_req = self._p_key = self._p_val = None
-        self._p_bind = None
-        self._c_next_wait = self._next_wait
-        self._c_recv_work = self._recv_work
-        self._c_recv_done = self._recv_done
-        self._c_send_inter = self._send_inter
-        self._c_send_intra = self._send_intra
-        self._c_post = self._post
-        self._c_lookup = self._lookup
-        self._c_lookup_bind = self._lookup_bind
-        self._c_add = self._add
-        self._c_cwait = self._cwait
-
-    def reset(self, env_base: dict, ns_values: tuple, symbols: dict) -> None:
-        self.pc = 0
-        self.env = dict(env_base)
-        self.handles = [None] * self.num_handles
-        dyn = self.dyn_tags
-        if dyn:
-            tags = self.tags
-            for slot, builder in dyn:
-                tags[slot] = builder(ns_values, symbols)
+    __slots__ = ()
 
     # -- the interpreter ---------------------------------------------------
 
@@ -537,7 +454,7 @@ class _BatchTask:
                 info.dst_rank = dst
                 info.nbytes = cnt
                 info.src_buffer_id = base[0]
-                if self.track_mb:
+                if w.track_mb:
                     tl.touch(("mb", base[0]))
                 d = self.mech.sender_occupy(self.mem, info)
                 tl.call(now + d, self._c_send_intra, None)
@@ -668,47 +585,6 @@ class _BatchTask:
         w.end_times[self.index] = now
         w._live -= 1
 
-    # -- send continuations ------------------------------------------------
-
-    def _send_inter(self, _value=None) -> None:
-        w = self.w
-        tl = self.tl
-        dst = self._p_dst
-        cnt = self._p_cnt
-        req = self._p_req
-        dst_nic = w.nics[self._p_node]
-        if uniform_bool(cnt <= w.eager_threshold):
-            inject_done, arrival = self.nic.transfer(
-                tl.now, self.lr, dst_nic, cnt
-            )
-            msg = _Msg(self.rank, dst, self._p_tag, cnt, self._p_bid,
-                       False, False, self.lr, None)
-            tl.call(arrival, w._deliver, msg)
-            tl.call(inject_done, w._complete_send, req)
-        else:
-            _, rts_arrival = self.nic.transfer(
-                tl.now, self.lr, dst_nic, RTS_HEADER_BYTES
-            )
-            msg = _Msg(self.rank, dst, self._p_tag, cnt, self._p_bid,
-                       False, True, self.lr, req)
-            tl.call(rts_arrival, w._deliver, msg)
-        self._run()
-
-    def _send_intra(self, _value=None) -> None:
-        w = self.w
-        cnt = self._p_cnt
-        req = self._p_req
-        if self.mech.eager_for(cnt):
-            msg = _Msg(self.rank, self._p_dst, self._p_tag, cnt,
-                       self._p_bid, True, False, self.lr, None)
-            w._deliver(msg)
-            w._complete_send(req)
-        else:
-            msg = _Msg(self.rank, self._p_dst, self._p_tag, cnt,
-                       self._p_bid, True, False, self.lr, req)
-            w._deliver(msg)
-        self._run()
-
     # -- wait/receive continuations ----------------------------------------
 
     def _next_wait(self, _value=None) -> None:
@@ -741,7 +617,7 @@ class _BatchTask:
             info.dst_rank = self.rank
             info.nbytes = msg.nbytes
             info.src_buffer_id = msg.src_buffer_id
-            if self.track_mb:
+            if w.track_mb:
                 tl.touch(("mb", msg.src_buffer_id))
             fixed = mech.match_fixed(mem, info)
             d = mem.copy_occupy(
@@ -761,13 +637,6 @@ class _BatchTask:
             d = w.recv_overhead
         tl.call(now + d, self._c_recv_done, msg)
 
-    def _recv_done(self, msg: _Msg) -> None:
-        if msg.intranode:
-            sreq = msg.sreq
-            if sreq is not None:
-                self.w._complete_send(sreq)
-        self._next_wait()
-
     # -- PiP continuations -------------------------------------------------
 
     def _post(self, _value=None) -> None:
@@ -780,16 +649,6 @@ class _BatchTask:
             # double post: the bound value depends on post order
             self.w._board_conflict = True
         ev.trigger(self._p_val)
-        self._run()
-
-    def _lookup(self, value) -> None:
-        tl = self.tl
-        tl.call(tl.now + self.w.pip_flag_time, self._c_lookup_bind, value)
-
-    def _lookup_bind(self, value) -> None:
-        bind = self._p_bind
-        if bind is not None:
-            self.env[bind] = value
         self._run()
 
     def _add(self, _value=None) -> None:
@@ -831,10 +690,6 @@ class _BatchTask:
             c.waiters = still
         self._run()
 
-    def _cwait(self, _value=None) -> None:
-        tl = self.tl
-        tl.call(tl.now + self.w.pip_flag_time, self._run, None)
-
 
 # ---------------------------------------------------------------------------
 # entry point
@@ -857,17 +712,7 @@ def _evaluate_partition(
         params, nodes, ppn, lib.make_mechanism(), lib.software_overhead,
         len(part), lowered.nbufs,
     )
-    tag_key = hash(tuple(range(nodes * ppn))) if lowered.flat else None
-    samples: List[np.ndarray] = []
-    for it in range(warmup + measure):
-        symbols = (
-            {"tag": world.next_group_tag(tag_key)} if lowered.flat else {}
-        )
-        elapsed = world.run_schedule(
-            lowered.compiled, lowered.envs, symbols, lowered.num_namespaces
-        )
-        if it >= warmup:
-            samples.append(elapsed)
+    samples = world.run_protocol(lowered, warmup, measure)
     divergent = world.order_divergence()
     labels = (
         world.tl.divergence_labels(divergent) if divergent.any() else None

@@ -17,7 +17,10 @@ One lowering serves both fast engines: :func:`lower_column` lowers any
 selection of a plan's sizes, and one process-wide cache holds the results
 keyed by ``(library, collective, nodes, ppn, thresholds, sizes)``.  A
 batch partition is an entry of its sizes; a DAG point is the width-1
-entry of its size, planned and lowered only on a miss.
+entry of its size, planned and lowered only on a miss.  One continuation
+machine serves both too: the batch engine's world and task subclass
+:class:`FastWorld` and ``_Task`` and override only what its vector clock
+changes.
 
 Bit-identity (pinned by ``tests/sched/test_fastpath.py``) rests on two
 invariants:
@@ -75,12 +78,14 @@ from repro.sched.ir import (
     resolve_key,
 )
 from repro.sched.registry import (
-    COLLECTIVES,
-    LIBRARIES,
+    PLANNER_BACKED,
     PlannedCollective,
+    canonical_name,
     plan_for,
+    planner_backed,
 )
 from repro.shmem.base import MsgInfo
+from repro.sim.batchline import uniform_bool
 from repro.sim.engine import DeadlockError
 from repro.sim.resources import Server
 from repro.sim.timeline import Timeline, TimelineEvent
@@ -104,28 +109,9 @@ class FastpathResult(NamedTuple):
     internode_messages: int
 
 
-#: canonical registry name -> benchmark-facing library name
-_DISPLAY_NAMES = {
-    "pip-mcoll": "PiP-MColl",
-    "pip-mcoll-small": "PiP-MColl-small",
-    "pip-mpich": "PiP-MPICH",
-    "openmpi": "OpenMPI",
-}
-
-
-def fastpath_supported(library: str, collective: str) -> bool:
-    """Whether the DAG engine covers this (library, collective) pair.
-
-    True exactly when :func:`repro.sched.registry.plan_for` would succeed
-    for a message of at least one byte: the PiP-MColl primary collectives
-    and the flat baselines' allgather.
-    """
-    canon = library.lower().replace("_", "-").replace(" ", "-")
-    if canon not in LIBRARIES or collective not in COLLECTIVES:
-        return False
-    if canon in ("pip-mpich", "openmpi") and collective != "allgather":
-        return False
-    return True
+#: whether the DAG engine covers a (library, collective) pair: exactly
+#: the planner-backed pairs, for a message of at least one byte
+fastpath_supported = planner_backed
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +471,9 @@ class _Req:
         self.done = False
         self.value = None
         self.waiter = None
-        # batch-engine max-resume stamps (unused by the scalar engines):
-        # completion-time vector and waiter's wait-reach-time vector
+        # max-resume stamps, written only by the batch engine's overrides
+        # (repro.sched.batch): completion-time vector and the waiter's
+        # wait-reach-time vector
         self.t = None
         self.wt = None
 
@@ -511,7 +498,8 @@ class _Msg:
         self.unexpected = False
         self.src_local = src_local
         self.sreq = sreq
-        # batch-engine arrival-time vector (unused by the scalar engines)
+        # arrival-time vector, written only by the batch engine's
+        # overrides (repro.sched.batch)
         self.t = None
 
 
@@ -523,10 +511,11 @@ class _Counter:
     def __init__(self) -> None:
         self.value = 0
         self.waiters: list = []
-        # batch-engine add log: (fire-time vector, n) per add, for exact
-        # per-size threshold-crossing times (unused by the scalar engines);
-        # ``tmax``/``sorted_ok`` track whether the log is elementwise
-        # non-decreasing, in which case crossings need no per-size sort
+        # add log, kept only by the batch engine's ``_add`` override
+        # (repro.sched.batch): (fire-time vector, n) per add, for exact
+        # per-size threshold-crossing times; ``tmax``/``sorted_ok`` track
+        # whether the log is elementwise non-decreasing, in which case
+        # crossings need no per-size sort
         self.adds: list = []
         self.tmax = None
         self.sorted_ok = True
@@ -558,18 +547,7 @@ class FastWorld:
         self.eager_threshold = params.eager_threshold
         self.pip_post_time = params.pip_post_time
         self.pip_flag_time = params.pip_flag_time
-        self.tl = Timeline()
-        shim = _EngineShim(self.tl)
-        self.fabric: Optional[Server] = (
-            Server(name="fabric") if params.fabric_bandwidth else None
-        )
-        self.nics = [
-            NodeNic(params, node, ppn, fabric=self.fabric)
-            for node in range(nodes)
-        ]
-        self.mems = [
-            MemoryModel(shim, params, node) for node in range(nodes)
-        ]
+        self._build_hardware(params)
         #: scratch MsgInfo handed to mechanism closures; all uses are
         #: synchronous (single dispatch), so one instance suffices
         self.info = MsgInfo(
@@ -581,7 +559,6 @@ class FastWorld:
         # transport match tables: per dst rank, (src, tag) -> FIFO
         self.arrived: List[Dict] = [{} for _ in range(self.size)]
         self.posted: List[Dict] = [{} for _ in range(self.size)]
-        self.unexpected_count = 0
         # per-rank collective op counter (identical across ranks, so one
         # world-level counter stands in for all of them)
         self._op_seq = 0
@@ -597,6 +574,22 @@ class FastWorld:
         self._tasks_compiled: Optional[Tuple[_Compiled, ...]] = None
         #: optional (rank, phase) -> 6-column volume rows (check.py layout)
         self.acct: Optional[Dict[Tuple[int, str], List[int]]] = None
+
+    def _build_hardware(self, params: MachineParams) -> None:
+        """The timeline, the optional shared fabric server and the
+        per-node NICs and memories."""
+        self.tl = Timeline()
+        shim = _EngineShim(self.tl)
+        self.fabric: Optional[Server] = (
+            Server(name="fabric") if params.fabric_bandwidth else None
+        )
+        self.nics = [
+            NodeNic(params, node, self.ppn, fabric=self.fabric)
+            for node in range(self.nodes)
+        ]
+        self.mems = [
+            MemoryModel(shim, params, node) for node in range(self.nodes)
+        ]
 
     # -- identity ---------------------------------------------------------
 
@@ -627,7 +620,6 @@ class FastWorld:
                 req.value = msg
         else:
             msg.unexpected = True
-            self.unexpected_count += 1
             rank_arrived = self.arrived[msg.dst]
             queue = rank_arrived.get(key)
             if queue is None:
@@ -646,6 +638,26 @@ class FastWorld:
             req.done = True
 
     # -- execution --------------------------------------------------------
+
+    def run_protocol(self, low: _LoweredColumn, warmup: int,
+                     measure: int) -> list:
+        """The microbenchmark protocol on this world: ``warmup``
+        unrecorded iterations of ``low``, then ``measure`` recorded ones;
+        returns the recorded elapsed times."""
+        # the flat wrappers scope tags with the world communicator's
+        # tag_key plus a per-invocation sequence number
+        tag_key = hash(tuple(range(self.size))) if low.flat else None
+        samples = []
+        for it in range(warmup + measure):
+            symbols = (
+                {"tag": self.next_group_tag(tag_key)} if low.flat else {}
+            )
+            elapsed = self.run_schedule(
+                low.compiled, low.envs, symbols, low.num_namespaces
+            )
+            if it >= warmup:
+                samples.append(elapsed)
+        return samples
 
     def run_schedule(self, compiled: Tuple[_Compiled, ...], envs,
                      symbols: dict, num_namespaces: int) -> float:
@@ -700,7 +712,9 @@ class _Task:
     of the generator runtime; :meth:`_run` is the opcode interpreter that
     executes steps until the next suspension.  A task suspends on at most
     one operation at a time, so its operands live in ``_p_*`` scratch
-    slots instead of per-event argument tuples.
+    slots instead of per-event argument tuples.  The batch engine's task
+    (:class:`repro.sched.batch._BatchTask`) subclasses this one and
+    overrides only the continuations whose bodies touch its vector clock.
     """
 
     __slots__ = (
@@ -969,7 +983,7 @@ class _Task:
         cnt = self._p_cnt
         req = self._p_req
         dst_nic = w.nics[self._p_node]
-        if cnt <= w.eager_threshold:
+        if uniform_bool(cnt <= w.eager_threshold):
             inject_done, arrival = self.nic.transfer(
                 tl.now, self.lr, dst_nic, cnt
             )
@@ -1069,10 +1083,7 @@ class _Task:
 
     def _lookup(self, value) -> None:
         tl = self.tl
-        tl._seq = seq = tl._seq + 1
-        heappush(tl._heap, (
-            tl.now + self.w.pip_flag_time, seq, self._c_lookup_bind, value,
-        ))
+        tl.call(tl.now + self.w.pip_flag_time, self._c_lookup_bind, value)
 
     def _lookup_bind(self, value) -> None:
         bind = self._p_bind
@@ -1100,10 +1111,7 @@ class _Task:
 
     def _cwait(self, _value=None) -> None:
         tl = self.tl
-        tl._seq = seq = tl._seq + 1
-        heappush(tl._heap, (
-            tl.now + self.w.pip_flag_time, seq, self._run, None,
-        ))
+        tl.call(tl.now + self.w.pip_flag_time, self._run, None)
 
     # -- accounting ----------------------------------------------------------
 
@@ -1147,14 +1155,14 @@ def canonical_library(library: str, collective: str, thresholds,
     """``(registry name, library)`` for a pair the fast engines cover."""
     from repro.baselines.registry import make_library
 
-    if not fastpath_supported(library, collective):
+    if not planner_backed(library, collective):
         raise ValueError(
             f"engine={engine!r} does not cover ({library!r}, "
             f"{collective!r}); only planner-backed pairs are supported — "
             f"use engine='event'"
         )
-    canon = library.lower().replace("_", "-").replace(" ", "-")
-    lib = make_library(_DISPLAY_NAMES[canon])
+    canon = canonical_name(library)
+    lib = make_library(PLANNER_BACKED[canon][0])
     if thresholds is not None and not hasattr(lib, "thresholds"):
         raise ValueError(
             f"library {library!r} has no size thresholds to override"
@@ -1202,15 +1210,6 @@ def _prepare(library: str, collective: str, nodes: int, ppn: int,
     return world, low
 
 
-def _run(world: FastWorld, low: _LoweredColumn, tag_key) -> float:
-    # the flat wrappers scope tags with the world communicator's tag_key
-    # plus a per-invocation sequence number
-    symbols = {"tag": world.next_group_tag(tag_key)} if low.flat else {}
-    return world.run_schedule(
-        low.compiled, low.envs, symbols, low.num_namespaces
-    )
-
-
 def evaluate_point(
     library: str,
     collective: str,
@@ -1232,12 +1231,7 @@ def evaluate_point(
     world, low = _prepare(
         library, collective, nodes, ppn, int(msg_bytes), params, thresholds
     )
-    tag_key = hash(tuple(range(nodes * ppn))) if low.flat else None
-    samples = []
-    for it in range(warmup + measure):
-        elapsed = _run(world, low, tag_key)
-        if it >= warmup:
-            samples.append(elapsed)
+    samples = world.run_protocol(low, warmup, measure)
     return FastpathResult(tuple(samples), world.internode_messages())
 
 
@@ -1261,5 +1255,5 @@ def evaluate_tables(
         library, collective, nodes, ppn, msg_bytes, params, thresholds
     )
     world.acct = {}
-    _run(world, low, hash(tuple(range(nodes * ppn))) if low.flat else None)
+    world.run_protocol(low, 0, 1)
     return world.acct

@@ -46,13 +46,31 @@ __all__ = [
     "plan_column",
     "planner_cache_info",
     "registry_combinations",
+    "canonical_name",
+    "planner_backed",
+    "PLANNER_BACKED",
     "LIBRARIES",
     "COLLECTIVES",
 ]
 
-#: checker-facing library names (canonical, lowercase)
-LIBRARIES = ("pip-mcoll", "pip-mcoll-small", "pip-mpich", "openmpi")
 COLLECTIVES = ("scatter", "allgather", "allreduce")
+
+#: the planner-backed pairs: canonical library name -> (benchmark-facing
+#: library name, collectives with a planner).  Every engine's coverage
+#: check and the planners' own argument check read this one table.
+PLANNER_BACKED: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "pip-mcoll": ("PiP-MColl", COLLECTIVES),
+    "pip-mcoll-small": ("PiP-MColl-small", COLLECTIVES),
+    "pip-mpich": ("PiP-MPICH", ("allgather",)),
+    "openmpi": ("OpenMPI", ("allgather",)),
+}
+
+#: checker-facing library names (canonical, lowercase)
+LIBRARIES = tuple(PLANNER_BACKED)
+
+#: the PiP-MColl variants; the other planner-backed libraries run MPICH's
+#: flat selection
+MCOLL_VARIANTS = ("pip-mcoll", "pip-mcoll-small")
 
 #: MPICH's flat allgather switches on *total* receive size (see
 #: repro.baselines.libraries._mpich_allgather)
@@ -76,16 +94,22 @@ class PlannedCollective:
     symbols: dict = field(default_factory=dict)
 
 
-def _norm_library(name: str) -> str:
-    canon = name.lower().replace("_", "-").replace(" ", "-")
-    if canon not in LIBRARIES:
-        raise ValueError(
-            f"no planner-backed library {name!r}; known: {list(LIBRARIES)}"
-        )
-    return canon
+def canonical_name(library: str) -> str:
+    """The registry spelling of a library name (``"PiP_MColl"`` ->
+    ``"pip-mcoll"``)."""
+    return library.lower().replace("_", "-").replace(" ", "-")
+
+
+def planner_backed(library: str, collective: str) -> bool:
+    """Whether the registry plans this (library, collective) pair, under
+    any spelling of the library name."""
+    entry = PLANNER_BACKED.get(canonical_name(library))
+    return entry is not None and collective in entry[1]
 
 
 def _mcoll_thresholds(library: str, thresholds) -> "Thresholds":
+    """The thresholds a PiP-MColl variant selects by: ``thresholds``, or
+    the variant's defaults when it is None."""
     from repro.core.tuning import Thresholds
 
     if thresholds is not None:
@@ -98,15 +122,20 @@ def _mcoll_thresholds(library: str, thresholds) -> "Thresholds":
 def _validate(library: str, collective: str, nodes: int, ppn: int,
               sizes) -> str:
     """Canonical library name, after rejecting what no planner covers."""
-    library = _norm_library(library)
-    if collective not in COLLECTIVES:
+    canon = canonical_name(library)
+    if canon not in PLANNER_BACKED:
         raise ValueError(
-            f"no planner-backed collective {collective!r}; "
-            f"known: {list(COLLECTIVES)}"
+            f"no planner-backed library {library!r}; known: {list(LIBRARIES)}"
+        )
+    collectives = PLANNER_BACKED[canon][1]
+    if collective not in collectives:
+        raise ValueError(
+            f"no planner-backed {collective!r} for {canon}; "
+            f"known: {list(collectives)}"
         )
     if nodes < 1 or ppn < 1 or min(sizes) < 1:
         raise ValueError("nodes, ppn and nbytes must be positive")
-    return library
+    return canon
 
 
 def plan_for(
@@ -185,7 +214,7 @@ def _select(library: str, collective: str, nodes: int, ppn: int, nbytes,
     size = nodes * ppn
     world = tuple(range(size))
 
-    if library in ("pip-mcoll", "pip-mcoll-small"):
+    if library in MCOLL_VARIANTS:
         thr = _mcoll_thresholds(library, thresholds)
         if collective == "scatter":
             schedule = plan(plan_scatter, nodes, ppn, nbytes, 0, True)
@@ -218,12 +247,8 @@ def _select(library: str, collective: str, nodes: int, ppn: int, nbytes,
             bindings=bindings,
         )
 
-    # flat baselines (PiP-MPICH / OpenMPI share MPICH's selection)
-    if collective != "allgather":
-        raise ValueError(
-            f"{library} only has a planner-backed allgather; "
-            f"{collective} still runs as a generator"
-        )
+    # flat baselines (PiP-MPICH / OpenMPI share MPICH's selection; the
+    # table gives them only an allgather)
     total = size * nbytes
     if total < _MPICH_ALLGATHER_RING_TOTAL:
         if is_power_of(2, size):
@@ -277,10 +302,8 @@ def planner_cache_info() -> Dict[str, "object"]:
 
 def registry_combinations() -> List[Tuple[str, str]]:
     """Every (library, collective) pair with planner-backed coverage."""
-    combos = [
+    return [
         (lib, coll)
-        for lib in ("pip-mcoll", "pip-mcoll-small")
-        for coll in COLLECTIVES
+        for lib, (_, collectives) in PLANNER_BACKED.items()
+        for coll in collectives
     ]
-    combos += [("pip-mpich", "allgather"), ("openmpi", "allgather")]
-    return combos

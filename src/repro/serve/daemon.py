@@ -79,6 +79,7 @@ from repro.serve.protocol import (
     point_from_doc,
     read_message,
     result_to_doc,
+    wire_timeout,
     write_message,
 )
 
@@ -344,11 +345,7 @@ class SweepDaemon:
             raise ServeError("bad-request", "sweep needs a non-empty "
                                             "'points' list")
         points = [point_from_doc(doc) for doc in specs]
-        timeout = request.get("timeout", self.default_timeout)
-        if timeout is not None:
-            timeout = float(timeout)
-            if timeout <= 0:
-                raise ServeError("bad-request", "timeout must be positive")
+        timeout = wire_timeout(request.get("timeout", self.default_timeout))
         self.stats.sweeps += 1
         self.stats.points += len(points)
         self._active += 1

@@ -10,8 +10,8 @@ that is echoed verbatim in the response:
 op          request fields → response fields
 ========== ==============================================================
 ``sweep``   ``points`` (list of point specs), optional ``timeout``
-            seconds → ``results`` (list of result docs, in request
-            order)
+            seconds (a finite number > 0, or ``null`` for none) →
+            ``results`` (list of result docs, in request order)
 ``stats``   → ``stats`` (daemon/cache/lowering counter document)
 ``ping``    → ``version`` (protocol version), ``pid``
 ``flush``   → ``flushed`` (rows published to shards)
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import asdict
 from typing import Optional, Tuple, Union
 
@@ -48,7 +49,7 @@ from repro.hw.params import MachineParams
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_LINE", "ERROR_CODES", "ServeError",
-    "parse_address", "point_to_doc", "point_from_doc",
+    "parse_address", "point_to_doc", "point_from_doc", "wire_timeout",
     "result_to_doc", "result_from_doc",
     "encode_message", "decode_message", "read_message", "write_message",
 ]
@@ -160,6 +161,27 @@ def _wire_int(name: str, value) -> int:
     return value
 
 
+def wire_timeout(value) -> Optional[float]:
+    """A sweep's ``timeout`` field as seconds, or None for no deadline.
+
+    Only ``null`` or a finite JSON number above zero that is not a bool
+    is accepted; anything else raises ``bad-request``.
+    """
+    if value is None:
+        return None
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and math.isfinite(value) and value > 0)
+    except OverflowError:  # an integer beyond float range
+        ok = False
+    if not ok:
+        raise ServeError(
+            "bad-request",
+            f"timeout must be a finite number of seconds > 0, got {value!r}",
+        )
+    return float(value)
+
+
 def point_from_doc(doc: dict) -> Point:
     """Rebuild a :class:`Point` from its wire form; raises
     :class:`ServeError` (``bad-request``) on anything malformed."""
@@ -175,6 +197,9 @@ def point_from_doc(doc: dict) -> Point:
             raise ServeError(
                 "bad-request", f"unknown engine {engine!r}; known: {ENGINES}"
             )
+        if params is not None:
+            params = MachineParams(**params)
+            params.validate()
         return Point(
             library=str(doc["library"]),
             collective=str(doc["collective"]),
@@ -183,7 +208,7 @@ def point_from_doc(doc: dict) -> Point:
             msg_bytes=_wire_int("msg_bytes", doc["msg_bytes"]),
             warmup=_wire_int("warmup", doc.get("warmup", 1)),
             measure=_wire_int("measure", doc.get("measure", 2)),
-            params=None if params is None else MachineParams(**params),
+            params=params,
             thresholds=(
                 None if thresholds is None else Thresholds(**thresholds)
             ),

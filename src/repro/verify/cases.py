@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.mpi.datatypes import BYTE, DOUBLE, FLOAT32, INT32, INT64
 from repro.mpi.datatypes import MAX, MIN, PROD, SUM
+from repro.sched.registry import registry_combinations
 from repro.shmem.mechanisms import (
     HybridMechanism,
     KernelCopy,
@@ -78,16 +79,6 @@ _POW2_ONLY = {"allgather_recursive_doubling", "reduce_scatter_halving"}
 
 _VECTOR = ("scatterv", "gatherv", "allgatherv")
 
-#: planner-backed (library, collective) combos replayed directly through
-#: the ScheduleExecutor (mirrors repro.sched.registry.registry_combinations)
-_SCHEDULE_COMBOS = (
-    ("pip-mcoll", "scatter"), ("pip-mcoll", "allgather"),
-    ("pip-mcoll", "allreduce"),
-    ("pip-mcoll-small", "scatter"), ("pip-mcoll-small", "allgather"),
-    ("pip-mcoll-small", "allreduce"),
-    ("pip-mpich", "allgather"), ("openmpi", "allgather"),
-)
-
 
 def _build_entries() -> Tuple[Entry, ...]:
     entries = [
@@ -102,7 +93,7 @@ def _build_entries() -> Tuple[Entry, ...]:
     entries += [Entry("vector", v, v) for v in _VECTOR]
     entries += [
         Entry("schedule", coll, f"{lib}:{coll}")
-        for lib, coll in _SCHEDULE_COMBOS
+        for lib, coll in registry_combinations()
     ]
     return tuple(entries)
 

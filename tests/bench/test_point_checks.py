@@ -1,7 +1,8 @@
-"""Every engine refuses the same impossible protocols and sizes.
+"""Every engine refuses the same impossible protocols, sizes and machines.
 
-A negative warm-up count or a message size that is not an integer must
-fail identically on every engine — one ``ValueError`` naming the value —
+A negative warm-up count, a message size that is not an integer or a
+machine parameter that is not a finite, meaningful number must fail
+identically on every engine — one ``ValueError`` naming the value —
 instead of each engine answering something different.
 """
 
@@ -11,10 +12,19 @@ import pytest
 from repro.bench.microbench import ENGINES, run_point
 from repro.bench.runner import Point
 from repro.bench.runner.pool import run_sweep_column
+from repro.hw.params import bebop_broadwell
 from repro.sched.batch import evaluate_column
 from repro.sched.fastpath import evaluate_point
 
 BAD_SIZES = (64.5, True, np.float64(64.0), "64")
+
+#: machine parameters no engine may accept: NaN fails every ordering
+#: check, infinity turns times into NaN, a negative bandwidth is nonsense
+BAD_PARAMS = (
+    ("send_overhead", float("nan")),
+    ("wire_latency", float("inf")),
+    ("core_copy_bw", -1.0),
+)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -68,3 +78,22 @@ def test_numpy_integer_sizes_evaluate_as_plain_ints():
                           np.array([64, 128]))
     assert got.results == want.results
     assert all(type(s) is int for s in got.results)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("field,value", BAD_PARAMS, ids=repr)
+def test_invalid_machine_params_rejected_on_every_engine(engine, field,
+                                                         value):
+    params = bebop_broadwell().with_overrides(**{field: value})
+    for size in (64, 70_000):
+        with pytest.raises(ValueError, match=field):
+            run_point("PiP-MColl", "allgather", 2, 2, size, params=params,
+                      engine=engine)
+
+
+@pytest.mark.parametrize("field,value", BAD_PARAMS, ids=repr)
+def test_invalid_machine_params_rejected_in_a_column(field, value):
+    params = bebop_broadwell().with_overrides(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        evaluate_column("PiP-MColl", "allgather", 2, 2, [64, 70_000],
+                        params=params)

@@ -53,6 +53,37 @@ def test_validate_rejects_bad_values(field, value):
         p.validate()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("send_overhead", float("nan")),
+        ("core_copy_bw", float("nan")),
+        ("page_size", float("nan")),
+        ("wire_latency", float("inf")),
+        ("pip_flag_time", float("inf")),
+        ("fabric_bandwidth", float("nan")),
+        ("eager_threshold", True),
+        ("copy_latency", "0"),
+    ],
+    ids=repr,
+)
+def test_validate_rejects_non_finite_values(field, value):
+    """NaN fails every ordering check, so each field must be a finite
+    number explicitly; a bool or a string is not one."""
+    p = tiny_test_machine().with_overrides(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        p.validate()
+
+
+def test_validate_accepts_numpy_numbers_and_no_fabric():
+    import numpy as np
+
+    tiny_test_machine().with_overrides(
+        eager_threshold=np.int64(4096), wire_latency=np.float64(2e-6),
+        fabric_bandwidth=None,
+    ).validate()
+
+
 def test_validate_rejects_inconsistent_rates():
     p = tiny_test_machine().with_overrides(proc_msg_rate=1e9)
     with pytest.raises(ValueError):

@@ -143,6 +143,19 @@ def test_auto_never_resolves_to_analytic():
     )
 
 
+def test_analytic_validates_machine_params():
+    """Like the exact engines, the analytic tier refuses parameters that
+    MachineParams.validate() rejects instead of estimating with them."""
+    from repro.hw.params import bebop_broadwell
+
+    for field, value in (("core_copy_bw", -1.0),
+                         ("send_overhead", float("nan"))):
+        params = bebop_broadwell().with_overrides(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            evaluate_axis("pip-mcoll", "allgather", 2, 2, (64, 70_000),
+                          params=params)
+
+
 def test_analytic_validates_arguments():
     with pytest.raises(ValueError, match="measured"):
         evaluate_point("pip-mcoll", "allreduce", 2, 2, 512, measure=0)

@@ -15,16 +15,24 @@ import random
 import numpy as np
 import pytest
 
+from repro.baselines.registry import make_library
 from repro.bench.microbench import run_point
 from repro.core.tuning import Thresholds
+from repro.hw.params import bebop_broadwell
 from repro.sched.batch import (
+    _evaluate_partition,
     clear_lowering_cache,
     evaluate_column,
     lowering_cache_info,
 )
-from repro.sched.fastpath import evaluate_point
-from repro.sched.registry import planner_cache_info, registry_combinations
-from repro.sim.batchline import BatchTimeline
+from repro.sched.fastpath import evaluate_point, lower_column
+from repro.sched.ir import BufRef, IntraOpStep, RankProgram, Schedule
+from repro.sched.registry import (
+    PlannedCollective,
+    planner_cache_info,
+    registry_combinations,
+)
+from repro.sim.batchline import BatchTimeline, SizeVec
 
 #: canonical registry name -> the benchmark-facing display name
 BENCH_NAME = {
@@ -110,6 +118,29 @@ def test_forced_order_divergence_falls_back_to_dag(monkeypatch):
     )
     assert set(col.stats.fallback_sizes) | set(col.stats.singleton_sizes) \
         == {512, 1024, 2048, 4096}
+
+
+def test_double_posted_board_key_flags_every_size():
+    """A board key posted twice binds an order-dependent value, so the
+    pass flags every size divergent.  Planner schedules post each key
+    once, so only a hand-built schedule reaches this guard."""
+    sizes = (64, 128, 256)
+    post = IntraOpStep("post", ("buf",), value=BufRef("send"))
+    lookup = IntraOpStep("lookup", ("buf",), bind="peer")
+    planned = PlannedCollective(
+        label="double post",
+        schedule=Schedule((RankProgram((post, post)),
+                           RankProgram((lookup,)))),
+        ranks=(0, 1),
+        bindings=({"send": SizeVec(sizes)}, {}),
+    )
+    lowered = lower_column((sizes, planned), sizes, ppn=2)
+    _, divergent, labels = _evaluate_partition(
+        lowered, 1, 2, sizes, make_library("PiP-MColl"), bebop_broadwell(),
+        warmup=1, measure=1,
+    )
+    assert divergent.tolist() == [True, True, True]
+    assert labels is not None
 
 
 def test_singleton_partition_routes_to_dag():

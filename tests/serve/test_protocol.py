@@ -64,6 +64,23 @@ def test_malformed_point_spec_raises_bad_request():
     assert err.value.code == "bad-request"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("send_overhead", float("nan")),
+    ("wire_latency", float("inf")),
+    ("core_copy_bw", -1.0),
+])
+def test_invalid_machine_params_rejected_at_the_front_door(field, value):
+    """Parameters are validated when the point is decoded, so a NaN or
+    negative rate never reaches an engine or the result cache."""
+    doc = point_to_doc(Point("PiP-MColl", "allgather", 2, 2, 64,
+                             params=tiny_test_machine(), engine="dag"))
+    doc["params"][field] = value
+    with pytest.raises(ServeError) as err:
+        point_from_doc(json.loads(json.dumps(doc)))
+    assert err.value.code == "bad-request"
+    assert field in err.value.message
+
+
 def test_unknown_engine_rejected_at_the_front_door():
     """Engine names are validated once, at the daemon entry, with the
     same message the SweepRunner constructor uses — a bad name must not

@@ -9,13 +9,17 @@ keeps evaluation in-process (worker threads), so tests can wrap
 """
 
 import asyncio
+import json
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.bench.runner import Point, ResultCache, SweepRunner
+from repro.hw.params import bebop_broadwell
 from repro.serve import ServeError, SweepClient, SweepDaemon, wait_until_ready
+from repro.serve.protocol import point_to_doc
 
 AXIS = (64, 1024, 16384)
 
@@ -290,6 +294,56 @@ def test_unknown_op_and_bad_sweeps_answer_with_errors(tmp_path):
             assert err.value.code == "bad-request"
             # the connection survives error responses
             assert client.ping()["version"] >= 1
+
+
+def raw_request(sock_path, line):
+    """Send one hand-written JSON line (``1e400``, ``NaN`` and the like
+    reach the daemon as written); return the decoded response."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.connect(sock_path)
+        sock.sendall(line.encode() + b"\n")
+        with sock.makefile("rb") as reader:
+            return json.loads(reader.readline())
+
+
+def test_malformed_timeout_answers_bad_request(tmp_path):
+    """Only null or a finite JSON number above zero (not a bool) is a
+    deadline; anything else is refused at the door, not evaluated."""
+    spec = json.dumps(point_to_doc(column()[0]))
+    with DaemonThread(tmp_path) as harness:
+
+        def sweep(timeout):
+            return raw_request(
+                harness.sock,
+                f'{{"op":"sweep","points":[{spec}],"timeout":{timeout}}}',
+            )
+
+        for timeout in ('"abc"', "NaN", "true", "1e400", "-Infinity", "0",
+                        "-1", "[1]"):
+            response = sweep(timeout)
+            assert not response["ok"], timeout
+            assert response["error"]["code"] == "bad-request", timeout
+            assert "timeout" in response["error"]["message"]
+        with harness.client() as client:
+            assert client.stats()["daemon"]["evaluations"] == 0
+        for timeout in ("null", "30", "2.5"):
+            assert sweep(timeout)["ok"], timeout
+
+
+def test_invalid_machine_params_answer_bad_request(tmp_path):
+    """A point whose machine parameters fail validation is refused at
+    the door, so no engine answers it and nothing is cached."""
+    params = bebop_broadwell().with_overrides(send_overhead=float("nan"))
+    with DaemonThread(tmp_path) as harness:
+        with harness.client() as client:
+            for size in (64, 70_000):
+                point = Point("PiP-MColl", "allgather", 2, 2, size,
+                              params=params, engine="dag")
+                with pytest.raises(ServeError) as err:
+                    client.sweep([point])
+                assert err.value.code == "bad-request"
+                assert "send_overhead" in err.value.message
+            assert client.stats()["daemon"]["evaluations"] == 0
 
 
 def test_evaluation_failure_reports_internal_not_a_hang(tmp_path):
