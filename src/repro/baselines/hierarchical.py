@@ -2,26 +2,37 @@
 
 MVAPICH2 and Intel MPI run hierarchical collectives by default: an
 intranode phase over shared memory, an internode phase among one *leader*
-process per node (local rank 0), and an intranode fan-out.  These helpers
-compose the classical algorithms of :mod:`repro.mpi.collectives`
-accordingly; the intranode phases travel through the library's configured
-shared-memory mechanism via regular p2p.
+process per node (local rank 0), and an intranode fan-out.  The
+intranode phases travel through the library's configured shared-memory
+mechanism via regular p2p.
+
+Scatter, allgather and allreduce compile to one schedule per composition
+(:mod:`repro.sched.plans.hierarchical`); their wrappers here draw each
+group's collective tag and replay it.  The leader-algorithm argument is a
+*selector* ``(leader count, bytes) -> emitter`` over the group emitters of
+:mod:`repro.sched.plans.baseline`, such as MPICH's ``mpich_*`` choices.
+Broadcast and reduce compose the classical group wrappers directly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.mpi.buffer import Buffer
-from repro.mpi.collectives import (
-    bcast_binomial,
-    gather_binomial,
-    reduce_binomial,
-    scatter_binomial,
-)
+from repro.mpi.collectives import bcast_binomial, reduce_binomial
 from repro.mpi.collectives.group import Group
 from repro.mpi.datatypes import ReduceOp
 from repro.mpi.runtime import RankCtx
+from repro.sched.executor import ScheduleExecutor
+from repro.sched.ir import Schedule
+from repro.sched.plans.baseline import mpich_scatter
+from repro.sched.plans.hierarchical import (
+    COMPOSE_TAGS,
+    SCATTER_TAGS,
+    plan_hier_allgather,
+    plan_hier_allreduce,
+    plan_hier_scatter,
+)
 from repro.sim.engine import ProcGen
 
 __all__ = ["node_group", "leader_group", "hier_scatter", "hier_allgather",
@@ -38,12 +49,33 @@ def leader_group(ctx: RankCtx) -> Group:
     return Group(ctx.rank_of(n, 0) for n in range(ctx.nodes))
 
 
+def _compose(ctx: RankCtx, schedule: Schedule, tags: Tuple[str, ...],
+             bindings: Dict[str, Optional[Buffer]],
+             op: Optional[ReduceOp] = None) -> ProcGen:
+    """Replay a two-level composition on this rank.
+
+    Draws each phase's group tag in the composition's order, exactly as
+    the phases would: the node group's for ``"node-in"`` and
+    ``"node-out"``, the leader group's for ``"leader"`` (leaders only).
+    """
+    ngroup = node_group(ctx)
+    groups = {"node-in": ngroup, "leader": leader_group(ctx),
+              "node-out": ngroup}
+    symbols = {
+        name: ctx.collective_tag(groups[name]) for name in tags
+        if name != "leader" or ctx.local_rank == 0
+    }
+    yield from ScheduleExecutor(schedule).run(
+        ctx, bindings, op=op, symbols=symbols,
+    )
+
+
 def hier_scatter(
     ctx: RankCtx,
     sendbuf: Optional[Buffer],
     recvbuf: Buffer,
     root: int,
-    leader_scatter: Callable = scatter_binomial,
+    leader_scatter: Callable = mpich_scatter,
 ) -> ProcGen:
     """Leader-based scatter.
 
@@ -51,36 +83,13 @@ def hier_scatter(
     paper does); a non-leader root first forwards its buffer to its node's
     leader, which is what production libraries fall back to as well.
     """
-    N, P, C = ctx.nodes, ctx.ppn, recvbuf.count
-    leaders = leader_group(ctx)
-    # relocation channel: only root and its leader use it; a constant,
-    # root-scoped tag is safe because p2p matching is FIFO per (src, tag)
-    tag = ("hier-reloc", root)
-
-    root_node = ctx.node_of(root)
-    root_leader = ctx.rank_of(root_node, 0)
-    staging: Optional[Buffer] = None
-    if root != root_leader:
-        # relocate the payload onto the leader
-        if ctx.rank == root:
-            assert sendbuf is not None
-            yield from ctx.send(root_leader, sendbuf, tag=tag)
-        elif ctx.rank == root_leader:
-            staging = ctx.alloc(recvbuf.dtype, N * P * C)
-            yield from ctx.recv(root, staging, tag=tag)
-    elif ctx.rank == root:
-        staging = sendbuf
-
-    if ctx.local_rank == 0:
-        # internode: scatter node blocks among leaders
-        node_block = ctx.alloc(recvbuf.dtype, P * C)
-        yield from leader_scatter(
-            ctx, leaders, staging, node_block, leaders.index_of(root_leader)
-        )
-        # intranode: scatter the node block locally
-        yield from scatter_binomial(ctx, node_group(ctx), node_block, recvbuf, 0)
-    else:
-        yield from scatter_binomial(ctx, node_group(ctx), None, recvbuf, 0)
+    emit = leader_scatter(ctx.nodes, ctx.ppn * recvbuf.nbytes)
+    schedule = plan_hier_scatter(
+        ctx.nodes, ctx.ppn, recvbuf.count, root, emit
+    )
+    yield from _compose(
+        ctx, schedule, SCATTER_TAGS, {"send": sendbuf, "recv": recvbuf}
+    )
 
 
 def hier_allgather(
@@ -90,16 +99,11 @@ def hier_allgather(
     leader_allgather: Callable,
 ) -> ProcGen:
     """Intranode gather -> leader allgather -> intranode broadcast."""
-    N, P, C = ctx.nodes, ctx.ppn, sendbuf.count
-    ngroup = node_group(ctx)
-
-    if ctx.local_rank == 0:
-        node_block = ctx.alloc(sendbuf.dtype, P * C)
-        yield from gather_binomial(ctx, ngroup, sendbuf, node_block, 0)
-        yield from leader_allgather(ctx, leader_group(ctx), node_block, recvbuf)
-    else:
-        yield from gather_binomial(ctx, ngroup, sendbuf, None, 0)
-    yield from bcast_binomial(ctx, ngroup, recvbuf, 0)
+    emit = leader_allgather(ctx.nodes, recvbuf.nbytes)
+    schedule = plan_hier_allgather(ctx.nodes, ctx.ppn, sendbuf.count, emit)
+    yield from _compose(
+        ctx, schedule, COMPOSE_TAGS, {"send": sendbuf, "recv": recvbuf}
+    )
 
 
 def hier_bcast(ctx: RankCtx, buf: Buffer, root: int) -> ProcGen:
@@ -175,12 +179,9 @@ def hier_allreduce(
     leader_allreduce: Callable,
 ) -> ProcGen:
     """Intranode reduce -> leader allreduce -> intranode broadcast."""
-    ngroup = node_group(ctx)
-
-    if ctx.local_rank == 0:
-        partial = ctx.alloc(sendbuf.dtype, sendbuf.count)
-        yield from reduce_binomial(ctx, ngroup, sendbuf, partial, op, 0)
-        yield from leader_allreduce(ctx, leader_group(ctx), partial, recvbuf, op)
-    else:
-        yield from reduce_binomial(ctx, ngroup, sendbuf, None, op, 0)
-    yield from bcast_binomial(ctx, ngroup, recvbuf, 0)
+    emit = leader_allreduce(ctx.nodes, sendbuf.nbytes)
+    schedule = plan_hier_allreduce(ctx.nodes, ctx.ppn, sendbuf.count, emit)
+    yield from _compose(
+        ctx, schedule, COMPOSE_TAGS, {"send": sendbuf, "recv": recvbuf},
+        op=op,
+    )

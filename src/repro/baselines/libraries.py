@@ -34,11 +34,6 @@ from repro.baselines.hierarchical import (
 )
 from repro.mpi.buffer import Buffer
 from repro.mpi.collectives import (
-    allgather_bruck,
-    allgather_recursive_doubling,
-    allgather_ring,
-    allreduce_rabenseifner,
-    allreduce_recursive_doubling,
     alltoall_bruck,
     alltoall_pairwise,
     barrier_dissemination,
@@ -48,38 +43,17 @@ from repro.mpi.collectives import (
     scatter_binomial,
 )
 from repro.mpi.collectives.group import Group
+from repro.mpi.collectives.scheduled import run_group
 from repro.mpi.datatypes import ReduceOp
 from repro.mpi.runtime import RankCtx
+from repro.sched.plans.baseline import mpich_allgather, mpich_allreduce
 from repro.shmem import HybridMechanism, KernelCopy, PipShmem, PosixShmem
 from repro.sim.engine import ProcGen
-from repro.util.intmath import is_power_of
 from repro.util.units import KB
 
 __all__ = ["PiPMPICH", "OpenMPI", "MVAPICH2", "IntelMPI"]
 
 _US = 1e-6
-
-
-def _mpich_allgather(ctx: RankCtx, group: Group, sendbuf: Buffer,
-                     recvbuf: Buffer) -> ProcGen:
-    """MPICH's default allgather selection (total size + pow2 based)."""
-    total = recvbuf.nbytes
-    if total < 80 * KB:
-        if is_power_of(2, group.size):
-            yield from allgather_recursive_doubling(ctx, group, sendbuf, recvbuf)
-        else:
-            yield from allgather_bruck(ctx, group, sendbuf, recvbuf)
-    else:
-        yield from allgather_ring(ctx, group, sendbuf, recvbuf)
-
-
-def _mpich_allreduce(ctx: RankCtx, group: Group, sendbuf: Buffer,
-                     recvbuf: Buffer, op: ReduceOp) -> ProcGen:
-    """MPICH's default allreduce selection (2 kB switch)."""
-    if sendbuf.nbytes <= 2 * KB:
-        yield from allreduce_recursive_doubling(ctx, group, sendbuf, recvbuf, op)
-    else:
-        yield from allreduce_rabenseifner(ctx, group, sendbuf, recvbuf, op)
 
 
 def _mpich_alltoall(ctx: RankCtx, group: Group, sendbuf: Buffer,
@@ -104,12 +78,20 @@ class _FlatLibrary(MpiLibrary):
 
     def allgather(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
         yield from self._enter(ctx)
-        yield from _mpich_allgather(ctx, self.world_group(ctx), sendbuf, recvbuf)
+        group = self.world_group(ctx)
+        yield from run_group(
+            ctx, group, mpich_allgather(group.size, recvbuf.nbytes),
+            {"send": sendbuf, "recv": recvbuf}, sendbuf.count,
+        )
 
     def allreduce(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer,
                   op: ReduceOp) -> ProcGen:
         yield from self._enter(ctx)
-        yield from _mpich_allreduce(ctx, self.world_group(ctx), sendbuf, recvbuf, op)
+        group = self.world_group(ctx)
+        yield from run_group(
+            ctx, group, mpich_allreduce(group.size, sendbuf.nbytes),
+            {"send": sendbuf, "recv": recvbuf}, sendbuf.count, op=op,
+        )
 
     def alltoall(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
         yield from self._enter(ctx)
@@ -144,12 +126,12 @@ class _HierLibrary(MpiLibrary):
 
     def allgather(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
         yield from self._enter(ctx)
-        yield from hier_allgather(ctx, sendbuf, recvbuf, _mpich_allgather)
+        yield from hier_allgather(ctx, sendbuf, recvbuf, mpich_allgather)
 
     def allreduce(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer,
                   op: ReduceOp) -> ProcGen:
         yield from self._enter(ctx)
-        yield from hier_allreduce(ctx, sendbuf, recvbuf, op, _mpich_allreduce)
+        yield from hier_allreduce(ctx, sendbuf, recvbuf, op, mpich_allreduce)
 
     def alltoall(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
         # production libraries run alltoall flat even in hierarchical mode

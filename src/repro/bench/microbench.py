@@ -40,11 +40,13 @@ COLLECTIVES = (
 )
 
 #: how a point is evaluated: the coroutine event loop (authoritative), the
-#: DAG fast path (bit-identical, planner-backed pairs only), the batch
-#: engine (bit-identical, whole size columns vectorized), the analytic
-#: tier (closed-form estimates — approximate, error-bounded, never picked
-#: by ``auto``; see :mod:`repro.sched.analytic`), or ``auto`` (DAG/batch
-#: whenever they apply, event loop otherwise)
+#: DAG fast path (bit-identical, planner-backed pairs only: scatter,
+#: allgather and allreduce of all six libraries), the batch engine
+#: (bit-identical, whole size columns vectorized), the analytic tier
+#: (closed-form estimates — approximate, error-bounded, never picked by
+#: ``auto``; see :mod:`repro.sched.analytic`), or ``auto`` (DAG/batch
+#: whenever they apply — every figure point but fig01's p2p worlds —
+#: event loop otherwise)
 ENGINES = ("event", "dag", "batch", "analytic", "auto")
 
 

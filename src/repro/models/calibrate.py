@@ -1,8 +1,8 @@
 """Measure the analytic tier's error against the exact engines.
 
-``python -m repro.models.calibrate`` sweeps the registry grid (every
-planner-backed (library, collective) pair over representative node shapes
-and message sizes), evaluates each point on both the DAG fast path (exact
+``python -m repro.models.calibrate`` sweeps the calibration grid (every
+pair of :data:`repro.sched.analytic.ANALYTIC_PAIRS` over representative
+node shapes and message sizes), evaluates each point on both the DAG fast path (exact
 — bit-identical to the event loop) and the analytic closed forms, and
 writes the relative-error distribution to ``results/analytic_error.json``.
 
@@ -44,14 +44,15 @@ QUICK_SIZES = (512, 16384, 262144)
 def calibration_grid(
     quick: bool = False,
 ) -> List[Tuple[str, str, int, int, int]]:
-    """The (library, collective, nodes, ppn, msg_bytes) calibration grid."""
-    from repro.sched.registry import registry_combinations
+    """The (library, collective, nodes, ppn, msg_bytes) calibration grid,
+    over the pairs the analytic tier has closed forms for."""
+    from repro.sched.analytic import ANALYTIC_PAIRS
 
     shapes = QUICK_SHAPES if quick else SHAPES
     sizes = QUICK_SIZES if quick else SIZES
     return [
         (lib, coll, nodes, ppn, nbytes)
-        for lib, coll in registry_combinations()
+        for lib, coll in ANALYTIC_PAIRS
         for nodes, ppn in shapes
         for nbytes in sizes
     ]

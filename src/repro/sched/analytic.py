@@ -26,9 +26,11 @@ times the iteration count.  Rendezvous control traffic (RTS/CTS) is not
 modelled, so counts can undercount the exact engines' totals for
 above-threshold messages.
 
-Coverage is the planner-backed registry surface
-(:data:`repro.sched.registry.PLANNER_BACKED`), same as the DAG and batch
-engines; :func:`analytic_supported` reports it.
+Coverage is :data:`ANALYTIC_PAIRS`, the eight pairs with a closed form:
+the PiP-MColl variants' three collectives and the flat baselines'
+allgather.  It is a subset of the planner-backed registry surface
+(:data:`repro.sched.registry.PLANNER_BACKED`) the DAG and batch engines
+cover; :func:`analytic_supported` reports it.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ from repro.sched.registry import (
     MCOLL_VARIANTS,
     _mcoll_thresholds,
     canonical_name,
-    planner_backed,
 )
 
 __all__ = [
+    "ANALYTIC_PAIRS",
     "ERROR_BOUND",
     "AnalyticEstimate",
     "AnalyticColumn",
@@ -71,9 +73,23 @@ __all__ = [
 #: docstring; measured headroom lives in results/analytic_error.json)
 ERROR_BOUND = 0.5
 
-#: whether a pair has a closed-form lowering: exactly the planner-backed
-#: pairs
-analytic_supported = planner_backed
+#: the (canonical library, collective) pairs with a closed-form lowering
+ANALYTIC_PAIRS: Tuple[Tuple[str, str], ...] = (
+    ("pip-mcoll", "scatter"),
+    ("pip-mcoll", "allgather"),
+    ("pip-mcoll", "allreduce"),
+    ("pip-mcoll-small", "scatter"),
+    ("pip-mcoll-small", "allgather"),
+    ("pip-mcoll-small", "allreduce"),
+    ("pip-mpich", "allgather"),
+    ("openmpi", "allgather"),
+)
+
+
+def analytic_supported(library: str, collective: str) -> bool:
+    """Whether a pair has a closed-form lowering, under any spelling of
+    the library name."""
+    return (canonical_name(library), collective) in ANALYTIC_PAIRS
 
 
 @dataclass(frozen=True)

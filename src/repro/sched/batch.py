@@ -56,10 +56,11 @@ coroutine machinery, but still pays Python event dispatch once per
    :data:`_REBATCH_DEPTH` levels.  Sizes that inverted the same pairs
    the same way overwhelmingly agree with *each other*, so contention-
    bound columns converge in a handful of vectorized passes instead of
-   bailing to per-size DAG evaluation.  Only singleton clusters, clusters
-   that stopped shrinking, and depth-bound exhaustion fall back to the
-   scalar DAG engine, as do single-size partitions, where batching buys
-   nothing.
+   bailing to per-size DAG evaluation.  Only clusters narrower than
+   :data:`_MIN_BATCH_WIDTH`, clusters that stopped shrinking, and
+   depth-bound exhaustion fall back to the scalar DAG engine, as do
+   partitions narrower than that width, where a vectorized pass costs
+   more than the per-size replays it replaces.
 
 The contract is the DAG engine's, inherited transitively: for every size,
 ``evaluate_column``'s samples and message counts are **bit-identical** to
@@ -128,6 +129,14 @@ __all__ = [
 #: its sizes drop to the scalar DAG engine
 _REBATCH_DEPTH = 4
 
+#: partitions (and divergent clusters) narrower than this many sizes go
+#: to the scalar DAG engine size by size: below it one vectorized pass
+#: costs more than the per-size replays it replaces.  Measured on cold
+#: evaluations: a pass lost to per-size DAG at every width of the
+#: small-scale figure columns (2-10 sizes) and first won at 8-11 sizes on
+#: the 121-size columns (DESIGN.md section 2, fallback rule 3)
+_MIN_BATCH_WIDTH = 11
+
 
 class ColumnStats(NamedTuple):
     """How one column was evaluated (diagnostics and test hooks)."""
@@ -136,7 +145,8 @@ class ColumnStats(NamedTuple):
     partitions: Tuple[Tuple[int, ...], ...]
     #: sizes flagged order-divergent and re-evaluated on the DAG engine
     fallback_sizes: Tuple[int, ...]
-    #: single-size partitions, routed straight to the DAG engine
+    #: sizes of partitions narrower than ``_MIN_BATCH_WIDTH``, routed
+    #: straight to the DAG engine
     singleton_sizes: Tuple[int, ...]
     #: runtime partition splits taken at size-dependent branches
     splits: int
@@ -743,7 +753,8 @@ def evaluate_column(
     unrecorded iterations, ``measure`` recorded ones), applied to every
     size in ``sizes`` at once.  Results are bit-identical to per-size DAG
     evaluation; sizes the vector pass cannot prove order-invariant — and
-    single-size partitions — are evaluated on the DAG engine directly.
+    partitions narrower than ``_MIN_BATCH_WIDTH`` — are evaluated on the
+    DAG engine directly.
     """
     sizes = list(sizes)
     check_protocol(warmup, measure, sizes)
@@ -798,8 +809,8 @@ def evaluate_column(
         # signature cluster is re-batched under its own pivot,
         # recursively up to _REBATCH_DEPTH levels.  A cluster as large as
         # its partition cannot make progress (the pass is deterministic),
-        # so it — like singleton clusters and depth exhaustion — goes to
-        # the DAG engine.
+        # so it — like clusters narrower than _MIN_BATCH_WIDTH and depth
+        # exhaustion — goes to the DAG engine.
         nonlocal retries, max_depth
         if depth >= _REBATCH_DEPTH:
             for s, bad in zip(part, divergent):
@@ -812,7 +823,7 @@ def evaluate_column(
             if bad:
                 clusters.setdefault(int(lab), []).append(s)
         for sub in clusters.values():
-            if len(sub) == 1 or len(sub) == len(part):
+            if len(sub) < _MIN_BATCH_WIDTH or len(sub) == len(part):
                 for s in sub:
                     fallback.append(s)
                     results[s] = _dag(s)
@@ -824,9 +835,10 @@ def evaluate_column(
 
     while stack:
         part, depth = stack.pop()
-        if len(part) == 1:
-            results[part[0]] = _dag(part[0])
-            singles.append(part[0])
+        if len(part) < _MIN_BATCH_WIDTH:
+            for s in part:
+                results[s] = _dag(s)
+                singles.append(s)
             continue
         lowered = _lower(part)
         outcome_key = (

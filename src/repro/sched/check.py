@@ -61,6 +61,7 @@ from repro.sched.ir import (
 )
 from repro.sched.registry import (
     COLLECTIVES,
+    LIBRARIES,
     PlannedCollective,
     plan_for,
     registry_combinations,
@@ -475,8 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Statically verify a compiled collective schedule and "
                     "print its per-phase volume/message table.",
     )
-    parser.add_argument("--library", help="pip-mcoll, pip-mcoll-small, "
-                                          "pip-mpich or openmpi")
+    parser.add_argument("--library", help=", ".join(LIBRARIES))
     parser.add_argument("--collective", choices=COLLECTIVES)
     parser.add_argument("--np", type=_parse_shape, metavar="NODESxPPN",
                         help="cluster shape, e.g. 8x16")

@@ -14,8 +14,9 @@ points are plain timeline callbacks — no coroutines, no ``Buffer``
 objects, no ``Transport``.
 
 One lowering serves both fast engines: :func:`lower_column` lowers any
-selection of a plan's sizes, and one process-wide cache holds the results
-keyed by ``(library, collective, nodes, ppn, thresholds, sizes)``.  A
+selection of a plan's sizes, and one bounded, least-recently-used
+process-wide cache holds the results keyed by ``(library, collective,
+nodes, ppn, thresholds, sizes)``.  A
 batch partition is an entry of its sizes; a DAG point is the width-1
 entry of its size, planned and lowered only on a miss.  One continuation
 machine serves both too: the batch engine's world and task subclass
@@ -50,7 +51,7 @@ semantic reference.
 from __future__ import annotations
 
 import numbers
-from collections import deque
+from collections import OrderedDict, deque
 from heapq import heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -227,7 +228,9 @@ class _LoweredColumn(NamedTuple):
     #: highest baked binding-buffer id (AllocStep ids continue from here)
     nbufs: int
     num_namespaces: int
-    flat: bool
+    #: the group-tag symbols the schedule declares; each is bound to one
+    #: fresh value per invocation
+    tags: Tuple[str, ...]
 
 
 def _gatherer(sel: List[int]):
@@ -380,7 +383,7 @@ def lower_column(piece: Tuple[Tuple[int, ...], PlannedCollective],
         envs.append(env)
     return _LoweredColumn(
         compiled, tuple(envs), nbuf, planned.schedule.num_namespaces,
-        bool(planned.symbols),
+        tuple(planned.symbols),
     )
 
 
@@ -393,27 +396,41 @@ class CacheInfo(NamedTuple):
     currsize: int
 
 
+#: lowered columns the process-wide cache keeps; the least recently used
+#: is evicted first.  One column evaluation reuses its own entries at
+#: once, so the bound only has to hold one column's entries for a repeat
+#: of that column: the largest such working set on the benchmark's
+#: columns is 67 (OpenMPI allgather 2x16 over 121 sizes).  Bounded, a
+#: resident ``repro.serve`` worker no longer grows with every new column.
+_LOWERING_CAPACITY = 72
+
+
 class _LoweringCache:
     """Process-wide lowered columns, keyed by ``(library, collective,
-    nodes, ppn, thresholds, sizes)``.
+    nodes, ppn, thresholds, sizes)``, bounded at ``capacity`` entries.
 
     The one cache both fast engines lower through: a batch partition is
     an entry of its sizes, a DAG point the width-1 entry of its size.
     """
 
-    def __init__(self) -> None:
-        self.entries: Dict[tuple, _LoweredColumn] = {}
+    def __init__(self, capacity: int) -> None:
+        self.entries: "OrderedDict[tuple, _LoweredColumn]" = OrderedDict()
+        self.capacity = capacity
         self.hits = 0
         self.misses = 0
 
     def get(self, key: tuple, lower) -> _LoweredColumn:
         """The entry under ``key``; ``lower()`` builds it on a miss."""
-        lowered = self.entries.get(key)
+        entries = self.entries
+        lowered = entries.get(key)
         if lowered is not None:
             self.hits += 1
+            entries.move_to_end(key)
             return lowered
         self.misses += 1
-        lowered = self.entries[key] = lower()
+        lowered = entries[key] = lower()
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
         return lowered
 
     def clear(self) -> None:
@@ -422,7 +439,7 @@ class _LoweringCache:
         self.misses = 0
 
 
-_LOWERED = _LoweringCache()
+_LOWERED = _LoweringCache(_LOWERING_CAPACITY)
 
 
 def lowering_cache_info() -> CacheInfo:
@@ -433,7 +450,8 @@ def lowering_cache_info() -> CacheInfo:
     (``tests/bench/test_runner.py`` pins this).
     """
     return CacheInfo(
-        _LOWERED.hits, _LOWERED.misses, None, len(_LOWERED.entries),
+        _LOWERED.hits, _LOWERED.misses, _LOWERED.capacity,
+        len(_LOWERED.entries),
     )
 
 
@@ -562,7 +580,7 @@ class FastWorld:
         # per-rank collective op counter (identical across ranks, so one
         # world-level counter stands in for all of them)
         self._op_seq = 0
-        # per-group collective-tag counters (flat baselines)
+        # per-symbol group-tag counters (the baselines' group collectives)
         self._group_seqs: Dict = {}
         # fresh abstract buffer ids for AllocStep temporaries, numbered
         # above the binding-buffer ids baked into the lowering
@@ -593,10 +611,19 @@ class FastWorld:
 
     # -- identity ---------------------------------------------------------
 
-    def next_group_tag(self, tag_key) -> tuple:
-        seq = self._group_seqs.get(tag_key, 0) + 1
-        self._group_seqs[tag_key] = seq
-        return (tag_key, seq)
+    def next_group_tag(self, name: str) -> tuple:
+        """A fresh value for group-tag symbol ``name``.
+
+        The event loop's wrappers bind ``RankCtx.collective_tag`` draws,
+        ``(group tag_key, seq)`` tuples; only matching depends on the
+        value, so one fresh value per symbol per invocation matches the
+        same messages.  Node-group symbols are shared by every node's
+        group: their messages never cross nodes, so sources tell the
+        groups apart.
+        """
+        seq = self._group_seqs.get(name, 0) + 1
+        self._group_seqs[name] = seq
+        return (name, seq)
 
     def internode_messages(self) -> int:
         return sum(nic.messages_sent for nic in self.nics)
@@ -644,14 +671,9 @@ class FastWorld:
         """The microbenchmark protocol on this world: ``warmup``
         unrecorded iterations of ``low``, then ``measure`` recorded ones;
         returns the recorded elapsed times."""
-        # the flat wrappers scope tags with the world communicator's
-        # tag_key plus a per-invocation sequence number
-        tag_key = hash(tuple(range(self.size))) if low.flat else None
         samples = []
         for it in range(warmup + measure):
-            symbols = (
-                {"tag": self.next_group_tag(tag_key)} if low.flat else {}
-            )
+            symbols = {name: self.next_group_tag(name) for name in low.tags}
             elapsed = self.run_schedule(
                 low.compiled, low.envs, symbols, low.num_namespaces
             )

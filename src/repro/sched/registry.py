@@ -3,17 +3,19 @@
 Maps the benchmark-facing library/collective names to the planner that the
 live wrapper would execute for a given shape and message size — honouring
 the same selection logic (:class:`~repro.core.tuning.Thresholds` for
-PiP-MColl, MPICH's total-size/power-of-two selection for the flat
-baselines) — and describes the buffer environment each participant starts
-with, so :mod:`repro.sched.check` can verify the schedule without running
-the simulator.  :func:`plan_column` runs the same selection once over a
-whole message-size column, for the batch engine.
+PiP-MColl, MPICH's ``mpich_*`` selectors for the baselines) — and
+describes the buffer environment each participant starts with, so
+:mod:`repro.sched.check` can verify the schedule without running the
+simulator.  :func:`plan_column` runs the same selection once over a whole
+message-size column, for the batch engine.
 
-Coverage is exactly the planner-backed surface: the PiP-MColl primary
-collectives (scatter/allgather/allreduce, plus the forced-small variant)
-and the flat baselines' allgather.  The hierarchical libraries
-(MVAPICH2/IntelMPI) compose algorithms that still run as hand-written
-generators and are out of scope here.
+Coverage is the paper's three collectives (scatter, allgather,
+allreduce) for all six libraries: PiP-MColl and its forced-small variant;
+the flat baselines (PiP-MPICH, Open MPI), which run MPICH's group
+algorithms over the world; and the leader-based baselines (MVAPICH2,
+Intel MPI), which run the two-level compositions of
+:mod:`repro.sched.plans.hierarchical`.  Every plan roots at rank 0, as the
+benchmarks do.
 
 Buffer sizes are in *elements*; the microbenchmarks drive every collective
 with byte elements, so element counts equal byte counts throughout.
@@ -26,9 +28,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sched.ir import Schedule
 from repro.sched.plans.baseline import (
-    plan_allgather_bruck,
-    plan_allgather_recursive_doubling,
-    plan_allgather_ring,
+    mpich_allgather,
+    mpich_allreduce,
+    mpich_scatter,
+    plan_group,
+)
+from repro.sched.plans.hierarchical import (
+    COMPOSE_TAGS,
+    SCATTER_TAGS,
+    plan_hier_allgather,
+    plan_hier_allreduce,
+    plan_hier_scatter,
 )
 from repro.sched.plans.mcoll import (
     plan_allgather_large,
@@ -37,8 +47,6 @@ from repro.sched.plans.mcoll import (
     plan_allreduce_small,
     plan_scatter,
 )
-from repro.util.intmath import is_power_of
-from repro.util.units import KB
 
 __all__ = [
     "PlannedCollective",
@@ -61,20 +69,19 @@ COLLECTIVES = ("scatter", "allgather", "allreduce")
 PLANNER_BACKED: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "pip-mcoll": ("PiP-MColl", COLLECTIVES),
     "pip-mcoll-small": ("PiP-MColl-small", COLLECTIVES),
-    "pip-mpich": ("PiP-MPICH", ("allgather",)),
-    "openmpi": ("OpenMPI", ("allgather",)),
+    "pip-mpich": ("PiP-MPICH", COLLECTIVES),
+    "openmpi": ("OpenMPI", COLLECTIVES),
+    "mvapich2": ("MVAPICH2", COLLECTIVES),
+    "intelmpi": ("IntelMPI", COLLECTIVES),
 }
 
 #: checker-facing library names (canonical, lowercase)
 LIBRARIES = tuple(PLANNER_BACKED)
 
-#: the PiP-MColl variants; the other planner-backed libraries run MPICH's
-#: flat selection
+#: the PiP-MColl variants
 MCOLL_VARIANTS = ("pip-mcoll", "pip-mcoll-small")
-
-#: MPICH's flat allgather switches on *total* receive size (see
-#: repro.baselines.libraries._mpich_allgather)
-_MPICH_ALLGATHER_RING_TOTAL = 80 * KB
+#: the leader-based libraries; the rest run MPICH's flat selection
+HIERARCHICAL = ("mvapich2", "intelmpi")
 
 
 @dataclass(frozen=True)
@@ -213,59 +220,70 @@ def _select(library: str, collective: str, nodes: int, ppn: int, nbytes,
 
     size = nodes * ppn
     world = tuple(range(size))
+    # the group tags the schedule binds (symbolic; the checker resolves
+    # them to distinct constants)
+    tags: Tuple[str, ...] = ()
 
     if library in MCOLL_VARIANTS:
         thr = _mcoll_thresholds(library, thresholds)
         if collective == "scatter":
             schedule = plan(plan_scatter, nodes, ppn, nbytes, 0, True)
-            bindings = tuple(
-                {"send": size * nbytes, "recv": nbytes} if rank == 0
-                else {"recv": nbytes}
-                for rank in world
-            )
         elif collective == "allgather":
             if nbytes < thr.allgather_large_bytes:
                 schedule = plan(plan_allgather_small, nodes, ppn, nbytes)
             else:
                 schedule = plan(plan_allgather_large, nodes, ppn, nbytes)
-            bindings = tuple(
-                {"send": nbytes, "recv": size * nbytes} for _ in world
-            )
-        else:  # allreduce
-            if nbytes < thr.allreduce_large_bytes:
-                schedule = plan(plan_allreduce_small, nodes, ppn, nbytes)
-            else:
-                schedule = plan(plan_allreduce_large, nodes, ppn, nbytes)
-            bindings = tuple(
-                {"send": nbytes, "recv": nbytes} for _ in world
-            )
-        return PlannedCollective(
-            label=f"{library} {collective} {nodes}x{ppn} {nbytes}B "
-                  f"[{schedule.label}]",
-            schedule=schedule,
-            ranks=world,
-            bindings=bindings,
-        )
-
-    # flat baselines (PiP-MPICH / OpenMPI share MPICH's selection; the
-    # table gives them only an allgather)
-    total = size * nbytes
-    if total < _MPICH_ALLGATHER_RING_TOTAL:
-        if is_power_of(2, size):
-            schedule = plan(plan_allgather_recursive_doubling, world, nbytes)
+        elif nbytes < thr.allreduce_large_bytes:
+            schedule = plan(plan_allreduce_small, nodes, ppn, nbytes)
         else:
-            schedule = plan(plan_allgather_bruck, world, nbytes)
+            schedule = plan(plan_allreduce_large, nodes, ppn, nbytes)
+    elif library in HIERARCHICAL:
+        # the leader phase selects on the leader count and the bytes the
+        # libraries' wrappers hand MPICH's selectors
+        if collective == "scatter":
+            leader = mpich_scatter(nodes, ppn * nbytes)
+            schedule = plan(plan_hier_scatter, nodes, ppn, nbytes, 0, leader)
+            tags = SCATTER_TAGS
+        elif collective == "allgather":
+            leader = mpich_allgather(nodes, size * nbytes)
+            schedule = plan(plan_hier_allgather, nodes, ppn, nbytes, leader)
+            tags = COMPOSE_TAGS
+        else:
+            leader = mpich_allreduce(nodes, nbytes)
+            schedule = plan(plan_hier_allreduce, nodes, ppn, nbytes, leader)
+            tags = COMPOSE_TAGS
     else:
-        schedule = plan(plan_allgather_ring, world, nbytes)
+        # flat: MPICH's group algorithms over the world communicator
+        if collective == "scatter":
+            schedule = plan(plan_group, mpich_scatter(size, nbytes),
+                            world, nbytes, 0)
+        elif collective == "allgather":
+            schedule = plan(plan_group, mpich_allgather(size, size * nbytes),
+                            world, nbytes)
+        else:
+            schedule = plan(plan_group, mpich_allreduce(size, nbytes),
+                            world, nbytes)
+        tags = ("tag",)
+
+    if collective == "scatter":
+        bindings = tuple(
+            {"send": size * nbytes, "recv": nbytes} if rank == 0
+            else {"recv": nbytes}
+            for rank in world
+        )
+    elif collective == "allgather":
+        bindings = tuple(
+            {"send": nbytes, "recv": size * nbytes} for _ in world
+        )
+    else:  # allreduce
+        bindings = tuple({"send": nbytes, "recv": nbytes} for _ in world)
     return PlannedCollective(
-        label=f"{library} allgather {nodes}x{ppn} {nbytes}B "
+        label=f"{library} {collective} {nodes}x{ppn} {nbytes}B "
               f"[{schedule.label}]",
         schedule=schedule,
         ranks=world,
-        bindings=tuple(
-            {"send": nbytes, "recv": size * nbytes} for _ in world
-        ),
-        symbols={"tag": ("check-tag",)},
+        bindings=bindings,
+        symbols={name: ("check-tag", name) for name in tags},
     )
 
 
@@ -285,9 +303,10 @@ def planner_cache_info() -> Dict[str, "object"]:
         plan_allgather_large,
         plan_allreduce_small,
         plan_allreduce_large,
-        plan_allgather_bruck,
-        plan_allgather_recursive_doubling,
-        plan_allgather_ring,
+        plan_group,
+        plan_hier_scatter,
+        plan_hier_allgather,
+        plan_hier_allreduce,
     )
     info = {fn.__name__: fn.cache_info() for fn in planners}
     # the fast engines' shared lowering cache is the same kind of animal —

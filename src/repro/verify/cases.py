@@ -79,6 +79,20 @@ _POW2_ONLY = {"allgather_recursive_doubling", "reduce_scatter_halving"}
 
 _VECTOR = ("scatterv", "gatherv", "allgatherv")
 
+#: the schedule surfaces of the first planner registry, in their original
+#: order; pairs the registry gained later are appended after every
+#: existing entry, so no entry's index (and rotation phase) moves
+_FIRST_SCHEDULE_PAIRS = (
+    ("pip-mcoll", "scatter"),
+    ("pip-mcoll", "allgather"),
+    ("pip-mcoll", "allreduce"),
+    ("pip-mcoll-small", "scatter"),
+    ("pip-mcoll-small", "allgather"),
+    ("pip-mcoll-small", "allreduce"),
+    ("pip-mpich", "allgather"),
+    ("openmpi", "allgather"),
+)
+
 
 def _build_entries() -> Tuple[Entry, ...]:
     entries = [
@@ -91,9 +105,13 @@ def _build_entries() -> Tuple[Entry, ...]:
         for algo, coll in _FLAT_ALGORITHMS.items()
     ]
     entries += [Entry("vector", v, v) for v in _VECTOR]
+    later = [
+        pair for pair in registry_combinations()
+        if pair not in _FIRST_SCHEDULE_PAIRS
+    ]
     entries += [
         Entry("schedule", coll, f"{lib}:{coll}")
-        for lib, coll in registry_combinations()
+        for lib, coll in _FIRST_SCHEDULE_PAIRS + tuple(later)
     ]
     return tuple(entries)
 

@@ -6,10 +6,9 @@ import pytest
 from repro.baselines import hier_allgather, hier_allreduce, hier_scatter
 from repro.baselines.hierarchical import leader_group, node_group
 from repro.mpi import DOUBLE, SUM, Buffer
-from repro.mpi.collectives import (
-    allgather_ring,
-    allreduce_recursive_doubling,
-    scatter_binomial,
+from repro.sched.plans.baseline import (
+    emit_allgather_ring,
+    emit_allreduce_recursive_doubling,
 )
 from repro.shmem import PosixShmem
 
@@ -73,8 +72,8 @@ class TestHierAllgatherAllreduce:
         outputs = [Buffer.alloc(DOUBLE, size * 3) for _ in range(size)]
         expected = np.concatenate([b.array() for b in inputs])
 
-        def leader_ag(ctx, group, sendbuf, recvbuf):
-            yield from allgather_ring(ctx, group, sendbuf, recvbuf)
+        def leader_ag(size, nbytes):
+            return emit_allgather_ring
 
         def body(ctx):
             yield from hier_allgather(ctx, inputs[ctx.rank], outputs[ctx.rank],
@@ -95,7 +94,7 @@ class TestHierAllgatherAllreduce:
         def body(ctx):
             yield from hier_allreduce(
                 ctx, inputs[ctx.rank], outputs[ctx.rank], SUM,
-                allreduce_recursive_doubling,
+                lambda size, nbytes: emit_allreduce_recursive_doubling,
             )
 
         world.run(body)
@@ -110,7 +109,7 @@ class TestHierAllgatherAllreduce:
         def body(ctx):
             yield from hier_allreduce(
                 ctx, inputs[ctx.rank], outputs[ctx.rank], SUM,
-                allreduce_recursive_doubling,
+                lambda size, nbytes: emit_allreduce_recursive_doubling,
             )
 
         world.run(body)

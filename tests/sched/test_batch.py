@@ -19,6 +19,7 @@ from repro.baselines.registry import make_library
 from repro.bench.microbench import run_point
 from repro.core.tuning import Thresholds
 from repro.hw.params import bebop_broadwell
+from repro.sched import batch as batch_mod
 from repro.sched.batch import (
     _evaluate_partition,
     clear_lowering_cache,
@@ -28,19 +29,21 @@ from repro.sched.batch import (
 from repro.sched.fastpath import evaluate_point, lower_column
 from repro.sched.ir import BufRef, IntraOpStep, RankProgram, Schedule
 from repro.sched.registry import (
+    PLANNER_BACKED,
     PlannedCollective,
     planner_cache_info,
     registry_combinations,
 )
 from repro.sim.batchline import BatchTimeline, SizeVec
 
-#: canonical registry name -> the benchmark-facing display name
-BENCH_NAME = {
-    "pip-mcoll": "PiP-MColl",
-    "pip-mcoll-small": "PiP-MColl-small",
-    "pip-mpich": "PiP-MPICH",
-    "openmpi": "OpenMPI",
-}
+@pytest.fixture(autouse=True)
+def _batch_every_partition(monkeypatch):
+    """Run a vector pass on every partition of two or more sizes: these
+    tests check the vector replay itself, whatever width floor the router
+    applies (``test_partitions_below_the_width_floor_route_to_dag`` pins
+    the floor)."""
+    monkeypatch.setattr(batch_mod, "_MIN_BATCH_WIDTH", 2)
+
 
 #: straddles the 16 KB eager/rendezvous default, the hybrid intranode
 #: thresholds, and the PiP-MColl 64 KB algorithm switches
@@ -48,7 +51,8 @@ STRADDLE_AXIS = (16, 512, 4096, 16384, 32768, 65536, 131072, 262144)
 
 
 def _assert_column_identical(lib, coll, nodes, ppn, sizes, **kw):
-    col = evaluate_column(BENCH_NAME[lib], coll, nodes, ppn, sizes, **kw)
+    col = evaluate_column(PLANNER_BACKED[lib][0], coll, nodes, ppn, sizes,
+                          **kw)
     assert set(col.results) == set(sizes)
     for s in sizes:
         ref = evaluate_point(lib, coll, nodes, ppn, s, **kw)
@@ -149,6 +153,21 @@ def test_singleton_partition_routes_to_dag():
     assert col.stats.partitions == ()
 
 
+def test_partitions_below_the_width_floor_route_to_dag(monkeypatch):
+    """Partitions narrower than ``_MIN_BATCH_WIDTH`` never run a vector
+    pass: every size goes to the DAG engine and is counted as a
+    singleton, bit-identically."""
+    sizes = (256, 512, 1024, 2048)
+    monkeypatch.setattr(batch_mod, "_MIN_BATCH_WIDTH", len(sizes) + 1)
+    col = _assert_column_identical("pip-mcoll", "scatter", 2, 2, sizes)
+    assert col.stats.partitions == ()
+    assert col.stats.singleton_sizes == sizes
+    monkeypatch.setattr(batch_mod, "_MIN_BATCH_WIDTH", len(sizes))
+    col = _assert_column_identical("pip-mcoll", "scatter", 2, 2, sizes)
+    assert col.stats.partitions == (sizes,)
+    assert col.stats.singleton_sizes == ()
+
+
 def test_rebatch_recursion_and_depth_exhaustion(monkeypatch):
     """Signature clusters re-batch under their own pivot until the depth
     bound, then fall back to the DAG engine — exactly either way.
@@ -207,7 +226,7 @@ def test_outcome_cache_elides_adjudication_passes():
 
 def test_batch_rejects_unsupported_pairs():
     with pytest.raises(ValueError, match="planner-backed"):
-        evaluate_column("OpenMPI", "scatter", 2, 2, (512,))
+        evaluate_column("OpenMPI", "bcast", 2, 2, (512,))
 
 
 def test_batch_rejects_threshold_overrides_without_thresholds():
@@ -264,6 +283,25 @@ def test_repeated_columns_do_not_relower():
     second = lowering_cache_info()
     assert second.misses == first.misses
     assert second.hits > first.hits
+
+
+def test_lowering_cache_stays_at_capacity():
+    """More distinct lowerings than the capacity evict the least recently
+    used: the cache never grows past its bound."""
+    clear_lowering_cache()
+    capacity = lowering_cache_info().maxsize
+    last = capacity + 9
+    for s in range(1, last + 1):
+        evaluate_point("PiP-MColl", "scatter", 1, 2, s)
+    info = lowering_cache_info()
+    assert info.misses == last
+    assert info.currsize == capacity
+    evaluate_point("PiP-MColl", "scatter", 1, 2, last)  # most recent: kept
+    assert lowering_cache_info().hits == info.hits + 1
+    evaluate_point("PiP-MColl", "scatter", 1, 2, 1)  # oldest: evicted
+    assert lowering_cache_info().misses == last + 1
+    assert lowering_cache_info().currsize == capacity
+    clear_lowering_cache()
 
 
 def test_lowering_cache_reports_through_planner_window():

@@ -193,7 +193,7 @@ def test_cli_accepts_issue_invocation_verbatim(capsys):
 
 def test_cli_unplanned_library_exits_nonzero(capsys):
     rc = main([
-        "--library", "mvapich2", "--collective", "allreduce",
+        "--library", "mpich-ch3", "--collective", "allreduce",
         "--np", "2x2", "--nbytes", "4K",
     ])
     assert rc == 2
@@ -201,11 +201,14 @@ def test_cli_unplanned_library_exits_nonzero(capsys):
 
 
 def test_cli_baseline_collective_without_planner_exits_nonzero(capsys):
-    rc = main([
-        "--library", "pip-mpich", "--collective", "allreduce",
-        "--np", "2x2", "--nbytes", "4K",
-    ])
-    assert rc == 2
+    # every library plans the three collectives the CLI offers; a
+    # collective without a planner is refused at the command line
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--library", "pip-mpich", "--collective", "bcast",
+            "--np", "2x2", "--nbytes", "4K",
+        ])
+    assert exc.value.code == 2
 
 
 def test_cli_missing_arguments_rejected():

@@ -21,29 +21,20 @@ from repro.sched.fastpath import (
     fastpath_supported,
 )
 from repro.sched.registry import (
+    PLANNER_BACKED,
     plan_for,
     planner_cache_info,
     registry_combinations,
 )
-
-#: canonical registry name -> the benchmark-facing display name run_point
-#: expects
-BENCH_NAME = {
-    "pip-mcoll": "PiP-MColl",
-    "pip-mcoll-small": "PiP-MColl-small",
-    "pip-mpich": "PiP-MPICH",
-    "openmpi": "OpenMPI",
-}
 
 SHAPES = ((2, 2), (4, 3))
 SIZES = (512, 32768, 131072)
 
 
 def _assert_point_identical(lib, coll, nodes, ppn, nbytes, **kw):
-    event = run_point(BENCH_NAME[lib], coll, nodes, ppn, nbytes,
-                      engine="event", **kw)
-    dag = run_point(BENCH_NAME[lib], coll, nodes, ppn, nbytes,
-                    engine="dag", **kw)
+    name = PLANNER_BACKED[lib][0]
+    event = run_point(name, coll, nodes, ppn, nbytes, engine="event", **kw)
+    dag = run_point(name, coll, nodes, ppn, nbytes, engine="dag", **kw)
     label = f"{lib}/{coll} {nodes}x{ppn} {nbytes}B"
     assert dag.samples == event.samples, label
     assert dag.internode_messages == event.internode_messages, label
@@ -94,11 +85,12 @@ def test_auto_resolves_to_dag_only_where_supported():
     assert resolve_engine("auto", "PiP-MColl", "allreduce") == "dag"
     assert resolve_engine("auto", "pip_mcoll", "scatter") == "dag"
     assert resolve_engine("auto", "OpenMPI", "allgather") == "dag"
-    # hierarchical baselines still run as generators
-    assert resolve_engine("auto", "MVAPICH2", "allreduce") == "event"
+    # the hierarchical baselines' compositions are planned too
+    assert resolve_engine("auto", "MVAPICH2", "allreduce") == "dag"
     # non-planner-backed collectives of planner-backed libraries
     assert resolve_engine("auto", "PiP-MColl", "alltoall") == "event"
-    assert resolve_engine("auto", "OpenMPI", "allreduce") == "event"
+    assert resolve_engine("auto", "OpenMPI", "bcast") == "event"
+    assert resolve_engine("auto", "MVAPICH2", "reduce") == "event"
     # tracing always needs the event loop
     assert resolve_engine("auto", "PiP-MColl", "allreduce", tracing=True) \
         == "event"
@@ -113,17 +105,17 @@ def test_auto_resolves_to_dag_only_where_supported():
 
 def test_fastpath_supported_matches_registry():
     for lib, coll in registry_combinations():
-        assert fastpath_supported(BENCH_NAME[lib], coll)
-    assert not fastpath_supported("MVAPICH2", "allreduce")
-    assert not fastpath_supported("PiP-MPICH", "allreduce")
+        assert fastpath_supported(PLANNER_BACKED[lib][0], coll)
+    assert not fastpath_supported("MVAPICH2", "bcast")
+    assert not fastpath_supported("PiP-MPICH", "alltoall")
     assert not fastpath_supported("PiP-MColl", "bcast")
 
 
 def test_dag_engine_rejects_unsupported_pairs():
     with pytest.raises(ValueError, match="planner-backed"):
-        run_point("MVAPICH2", "allreduce", 2, 2, 512, engine="dag")
+        run_point("MVAPICH2", "bcast", 2, 2, 512, engine="dag")
     with pytest.raises(ValueError, match="planner-backed"):
-        evaluate_point("PiP-MPICH", "scatter", 2, 2, 512)
+        evaluate_point("PiP-MPICH", "gather", 2, 2, 512)
 
 
 def test_dag_engine_rejects_tracing():
@@ -135,8 +127,8 @@ def test_dag_engine_rejects_tracing():
 
 
 def test_auto_degrades_to_event_instead_of_raising():
-    result = run_point("MVAPICH2", "allreduce", 2, 2, 512, engine="auto")
-    reference = run_point("MVAPICH2", "allreduce", 2, 2, 512, engine="event")
+    result = run_point("MVAPICH2", "reduce", 2, 2, 512, engine="auto")
+    reference = run_point("MVAPICH2", "reduce", 2, 2, 512, engine="event")
     assert result == reference
 
 
@@ -165,7 +157,7 @@ def test_repeated_points_do_not_replan():
     run_point(*spec, engine="dag")
     run_point(*spec, engine="event")  # executor wrappers share the caches
     after = planner_cache_info()
-    assert set(after) == set(before) and len(after) == 9
+    assert set(after) == set(before) and len(after) == 10
     for name in after:
         assert after[name].misses == before[name].misses, name
     assert sum(i.hits for i in after.values()) > sum(

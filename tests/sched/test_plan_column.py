@@ -32,7 +32,7 @@ from repro.sched.ir import (
     SendStep,
     WaitStep,
 )
-from repro.sched.plans import baseline, mcoll, ring
+from repro.sched.plans import baseline, hierarchical, mcoll, ring
 from repro.sched.registry import plan_column, plan_for, registry_combinations
 from repro.sim.batchline import BatchDivergence, BatchTimeline, SizeVec
 from repro.util.units import KB
@@ -52,8 +52,8 @@ OVERRIDES = (
 PLANNERS = (
     mcoll.plan_scatter, mcoll.plan_allgather_small, mcoll.plan_allgather_large,
     mcoll.plan_allreduce_small, mcoll.plan_allreduce_large,
-    baseline.plan_allgather_bruck, baseline.plan_allgather_recursive_doubling,
-    baseline.plan_allgather_ring,
+    baseline.plan_group, hierarchical.plan_hier_scatter,
+    hierarchical.plan_hier_allgather, hierarchical.plan_hier_allreduce,
 )
 
 
@@ -158,22 +158,24 @@ def test_block_partition_of_a_size_vector_is_element_wise():
 
 def _threshold_axis(nodes, ppn):
     """Sizes one byte either side of every size switch: the PiP-MColl
-    64 KB algorithm switches, MPICH's 80 KB-total ring switch and the
-    16 KB eager/rendezvous threshold."""
+    64 KB algorithm switches, MPICH's 80 KB-total ring switch and 2 KB
+    allreduce switch, and the 16 KB eager/rendezvous threshold."""
     world = nodes * ppn
-    marks = (64 * KB, 16 * KB, 80 * KB // world, -(-80 * KB // world))
+    marks = (64 * KB, 16 * KB, 2 * KB, 80 * KB // world,
+             -(-80 * KB // world))
     return tuple(sorted({m + d for m in marks for d in (-1, 0, 1)
                          if m + d >= 1}))
 
 
 _NS = (101, 102, 103)
-_SYMBOLS = {"tag": (7, 9)}
+_SYMBOLS = {"tag": (7, 9), "node-in": (7, 3), "leader": (7, 4),
+            "node-out": (7, 5)}
 
 
 def _canonical(low):
     """Every field of a lowering as text: ``repr`` shows the type of every
     number (``5`` vs ``np.int64(5)``), and tag builders are evaluated."""
-    rows = [repr(low.envs), repr((low.nbufs, low.num_namespaces, low.flat))]
+    rows = [repr(low.envs), repr((low.nbufs, low.num_namespaces, low.tags))]
     for comp in low.compiled:
         rows.append(repr(comp.ops))
         rows.append(repr(comp.const_tags))
@@ -308,6 +310,8 @@ def test_dag_replays_batch_lowered_sizes_bit_identically(monkeypatch):
         return np.ones(self.width, dtype=bool)
 
     monkeypatch.setattr(BatchTimeline, "order_divergence", all_divergent)
+    # run a vector pass on every partition wider than one size
+    monkeypatch.setattr(batch_mod, "_MIN_BATCH_WIDTH", 2)
     sizes = (2048, 4096, 8192, 65536, 131072, 262144)
     clear_lowering_cache()
     col = evaluate_column("PiP-MColl", "allreduce", 4, 3, sizes)
@@ -326,6 +330,8 @@ def test_over_split_columns_stay_exact(monkeypatch):
     its own group, and every result equals the unpatched column's."""
     sizes = (96, 97, 98, 99, 100, 101, 131072, 131073, 131075)
     args = ("PiP-MColl", "allreduce", 4, 3, sizes)
+    # run a vector pass on every partition wider than one size
+    monkeypatch.setattr(batch_mod, "_MIN_BATCH_WIDTH", 2)
     clear_lowering_cache()
     want = evaluate_column(*args)
     pieces = plan_column("pip-mcoll", "allreduce", 4, 3, sizes)

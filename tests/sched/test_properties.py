@@ -23,15 +23,11 @@ from repro.bench.microbench import _make_body
 from repro.core.tuning import Thresholds
 from repro.hw import Topology, tiny_test_machine
 from repro.sched.check import check_planned
-from repro.sched.registry import plan_for, registry_combinations
-
-#: checker-facing name -> benchmark registry name
-_BENCH_NAME = {
-    "pip-mcoll": "PiP-MColl",
-    "pip-mcoll-small": "PiP-MColl-small",
-    "pip-mpich": "PiP-MPICH",
-    "openmpi": "OpenMPI",
-}
+from repro.sched.registry import (
+    PLANNER_BACKED,
+    plan_for,
+    registry_combinations,
+)
 
 
 def _random_shapes(n, seed=0x51C4ED):
@@ -96,7 +92,7 @@ def test_both_algorithm_variants_pass_checker(collective, shape, thresholds):
 
 def _simulate(library, collective, nodes, ppn, nbytes):
     """One live iteration on the tiny test machine; returns the World."""
-    lib = make_library(_BENCH_NAME[library])
+    lib = make_library(PLANNER_BACKED[library][0])
     world = lib.make_world(
         Topology(nodes, ppn), tiny_test_machine(), phantom=True
     )

@@ -349,7 +349,7 @@ def test_invalid_machine_params_answer_bad_request(tmp_path):
 def test_evaluation_failure_reports_internal_not_a_hang(tmp_path):
     # a well-formed spec the DAG engine cannot evaluate: it fails inside
     # the worker, not at the front door
-    bad = [Point("MVAPICH2", "allreduce", 2, 4, 512, engine="dag")]
+    bad = [Point("MVAPICH2", "bcast", 2, 4, 512, engine="dag")]
     with DaemonThread(tmp_path) as harness:
         with harness.client() as client:
             with pytest.raises(ServeError) as err:
