@@ -1,16 +1,11 @@
 """Cross-run regression dashboard — ``python -m repro.bench.dashboard``.
 
-The repository commits one ``BENCH_*.json`` document per performance
-campaign (``BENCH_fastpath.json``, ``BENCH_batch.json``,
-``BENCH_analytic.json``, ``BENCH_store.json``,
-``BENCH_serve.json`` — all written by
-``benchmarks/bench_speed.py``).  Each carries an ``aggregate`` block with
-a headline points-per-second figure.  This tool lines those figures up
-*across commits*: for every ``BENCH_*.json`` in the working tree it walks
-the file's git history, extracts the headline metric from each committed
-revision, prints the trajectory, and flags a regression when the working
-tree value drops below ``--threshold`` (default 0.8) times the best
-committed value.
+``benchmarks/bench_speed.py`` commits one document, ``BENCH_speed.json``:
+one row per (column, route) and an ``aggregate`` block with each route's
+cold and warm points/sec.  This tool lines those figures up *across
+commits*: it walks the file's git history, prints each route's cold and
+warm trajectory, and flags a regression when the working tree value
+drops below ``--threshold`` (default 0.8) times the best committed value.
 
 Usage::
 
@@ -19,9 +14,8 @@ Usage::
     python -m repro.bench.dashboard --commits 0      # working tree only
 
 Outside a git checkout (or with ``--commits 0``) the dashboard degrades
-to a plain table of current values.  CI runs the per-benchmark smoke
-gates for hard regression checks; this tool is the cross-campaign,
-cross-commit view a human reads.
+to a plain table of current values.  ``bench_speed.py --smoke`` is the
+hard CI gate; this tool is the cross-commit view a human reads.
 """
 
 from __future__ import annotations
@@ -31,33 +25,27 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["main", "headline_metric"]
+__all__ = ["main", "route_metrics", "BENCH_NAME"]
 
-#: aggregate keys, most-derived engine first — the first present in a
-#: document's ``aggregate`` block is its headline metric
-_PREFERRED_METRICS = (
-    "warm_points_per_sec",
-    "store_points_per_sec",
-    "batch_points_per_sec",
-    "analytic_points_per_sec",
-    "dag_points_per_sec",
-)
+BENCH_NAME = "BENCH_speed.json"
 
 
-def headline_metric(doc: dict) -> Tuple[str, float]:
-    """The (name, value) of a bench document's headline throughput."""
+def route_metrics(doc: dict) -> Dict[str, float]:
+    """``{"<route> cold" | "<route> warm": points/sec}`` for every route
+    in a ``BENCH_speed.json`` document's ``aggregate`` block."""
     agg = doc.get("aggregate")
-    if not isinstance(agg, dict):
+    if not isinstance(agg, dict) or not agg:
         raise ValueError("no aggregate block")
-    for key in _PREFERRED_METRICS:
-        if key in agg:
-            return key, float(agg[key])
-    for key in sorted(agg):
-        if key.endswith("points_per_sec"):
-            return key, float(agg[key])
-    raise ValueError("no points-per-sec aggregate metric")
+    try:
+        return {
+            f"{route} {phase}": float(block[f"{phase}_points_per_sec"])
+            for route, block in agg.items()
+            for phase in ("cold", "warm")
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed aggregate block: {exc!r}") from None
 
 
 def _git(args: List[str], cwd: Path) -> Optional[str]:
@@ -105,11 +93,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--dir", default=".", metavar="PATH",
-        help="directory holding the BENCH_*.json files (default: .)",
+        help=f"directory holding {BENCH_NAME} (default: .)",
     )
     parser.add_argument(
         "--commits", type=int, default=8, metavar="N",
-        help="git revisions of each file to include (0 = working tree "
+        help="git revisions of the file to include (0 = working tree "
              "only; default 8)",
     )
     parser.add_argument(
@@ -119,63 +107,57 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 if any benchmark regressed (CI/cron mode)",
+        help="exit 1 if any route regressed (CI/cron mode)",
     )
     args = parser.parse_args(argv)
 
     directory = Path(args.dir)
-    files = sorted(directory.glob("BENCH_*.json"))
-    if not files:
-        print(f"no BENCH_*.json files under {directory}", file=sys.stderr)
+    path = directory / BENCH_NAME
+    if not path.exists():
+        print(f"no {BENCH_NAME} under {directory}", file=sys.stderr)
         return 2
+    try:
+        current = route_metrics(json.loads(path.read_text()))
+    except (OSError, ValueError) as exc:
+        print(f"{BENCH_NAME}: unreadable ({exc})", file=sys.stderr)
+        return 1
 
-    regressions = []
-    for path in files:
+    history = []
+    for sha, date, old in file_history(directory, BENCH_NAME, args.commits):
         try:
-            doc = json.loads(path.read_text())
-            metric, current = headline_metric(doc)
-        except (OSError, ValueError) as exc:
-            print(f"{path.name}: unreadable ({exc})", file=sys.stderr)
-            regressions.append(path.name)
+            history.append((sha, date, route_metrics(old)))
+        except ValueError:
             continue
 
-        history = file_history(directory, path.name, args.commits)
-        trail = []
-        for sha, date, old in history:
-            try:
-                old_metric, value = headline_metric(old)
-            except ValueError:
-                continue
-            if old_metric == metric:
-                trail.append((sha, date, value))
-
-        print(f"{path.name}  [{metric}]")
-        print(f"  working tree: {current:12.1f} pts/s")
-        best_prior = None
-        for sha, date, value in trail:
-            best_prior = value if best_prior is None else max(
-                best_prior, value
-            )
-            print(f"  {sha} {date}: {value:12.1f} pts/s")
-        if best_prior is not None and current < args.threshold * best_prior:
+    regressions = []
+    print(f"{BENCH_NAME}  [aggregate points/sec per route]")
+    for metric, value in current.items():
+        print(metric)
+        print(f"  working tree: {value:12.1f} pts/s")
+        trail = [(sha, date, old[metric]) for sha, date, old in history
+                 if metric in old]
+        for sha, date, old_value in trail:
+            print(f"  {sha} {date}: {old_value:12.1f} pts/s")
+        if not trail:
+            print("  (no committed history)")
+            continue
+        best_prior = max(old_value for _, _, old_value in trail)
+        if value < args.threshold * best_prior:
             print(
-                f"  REGRESSION: {current:.1f} < "
+                f"  REGRESSION: {value:.1f} < "
                 f"{args.threshold:.2f} x best committed ({best_prior:.1f})"
             )
-            regressions.append(path.name)
-        elif best_prior is not None:
+            regressions.append(metric)
+        else:
             print(
                 f"  ok: within {args.threshold:.2f}x of best committed "
                 f"({best_prior:.1f})"
             )
-        else:
-            print("  (no committed history)")
-        print()
 
     if regressions:
         print(f"regressed: {', '.join(regressions)}")
         return 1 if args.check else 0
-    print("all benchmarks within threshold")
+    print("all routes within threshold")
     return 0
 
 

@@ -45,6 +45,7 @@ from repro.bench.figures import ALL_FIGURES, figure_points
 from repro.bench.microbench import ENGINES
 from repro.bench.report import format_normalized, format_table
 from repro.bench.runner import SweepRunner
+from repro.bench.runner.pool import _stderr_progress
 
 __all__ = ["main"]
 
@@ -270,11 +271,6 @@ def _parse_size(text: str) -> int:
     if value < 1:
         raise ValueError(f"message size must be positive, got {text!r}")
     return value
-
-
-def _stderr_progress(done, total, point, source) -> None:
-    tag = " (cached)" if source == "cache" else ""
-    print(f"  [{done}/{total}] {point.label()}{tag}", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -15,8 +15,9 @@ over a canonical JSON encoding of
 Every size along one figure curve shares a group, so a whole 121-size
 axis reads back with one file open instead of one ``stat`` + ``open`` +
 ``json.loads`` per point — the I/O analogue of the batch engine
-evaluating the column in one pass (``benchmarks/bench_speed.py --store``
-measures the ratio into ``BENCH_store.json``).  Writes buffer in memory
+evaluating the column in one pass (the ``store`` and ``json`` rows of
+``BENCH_speed.json``, written by ``benchmarks/bench_speed.py``, measure
+the ratio).  Writes buffer in memory
 and flush as whole shards (:meth:`ResultCache.flush`; the sweep runner
 flushes at the end of every run), so a point-per-put sweep costs a
 handful of shard files, not thousands of JSON files.

@@ -280,14 +280,6 @@ class SweepRunner:
 
     # -- execution -------------------------------------------------------
 
-    def _column_indices(
-        self, points: Sequence[Point]
-    ) -> Dict[Tuple, List[int]]:
-        """See :func:`plan_column_routes` — sweeps are grouped before any
-        evaluation, so a column is lowered once no matter how many sizes
-        it spans (the pool warm start)."""
-        return plan_column_routes(points)
-
     def run(self, points: Sequence[Point]) -> List[MicrobenchResult]:
         """Execute ``points``; results come back in submission order."""
         if self.engine is not None:
@@ -299,7 +291,9 @@ class SweepRunner:
         results: List[Optional[MicrobenchResult]] = [None] * total
         done = 0
 
-        col_groups = self._column_indices(points)
+        # grouped before any evaluation, so a column is lowered once no
+        # matter how many sizes it spans
+        col_groups = plan_column_routes(points)
         col_member = {i for idxs in col_groups.values() for i in idxs}
 
         # 1. cache pass — point files for point-routed work, one column

@@ -21,8 +21,8 @@ per message size), so writers never rewrite existing data:
 * **columnar** — a whole 121-size axis reads back with one file open and
   a handful of vectorized array conversions instead of one
   ``stat``+``open``+``json.loads`` per point (the I/O analogue of the
-  batch engine; ``benchmarks/bench_speed.py --store`` measures the
-  ratio into ``BENCH_store.json``).
+  batch engine; the ``store`` and ``json`` rows of ``BENCH_speed.json``
+  measure the ratio).
 
 Layout::
 

@@ -8,6 +8,7 @@ i.e. 64 kB (Fig. 14).  The scatter uses one algorithm across all sizes
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,8 +31,20 @@ class Thresholds:
     allreduce_large_bytes: int = 64 * KB
 
     def __post_init__(self) -> None:
-        if self.allgather_large_bytes < 0 or self.allreduce_large_bytes < 0:
-            raise ValueError("thresholds must be non-negative")
+        # stored as plain ints: a float or numpy threshold would compare
+        # (NaN as "always large") but key the result cache differently or
+        # not at all
+        for name in ("allgather_large_bytes", "allreduce_large_bytes"):
+            value = getattr(self, name)
+            try:
+                ok = not isinstance(value, bool) and operator.index(value) >= 0
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"{name} must be a non-negative integer, got {value!r}"
+                )
+            object.__setattr__(self, name, operator.index(value))
 
     @classmethod
     def always_small(cls) -> "Thresholds":

@@ -154,9 +154,8 @@ class ColumnStats(NamedTuple):
     retries: int
     #: deepest re-adjudication level reached (0 = no re-batching)
     rebatch_depth: int = 0
-    #: passes skipped via the adjudication-outcome cache (the pass was
-    #: known to accept at most its pivot, so its sizes went straight to
-    #: the DAG engine — results are bit-identical either way)
+    #: always 0; kept for readers of these stats (``perfbench/spans.py``
+    #: reports it as ``batch.elided_passes``)
     elided_passes: int = 0
 
 
@@ -168,22 +167,10 @@ class ColumnResult(NamedTuple):
     stats: ColumnStats
 
 
-#: adjudication outcomes per (lowering key, protocol, params): passes are
-#: deterministic, so the divergence mask and signature labels of a
-#: partition never change between runs.  A pass known to accept at most
-#: its pivot is skipped when the same column is evaluated again in this
-#: process and its sizes routed to the DAG engine directly, with
-#: bit-identical results either way.  Only in-process repeats hit it
-#: (``benchmarks/bench_speed.py --batch`` takes the best of three); a
-#: figure sweep or the daemon evaluates each column once.
-_OUTCOME_CACHE: Dict[tuple, tuple] = {}
-
-
 def clear_lowering_cache() -> None:
-    """Drop lowered columns and adjudication outcomes, and reset the
-    lowering counters (test isolation)."""
+    """Drop lowered columns and reset the lowering counters (test
+    isolation)."""
     _LOWERED.clear()
-    _OUTCOME_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +782,6 @@ def evaluate_column(
     splits = 0
     retries = 0
     max_depth = 0
-    elided = 0
     # (partition, re-adjudication depth); a group's sub-partitions are
     # pushed on top of the later groups, so each group finishes first
     stack: List[Tuple[Tuple[int, ...], int]] = [
@@ -841,23 +827,6 @@ def evaluate_column(
                 singles.append(s)
             continue
         lowered = _lower(part)
-        outcome_key = (
-            canon, collective, nodes, ppn, thresholds, part,
-            warmup, measure, params,
-        )
-        cached = _OUTCOME_CACHE.get(outcome_key)
-        if cached is not None and len(part) - int(cached[0].sum()) <= 1:
-            # steady state: the pass is known to accept at most its pivot,
-            # so running it buys nothing over evaluating that one size
-            # directly (results are bit-identical)
-            elided += 1
-            cdiv, clabels = cached
-            for s, bad in zip(part, cdiv):
-                if not bad:
-                    fallback.append(s)
-                    results[s] = _dag(s)
-            handle_divergent(part, depth, cdiv, clabels)
-            continue
         try:
             part_results, divergent, labels = _evaluate_partition(
                 lowered, nodes, ppn, part, lib, params, warmup, measure,
@@ -876,7 +845,6 @@ def evaluate_column(
             stack.append((a, depth))
             stack.append((b, depth))
             continue
-        _OUTCOME_CACHE[outcome_key] = (divergent, labels)
         partitions.append(part)
         any_divergent = False
         for s, r, bad in zip(part, part_results, divergent):
@@ -888,6 +856,6 @@ def evaluate_column(
             handle_divergent(part, depth, divergent, labels)
     stats = ColumnStats(
         tuple(partitions), tuple(sorted(fallback)), tuple(sorted(singles)),
-        splits, retries, max_depth, elided,
+        splits, retries, max_depth,
     )
     return ColumnResult(results, stats)

@@ -26,8 +26,9 @@ direction asks for:
 
 Run the daemon with ``python -m repro.serve`` and talk to it with
 ``python -m repro.serve.client`` (or :class:`SweepClient` in code).
-``benchmarks/bench_speed.py --serve`` records the warm-daemon vs
-cold-CLI-process latency ratio into ``BENCH_serve.json``.
+The ``serve`` rows of ``BENCH_speed.json`` (``benchmarks/bench_speed.py``)
+record a warm daemon's repeated column sweep against the ``auto`` rows'
+cold in-process evaluation of the same column.
 """
 
 from repro.serve.client import SweepClient, wait_until_ready

@@ -1,9 +1,9 @@
 """Tests for ``python -m repro.bench.dashboard``.
 
-Two pins: the dashboard must parse every ``BENCH_*.json`` the repository
-actually commits (so a schema drift in ``bench_speed.py`` fails here,
-not in a cron job), and it must flag an injected regression across a
-real git history.
+Two pins: the dashboard must parse the ``BENCH_speed.json`` the
+repository actually commits (so a schema drift in ``bench_speed.py``
+fails here, not in a cron job), and it must flag an injected regression
+across a real git history.
 """
 
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.dashboard import headline_metric, main
+from repro.bench.dashboard import BENCH_NAME, main, route_metrics
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -22,53 +22,55 @@ needs_git = pytest.mark.skipif(
 )
 
 
-# -- headline metric selection ---------------------------------------------
-
-
-def test_headline_metric_prefers_most_derived_engine():
-    doc = {"aggregate": {
-        "dag_points_per_sec": 1.0,
-        "store_points_per_sec": 2.0,
-        "speedup": 99.0,
+def _doc(**warm_by_route) -> dict:
+    return {"rows": [], "aggregate": {
+        route: {"cold_points_per_sec": warm / 2, "warm_points_per_sec": warm}
+        for route, warm in warm_by_route.items()
     }}
-    assert headline_metric(doc) == ("store_points_per_sec", 2.0)
 
 
-def test_headline_metric_falls_back_to_any_points_per_sec():
-    doc = {"aggregate": {"custom_points_per_sec": 7.5, "other": 1}}
-    assert headline_metric(doc) == ("custom_points_per_sec", 7.5)
+# -- metric extraction -------------------------------------------------------
 
 
-def test_headline_metric_rejects_metricless_docs():
+def test_route_metrics_reads_cold_and_warm_per_route():
+    assert route_metrics(_doc(dag=100.0, store=8.0)) == {
+        "dag cold": 50.0, "dag warm": 100.0,
+        "store cold": 4.0, "store warm": 8.0,
+    }
+
+
+def test_route_metrics_rejects_metricless_docs():
     with pytest.raises(ValueError):
-        headline_metric({"aggregate": {"speedup": 2.0}})
+        route_metrics({"aggregate": {}})
     with pytest.raises(ValueError):
-        headline_metric({})
+        route_metrics({})
+    with pytest.raises(ValueError):
+        route_metrics({"aggregate": {"dag": {"warm_points_per_sec": 1.0}}})
 
 
-# -- the committed benchmark documents -------------------------------------
+# -- the committed benchmark document ----------------------------------------
 
 
 def test_every_committed_bench_document_parses():
-    files = sorted(REPO_ROOT.glob("BENCH_*.json"))
-    assert files, "repository must commit at least one BENCH_*.json"
-    for path in files:
-        metric, value = headline_metric(json.loads(path.read_text()))
-        assert metric.endswith("points_per_sec")
-        assert value > 0
+    assert sorted(p.name for p in REPO_ROOT.glob("BENCH_*.json")) == [
+        BENCH_NAME
+    ]
+    metrics = route_metrics(json.loads((REPO_ROOT / BENCH_NAME).read_text()))
+    assert metrics
+    assert all(value > 0 for value in metrics.values())
 
 
 def test_dashboard_runs_over_the_repository(capsys):
     rc = main(["--dir", str(REPO_ROOT), "--commits", "0"])
     out = capsys.readouterr().out
     assert rc == 0
-    for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
-        assert path.name in out
+    assert BENCH_NAME in out
+    assert "auto cold" in out and "dag warm" in out
 
 
 def test_dashboard_exits_2_without_bench_files(tmp_path, capsys):
     assert main(["--dir", str(tmp_path)]) == 2
-    assert "no BENCH_*.json" in capsys.readouterr().err
+    assert f"no {BENCH_NAME}" in capsys.readouterr().err
 
 
 # -- regression detection across a git history -----------------------------
@@ -86,9 +88,7 @@ def _git(repo: Path, *args: str) -> None:
 
 
 def _write_doc(repo: Path, pts_per_sec: float) -> None:
-    (repo / "BENCH_store.json").write_text(json.dumps(
-        {"aggregate": {"store_points_per_sec": pts_per_sec}}
-    ))
+    (repo / BENCH_NAME).write_text(json.dumps(_doc(store=pts_per_sec)))
 
 
 @needs_git
@@ -97,10 +97,10 @@ def test_dashboard_flags_injected_regression(tmp_path, capsys):
     repo.mkdir()
     _git(repo, "init", "-q")
     _write_doc(repo, 100_000.0)
-    _git(repo, "add", "BENCH_store.json")
+    _git(repo, "add", BENCH_NAME)
     _git(repo, "commit", "-qm", "good run")
     _write_doc(repo, 120_000.0)
-    _git(repo, "add", "BENCH_store.json")
+    _git(repo, "add", BENCH_NAME)
     _git(repo, "commit", "-qm", "better run")
 
     # working tree regresses far below threshold x best committed
@@ -122,11 +122,11 @@ def test_dashboard_passes_healthy_history(tmp_path, capsys):
     repo.mkdir()
     _git(repo, "init", "-q")
     _write_doc(repo, 100_000.0)
-    _git(repo, "add", "BENCH_store.json")
+    _git(repo, "add", BENCH_NAME)
     _git(repo, "commit", "-qm", "baseline")
     _write_doc(repo, 95_000.0)  # noise-level dip, above 0.8x
     rc = main(["--dir", str(repo), "--check"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "ok: within" in out
-    assert "all benchmarks within threshold" in out
+    assert "all routes within threshold" in out

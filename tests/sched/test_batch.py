@@ -206,21 +206,6 @@ def test_rebatch_recursion_and_depth_exhaustion(monkeypatch):
     clear_lowering_cache()
 
 
-def test_outcome_cache_elides_adjudication_passes():
-    """A pass known to accept at most its pivot is skipped on repeat
-    evaluations (sizes go straight to the DAG engine) — bit-identically."""
-    clear_lowering_cache()
-    axis = (65536, 98304, 131072, 196608, 262144)
-    col1 = _assert_column_identical("pip-mcoll", "allreduce", 4, 8, axis)
-    assert col1.stats.elided_passes == 0
-    assert col1.stats.fallback_sizes  # contention-bound column
-    col2 = _assert_column_identical("pip-mcoll", "allreduce", 4, 8, axis)
-    assert col2.stats.elided_passes >= 1
-    for s in axis:
-        assert col2.results[s] == col1.results[s]
-    clear_lowering_cache()
-
-
 # -- surface and argument checking ---------------------------------------
 
 
