@@ -29,17 +29,30 @@ def _doc(**warm_by_route) -> dict:
     }}
 
 
-# -- metric extraction -------------------------------------------------------
+# -- headline metrics: cold and warm points/sec per route --------------------
 
 
-def test_route_metrics_reads_cold_and_warm_per_route():
-    assert route_metrics(_doc(dag=100.0, store=8.0)) == {
+def test_headline_metric_prefers_most_derived_engine():
+    # every route is read under its own name, so the most derived engine's
+    # figure is never shadowed by a lower tier's; counts are not metrics
+    doc = _doc(dag=100.0, store=8.0)
+    doc["aggregate"]["store"].update(columns=56, points=934)
+    assert route_metrics(doc) == {
         "dag cold": 50.0, "dag warm": 100.0,
         "store cold": 4.0, "store warm": 8.0,
     }
 
 
-def test_route_metrics_rejects_metricless_docs():
+def test_headline_metric_falls_back_to_any_points_per_sec():
+    # a route the dashboard has never heard of is read like any other
+    assert route_metrics(_doc(custom=7.5)) == {
+        "custom cold": 3.75, "custom warm": 7.5,
+    }
+
+
+def test_headline_metric_rejects_metricless_docs():
+    with pytest.raises(ValueError):
+        route_metrics({"aggregate": {"speedup": 2.0}})
     with pytest.raises(ValueError):
         route_metrics({"aggregate": {}})
     with pytest.raises(ValueError):
