@@ -46,8 +46,8 @@ Every run applies :func:`check` to its rows:
 * ``analytic`` stays below ``ERROR_BOUND`` relative to ``dag``;
 * on the smoke column (warm): ``dag`` >= 1.2x ``event``, ``batch`` >=
   1.2x ``dag``, ``analytic`` >= 50x ``dag``, ``store`` >= 2x ``json``,
-  and ``batch`` points/sec >= 0.8x the committed aggregate of the dense
-  columns' ``batch`` rows;
+  and ``batch``'s speed-up over ``dag`` >= 0.5x the same speed-up in
+  the committed smoke rows;
 * ``serve`` evaluates once, and its warm sweep beats the ``auto`` route's
   cold evaluation of the same column by 2x (smoke) or 5x (dense).
 
@@ -346,13 +346,21 @@ FLOORS = {
 #: serve's warm sweep against the ``auto`` route's cold evaluation of the
 #: same column (which, unlike a cold CLI run, excludes interpreter start)
 SERVE_FLOORS = dict(zip(IO_COLUMNS, (2.0, 5.0)))
-#: smoke-column batch points/sec against the committed aggregate of the
-#: dense columns' batch rows
-REGRESSION = 0.8
+#: the smoke column's warm batch speed-up over dag against the same
+#: speed-up in the committed smoke rows (both sides a ratio of two rows
+#: from one run, so the floor holds on a slower or faster host).  Over
+#: 17 runs on one 2-vCPU host the speed-up read 3.3-8.9x against a
+#: committed 5.6x (the dag row swings most), so 0.8x failed 3 of the
+#: first 9; at 0.5x a batch engine that lost half its lead still fails
+REGRESSION = 0.5
 
 
 def _pts_per_sec(rows: List[dict]) -> float:
     return sum(r["sizes"] for r in rows) / sum(r["warm_s"] for r in rows)
+
+
+def _batch_speedup(by_route: Dict[str, dict]) -> float:
+    return by_route["dag"]["warm_s"] / by_route["batch"]["warm_s"]
 
 
 def check(rows: List[dict], committed: List[dict]) -> List[str]:
@@ -386,15 +394,14 @@ def check(rows: List[dict], committed: List[dict]) -> List[str]:
             if ratio < floor:
                 failures.append(f"{SMOKE.id}: {route} {ratio:.2f}x {base}, "
                                 f"under {floor}x")
-    dense = [r for r in committed
-             if r["route"] == "batch" and r["column"].startswith("dense ")]
-    if "batch" in smoke and dense:
-        got = _pts_per_sec([smoke["batch"]])
-        floor = REGRESSION * _pts_per_sec(dense)
+    base = {r["route"]: r for r in committed if r["column"] == SMOKE.id}
+    if all(r in smoke and r in base for r in ("dag", "batch")):
+        got = _batch_speedup(smoke)
+        floor = REGRESSION * _batch_speedup(base)
         if got < floor:
-            failures.append(f"{SMOKE.id}: batch {got:.1f} pts/s under "
-                            f"{REGRESSION}x the committed dense aggregate "
-                            f"({floor:.1f})")
+            failures.append(f"{SMOKE.id}: batch {got:.2f}x dag, under "
+                            f"{REGRESSION}x the committed smoke speed-up "
+                            f"({floor:.2f}x)")
     return failures
 
 

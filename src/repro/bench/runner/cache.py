@@ -137,15 +137,17 @@ def _result_doc(result: MicrobenchResult) -> dict:
 
 
 def _result_from_doc(doc: dict) -> MicrobenchResult:
+    # positional: a sweep client decodes one row per size, and keyword
+    # passing costs a third of the construction
     return MicrobenchResult(
-        library=doc["library"],
-        collective=doc["collective"],
-        nodes=doc["nodes"],
-        ppn=doc["ppn"],
-        msg_bytes=doc["msg_bytes"],
-        time=doc["time"],
-        samples=tuple(doc["samples"]),
-        internode_messages=doc["internode_messages"],
+        doc["library"],
+        doc["collective"],
+        doc["nodes"],
+        doc["ppn"],
+        doc["msg_bytes"],
+        doc["time"],
+        tuple(doc["samples"]),
+        doc["internode_messages"],
     )
 
 

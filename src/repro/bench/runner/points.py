@@ -8,12 +8,12 @@ lists of points; the runner decides how (and whether) to execute them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tuning import Thresholds
 from repro.hw.params import MachineParams, bebop_broadwell
 
-__all__ = ["Point", "expand_sweep"]
+__all__ = ["Point", "column_of", "expand_sweep"]
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,16 @@ class Point:
             f"{self.library} {self.collective} "
             f"{self.nodes}x{self.ppn} {self.msg_bytes}B"
         )
+
+
+def column_of(point: Point) -> Tuple:
+    """Hashable identity of ``point``'s column: every field but
+    ``msg_bytes``, so the sizes of one figure curve share it."""
+    return (
+        point.library, point.collective, point.nodes, point.ppn,
+        point.warmup, point.measure, point.params, point.thresholds,
+        point.engine,
+    )
 
 
 def expand_sweep(

@@ -34,7 +34,7 @@ from repro.bench.microbench import (
     run_point,
 )
 from repro.bench.runner.cache import ResultCache
-from repro.bench.runner.points import Point
+from repro.bench.runner.points import Point, column_of
 
 __all__ = [
     "SweepRunner", "default_runner", "run_points", "run_point_spec",
@@ -154,15 +154,6 @@ def run_sweep_column_stats(
     return _column_results(points, col), delta
 
 
-def _column_group_key(point: Point) -> Tuple:
-    """Hashable identity of a point's column (everything but the size)."""
-    return (
-        point.library, point.collective, point.nodes, point.ppn,
-        point.warmup, point.measure, point.params, point.thresholds,
-        point.engine,
-    )
-
-
 def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
     """Indices of column-routed points, grouped by column.
 
@@ -184,7 +175,7 @@ def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
                 "auto", p.library, p.collective, msg_bytes=p.msg_bytes
             ) == "dag"
         ):
-            groups.setdefault(_column_group_key(p), []).append(i)
+            groups.setdefault(column_of(p), []).append(i)
     return {
         key: idxs
         for key, idxs in groups.items()

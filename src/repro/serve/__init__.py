@@ -12,9 +12,12 @@ direction asks for:
   pool whose forked workers stay warm across requests;
 * **many concurrent clients** speak a newline-delimited-JSON socket
   protocol (TCP or unix socket; see :mod:`repro.serve.protocol`) and
-  submit sweep requests — lists of :class:`~repro.bench.runner.points.
-  Point` specs — that return results bit-identical to
+  submit sweep requests — column specs, each a :class:`~repro.bench.
+  runner.points.Point` spec without its size plus a list of sizes — that
+  return results bit-identical to
   :meth:`~repro.bench.runner.pool.SweepRunner.run` on the same points;
+  a request whose rows are all cached is answered from their stored
+  encodings without suspending;
 * **request coalescing**: two clients asking for overlapping columns
   await one in-flight evaluation through a per-column-key future table
   instead of evaluating twice (``tests/serve/`` pins the counter);

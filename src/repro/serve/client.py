@@ -22,17 +22,17 @@ import json
 import socket
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.microbench import MicrobenchResult
-from repro.bench.runner.points import Point
+from repro.bench.runner.points import Point, column_of
 from repro.serve.protocol import (
     MAX_LINE,
     ServeError,
+    column_to_doc,
     decode_message,
     encode_message,
     parse_address,
-    point_to_doc,
     result_from_doc,
 )
 
@@ -56,8 +56,12 @@ class SweepClient:
             return self
         if self.address[0] == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.connect_timeout)
-            sock.connect(self.address[1])
+            try:
+                sock.settimeout(self.connect_timeout)
+                sock.connect(self.address[1])
+            except BaseException:
+                sock.close()
+                raise
         else:
             _, host, port = self.address
             sock = socket.create_connection(
@@ -111,12 +115,29 @@ class SweepClient:
         self, points: Sequence[Point], timeout: Optional[float] = None
     ) -> List[MicrobenchResult]:
         """Evaluate ``points`` on the daemon; results in request order,
-        bit-identical to a local ``SweepRunner.run``."""
-        doc = {"op": "sweep", "points": [point_to_doc(p) for p in points]}
+        bit-identical to a local ``SweepRunner.run``.
+
+        The request carries one column spec per distinct column among
+        ``points``, each with its sizes in request order.
+        """
+        columns: Dict[tuple, List[int]] = {}
+        for i, point in enumerate(points):
+            columns.setdefault(column_of(point), []).append(i)
+        doc = {"op": "sweep", "columns": [
+            column_to_doc(points[idxs[0]], [points[i].msg_bytes for i in idxs])
+            for idxs in columns.values()
+        ]}
         if timeout is not None:
             doc["timeout"] = timeout
-        response = self.request(doc)
-        return [result_from_doc(d) for d in response["results"]]
+        docs = self.request(doc)["results"]
+        if len(docs) != len(points):
+            raise ServeError("internal", f"{len(docs)} results for "
+                                         f"{len(points)} points")
+        results: List[Optional[MicrobenchResult]] = [None] * len(points)
+        order = (i for idxs in columns.values() for i in idxs)
+        for i, result in zip(order, docs):
+            results[i] = result_from_doc(result)
+        return results  # type: ignore[return-value]
 
     def stats(self) -> dict:
         return self.request({"op": "stats"})["stats"]

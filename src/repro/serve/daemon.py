@@ -4,10 +4,13 @@ Architecture (one asyncio event loop, one resident worker pool)::
 
     client conns ──> per-connection handler (sequential per conn)
                         │  admission gate (max_pending, else "overloaded")
-                        │  per-request deadline (wait_for + cancellation)
+                        │  column specs validated, expanded to points
                         ▼
-                  _run_points: cache pass ──hits──> response
+                  _cache_pass ──all hits──> response joined from the
+                        │                   rows' encoded bytes, with no
+                        │                   suspension, task or timer
                         │ misses, grouped into work units
+                        │ per-request deadline (wait_for + cancellation)
                         ▼
                   per-unit-key future table  ── coalesce: await the
                         │ (single flight)        in-flight task
@@ -41,9 +44,10 @@ Clients retry with backoff; the ``stats`` op exposes ``active``/
 
 **Shutdown.**  ``shutdown`` op or SIGINT/SIGTERM: stop accepting, give
 in-flight requests and evaluations a grace period to drain, cancel the
-stragglers, flush buffered rows to shards, stop the pool.  The flush is
-the part that matters — buffered puts are the write-batching half of the
-columnar store, and the daemon owns the buffer.
+stragglers, flush buffered rows to shards, hang up on the clients still
+connected, stop the pool.  The flush is the part that matters — buffered
+puts are the write-batching half of the columnar store, and the daemon
+owns the buffer — so it comes before anything that waits on a client.
 
 Results are **bit-identical** to
 :meth:`~repro.bench.runner.pool.SweepRunner.run` on the same point list:
@@ -60,7 +64,7 @@ import sys
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.microbench import MicrobenchResult
 from repro.bench.runner.cache import ResultCache, cache_key, column_key
@@ -75,10 +79,11 @@ from repro.serve.protocol import (
     MAX_LINE,
     PROTOCOL_VERSION,
     ServeError,
+    encode_message,
+    encode_results,
     parse_address,
-    point_from_doc,
     read_message,
-    result_to_doc,
+    sweep_points,
     wire_timeout,
     write_message,
 )
@@ -174,7 +179,10 @@ class SweepDaemon:
         #: run_sweep_column_stats)
         self._lowering = {"hits": 0, "misses": 0, "columns": 0}
         self._active = 0
+        #: live connection handler -> its writer (see _close_conns)
+        self._conns: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._draining = False
+        self._hung_up = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[Executor] = None
         self._shutdown_requested: Optional[asyncio.Event] = None
@@ -213,7 +221,6 @@ class SweepDaemon:
         finally:
             self._draining = True
             self._server.close()
-            await self._server.wait_closed()
             await self._drain()
             flusher.cancel()
             self.cache.flush()
@@ -222,6 +229,10 @@ class SweepDaemon:
                     os.unlink(self.address[1])
                 except OSError:
                     pass
+            await self._close_conns()
+            # last: from Python 3.12.1 this waits for every connection
+            # to drop, which only the hang-up above guarantees
+            await self._server.wait_closed()
             self._executor.shutdown(wait=False, cancel_futures=True)
 
     def request_shutdown(self) -> None:
@@ -268,6 +279,27 @@ class SweepDaemon:
         for task in list(self._inflight.values()):
             task.cancel()
 
+    async def _close_conns(self) -> None:
+        """Hang up on the clients still connected once sweeps have
+        drained, and wait for their handlers, so none is left pending for
+        the loop's teardown to cancel mid-close.
+
+        Each handler reads end-of-stream and returns; one accepted too
+        late to be hung up on sees ``_hung_up`` and returns at once.  A
+        client that stopped reading keeps its handler blocked on a full
+        send buffer, which a close waits to deliver: after ``grace``
+        seconds such connections are aborted."""
+        self._hung_up = True
+        for writer in self._conns.values():
+            writer.close()
+        if not self._conns:
+            return
+        _, stuck = await asyncio.wait(list(self._conns), timeout=self.grace)
+        for task in stuck:
+            self._conns[task].transport.abort()
+        if stuck:
+            await asyncio.wait(stuck)
+
     # -- connection handling ---------------------------------------------
 
     async def _handle_conn(
@@ -275,8 +307,10 @@ class SweepDaemon:
     ) -> None:
         """One client connection: requests handled sequentially, responses
         in request order (concurrency comes from concurrent clients)."""
+        task = asyncio.current_task()
+        self._conns[task] = writer
         try:
-            while True:
+            while not self._hung_up:
                 try:
                     request = await read_message(reader)
                 except ServeError as exc:
@@ -288,49 +322,63 @@ class SweepDaemon:
                     return
                 if request is None:
                     return
-                response, stop_after = await self._dispatch(request)
-                if "id" in request:
-                    response["id"] = request["id"]
-                await write_message(writer, response)
+                line, stop_after = await self._dispatch(request)
+                writer.write(line)
+                await writer.drain()
                 if stop_after:
                     self.request_shutdown()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            del self._conns[task]
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _dispatch(self, request: dict) -> "tuple[dict, bool]":
+    async def _dispatch(self, request: dict) -> Tuple[bytes, bool]:
+        """The framed response to ``request``, and whether to shut down
+        once it is sent."""
         self.stats.requests += 1
         op = request.get("op")
         try:
-            if op == "ping":
-                return {
-                    "ok": True,
-                    "version": PROTOCOL_VERSION,
-                    "pid": os.getpid(),
-                }, False
-            if op == "stats":
-                return {"ok": True, "stats": self.stats_doc()}, False
-            if op == "flush":
-                return {"ok": True, "flushed": self.cache.flush()}, False
-            if op == "shutdown":
-                return {"ok": True, "shutting_down": True}, True
             if op == "sweep":
                 return await self._handle_sweep(request), False
-            raise ServeError("bad-request", f"unknown op {op!r}")
-        except ServeError as exc:
-            self.stats.errors += 1
-            return {"ok": False, "error": exc.to_doc()}, False
-        except Exception as exc:  # evaluation/internal failure
-            self.stats.errors += 1
-            err = ServeError("internal", f"{type(exc).__name__}: {exc}")
-            return {"ok": False, "error": err.to_doc()}, False
+            if op == "ping":
+                doc = {"ok": True, "version": PROTOCOL_VERSION,
+                       "pid": os.getpid()}
+            elif op == "stats":
+                doc = {"ok": True, "stats": self.stats_doc()}
+            elif op == "flush":
+                doc = {"ok": True, "flushed": self.cache.flush()}
+            elif op == "shutdown":
+                return self._reply(request, {"ok": True,
+                                             "shutting_down": True}), True
+            else:
+                raise ServeError("bad-request", f"unknown op {op!r}")
+            return self._reply(request, doc), False
+        except Exception as exc:
+            return self._failure(request, exc), False
 
-    async def _handle_sweep(self, request: dict) -> dict:
+    @staticmethod
+    def _reply(request: dict, doc: dict) -> bytes:
+        if "id" in request:
+            doc["id"] = request["id"]
+        return encode_message(doc)
+
+    def _failure(self, request: dict, exc: Exception) -> bytes:
+        """The error response for ``exc``: its own code if it is a
+        :class:`ServeError`, ``internal`` for an evaluation that raised."""
+        self.stats.errors += 1
+        if not isinstance(exc, ServeError):
+            exc = ServeError("internal", f"{type(exc).__name__}: {exc}")
+        return self._reply(request, {"ok": False, "error": exc.to_doc()})
+
+    async def _handle_sweep(self, request: dict) -> bytes:
+        """Admit, validate and look up a sweep, fill its misses under the
+        request's deadline, and respond.  A sweep whose rows are all
+        cached returns without suspending: no task, no timer."""
         if self._draining:
             raise ServeError("shutting-down", "daemon is draining")
         if self._active >= self.max_pending:
@@ -340,75 +388,76 @@ class SweepDaemon:
                 f"{self._active} sweeps in flight (max_pending="
                 f"{self.max_pending}); retry later",
             )
-        specs = request.get("points")
-        if not isinstance(specs, list) or not specs:
-            raise ServeError("bad-request", "sweep needs a non-empty "
-                                            "'points' list")
-        points = [point_from_doc(doc) for doc in specs]
+        points = sweep_points(request.get("columns"))
         timeout = wire_timeout(request.get("timeout", self.default_timeout))
         self.stats.sweeps += 1
         self.stats.points += len(points)
-        self._active += 1
-        try:
-            work = self._run_points(points)
-            if timeout is not None:
-                try:
-                    results = await asyncio.wait_for(work, timeout)
-                except asyncio.TimeoutError:
-                    self.stats.timeouts += 1
-                    raise ServeError(
-                        "timeout",
-                        f"deadline of {timeout}s expired; in-flight "
-                        f"evaluation continues and will populate the cache",
-                    ) from None
-            else:
-                results = await work
-        finally:
-            self._active -= 1
-        return {"ok": True, "results": [result_to_doc(r) for r in results]}
+        results, col_misses, point_misses = self._cache_pass(points)
+        if col_misses or point_misses:
+            self._active += 1
+            try:
+                fills = [self._fill_column(points, idxs, results)
+                         for idxs in col_misses]
+                fills += [self._fill_point(points[i], i, results)
+                          for i in point_misses]
+                # a failed unit fails the request; shielded unit tasks
+                # keep running and stay coalescable
+                work = asyncio.gather(*fills)
+                if timeout is None:
+                    await work
+                else:
+                    try:
+                        await asyncio.wait_for(work, timeout)
+                    except asyncio.TimeoutError:
+                        self.stats.timeouts += 1
+                        raise ServeError(
+                            "timeout",
+                            f"deadline of {timeout}s expired; in-flight "
+                            f"evaluation continues and will populate the "
+                            f"cache",
+                        ) from None
+            finally:
+                self._active -= 1
+        tail = {"id": request["id"]} if "id" in request else {}
+        return encode_results(results, tail)
 
     # -- evaluation ------------------------------------------------------
 
-    async def _run_points(
+    def _cache_pass(
         self, points: Sequence[Point]
-    ) -> List[MicrobenchResult]:
-        """Cache pass, then concurrent single-flight unit fills — the
-        async twin of :meth:`SweepRunner.run` (same routing, same worker
-        functions, bit-identical results)."""
+    ) -> Tuple[List[Optional[MicrobenchResult]], List[List[int]], List[int]]:
+        """Hits into a result list, counted; misses as the runner's work
+        units: index lists of column-routed points, one per column, and
+        indices of scalar points.  Same routing and cache reads as
+        :meth:`SweepRunner.run`, so results stay bit-identical to it."""
         results: List[Optional[MicrobenchResult]] = [None] * len(points)
-        fills: List[Awaitable[None]] = []
+        col_misses: List[List[int]] = []
+        point_misses: List[int] = []
 
         routes = plan_column_routes(points)
         col_member = {i for idxs in routes.values() for i in idxs}
         for idxs in routes.values():
             group = [points[i] for i in idxs]
-            hits = self.cache.get_many(group)
             miss_idx = []
-            for i, hit in zip(idxs, hits):
+            for i, hit in zip(idxs, self.cache.get_many(group)):
                 if hit is not None:
                     results[i] = hit
-                    self.stats.hits += 1
                 else:
                     miss_idx.append(i)
             if miss_idx:
-                self.stats.misses += len(miss_idx)
-                fills.append(self._fill_column(points, miss_idx, results))
+                col_misses.append(miss_idx)
         for i, point in enumerate(points):
             if i in col_member:
                 continue
             hit = self.cache.get(point)
             if hit is not None:
                 results[i] = hit
-                self.stats.hits += 1
             else:
-                self.stats.misses += 1
-                fills.append(self._fill_point(point, i, results))
-
-        if fills:
-            # gather cancels siblings on first failure; shielded unit
-            # tasks keep running and stay coalescable
-            await asyncio.gather(*fills)
-        return results  # type: ignore[return-value]
+                point_misses.append(i)
+        misses = sum(map(len, col_misses)) + len(point_misses)
+        self.stats.hits += len(points) - misses
+        self.stats.misses += misses
+        return results, col_misses, point_misses
 
     async def _fill_column(
         self,
@@ -517,6 +566,7 @@ class SweepDaemon:
         doc.update({
             "inflight": len(self._inflight),
             "active": self._active,
+            "connections": len(self._conns),
             "jobs": self.jobs,
             "max_pending": self.max_pending,
             "pid": os.getpid(),

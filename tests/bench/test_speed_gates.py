@@ -25,17 +25,16 @@ _spec.loader.exec_module(bench)
 SMOKE, DENSE_IO = bench.IO_COLUMNS
 
 
-def _committed(pts_per_sec):
-    """Committed rows whose dense batch aggregate reads ``pts_per_sec``."""
-    warm_s = 121 / pts_per_sec
-    return [{"column": "dense PiP-MColl scatter 4x8", "route": "batch",
-             "sizes": 121, "cold_s": 2 * warm_s, "warm_s": warm_s,
-             "digest": "d"}]
+def _committed(speedup):
+    """Committed smoke rows whose batch runs ``speedup`` times dag."""
+    return [{"column": SMOKE, "route": route, "sizes": 33,
+             "cold_s": 2 * warm_s, "warm_s": warm_s, "digest": "d"}
+            for route, warm_s in (("dag", 0.02), ("batch", 0.02 / speedup))]
 
 
-#: the base of the batch regression floor (40 pts/s), far under the
-#: synthetic smoke batch row's 330 pts/s
-COMMITTED = _committed(50.0)
+#: the base of the batch regression floor: 0.5 x 2 = 1.0x, under the
+#: 1.2x batch/dag floor, so each other check can fail alone
+COMMITTED = _committed(2.0)
 
 
 def _row(column, route, warm_s, **extra):
@@ -111,12 +110,27 @@ def test_serve_just_under_its_floor_fails(column):
     assert len(failures) == 1 and "warm serve" in failures[0]
 
 
-def test_batch_under_the_regression_floor_fails():
+#: committed smoke rows whose batch runs 6x dag: a regression floor of 3x
+FAST_BATCH = _committed(6.0)
+
+
+def _batch_at(factor):
+    """Passing rows, but for a smoke batch speed-up over dag of
+    ``factor`` times the regression floor over :data:`FAST_BATCH`."""
     rows = _passing_rows()
-    got = 33 / _find(rows, SMOKE, "batch")["warm_s"]
-    committed = _committed(got / bench.REGRESSION * (1 + 1e-9))
-    failures = bench.check(rows, committed)
-    assert len(failures) == 1 and "committed dense aggregate" in failures[0]
+    _find(rows, SMOKE, "batch")["warm_s"] = (
+        _find(rows, SMOKE, "dag")["warm_s"] / (bench.REGRESSION * 6.0 * factor)
+    )
+    return rows
+
+
+def test_batch_under_the_regression_floor_fails():
+    failures = bench.check(_batch_at(1 - 1e-9), FAST_BATCH)
+    assert len(failures) == 1 and "committed smoke speed-up" in failures[0]
+
+
+def test_batch_just_over_the_regression_floor_passes():
+    assert bench.check(_batch_at(1 + 1e-9), FAST_BATCH) == []
 
 
 def test_serve_evaluating_twice_fails():

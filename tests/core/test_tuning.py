@@ -17,7 +17,7 @@ from repro.bench.microbench import ENGINES, run_point
 from repro.bench.runner import Point
 from repro.bench.runner.cache import cache_key
 from repro.core.tuning import Thresholds
-from repro.serve.protocol import ServeError, point_from_doc, point_to_doc
+from repro.serve.protocol import ServeError, column_from_doc, column_to_doc
 
 FIELDS = ("allgather_large_bytes", "allreduce_large_bytes")
 BAD = (float("nan"), float("inf"), 64.5, 65536.0, True, False, -1, "65536",
@@ -60,12 +60,12 @@ def test_equal_thresholds_share_one_cache_key():
 @pytest.mark.parametrize("bad", BAD, ids=repr)
 @pytest.mark.parametrize("field", FIELDS)
 def test_wire_answers_bad_request(field, bad):
-    doc = point_to_doc(Point("PiP-MColl", "allgather", 2, 4, 65536,
-                             thresholds=Thresholds()))
+    doc = column_to_doc(Point("PiP-MColl", "allgather", 2, 4, 65536,
+                              thresholds=Thresholds()), [65536])
     doc["thresholds"][field] = bad
     # through JSON text, as on the socket (NaN and Infinity included)
     doc = json.loads(json.dumps(doc))
     with pytest.raises(ServeError) as exc:
-        point_from_doc(doc)
+        column_from_doc(doc)
     assert exc.value.code == "bad-request"
     assert field in exc.value.message

@@ -1,11 +1,13 @@
 """The two command lines: a real ``python -m repro.serve`` subprocess
 (process-pool evaluation path) and the ``repro.serve.client`` CLI."""
 
+import asyncio
+import gc
 import os
 import subprocess
 import sys
 import threading
-import asyncio
+import warnings
 
 import pytest
 
@@ -23,7 +25,7 @@ def daemon_subprocess(tmp_path):
         "src" + os.pathsep + env["PYTHONPATH"]
         if env.get("PYTHONPATH") else "src"
     )
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable, "-m", "repro.serve",
             "--listen", sock, "--jobs", "2",
@@ -34,18 +36,18 @@ def daemon_subprocess(tmp_path):
             os.path.abspath(__file__)))),
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        wait_until_ready(sock, deadline=30.0)
-        yield sock
-    finally:
-        if proc.poll() is None:
-            try:
-                with SweepClient(sock) as client:
-                    client.shutdown()
-            except Exception:
-                proc.kill()
-            proc.wait(timeout=30)
+    ) as proc:  # leaving the block closes the pipe and reaps the process
+        try:
+            wait_until_ready(sock, deadline=30.0)
+            yield sock
+        finally:
+            if proc.poll() is None:
+                try:
+                    with SweepClient(sock) as client:
+                        client.shutdown()
+                except Exception:
+                    proc.kill()
+                proc.wait(timeout=30)
 
 
 def test_subprocess_daemon_serves_bit_identical_results(
@@ -88,6 +90,29 @@ def test_client_cli_unreachable_daemon_fails_cleanly(tmp_path, capsys):
     ])
     assert rc == 1
     assert "cannot reach daemon" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors in /proc/self/fd")
+def test_failed_connect_leaks_no_socket(tmp_path):
+    """Every readiness poll that finds no daemon yet is a failed
+    connect; each must close its socket, not leave it to the garbage
+    collector."""
+    missing = str(tmp_path / "nobody-home.sock")
+    fds = len(os.listdir("/proc/self/fd"))
+    failures = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for _ in range(5):
+            with pytest.raises(OSError) as err:
+                SweepClient(missing).connect()
+            # hold the traceback, and with it the failed attempt's frame
+            failures.append(err.value)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        del failures, err
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] \
+        == []
 
 
 def test_client_cli_shutdown_stops_an_in_process_daemon(tmp_path, capsys):

@@ -19,7 +19,7 @@ import pytest
 from repro.bench.runner import Point, ResultCache, SweepRunner
 from repro.hw.params import bebop_broadwell
 from repro.serve import ServeError, SweepClient, SweepDaemon, wait_until_ready
-from repro.serve.protocol import point_to_doc
+from repro.serve.protocol import MAX_POINTS, column_to_doc, result_from_doc
 
 AXIS = (64, 1024, 16384)
 
@@ -54,8 +54,16 @@ class DaemonThread:
 
             self.daemon._run_in_pool = slow
         self.thread = threading.Thread(
-            target=lambda: asyncio.run(self.daemon.serve()), daemon=True
+            target=lambda: asyncio.run(self._serve()), daemon=True
         )
+        #: connection handlers still pending when serve() returned
+        self.left_handlers = None
+
+    async def _serve(self):
+        self.loop = asyncio.get_running_loop()
+        await self.daemon.serve()
+        self.left_handlers = [t for t in asyncio.all_tasks()
+                              if t.get_coro().__name__ == "_handle_conn"]
 
     def __enter__(self):
         self.thread.start()
@@ -74,6 +82,12 @@ class DaemonThread:
 
     def client(self):
         return SweepClient(self.sock)
+
+    def in_loop(self, fn):
+        """``fn()``, called on the daemon's event-loop thread."""
+        async def call():
+            return fn()
+        return asyncio.run_coroutine_threadsafe(call(), self.loop).result(10)
 
 
 # -- the contract: bit-identical to SweepRunner.run ------------------------
@@ -108,12 +122,58 @@ def test_warm_repeat_is_pure_cache_hits(tmp_path):
 
 
 def test_results_come_back_in_request_order(tmp_path):
+    # two columns and a scalar point, interleaved: the client sends one
+    # column spec per column and puts each result back in its place
+    other = column(collective="allreduce", engine="auto")
     points = list(reversed(column())) + column((4096,))
+    points[1:1] = [other[2], other[0]]
+    points.insert(4, Point("OpenMPI", "allgather", 2, 2, 1024,
+                           engine="event"))
     with DaemonThread(tmp_path) as harness:
         with harness.client() as client:
             got = client.sweep(points)
+            again = client.sweep(points)
     assert [(r.msg_bytes) for r in got] == [p.msg_bytes for p in points]
-    assert got == reference(points)
+    assert got == again == reference(points)
+
+
+def test_all_hit_sweep_is_answered_without_awaiting(tmp_path):
+    """A sweep whose rows are all cached is answered without suspending:
+    its coroutine finishes on the first step, with no task, no deadline
+    timer, not even a running event loop.  It passes the same draining,
+    admission, validation and counting steps as a sweep that must
+    evaluate."""
+    points = column()
+    cache = ResultCache(tmp_path / "serve_cache")
+    cache.put_many(points, reference(points))
+    daemon = SweepDaemon(str(tmp_path / "never-bound.sock"), cache=cache,
+                         jobs=0)
+    request = {"op": "sweep", "columns": [column_to_doc(points[0], AXIS)],
+               "timeout": 30, "id": 9}
+
+    def answer(request):
+        step = daemon._dispatch(request)
+        with pytest.raises(StopIteration) as done:
+            step.send(None)
+        line, stop_after = done.value.value
+        assert not stop_after
+        return json.loads(line)
+
+    response = answer(request)
+    assert response["id"] == 9 and daemon._active == 0
+    assert [result_from_doc(d) for d in response["results"]] \
+        == reference(points)
+    # the refusals a sweep that evaluates meets, in the same order
+    assert answer({**request, "timeout": "abc"})["error"]["code"] \
+        == "bad-request"
+    daemon._active = daemon.max_pending
+    assert answer(request)["error"]["code"] == "overloaded"
+    daemon._draining = True
+    assert answer(request)["error"]["code"] == "shutting-down"
+    stats = daemon.stats_doc()["daemon"]
+    assert (stats["requests"], stats["sweeps"], stats["points"],
+            stats["hits"], stats["misses"], stats["rejected"],
+            stats["errors"], stats["evaluations"]) == (4, 1, 3, 3, 0, 1, 3, 0)
 
 
 # -- coalescing ------------------------------------------------------------
@@ -259,6 +319,54 @@ def test_shutdown_flushes_buffered_shards(tmp_path):
     assert fresh.store.shard_count() > 0
 
 
+def test_shutdown_hangs_up_on_idle_clients(tmp_path):
+    """Clients still connected at shutdown are hung up on once sweeps
+    have drained, and the daemon waits for their handlers: none is left
+    for the event loop's teardown to cancel mid-close (which asyncio
+    logs as an exception in a callback)."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as idle:
+        with DaemonThread(tmp_path) as harness:
+            idle.connect(harness.sock)
+            with harness.client() as client:
+                assert client.stats()["daemon"]["connections"] == 2
+        # __exit__ sent shutdown and joined the daemon
+        assert idle.recv(1) == b""
+    assert harness.left_handlers == []
+
+
+def test_shutdown_aborts_a_client_that_stopped_reading(tmp_path):
+    """A client that sends requests and never reads the answers leaves
+    its handler blocked on a full send buffer, which closing the
+    connection waits to deliver.  Shutdown still flushes the buffered
+    rows, aborts that connection after the grace period, and leaves no
+    handler behind."""
+    cache = ResultCache(tmp_path / "serve_cache", flush_threshold=10**6)
+    points = column()
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as stalled:
+        with DaemonThread(tmp_path, cache=cache, flush_interval=3600.0,
+                          grace=0.5) as harness:
+            with harness.client() as client:
+                got = client.sweep(points)
+            stalled.connect(harness.sock)
+            # ~1 MB of stats answers: more than the socket and the
+            # transport's 64 KiB high-water mark hold together
+            stalled.sendall(b'{"op":"stats"}\n' * 2000)
+            def blocked():
+                return any(w.transport.get_write_buffer_size() > 65536
+                           for w in harness.daemon._conns.values())
+
+            deadline = time.monotonic() + 10
+            while not harness.in_loop(blocked):
+                assert time.monotonic() < deadline, "handler never blocked"
+                time.sleep(0.01)
+            started = time.monotonic()
+        # __exit__ sent shutdown and joined the daemon
+        assert time.monotonic() - started < 5
+    assert got == reference(points)
+    assert harness.left_handlers == []
+    assert ResultCache(tmp_path / "serve_cache").get_many(points) == got
+
+
 def test_flush_op_publishes_pending_rows_on_demand(tmp_path):
     cache = ResultCache(tmp_path / "serve_cache", flush_threshold=10**6)
     points = column()
@@ -281,12 +389,25 @@ def test_unknown_op_and_bad_sweeps_answer_with_errors(tmp_path):
                 client.request({"op": "frobnicate"})
             assert err.value.code == "bad-request"
             with pytest.raises(ServeError) as err:
-                client.request({"op": "sweep", "points": []})
+                client.request({"op": "sweep", "columns": []})
             assert err.value.code == "bad-request"
             with pytest.raises(ServeError) as err:
                 client.request({"op": "sweep",
-                                "points": [{"library": "only"}]})
+                                "columns": [{"library": "only"}]})
             assert err.value.code == "bad-request"
+            # more sizes than any response can carry: refused unbuilt
+            spec = column_to_doc(column()[0], [64] * (MAX_POINTS + 1))
+            with pytest.raises(ServeError) as err:
+                client.request({"op": "sweep", "columns": [spec]})
+            assert err.value.code == "bad-request"
+            assert f"exceeds {MAX_POINTS}" in err.value.message
+            # a protocol v1 sweep of points is refused, naming columns
+            with pytest.raises(ServeError) as err:
+                client.request({"op": "sweep", "points": [
+                    {"library": "PiP-MColl", "collective": "allgather",
+                     "nodes": 2, "ppn": 4, "msg_bytes": 512}]})
+            assert err.value.code == "bad-request"
+            assert "'columns'" in err.value.message
             # a spec the engines would refuse is refused at the door
             with pytest.raises(ServeError) as err:
                 client.sweep([Point("PiP-MColl", "allgather", 2, 4, 512,
@@ -306,16 +427,44 @@ def raw_request(sock_path, line):
             return json.loads(reader.readline())
 
 
+def test_client_disconnecting_mid_line_costs_one_error(tmp_path):
+    """Fault injection: a client sends half a sweep line and hangs up.
+    The daemon counts one error, keeps answering other connections,
+    leaves no handler behind, and still drains and flushes at
+    shutdown."""
+    cache = ResultCache(tmp_path / "serve_cache", flush_threshold=10**6)
+    points = column()
+    line = json.dumps({"op": "sweep",
+                       "columns": [column_to_doc(points[0], AXIS)]})
+    with DaemonThread(tmp_path, cache=cache,
+                      flush_interval=3600.0) as harness:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as rude:
+            rude.connect(harness.sock)
+            rude.sendall(line[: len(line) // 2].encode())
+        with harness.client() as client:
+            got = client.sweep(points)
+            deadline = time.monotonic() + 10
+            while True:
+                stats = client.stats()["daemon"]
+                if stats["connections"] == 1 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+    assert got == reference(points)
+    assert (stats["errors"], stats["connections"]) == (1, 1)
+    assert harness.left_handlers == []
+    assert ResultCache(tmp_path / "serve_cache").get_many(points) == got
+
+
 def test_malformed_timeout_answers_bad_request(tmp_path):
     """Only null or a finite JSON number above zero (not a bool) is a
     deadline; anything else is refused at the door, not evaluated."""
-    spec = json.dumps(point_to_doc(column()[0]))
+    spec = json.dumps(column_to_doc(column()[0], AXIS))
     with DaemonThread(tmp_path) as harness:
 
         def sweep(timeout):
             return raw_request(
                 harness.sock,
-                f'{{"op":"sweep","points":[{spec}],"timeout":{timeout}}}',
+                f'{{"op":"sweep","columns":[{spec}],"timeout":{timeout}}}',
             )
 
         for timeout in ('"abc"', "NaN", "true", "1e400", "-Infinity", "0",
