@@ -24,14 +24,14 @@ from pathlib import Path
 
 from repro.bench.config import current_scale
 from repro.bench.report import FigureResult, format_normalized, format_table
-from repro.bench.runner import default_runner
+from repro.bench.runner import SweepRunner
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def run_figure(benchmark, figure_fn, cap: float | None = None) -> FigureResult:
     """Run one figure sweep under pytest-benchmark and persist its tables."""
-    runner = default_runner()
+    runner = SweepRunner()
     result = benchmark.pedantic(
         lambda: figure_fn(runner=runner), rounds=1, iterations=1
     )

@@ -174,8 +174,8 @@ def _make_body(
     return body
 
 
-#: what every evaluator returns: (mean simulated seconds per iteration,
-#: per-iteration samples, internode messages)
+#: what an evaluator returns per size: (mean simulated seconds per
+#: iteration, per-iteration samples, internode messages)
 Timing = Tuple[float, Tuple[float, ...], int]
 
 
@@ -187,35 +187,46 @@ def _timing(fast) -> Timing:
     )
 
 
-def _eval_dag(library, collective, nodes, ppn, msg_bytes, **kw) -> Timing:
+def _eval_dag(library, collective, nodes, ppn, sizes,
+              **kw) -> Dict[int, Timing]:
     # _dag_evaluate_point is looked up here, at call time, so a wrapper
     # installed on this module's binding sees every DAG evaluation
-    return _timing(
-        _dag_evaluate_point(library, collective, nodes, ppn, msg_bytes, **kw)
-    )
+    return {
+        size: _timing(
+            _dag_evaluate_point(library, collective, nodes, ppn, size, **kw)
+        )
+        for size in sizes
+    }
 
 
-def _eval_batch(library, collective, nodes, ppn, msg_bytes, **kw) -> Timing:
+def _eval_batch(library, collective, nodes, ppn, sizes,
+                **kw) -> Dict[int, Timing]:
     from repro.sched.batch import evaluate_column
 
-    col = evaluate_column(library, collective, nodes, ppn, [msg_bytes], **kw)
-    return _timing(col.results[msg_bytes])
+    col = evaluate_column(library, collective, nodes, ppn, sizes, **kw)
+    return {size: _timing(fast) for size, fast in col.results.items()}
 
 
-def _eval_analytic(library, collective, nodes, ppn, msg_bytes,
-                   **kw) -> Timing:
-    from repro.sched.analytic import evaluate_point
+def _eval_analytic(library, collective, nodes, ppn, sizes,
+                   **kw) -> Dict[int, Timing]:
+    from repro.sched.analytic import evaluate_axis
 
-    est = evaluate_point(library, collective, nodes, ppn, msg_bytes, **kw)
+    col = evaluate_axis(library, collective, nodes, ppn, sizes, **kw)
     # the closed-form time, not the mean of its ``measure`` copies (the
     # two differ in the last bit for some counts)
-    return est.time, est.samples, est.internode_messages
+    return {
+        size: (est.time, est.samples, est.internode_messages)
+        for size, est in col.results.items()
+    }
 
 
-#: the engines that evaluate a point without the event loop, each taking
-#: run_point's point arguments (``params``, ``warmup``, ``measure`` and
-#: ``thresholds`` by keyword) and returning :data:`Timing`; none can trace
-_EVALUATORS: Dict[str, Callable[..., Timing]] = {
+#: the engines that evaluate without the event loop, each taking
+#: run_point's point arguments with a list of sizes in place of
+#: ``msg_bytes`` (``params``, ``warmup``, ``measure`` and ``thresholds``
+#: by keyword) and returning :data:`Timing` by size; none can trace.
+#: ``run_point`` passes one size; the sweep runner passes a whole column
+#: to ``batch`` and ``analytic`` (see :mod:`repro.bench.runner.pool`)
+_EVALUATORS: Dict[str, Callable[..., Dict[int, Timing]]] = {
     "analytic": _eval_analytic,
     "batch": _eval_batch,
     "dag": _eval_dag,
@@ -274,10 +285,10 @@ def run_point(
                 f"engine={engine!r} cannot record traces; use engine='event'"
             )
         time, samples, messages = evaluate(
-            library, collective, nodes, ppn, msg_bytes,
+            library, collective, nodes, ppn, [msg_bytes],
             params=params, warmup=warmup, measure=measure,
             thresholds=thresholds,
-        )
+        )[msg_bytes]
     else:
         lib = make_library(library)
         if thresholds is not None:

@@ -207,9 +207,7 @@ def main(argv=None) -> int:
     if args.cache_stats:
         s = runner.cache.stats()
         emit(
-            f"   [cache: {s['hits']} hits ({s['point_hits']} point / "
-            f"{s['column_hits']} column), {s['misses']} misses "
-            f"({s['point_misses']} point / {s['column_misses']} column), "
+            f"   [cache: {s['hits']} hits, {s['misses']} misses, "
             f"{s['stores']} stores in "
             f"{s['flushes']} flushes, {s['bytes_read']}B read, "
             f"{s['bytes_written']}B written]"
@@ -221,7 +219,7 @@ def main(argv=None) -> int:
         lo = runner.lowering_cache_totals()
         emit(
             f"   [batch lowering: {lo['hits']} hits, {lo['misses']} misses "
-            f"across {lo['columns']} column work units]"
+            f"across {lo['units']} work units]"
         )
     return 0
 

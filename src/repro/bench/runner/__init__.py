@@ -6,9 +6,11 @@ Every evaluation figure expands into a list of independent, deterministic
 :class:`~repro.bench.runner.pool.SweepRunner` executes such a list:
 
 * **in parallel** across a ``multiprocessing`` pool (``jobs=N``, default
-  ``os.cpu_count()``) — each point ships to a worker as a picklable spec
-  and comes back as a picklable :class:`~repro.bench.microbench.
-  MicrobenchResult`;
+  ``os.cpu_count()``) — the sweep plan (:func:`~repro.bench.runner.pool.
+  plan_sweep`, shared with the :mod:`repro.serve` daemon) cuts the
+  points that miss the cache into work units, a whole column or one
+  size, which ship to a worker as picklable specs and come back as
+  picklable :class:`~repro.bench.microbench.MicrobenchResult` rows;
 * **memoized** through an on-disk columnar store (``.bench_cache/`` by
   default; append-only npz shards, one per column group, see
   :mod:`repro.bench.runner.store`) keyed by a stable hash of the cache
@@ -34,7 +36,7 @@ from repro.bench.runner.cache import (
     column_key,
 )
 from repro.bench.runner.points import Point, expand_sweep
-from repro.bench.runner.pool import SweepRunner, default_runner, run_points
+from repro.bench.runner.pool import SweepRunner, run_points
 from repro.bench.runner.store import ShardStore
 
 __all__ = [
@@ -46,6 +48,5 @@ __all__ = [
     "cache_key",
     "column_key",
     "SweepRunner",
-    "default_runner",
     "run_points",
 ]

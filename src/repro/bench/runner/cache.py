@@ -19,8 +19,9 @@ evaluating the column in one pass (the ``store`` and ``json`` rows of
 ``BENCH_speed.json``, written by ``benchmarks/bench_speed.py``, measure
 the ratio).  Writes buffer in memory
 and flush as whole shards (:meth:`ResultCache.flush`; the sweep runner
-flushes at the end of every run), so a point-per-put sweep costs a
-handful of shard files, not thousands of JSON files.
+writes each evaluated column with one :meth:`ResultCache.put_many`, and
+the serve daemon flushes its buffered puts on an interval), so a sweep
+costs a handful of shard files, not thousands of JSON files.
 
 The simulator is deterministic, so a hit is exact — bit-identical to
 recomputation under the same epoch.  The key does **not** hash source
@@ -164,8 +165,7 @@ class ResultCache:
     Reads consult the in-memory write buffer, then the shard store.
     Writes buffer in memory per column group and publish as whole shards
     on :meth:`flush` — called automatically once ``flush_threshold`` rows
-    are pending, by :meth:`put_many` (a column is a natural batch), and
-    by the sweep runner at the end of each run.
+    are pending and by :meth:`put_many` (a column is a natural batch).
     """
 
     def __init__(
@@ -175,12 +175,10 @@ class ResultCache:
         self.store = ShardStore(self.root / "shards")
         self.flush_threshold = flush_threshold
         #: counters since construction (``--cache-stats`` reporting);
-        #: point_* from :meth:`get`, column_* from :meth:`get_many` — the
-        #: same per-point accounting, split by access path
-        self.point_hits = 0
-        self.point_misses = 0
-        self.column_hits = 0
-        self.column_misses = 0
+        #: hits and misses count points, by :meth:`get` and
+        #: :meth:`get_many` alike
+        self.hits = 0
+        self.misses = 0
         self.stores = 0
         self.flushes = 0
         #: pending rows, keyed by column group then message size
@@ -188,15 +186,6 @@ class ResultCache:
         self._pending_rows = 0
 
     # -- aggregate counters ---------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Point-level and column-level hits, counted identically."""
-        return self.point_hits + self.column_hits
-
-    @property
-    def misses(self) -> int:
-        return self.point_misses + self.column_misses
 
     @property
     def bytes_read(self) -> int:
@@ -212,10 +201,6 @@ class ResultCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "point_hits": self.point_hits,
-            "point_misses": self.point_misses,
-            "column_hits": self.column_hits,
-            "column_misses": self.column_misses,
             "stores": self.stores,
             "flushes": self.flushes,
             "pending_rows": self._pending_rows,
@@ -248,9 +233,9 @@ class ResultCache:
         """The cached result for ``point``, or ``None`` on a miss."""
         row = self._lookup(point, column_key(point))
         if row is None:
-            self.point_misses += 1
+            self.misses += 1
         else:
-            self.point_hits += 1
+            self.hits += 1
         return row
 
     def get_many(
@@ -260,16 +245,15 @@ class ResultCache:
 
         Points may span several columns; each group's shards are read at
         most once (the store memoizes merged views).  Hit/miss accounting
-        is per point, identical to a :meth:`get` loop, tallied under the
-        ``column_*`` counters.
+        is per point, identical to a :meth:`get` loop.
         """
         out: List[Optional[MicrobenchResult]] = []
         for point in points:
             row = self._lookup(point, column_key(point))
             if row is None:
-                self.column_misses += 1
+                self.misses += 1
             else:
-                self.column_hits += 1
+                self.hits += 1
             out.append(row)
         return out
 

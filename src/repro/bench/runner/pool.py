@@ -1,23 +1,32 @@
-"""The sweep runner: process-pool execution + cache orchestration.
+"""The sweep runner: one sweep plan, one worker, a process pool and the cache.
 
 Each :class:`~repro.bench.runner.points.Point` is an independent,
-deterministic simulation, so a sweep is embarrassingly parallel: the runner
-ships point specs (not worlds — specs pickle in ~200 bytes) to a
-``multiprocessing`` pool and reassembles results in submission order.
-Serial, parallel, and cache-hit execution are bit-identical by
-construction; ``tests/bench/test_runner.py`` enforces it.
+deterministic simulation, so a sweep is embarrassingly parallel.  Both
+sweep fronts, :class:`SweepRunner` here and the :mod:`repro.serve`
+daemon, go through one plan (:func:`plan_sweep`).  It groups the points
+by *column* (points identical but for ``msg_bytes``), resolves each
+column's engine once, reads each column from the result cache with one
+:meth:`~repro.bench.runner.cache.ResultCache.get_many` call, and cuts
+the misses into work units:
 
-Points bound for the batch engine take a different route through the same
-machinery: the runner groups them into *columns* — points identical except
-for ``msg_bytes`` — and ships each column as one work unit
-(:func:`run_sweep_column`), which evaluates the whole size axis in one
-vectorized pass (:func:`repro.sched.batch.evaluate_column`) and reads and
-writes the columnar result store one column-group shard at a time
-(:meth:`~repro.bench.runner.cache.ResultCache.get_many` /
-:meth:`~repro.bench.runner.cache.ResultCache.put_many`).  ``auto`` points
-upgrade to the column route automatically when the pair is planner-backed
-and the column has at least two sizes; the batch engine's bit-identity
-contract makes the upgrade invisible in the results.
+* a ``batch`` or ``analytic`` column, and the sizes of at least one byte
+  of a planner-backed ``auto`` column that spans two or more of them, are
+  one unit each, evaluated over the whole size axis in one call
+  (:func:`repro.sched.batch.evaluate_column`,
+  :func:`repro.sched.analytic.evaluate_axis`);
+* every other size is a unit of its own, evaluated by
+  :func:`run_point_spec`, so ``jobs=N`` spreads a column of event or DAG
+  points across the pool.
+
+One worker, :func:`run_sweep_column_stats`, evaluates any unit through
+one table that maps route to evaluator.  The runner ships units (point
+specs pickle in ~200 bytes; worlds never cross) to a ``multiprocessing``
+pool, writes each column back with one
+:meth:`~repro.bench.runner.cache.ResultCache.put_many`, and reassembles
+results in submission order.  Serial, parallel and cache-hit execution
+are bit-identical by construction (the batch engine's bit-identity
+contract makes the ``auto`` upgrade invisible in the results);
+``tests/bench/test_runner.py`` enforces it.
 """
 
 from __future__ import annotations
@@ -25,9 +34,13 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.bench.microbench import (
+    _EVALUATORS,
     ENGINES,
     MicrobenchResult,
     resolve_engine,
@@ -35,10 +48,11 @@ from repro.bench.microbench import (
 )
 from repro.bench.runner.cache import ResultCache
 from repro.bench.runner.points import Point, column_of
+from repro.sched.fastpath import check_protocol
 
 __all__ = [
-    "SweepRunner", "default_runner", "run_points", "run_point_spec",
-    "run_sweep_column", "run_sweep_column_stats", "plan_column_routes",
+    "SweepRunner", "SweepUnit", "SweepColumn", "plan_sweep", "run_points",
+    "run_point_spec", "run_sweep_column_stats",
 ]
 
 _ENV_JOBS = "PIPMCOLL_JOBS"
@@ -51,12 +65,11 @@ ProgressFn = Callable[[int, int, Point, str], None]
 
 
 def run_point_spec(point: Point) -> MicrobenchResult:
-    """Module-level pool worker: execute one point.
+    """Evaluate one point: the per-size route of :data:`_ROUTES`.
 
-    Must stay a plain top-level function — ``multiprocessing`` pickles it
-    by qualified name, and the :class:`Point` argument plus the returned
-    :class:`MicrobenchResult` are the only state that crosses the process
-    boundary (no closures over ``World``).
+    The :class:`Point` argument and the returned :class:`MicrobenchResult`
+    are all the state it touches (no closures over ``World``), so it runs
+    the same in a pool worker as in-process.
     """
     return run_point(
         point.library,
@@ -72,116 +85,138 @@ def run_point_spec(point: Point) -> MicrobenchResult:
     )
 
 
-def _evaluate_sweep_column(points: Sequence[Point]):
-    """Evaluate one column work unit; returns the raw ``ColumnResult``
-    of :func:`repro.sched.batch.evaluate_column` (explicit ``"batch"``
-    and upgraded ``"auto"`` columns alike)."""
-    from repro.sched.batch import evaluate_column
-    from repro.sched.fastpath import check_protocol
+class SweepUnit(NamedTuple):
+    """One work unit: ``points`` of one column, one per size, evaluated
+    together on ``route`` (a key of :data:`_ROUTES`)."""
 
+    route: str
+    points: Tuple[Point, ...]
+
+
+class SweepColumn(NamedTuple):
+    """One column of a planned sweep that needs evaluation."""
+
+    #: request indices of the column's points with no cached row
+    misses: List[int]
+    #: the misses' distinct sizes, cut into work units
+    units: List[SweepUnit]
+
+
+def _point_rows(points: Sequence[Point]) -> List[MicrobenchResult]:
+    # looked up at call time, so a wrapper installed on this module's
+    # binding sees every per-size evaluation
+    return [run_point_spec(p) for p in points]
+
+
+def _column_rows(
+    engine: str, points: Sequence[Point]
+) -> List[MicrobenchResult]:
+    """The whole column in one call to ``engine``'s evaluator."""
     first = points[0]
     sizes = [p.msg_bytes for p in points]
     # fail fast with run_point's exact checks instead of tripping an
     # engine internal error deep inside a pool worker
     check_protocol(first.warmup, first.measure, sizes)
-    return evaluate_column(
-        first.library,
-        first.collective,
-        first.nodes,
-        first.ppn,
-        sizes,
-        params=first.params,
-        warmup=first.warmup,
-        measure=first.measure,
+    timings = _EVALUATORS[engine](
+        first.library, first.collective, first.nodes, first.ppn, sizes,
+        params=first.params, warmup=first.warmup, measure=first.measure,
         thresholds=first.thresholds,
     )
+    return [
+        MicrobenchResult(p.library, p.collective, p.nodes, p.ppn,
+                         p.msg_bytes, *timings[p.msg_bytes])
+        for p in points
+    ]
 
 
-def _column_results(points: Sequence[Point], col) -> List[MicrobenchResult]:
-    out: List[MicrobenchResult] = []
-    for p in points:
-        fast = col.results[p.msg_bytes]
-        out.append(
-            MicrobenchResult(
-                library=p.library,
-                collective=p.collective,
-                nodes=p.nodes,
-                ppn=p.ppn,
-                msg_bytes=p.msg_bytes,
-                time=sum(fast.samples) / len(fast.samples),
-                samples=fast.samples,
-                internode_messages=fast.internode_messages,
-            )
-        )
-    return out
-
-
-def run_sweep_column(points: Sequence[Point]) -> List[MicrobenchResult]:
-    """Pool worker: evaluate one column of points in a single batch pass.
-
-    ``points`` must agree on everything but ``msg_bytes`` (the runner's
-    grouping guarantees it).  Results come back in ``points`` order and
-    are bit-identical to running each point on the DAG engine — the batch
-    engine's contract (see :mod:`repro.sched.batch`).  Top-level for the
-    same pickling reason as :func:`run_point_spec`.
-    """
-    return _column_results(points, _evaluate_sweep_column(points))
+#: route -> evaluator of a unit's points, rows in ``points`` order:
+#: ``point`` runs each size through run_point (which resolves ``auto``
+#: itself); ``batch`` and ``analytic`` evaluate the whole size axis at once
+_ROUTES: Dict[str, Callable[[Sequence[Point]], List[MicrobenchResult]]] = {
+    "point": _point_rows,
+    "batch": partial(_column_rows, "batch"),
+    "analytic": partial(_column_rows, "analytic"),
+}
 
 
 def run_sweep_column_stats(
-    points: Sequence[Point],
+    unit: SweepUnit,
 ) -> Tuple[List[MicrobenchResult], Dict]:
-    """Pool worker: :func:`run_sweep_column` plus this work unit's lowering
-    counters.
+    """Pool worker: evaluate one work unit; its rows (in ``unit.points``
+    order) and its lowering counters.
 
     Pool workers are separate processes, so the parent's
-    ``planner_cache_info()["batch_lowering"]`` counters never see column
-    work — each worker's counters die with its process.  This wrapper
-    snapshots the per-process counters around the column pass and ships
-    the *delta* home in the result payload, so the runner can aggregate
-    lowering hits/misses across every work unit of the sweep regardless
-    of which process ran it.
+    ``planner_cache_info()["batch_lowering"]`` counters never see their
+    work; each worker's counters die with its process.  The worker
+    snapshots the per-process counters around the unit and ships the
+    *delta* home with the rows, so a front can sum lowering hits and
+    misses over every unit it ran, whichever process ran it.
     """
     from repro.sched.batch import lowering_cache_info
 
     before = lowering_cache_info()
-    col = _evaluate_sweep_column(points)
+    rows = _ROUTES[unit.route](unit.points)
     after = lowering_cache_info()
-    delta = {
+    return rows, {
         "hits": after.hits - before.hits,
         "misses": after.misses - before.misses,
     }
-    return _column_results(points, col), delta
 
 
-def plan_column_routes(points: Sequence[Point]) -> Dict[Tuple, List[int]]:
-    """Indices of column-routed points, grouped by column.
+def _column_units(
+    column: Sequence[Point], missing: Sequence[Point]
+) -> List[SweepUnit]:
+    """The work units of one column: ``column`` is every point of it in
+    the sweep, ``missing`` one point per size that needs evaluation."""
+    first = column[0]
+    if first.engine in ("batch", "analytic"):
+        route, floor = first.engine, 0
+    elif (first.engine == "auto"
+          and resolve_engine("auto", first.library, first.collective) == "dag"
+          and len({p.msg_bytes for p in column if p.msg_bytes >= 1}) > 1):
+        # the batch pass pays for itself over several sizes; the planners
+        # refuse empty messages, which run_point answers on the event loop
+        route, floor = "batch", 1
+    else:
+        return [SweepUnit("point", (p,)) for p in missing]
+    whole = tuple(p for p in missing if p.msg_bytes >= floor)
+    units = [SweepUnit(route, whole)] if whole else []
+    return units + [SweepUnit("point", (p,)) for p in missing
+                    if p.msg_bytes < floor]
 
-    A point rides a column when its engine is ``"batch"`` explicitly, or
-    when it is ``"auto"``, resolves to the fast path (planner-backed
-    pair, at least one byte — :func:`~repro.bench.microbench.resolve_engine`),
-    and at least one other point shares its column with a different size
-    — the regime where the vectorized pass pays for itself.  Shared by
-    :class:`SweepRunner` and the :mod:`repro.serve` daemon so both fronts
-    route identically (the bit-identity contract makes routing invisible
-    in the results, but identical routing keeps cache traffic and
-    work-unit shapes the same too).
+
+def plan_sweep(
+    points: Sequence[Point], cache: Optional[ResultCache] = None
+) -> Tuple[List[Optional[MicrobenchResult]], List[SweepColumn]]:
+    """The cached rows of ``points`` and the work the rest need.
+
+    Returns each point's cached row (``None`` for a miss), and one
+    :class:`SweepColumn` per column with misses, in first-seen order.
+    ``cache=None`` reads nothing, so every point is a miss.  The route
+    depends on the column's sizes in the sweep, not on which of them are
+    cached, so a partly cached column keeps its unit shape.
     """
+    results: List[Optional[MicrobenchResult]] = [None] * len(points)
     groups: Dict[Tuple, List[int]] = {}
-    for i, p in enumerate(points):
-        if p.engine == "batch" or (
-            p.engine == "auto"
-            and resolve_engine(
-                "auto", p.library, p.collective, msg_bytes=p.msg_bytes
-            ) == "dag"
-        ):
-            groups.setdefault(column_of(p), []).append(i)
-    return {
-        key: idxs
-        for key, idxs in groups.items()
-        if points[idxs[0]].engine == "batch"
-        or len({points[i].msg_bytes for i in idxs}) > 1
-    }
+    for i, point in enumerate(points):
+        groups.setdefault(column_of(point), []).append(i)
+    columns: List[SweepColumn] = []
+    for idxs in groups.values():
+        column = [points[i] for i in idxs]
+        hits = (cache.get_many(column) if cache is not None
+                else [None] * len(column))
+        misses: List[int] = []
+        missing: Dict[int, Point] = {}
+        for i, point, hit in zip(idxs, column, hits):
+            if hit is None:
+                misses.append(i)
+                missing.setdefault(point.msg_bytes, point)
+            else:
+                results[i] = hit
+        if misses:
+            columns.append(SweepColumn(
+                misses, _column_units(column, list(missing.values()))))
+    return results, columns
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -259,13 +294,13 @@ class SweepRunner:
         if engine is not None and engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
         self.engine = engine
-        #: lowering-cache counters summed over every column work unit
-        #: this runner executed (pool or serial); see run_sweep_column_stats
-        self._lowering_totals = {"hits": 0, "misses": 0, "columns": 0}
+        #: lowering-cache counters summed over every work unit this
+        #: runner executed (pool or serial); see run_sweep_column_stats
+        self._lowering_totals = {"hits": 0, "misses": 0, "units": 0}
 
     def lowering_cache_totals(self) -> Dict[str, int]:
-        """Batch-lowering hits/misses aggregated across all column work
-        units run by this runner — survives the process pool, unlike the
+        """Batch-lowering hits/misses aggregated across all work units
+        run by this runner — survives the process pool, unlike the
         in-process ``planner_cache_info()["batch_lowering"]`` counters."""
         return dict(self._lowering_totals)
 
@@ -279,89 +314,40 @@ class SweepRunner:
                 for p in points
             ]
         total = len(points)
-        results: List[Optional[MicrobenchResult]] = [None] * total
-        done = 0
-
-        # grouped before any evaluation, so a column is lowered once no
-        # matter how many sizes it spans
-        col_groups = plan_column_routes(points)
-        col_member = {i for idxs in col_groups.values() for i in idxs}
-
-        # 1. cache pass — point files for point-routed work, one column
-        # file per column for the rest
-        pending: List[int] = []
-        col_pending: Dict[Tuple, List[int]] = {}
         consult = self.use_cache and not self.refresh
-        for key, idxs in col_groups.items():
-            hits = (
-                self.cache.get_many([points[i] for i in idxs])
-                if consult else [None] * len(idxs)
-            )
-            for i, hit in zip(idxs, hits):
-                if hit is not None:
-                    results[i] = hit
+        results, columns = plan_sweep(points, self.cache if consult else None)
+        progress = self.progress
+        done = 0
+        if progress:
+            for point, row in zip(points, results):
+                if row is not None:
                     done += 1
-                    if self.progress:
-                        self.progress(done, total, points[i], "cache")
-                else:
-                    col_pending.setdefault(key, []).append(i)
-        for i, point in enumerate(points):
-            if i in col_member:
-                continue
-            hit = self.cache.get(point) if consult else None
-            if hit is not None:
-                results[i] = hit
-                done += 1
-                if self.progress:
-                    self.progress(done, total, point, "cache")
-            else:
-                pending.append(i)
+                    progress(done, total, point, "cache")
 
-        # 2. compute misses (pool or serial); each column is one work unit.
-        # Point-routed puts buffer in the cache and flush as whole shards
-        # in the finally block — the batched-flush half of the columnar
-        # store (column puts are already one shard per put_many call).
-        try:
-            if pending:
-                if self.jobs > 1 and len(pending) > 1:
-                    computed = self._map_pool(
-                        run_point_spec, [points[i] for i in pending]
-                    )
-                else:
-                    computed = map(run_point_spec, (points[i] for i in pending))
-                for i, result in zip(pending, computed):
-                    results[i] = result
-                    if self.use_cache:
-                        self.cache.put(points[i], result)
-                    done += 1
-                    if self.progress:
-                        self.progress(done, total, points[i], "run")
-            if col_pending:
-                groups = [[points[i] for i in idxs]
-                          for idxs in col_pending.values()]
-                if self.jobs > 1 and len(groups) > 1:
-                    computed_cols = self._map_pool(
-                        run_sweep_column_stats, groups
-                    )
-                else:
-                    computed_cols = map(run_sweep_column_stats, groups)
-                for idxs, group, (col_results, lower_delta) in zip(
-                    col_pending.values(), groups, computed_cols
-                ):
-                    self._lowering_totals["hits"] += lower_delta["hits"]
-                    self._lowering_totals["misses"] += lower_delta["misses"]
-                    self._lowering_totals["columns"] += 1
-                    if self.use_cache:
-                        self.cache.put_many(group, col_results)
-                    for i, result in zip(idxs, col_results):
-                        results[i] = result
-                        done += 1
-                        if self.progress:
-                            self.progress(done, total, points[i], "run")
-        finally:
+        units = [unit for col in columns for unit in col.units]
+        if self.jobs > 1 and len(units) > 1:
+            computed = iter(self._map_pool(run_sweep_column_stats, units))
+        else:
+            computed = map(run_sweep_column_stats, units)
+        totals = self._lowering_totals
+        for col in columns:
+            evaluated: List[Point] = []
+            rows: List[MicrobenchResult] = []
+            for unit in col.units:
+                unit_rows, delta = next(computed)
+                totals["hits"] += delta["hits"]
+                totals["misses"] += delta["misses"]
+                totals["units"] += 1
+                evaluated += unit.points
+                rows += unit_rows
             if self.use_cache:
-                self.cache.flush()
-
+                self.cache.put_many(evaluated, rows)
+            by_size = {p.msg_bytes: row for p, row in zip(evaluated, rows)}
+            for i in col.misses:
+                results[i] = by_size[points[i].msg_bytes]
+                if progress:
+                    done += 1
+                    progress(done, total, points[i], "run")
         return results  # type: ignore[return-value]
 
     def _map_pool(self, fn, items: List) -> List:
@@ -379,13 +365,8 @@ class SweepRunner:
             return pool.map(fn, items, chunksize=chunksize)
 
 
-def default_runner(**overrides) -> SweepRunner:
-    """A runner configured purely from the environment (plus overrides)."""
-    return SweepRunner(**overrides)
-
-
 def run_points(
     points: Sequence[Point], runner: Optional[SweepRunner] = None
 ) -> List[MicrobenchResult]:
     """Convenience wrapper: run ``points`` on ``runner`` or an env-default."""
-    return (runner or default_runner()).run(points)
+    return (runner or SweepRunner()).run(points)

@@ -6,28 +6,29 @@ Architecture (one asyncio event loop, one resident worker pool)::
                         │  admission gate (max_pending, else "overloaded")
                         │  column specs validated, expanded to points
                         ▼
-                  _cache_pass ──all hits──> response joined from the
-                        │                   rows' encoded bytes, with no
-                        │                   suspension, task or timer
-                        │ misses, grouped into work units
+                  plan_sweep ──all hits──> response joined from the
+                        │                  rows' encoded bytes, with no
+                        │                  suspension, task or timer
+                        │ misses, cut into work units
                         │ per-request deadline (wait_for + cancellation)
                         ▼
                   per-unit-key future table  ── coalesce: await the
                         │ (single flight)        in-flight task
                         ▼
                   resident executor (forked workers, warm planner/
-                  lowering caches) running the *same* top-level worker
-                  functions the SweepRunner pool uses
+                  lowering caches) running the *same* worker function
+                  the SweepRunner pool uses
                         ▼
                   buffered ResultCache puts ── periodic + shutdown flush
                                                to columnar shards
 
-**Coalescing.**  Work units are the sweep runner's: one *column* (points
-identical but for ``msg_bytes``, routed via
-:func:`~repro.bench.runner.pool.plan_column_routes`) or one scalar
-point.  Each unit in flight is an ``asyncio.Task`` registered in a table
-keyed by the unit's cache key — the column-group hash for columns,
-``"pt:"+cache_key`` for points.  A request whose misses land on a key
+**Coalescing.**  The cache reads and work units are the sweep runner's:
+:func:`~repro.bench.runner.pool.plan_sweep` reads each column with one
+``get_many`` and cuts its misses into units, one per column for the
+whole-column routes and one per size for the rest.  Each unit in flight
+is an ``asyncio.Task`` registered in a table keyed by the unit's column
+group hash (:func:`~repro.bench.runner.cache.column_key`), plus the size
+for a per-size unit.  A request whose misses land on a key
 already in flight **awaits that task instead of evaluating** (the
 ``coalesced`` counter), then re-reads the cache: full overlaps cost zero
 extra work, partial overlaps re-enter single-flight for just the
@@ -51,8 +52,8 @@ owns the buffer — so it comes before anything that waits on a client.
 
 Results are **bit-identical** to
 :meth:`~repro.bench.runner.pool.SweepRunner.run` on the same point list:
-identical routing, identical worker functions, identical cache; the
-engines' own bit-identity contracts do the rest (``tests/serve/`` pins
+one plan, one worker function, identical cache; the engines' own
+bit-identity contracts do the rest (``tests/serve/`` pins
 it end to end through a real socket).
 """
 
@@ -64,15 +65,14 @@ import sys
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.bench.microbench import MicrobenchResult
-from repro.bench.runner.cache import ResultCache, cache_key, column_key
-from repro.bench.runner.points import Point
+from repro.bench.runner.cache import ResultCache, column_key
 from repro.bench.runner.pool import (
+    SweepUnit,
     _default_jobs,
-    plan_column_routes,
-    run_point_spec,
+    plan_sweep,
     run_sweep_column_stats,
 )
 from repro.serve.protocol import (
@@ -175,9 +175,9 @@ class SweepDaemon:
         #: work-unit key -> in-flight evaluation task (the coalescing
         #: table; see module docstring)
         self._inflight: Dict[str, asyncio.Task] = {}
-        #: lowering-cache deltas shipped home by column work units (see
+        #: lowering-cache deltas shipped home by work units (see
         #: run_sweep_column_stats)
-        self._lowering = {"hits": 0, "misses": 0, "columns": 0}
+        self._lowering = {"hits": 0, "misses": 0, "units": 0}
         self._active = 0
         #: live connection handler -> its writer (see _close_conns)
         self._conns: Dict[asyncio.Task, asyncio.StreamWriter] = {}
@@ -392,22 +392,23 @@ class SweepDaemon:
         timeout = wire_timeout(request.get("timeout", self.default_timeout))
         self.stats.sweeps += 1
         self.stats.points += len(points)
-        results, col_misses, point_misses = self._cache_pass(points)
-        if col_misses or point_misses:
+        results, columns = plan_sweep(points, self.cache)
+        misses = sum(len(col.misses) for col in columns)
+        self.stats.hits += len(points) - misses
+        self.stats.misses += misses
+        if columns:
             self._active += 1
             try:
-                fills = [self._fill_column(points, idxs, results)
-                         for idxs in col_misses]
-                fills += [self._fill_point(points[i], i, results)
-                          for i in point_misses]
                 # a failed unit fails the request; shielded unit tasks
                 # keep running and stay coalescable
-                work = asyncio.gather(*fills)
+                work = asyncio.gather(*(
+                    self._fetch(unit) for col in columns for unit in col.units
+                ))
                 if timeout is None:
-                    await work
+                    fetched = await work
                 else:
                     try:
-                        await asyncio.wait_for(work, timeout)
+                        fetched = await asyncio.wait_for(work, timeout)
                     except asyncio.TimeoutError:
                         self.stats.timeouts += 1
                         raise ServeError(
@@ -418,77 +419,38 @@ class SweepDaemon:
                         ) from None
             finally:
                 self._active -= 1
+            rows = iter(fetched)
+            for col in columns:
+                by_size: Dict[int, MicrobenchResult] = {}
+                for _ in col.units:
+                    by_size.update(next(rows))
+                for i in col.misses:
+                    results[i] = by_size[points[i].msg_bytes]
         tail = {"id": request["id"]} if "id" in request else {}
         return encode_results(results, tail)
 
     # -- evaluation ------------------------------------------------------
 
-    def _cache_pass(
-        self, points: Sequence[Point]
-    ) -> Tuple[List[Optional[MicrobenchResult]], List[List[int]], List[int]]:
-        """Hits into a result list, counted; misses as the runner's work
-        units: index lists of column-routed points, one per column, and
-        indices of scalar points.  Same routing and cache reads as
-        :meth:`SweepRunner.run`, so results stay bit-identical to it."""
-        results: List[Optional[MicrobenchResult]] = [None] * len(points)
-        col_misses: List[List[int]] = []
-        point_misses: List[int] = []
+    async def _fetch(self, unit: SweepUnit) -> Dict[int, MicrobenchResult]:
+        """Single-flight evaluation of one work unit's sizes.
 
-        routes = plan_column_routes(points)
-        col_member = {i for idxs in routes.values() for i in idxs}
-        for idxs in routes.values():
-            group = [points[i] for i in idxs]
-            miss_idx = []
-            for i, hit in zip(idxs, self.cache.get_many(group)):
-                if hit is not None:
-                    results[i] = hit
-                else:
-                    miss_idx.append(i)
-            if miss_idx:
-                col_misses.append(miss_idx)
-        for i, point in enumerate(points):
-            if i in col_member:
-                continue
-            hit = self.cache.get(point)
-            if hit is not None:
-                results[i] = hit
-            else:
-                point_misses.append(i)
-        misses = sum(map(len, col_misses)) + len(point_misses)
-        self.stats.hits += len(points) - misses
-        self.stats.misses += misses
-        return results, col_misses, point_misses
-
-    async def _fill_column(
-        self,
-        points: Sequence[Point],
-        miss_idx: List[int],
-        results: List[Optional[MicrobenchResult]],
-    ) -> None:
-        misses = [points[i] for i in miss_idx]
-        got = await self._fetch_column(column_key(misses[0]), misses)
-        for i, point in zip(miss_idx, misses):
-            results[i] = got[point.msg_bytes]
-
-    async def _fetch_column(
-        self, key: str, misses: List[Point]
-    ) -> Dict[int, MicrobenchResult]:
-        """Single-flight fill of one column's missing sizes.
-
-        If the column is already being evaluated, await that task and
+        If the unit's key is already being evaluated, await that task and
         re-check the cache: an identical or superset request costs zero
         extra work; a partial overlap loops and evaluates only what is
         still missing.  The loop terminates because each pass either
         drains ``pending`` from the cache or owns a task that evaluates
         exactly ``pending``.
         """
+        key = column_key(unit.points[0])
+        if unit.route == "point":
+            key += f":{unit.points[0].msg_bytes}"
         out: Dict[int, MicrobenchResult] = {}
-        pending = list(misses)
+        pending = unit.points
         while pending:
             task = self._inflight.get(key)
             if task is None:
                 task = asyncio.create_task(
-                    self._evaluate_column(list(pending))
+                    self._evaluate(unit._replace(points=pending))
                 )
                 self._inflight[key] = task
                 task.add_done_callback(self._inflight_done(key))
@@ -502,26 +464,8 @@ class SweepDaemon:
                     still.append(point)
                 else:
                     out[point.msg_bytes] = row
-            pending = still
+            pending = tuple(still)
         return out
-
-    async def _fill_point(
-        self,
-        point: Point,
-        index: int,
-        results: List[Optional[MicrobenchResult]],
-    ) -> None:
-        """Single-flight fill of one scalar point (unit covers exactly
-        the point, so waiters can take the task's result directly)."""
-        key = "pt:" + cache_key(point)
-        task = self._inflight.get(key)
-        if task is None:
-            task = asyncio.create_task(self._evaluate_point(point))
-            self._inflight[key] = task
-            task.add_done_callback(self._inflight_done(key))
-        else:
-            self.stats.coalesced += 1
-        results[index] = await asyncio.shield(task)
 
     def _inflight_done(self, key: str) -> Callable[[asyncio.Task], None]:
         def _cb(task: asyncio.Task) -> None:
@@ -533,25 +477,14 @@ class SweepDaemon:
                 task.exception()
         return _cb
 
-    async def _evaluate_column(
-        self, group: List[Point]
-    ) -> List[MicrobenchResult]:
+    async def _evaluate(self, unit: SweepUnit) -> None:
         self.stats.evaluations += 1
-        col_results, delta = await self._run_in_pool(
-            run_sweep_column_stats, group
-        )
+        rows, delta = await self._run_in_pool(run_sweep_column_stats, unit)
         self._lowering["hits"] += delta["hits"]
         self._lowering["misses"] += delta["misses"]
-        self._lowering["columns"] += 1
-        for point, result in zip(group, col_results):
-            self.cache.put(point, result)
-        return col_results
-
-    async def _evaluate_point(self, point: Point) -> MicrobenchResult:
-        self.stats.evaluations += 1
-        result = await self._run_in_pool(run_point_spec, point)
-        self.cache.put(point, result)
-        return result
+        self._lowering["units"] += 1
+        for point, row in zip(unit.points, rows):
+            self.cache.put(point, row)
 
     async def _run_in_pool(self, fn, arg):
         """One work unit on the resident executor (tests wrap this to

@@ -56,11 +56,12 @@ import weakref
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.microbench import ENGINES, MicrobenchResult
+from repro.bench.microbench import COLLECTIVES, ENGINES, MicrobenchResult
 from repro.bench.runner.cache import result_from_doc, result_to_doc
 from repro.bench.runner.points import Point
 from repro.core.tuning import Thresholds
 from repro.hw.params import MachineParams
+from repro.sched.registry import LIBRARIES, canonical_name
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_LINE", "ERROR_CODES", "ServeError",
@@ -212,10 +213,19 @@ def column_from_doc(doc: dict) -> List[Point]:
         if params is not None:
             params = MachineParams(**params)
             params.validate()
+        library = str(doc["library"])
+        if canonical_name(library) not in LIBRARIES:
+            raise ServeError("bad-request", f"unknown library {library!r}; "
+                                            f"known: {list(LIBRARIES)}")
+        collective = str(doc["collective"])
+        if collective not in COLLECTIVES:
+            raise ServeError("bad-request", f"unknown collective "
+                                            f"{collective!r}; known: "
+                                            f"{list(COLLECTIVES)}")
         # Point's positional fields before msg_bytes, then after it
         head = (
-            str(doc["library"]),
-            str(doc["collective"]),
+            library,
+            collective,
             _wire_int("nodes", doc["nodes"], 1),
             _wire_int("ppn", doc["ppn"], 1),
         )

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.microbench import ENGINES, run_point
 from repro.bench.runner import Point
-from repro.bench.runner.pool import run_sweep_column
+from repro.bench.runner.pool import SweepUnit, run_sweep_column_stats
 from repro.hw.params import bebop_broadwell
 from repro.sched.batch import evaluate_column
 from repro.sched.fastpath import evaluate_point
@@ -43,7 +43,7 @@ def test_negative_warmup_rejected_by_the_replay_entry_points():
     points = [Point("PiP-MColl", "allgather", 2, 2, s, warmup=-1,
                     engine="batch") for s in (64, 4096)]
     with pytest.raises(ValueError, match="warmup"):
-        run_sweep_column(points)
+        run_sweep_column_stats(SweepUnit("batch", tuple(points)))
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -22,7 +22,9 @@ def test_cache_stats_reports_store_shape(capsys):
     rc = main(["--figures", "fig06", "--scale", "small", "--cache-stats"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "[cache:" in out and "point /" in out and "column)" in out
+    # one hit/miss pair: get and get_many count alike, unsplit
+    assert "[cache:" in out and " hits, " in out and " misses, " in out
+    assert "point /" not in out and "column)" not in out
     assert "stores in" in out and "flushes" in out
     assert "[store:" in out and "shards on disk" in out
     assert "index" in out and "entries]" in out

@@ -21,7 +21,11 @@ from repro.bench.runner import (
     run_points,
 )
 from repro.bench.runner.cache import column_key
-from repro.bench.runner.pool import run_point_spec, run_sweep_column
+from repro.bench.runner.pool import (
+    SweepUnit,
+    run_point_spec,
+    run_sweep_column_stats,
+)
 from repro.core.tuning import Thresholds
 from repro.hw.params import bebop_broadwell
 
@@ -258,8 +262,8 @@ def test_microbench_result_pickle_round_trip():
 
 def test_worker_function_pickles_by_qualified_name():
     # multiprocessing pickles the callable itself; it must stay top-level
-    fn = pickle.loads(pickle.dumps(run_point_spec))
-    assert fn is run_point_spec
+    for worker in (run_point_spec, run_sweep_column_stats):
+        assert pickle.loads(pickle.dumps(worker)) is worker
 
 
 # -- column routing: the batch engine through the runner ------------------
@@ -269,6 +273,8 @@ COLUMN_POINTS = [
     Point("PiP-MColl", "allgather", 2, 2, s, engine="batch")
     for s in (64, 1024, 16384, 65536)
 ]
+#: the column as one work unit of the sweep worker's batch route
+COLUMN_UNIT = SweepUnit("batch", tuple(COLUMN_POINTS))
 
 
 def _dag_reference(points):
@@ -328,6 +334,47 @@ def test_single_size_auto_point_lands_in_its_column_group(tmp_path):
     assert cache.store.shard_count() == 1
 
 
+def test_analytic_column_is_one_evaluate_axis_call(monkeypatch):
+    """An analytic column is one work unit: one ``evaluate_axis`` call
+    over the whole size axis, whose rows are bit-identical to
+    ``run_point(engine="analytic")`` size by size.  ``measure=3`` pins
+    that a row's time is the closed-form estimate, not the mean of its
+    samples (the two differ in the last bit for some sizes)."""
+    import repro.sched.analytic as analytic
+
+    sizes = (64, 1024, 16384, 65536, 262144)
+    odd_sizes = (48, 12288, 65536, 393216)
+    pts = (
+        expand_sweep("allgather", sizes, ["PiP-MColl", "OpenMPI"],
+                     nodes=2, ppn=4, engine="analytic")
+        + [Point("PiP-MColl", "allreduce", 4, 2, s, measure=3,
+                 engine="analytic") for s in odd_sizes]
+    )
+    expected = [
+        run_point(p.library, p.collective, p.nodes, p.ppn, p.msg_bytes,
+                  warmup=p.warmup, measure=p.measure, engine="analytic")
+        for p in pts
+    ]
+    calls = []
+    inner = analytic.evaluate_axis
+
+    def counting(library, collective, nodes, ppn, axis, **kw):
+        calls.append((library, collective, tuple(axis)))
+        return inner(library, collective, nodes, ppn, axis, **kw)
+
+    monkeypatch.setattr(analytic, "evaluate_axis", counting)
+    got = SweepRunner(jobs=1, use_cache=False).run(pts)
+    assert sorted(calls) == [
+        ("OpenMPI", "allgather", sizes),
+        ("PiP-MColl", "allgather", sizes),
+        ("PiP-MColl", "allreduce", odd_sizes),
+    ]
+    assert got == expected
+    assert [g.time for g in got] == [e.time for e in expected]
+    assert [g.samples for g in got] == [e.samples for e in expected]
+    assert any(g.time != sum(g.samples) / len(g.samples) for g in got)
+
+
 def test_parallel_column_execution_identical(tmp_path):
     pts = COLUMN_POINTS + [
         Point("PiP-MPICH", "allgather", 2, 2, s, engine="batch")
@@ -351,22 +398,21 @@ def test_lowering_counters_aggregate_across_column_work_units(jobs):
     ]
     runner = SweepRunner(jobs=jobs, use_cache=False)
     assert runner.lowering_cache_totals() == {
-        "hits": 0, "misses": 0, "columns": 0,
+        "hits": 0, "misses": 0, "units": 0,
     }
     runner.run(pts)
     totals = runner.lowering_cache_totals()
-    assert totals["columns"] == 2
+    assert totals["units"] == 2
     assert totals["hits"] + totals["misses"] > 0
     assert totals["misses"] > 0  # fresh work units always lower something
 
 
 def test_lowering_delta_worker_returns_results_and_counters():
-    from repro.bench.runner.pool import run_sweep_column_stats
     from repro.sched.batch import clear_lowering_cache
 
     clear_lowering_cache()
-    col_results, delta = run_sweep_column_stats(COLUMN_POINTS)
-    assert col_results == run_sweep_column(COLUMN_POINTS)
+    col_results, delta = run_sweep_column_stats(COLUMN_UNIT)
+    assert col_results == _dag_reference(COLUMN_POINTS)
     assert set(delta) == {"hits", "misses"}
     assert delta["misses"] > 0
     clear_lowering_cache()
@@ -374,7 +420,7 @@ def test_lowering_delta_worker_returns_results_and_counters():
 
 def test_get_many_put_many_round_trip_and_accounting(tmp_path):
     cache = _cache(tmp_path)
-    results = run_sweep_column(COLUMN_POINTS)
+    results = run_sweep_column_stats(COLUMN_UNIT)[0]
     cache.put_many(COLUMN_POINTS, results)
     assert cache.stores == len(COLUMN_POINTS)
     assert cache.bytes_written > 0
@@ -395,7 +441,7 @@ def test_get_many_put_many_round_trip_and_accounting(tmp_path):
 def test_put_many_merges_instead_of_clobbering(tmp_path):
     cache = _cache(tmp_path)
     first, rest = COLUMN_POINTS[:2], COLUMN_POINTS[2:]
-    results = run_sweep_column(COLUMN_POINTS)
+    results = run_sweep_column_stats(COLUMN_UNIT)[0]
     cache.put_many(first, results[:2])
     cache.put_many(rest, results[2:])
     assert cache.get_many(COLUMN_POINTS) == results
@@ -406,7 +452,7 @@ def test_put_many_merges_instead_of_clobbering(tmp_path):
 
 def test_corrupted_column_shard_is_dropped_and_missed(tmp_path):
     cache = _cache(tmp_path)
-    results = run_sweep_column(COLUMN_POINTS)
+    results = run_sweep_column_stats(COLUMN_UNIT)[0]
     cache.put_many(COLUMN_POINTS, results)
     path = next((cache.root / "shards").glob("*/*.npz"))
     path.write_bytes(b"torn write")
@@ -529,7 +575,7 @@ def test_empty_progress_env_flag_means_unset(monkeypatch, capsys):
 
 
 def test_zero_measure_column_fails_fast_like_run_point(monkeypatch):
-    """``run_sweep_column`` with ``measure=0`` must raise the same
+    """The worker's batch route with ``measure=0`` must raise the same
     ``ValueError`` as ``run_point`` — up front, before the batch engine
     is ever invoked deep inside a pool worker."""
     import repro.sched.batch as batch
@@ -548,7 +594,7 @@ def test_zero_measure_column_fails_fast_like_run_point(monkeypatch):
         )
     ]
     with pytest.raises(ValueError, match="at least one measured iteration"):
-        run_sweep_column(points)
+        run_sweep_column_stats(SweepUnit("batch", tuple(points)))
     assert called == []
 
 

@@ -26,13 +26,15 @@ from repro.bench.runner.cache import (
     main as cache_main,
     result_to_doc,
 )
-from repro.bench.runner.pool import run_sweep_column
+from repro.bench.runner.pool import SweepUnit, run_sweep_column_stats
 from repro.bench.runner.store import ShardStore
 
 AXIS = (64, 1024, 16384, 65536)
 POINTS = [
     Point("PiP-MColl", "allgather", 2, 2, s, engine="batch") for s in AXIS
 ]
+#: the column as one work unit of the sweep worker's batch route
+UNIT = SweepUnit("batch", tuple(POINTS))
 
 #: the epoch pre-1.4.0 caches were keyed under
 LEGACY_EPOCH = "1.3.0"
@@ -74,7 +76,7 @@ def test_two_writers_same_group_lose_nothing(tmp_path):
     """Two cache objects (two pool runs) flushing the same column group:
     both shards land, the merged view is the union."""
     a, b = ResultCache(tmp_path), ResultCache(tmp_path)
-    results = run_sweep_column(POINTS)
+    results = run_sweep_column_stats(UNIT)[0]
     # interleave: each writer holds half the column, flushes unaware of
     # the other (the read-merge-replace race the JSON layout had)
     a.put_many(POINTS[:2], results[:2])
@@ -255,7 +257,7 @@ def test_stray_tmp_file_is_never_read_as_a_shard(tmp_path):
 def test_round_trip_is_bit_identical_including_samples(tmp_path):
     store = ShardStore(tmp_path)
     key = column_key(POINTS[0])
-    results = run_sweep_column(POINTS)
+    results = run_sweep_column_stats(UNIT)[0]
     store.append(key, results)
     back = ShardStore(tmp_path).group(key)
     for r in results:
@@ -288,7 +290,7 @@ def test_legacy_json_and_migrated_shards_no_longer_hit(tmp_path):
     """The scheduled post-1.4.0 removal: neither a raw pre-1.4.0 JSON
     tree nor shards an earlier release converted it into under
     ``legacy/`` are consulted by lookups."""
-    results = run_sweep_column(POINTS)
+    results = run_sweep_column_stats(UNIT)[0]
     _write_json_column(tmp_path, POINTS[:3], results[:3])
     _write_json_point(tmp_path, POINTS[3], results[3])
     cache = ResultCache(tmp_path)
@@ -314,7 +316,7 @@ def test_legacy_epoch_never_aliases_current_epoch():
 
 
 def test_stats_cli_prints_store_shape(tmp_path, capsys):
-    ResultCache(tmp_path).put_many(POINTS, run_sweep_column(POINTS))
+    ResultCache(tmp_path).put_many(POINTS, run_sweep_column_stats(UNIT)[0])
     ShardStore(tmp_path / "legacy").append(
         column_key(POINTS[0], LEGACY_EPOCH), [_row(64)]
     )

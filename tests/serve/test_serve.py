@@ -16,7 +16,9 @@ import time
 
 import pytest
 
+from repro.bench.microbench import run_point
 from repro.bench.runner import Point, ResultCache, SweepRunner
+from repro.bench.runner.pool import plan_sweep
 from repro.hw.params import bebop_broadwell
 from repro.serve import ServeError, SweepClient, SweepDaemon, wait_until_ready
 from repro.serve.protocol import MAX_POINTS, column_to_doc, result_from_doc
@@ -106,6 +108,58 @@ def test_sweep_bit_identical_to_runner_across_engines(tmp_path):
         with harness.client() as client:
             got = client.sweep(points)
     assert got == reference(points)
+
+
+def _sizes(library, collective, engine, sizes):
+    return [Point(library, collective, 2, 2, s, engine=engine)
+            for s in sizes]
+
+
+#: one sweep's columns, each with the work units (route, width) the
+#: shared plan cuts it into when nothing is cached
+PLAN_TABLE = [
+    # event and DAG columns: one unit per size, so jobs=N spreads them
+    (_sizes("PiP-MColl", "allgather", "event", (64, 1024, 16384)),
+     [("point", 1)] * 3),
+    (_sizes("PiP-MPICH", "allreduce", "dag", (64, 4096)),
+     [("point", 1)] * 2),
+    # a batch column is one unit, even at one size
+    (_sizes("PiP-MColl", "scatter", "batch", (512,)), [("batch", 1)]),
+    # an analytic column is one evaluate_axis call
+    (_sizes("OpenMPI", "allgather", "analytic", (64, 1024, 16384)),
+     [("analytic", 3)]),
+    # a planner-backed auto column batches its sizes of one byte or more;
+    # the planners refuse an empty message, which runs by itself
+    (_sizes("PiP-MColl", "allreduce", "auto", (0, 64, 1024)),
+     [("batch", 2), ("point", 1)]),
+    # alltoall has no planner: auto runs it size by size
+    (_sizes("PiP-MColl", "alltoall", "auto", (64, 1024)),
+     [("point", 1)] * 2),
+    # one auto size gains nothing from a batch pass
+    (_sizes("IntelMPI", "allgather", "auto", (2048,)), [("point", 1)]),
+]
+
+
+def test_runner_and_daemon_share_one_plan(tmp_path):
+    """Both fronts cut a sweep into the same work units and return the
+    rows of per-point ``run_point``; the daemon evaluates each unit
+    once."""
+    points = [p for column_points, _ in PLAN_TABLE for p in column_points]
+    _, columns = plan_sweep(points)
+    assert [[(unit.route, len(unit.points)) for unit in col.units]
+            for col in columns] == [units for _, units in PLAN_TABLE]
+    expected = [
+        run_point(p.library, p.collective, p.nodes, p.ppn, p.msg_bytes,
+                  warmup=p.warmup, measure=p.measure, engine=p.engine)
+        for p in points
+    ]
+    assert SweepRunner(jobs=1, use_cache=False).run(points) == expected
+    with DaemonThread(tmp_path) as harness:
+        with harness.client() as client:
+            got = client.sweep(points)
+            stats = client.stats()["daemon"]
+    assert got == expected
+    assert stats["evaluations"] == sum(len(u) for _, u in PLAN_TABLE)
 
 
 def test_warm_repeat_is_pure_cache_hits(tmp_path):
@@ -415,6 +469,24 @@ def test_unknown_op_and_bad_sweeps_answer_with_errors(tmp_path):
             assert err.value.code == "bad-request"
             # the connection survives error responses
             assert client.ping()["version"] >= 1
+
+
+def test_unknown_library_or_collective_answers_bad_request(tmp_path):
+    """A library that none of the registry's six names under any
+    spelling, or a collective outside the microbenchmark's, is refused at
+    the door: no unit is evaluated."""
+    with DaemonThread(tmp_path) as harness:
+        with harness.client() as client:
+            for library, collective in (("NoSuchMPI", "allgather"),
+                                        ("PiP-MColl", "allscatter")):
+                with pytest.raises(ServeError) as err:
+                    client.sweep(_sizes(library, collective, "auto",
+                                        (64, 1024, 16384)))
+                assert err.value.code == "bad-request"
+                assert "unknown" in err.value.message
+            stats = client.stats()["daemon"]
+    assert stats["evaluations"] == 0
+    assert stats["errors"] == 2
 
 
 def raw_request(sock_path, line):
