@@ -26,6 +26,7 @@ from repro.sched.fastpath import check_protocol, fastpath_supported
 from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
 from repro.sim.engine import ProcGen
 from repro.sim.trace import Tracer
+from repro.util.gcpause import gc_paused
 from repro.util.units import KB
 
 __all__ = [
@@ -233,6 +234,7 @@ _EVALUATORS: Dict[str, Callable[..., Dict[int, Timing]]] = {
 }
 
 
+@gc_paused
 def run_point(
     library: str,
     collective: str,

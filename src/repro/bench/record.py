@@ -39,6 +39,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import List, Optional
 
 from repro.bench.config import SCALES
 from repro.bench.figures import ALL_FIGURES, figure_points
@@ -46,6 +47,8 @@ from repro.bench.microbench import ENGINES
 from repro.bench.report import format_normalized, format_table
 from repro.bench.runner import SweepRunner
 from repro.bench.runner.pool import _stderr_progress
+from repro.sched.analytic import analytic_supported
+from repro.sched.fastpath import fastpath_supported
 
 __all__ = ["main"]
 
@@ -142,6 +145,13 @@ def main(argv=None) -> int:
         progress=_stderr_progress if args.progress else None,
         engine=args.engine,
     )
+    gaps = _uncovered(names, scale, runner.engine)
+    if gaps:
+        # before any point runs: a gap would otherwise surface as a
+        # ValueError traceback from deep inside a worker
+        print(f"{parser.prog}: error: engine {runner.engine!r} does not "
+              f"cover {', '.join(gaps)}", file=sys.stderr)
+        return 2
 
     manifest = None
     if args.incremental:
@@ -222,6 +232,28 @@ def main(argv=None) -> int:
             f"across {lo['units']} work units]"
         )
     return 0
+
+
+#: the engines that cover only some (library, collective) pairs, each
+#: with its coverage test; the rest evaluate every pair
+_COVERAGE = {
+    "dag": fastpath_supported,
+    "batch": fastpath_supported,
+    "analytic": analytic_supported,
+}
+
+
+def _uncovered(names, scale, engine: Optional[str]) -> List[str]:
+    """``figure:LIBRARY/COLLECTIVE`` for every pair of the figures
+    ``names`` that its engine (``engine``, or each point's own) cannot
+    evaluate."""
+    gaps = {}
+    for name in names:
+        for p in figure_points(name, scale) or ():
+            covers = _COVERAGE.get(engine or p.engine)
+            if covers is not None and not covers(p.library, p.collective):
+                gaps[f"{name}:{p.library}/{p.collective}"] = None
+    return list(gaps)
 
 
 def _record_trace(out_path: str, spec: str, scale, parser) -> int:

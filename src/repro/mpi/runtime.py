@@ -30,6 +30,7 @@ from repro.shmem.base import ShmemMechanism
 from repro.shmem.pip_env import PipNode
 from repro.sim.engine import Delay, Engine, ProcGen, WaitEvent
 from repro.sim.trace import Tracer
+from repro.util.gcpause import gc_paused
 
 __all__ = ["World", "RankCtx", "RunResult"]
 
@@ -256,6 +257,7 @@ class World:
     def ctx(self, rank: int) -> RankCtx:
         return self._contexts[rank]
 
+    @gc_paused
     def run(self, body: Callable[[RankCtx], ProcGen]) -> RunResult:
         """Run ``body`` on every rank, starting now; return timings."""
         engine = self.engine

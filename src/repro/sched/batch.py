@@ -113,6 +113,7 @@ from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
 from repro.sched.registry import plan_column
 from repro.sim.batchline import BatchDivergence, BatchEvent, BatchTimeline
 from repro.sim.engine import DeadlockError
+from repro.util.gcpause import gc_paused
 
 __all__ = [
     "evaluate_column",
@@ -709,12 +710,17 @@ def _evaluate_partition(
         params, nodes, ppn, lib.make_mechanism(), lib.software_overhead,
         len(part), lowered.nbufs,
     )
-    samples = world.run_protocol(lowered, warmup, measure)
-    divergent = world.order_divergence()
-    labels = (
-        world.tl.divergence_labels(divergent) if divergent.any() else None
-    )
-    msgs = world.internode_messages()
+    try:
+        samples = world.run_protocol(lowered, warmup, measure)
+        divergent = world.order_divergence()
+        labels = (
+            world.tl.divergence_labels(divergent) if divergent.any()
+            else None
+        )
+        msgs = world.internode_messages()
+    finally:
+        # a pass abandoned at a BatchDivergence split is freed too
+        world.teardown()
     results = [
         FastpathResult(tuple(float(v[j]) for v in samples), msgs)
         for j in range(len(part))
@@ -722,6 +728,7 @@ def _evaluate_partition(
     return results, divergent, labels
 
 
+@gc_paused
 def evaluate_column(
     library: str,
     collective: str,

@@ -721,6 +721,29 @@ class FastWorld:
             )
         return max(self.end_times) - start
 
+    def teardown(self) -> None:
+        """Cut every reference cycle through this world; it cannot run
+        again.
+
+        Each task points back into the world (``w``, the timeline, its
+        node's hardware, board, counters and match tables, its requests,
+        whose waiters are task continuations) and at itself (the prebound
+        ``_c_*`` continuations), and the world's task list points at the
+        tasks.  A pass abandoned mid-run (a batch split) also leaves
+        callbacks bound to the world in its timeline's queues.  Once the
+        tasks' edges are cut, the list is dropped and the queues are
+        emptied, nothing is left on a cycle, so reference counting frees
+        the world, its hardware and the last iteration's requests and
+        messages as soon as the caller lets go, with no work for the
+        cyclic garbage collector.
+        """
+        tasks = self._tasks
+        self._tasks = self._tasks_compiled = None
+        for task in tasks or ():
+            task.detach()
+        self.tl._heap.clear()
+        self.tl._ready.clear()
+
 
 # ---------------------------------------------------------------------------
 # the per-rank continuation machine
@@ -797,6 +820,18 @@ class _Task:
         self._c_lookup_bind = self._lookup_bind
         self._c_add = self._add
         self._c_cwait = self._cwait
+
+    def detach(self) -> None:
+        """Drop every reference into the world and to this task's own
+        continuations (:meth:`FastWorld.teardown`); chained stores, since
+        a point of a few milliseconds tears down dozens of tasks."""
+        self.w = self.tl = self.mem = self.nic = self.mech = None
+        self.board = self.ctrs = self.arr = self.post_q = None
+        self.handles = self._p_req = None
+        self._c_next_wait = self._c_recv_work = self._c_recv_done = None
+        self._c_send_inter = self._c_send_intra = self._c_post = None
+        self._c_lookup = self._c_lookup_bind = self._c_add = None
+        self._c_cwait = None
 
     def reset(self, env_base: dict, ns_values: tuple, symbols: dict) -> None:
         """Rewind for the next iteration (fresh env/handles/tags)."""
@@ -1253,8 +1288,11 @@ def evaluate_point(
     world, low = _prepare(
         library, collective, nodes, ppn, int(msg_bytes), params, thresholds
     )
-    samples = world.run_protocol(low, warmup, measure)
-    return FastpathResult(tuple(samples), world.internode_messages())
+    try:
+        samples = world.run_protocol(low, warmup, measure)
+        return FastpathResult(tuple(samples), world.internode_messages())
+    finally:
+        world.teardown()
 
 
 def evaluate_tables(
@@ -1277,5 +1315,8 @@ def evaluate_tables(
         library, collective, nodes, ppn, msg_bytes, params, thresholds
     )
     world.acct = {}
-    world.run_protocol(low, 0, 1)
-    return world.acct
+    try:
+        world.run_protocol(low, 0, 1)
+        return world.acct
+    finally:
+        world.teardown()

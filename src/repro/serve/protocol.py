@@ -61,7 +61,7 @@ from repro.bench.runner.cache import result_from_doc, result_to_doc
 from repro.bench.runner.points import Point
 from repro.core.tuning import Thresholds
 from repro.hw.params import MachineParams
-from repro.sched.registry import LIBRARIES, canonical_name
+from repro.sched.registry import LIBRARIES, PLANNER_BACKED, canonical_name
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_LINE", "ERROR_CODES", "ServeError",
@@ -214,9 +214,13 @@ def column_from_doc(doc: dict) -> List[Point]:
             params = MachineParams(**params)
             params.validate()
         library = str(doc["library"])
-        if canonical_name(library) not in LIBRARIES:
+        entry = PLANNER_BACKED.get(canonical_name(library))
+        if entry is None:
             raise ServeError("bad-request", f"unknown library {library!r}; "
                                             f"known: {list(LIBRARIES)}")
+        # the registry spelling: every engine takes it, and a column is
+        # cached under one key however the caller spelled its library
+        library = entry[0]
         collective = str(doc["collective"])
         if collective not in COLLECTIVES:
             raise ServeError("bad-request", f"unknown collective "

@@ -122,3 +122,28 @@ def test_removed_engine_rejected(engine, capsys):
         main(["--figures", "fig06", "--scale", "small", "--engine", engine])
     assert exc.value.code == 2
     assert f"invalid choice: {engine!r}" in capsys.readouterr().err
+
+
+def test_engine_coverage_gap_exits_2_before_any_point_runs(capsys):
+    """An engine that cannot evaluate some pair of the selected figures
+    is refused before any figure runs: status 2 and one line naming the
+    uncovered pairs, not a traceback from inside the sweep."""
+    rc = main(["--figures", "fig07,fig11", "--scale", "small",
+               "--engine", "analytic", "--jobs", "1", "--no-cache"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # fig07, which analytic covers, did not run
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert "'analytic' does not cover" in lines[0]
+    for library in ("PiP-MPICH", "IntelMPI", "OpenMPI", "MVAPICH2"):
+        assert f"fig11:{library}/allreduce" in lines[0]
+    assert "fig07" not in lines[0] and "PiP-MColl/" not in lines[0]
+
+
+def test_closed_form_figure_completes(capsys):
+    # the README's closed-form example, at the small scale
+    rc = main(["--figures", "fig07", "--scale", "small",
+               "--engine", "analytic", "--jobs", "1", "--no-cache"])
+    assert rc == 0
+    assert "fig07 done in" in capsys.readouterr().out

@@ -126,6 +126,16 @@ def test_unknown_engine_rejected_at_the_front_door():
         assert "known:" in err.value.message
 
 
+def test_library_spelling_becomes_the_registry_name_at_the_front_door():
+    """Any spelling ``canonical_name`` maps to a registry library is
+    admitted as that library's registry name, which every engine takes."""
+    for spelling in ("pip_mcoll", "PIP MCOLL", "pip-mcoll"):
+        points = column_from_doc(_column_doc(library=spelling))
+        assert [p.library for p in points] == ["PiP-MColl"]
+    assert column_from_doc(_column_doc(library="openmpi"))[0].library == (
+        "OpenMPI")
+
+
 @pytest.mark.parametrize("field,value", [
     ("msg_bytes", 64.5),
     ("msg_bytes", "64"),

@@ -489,6 +489,29 @@ def test_unknown_library_or_collective_answers_bad_request(tmp_path):
     assert stats["errors"] == 2
 
 
+def test_library_spelling_is_evaluated_and_cached_as_the_registry_name(
+        tmp_path):
+    """A column whose library is spelled another way runs on the event
+    engine, which takes only the registry name, and shares the registry
+    spelling's cache rows: the repeat costs no evaluation."""
+    sizes = (64, 1024)
+    registry = _sizes("PiP-MColl", "allgather", "event", sizes)
+    with DaemonThread(tmp_path) as harness:
+        with harness.client() as client:
+            first = client.sweep(
+                _sizes("pip_mcoll", "allgather", "event", sizes[:1]))
+            assert client.stats()["daemon"]["evaluations"] == 1
+            swept = client.sweep(registry)
+            again = client.sweep(
+                _sizes("pip_mcoll", "allgather", "event", sizes))
+            stats = client.stats()["daemon"]
+    assert first == reference(registry[:1])
+    assert swept == again == reference(registry)
+    # the registry sweep evaluated 1024 only; the spelled repeat, nothing
+    assert stats["evaluations"] == 2
+    assert stats["errors"] == 0
+
+
 def raw_request(sock_path, line):
     """Send one hand-written JSON line (``1e400``, ``NaN`` and the like
     reach the daemon as written); return the decoded response."""
