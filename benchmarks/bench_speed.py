@@ -80,6 +80,7 @@ from repro.bench.config import SCALES
 from repro.bench.figures import ALL_FIGURES, figure_points
 from repro.bench.microbench import run_point
 from repro.bench.runner import Point, SweepRunner
+from repro.bench.runner.points import column_of
 from repro.bench.runner.cache import (
     CACHE_EPOCH,
     ResultCache,
@@ -186,7 +187,8 @@ def _store(col: Column, row: dict):
     with tempfile.TemporaryDirectory(prefix="bench_store_") as root:
         results = SweepRunner(jobs=1, use_cache=False).run(points)
         ResultCache(root).put_many(points, results)
-        yield lambda: ResultCache(root).get_many(points)
+        spec = column_of(points[0])
+        yield lambda: ResultCache(root).get_many(spec, col.sizes)
 
 
 def _json_path(root: str, point: Point) -> Path:

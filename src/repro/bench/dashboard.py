@@ -3,9 +3,21 @@
 ``benchmarks/bench_speed.py`` commits one document, ``BENCH_speed.json``:
 one row per (column, route) and an ``aggregate`` block with each route's
 cold and warm points/sec.  This tool lines those figures up *across
-commits*: it walks the file's git history, prints each route's cold and
-warm trajectory, and flags a regression when the working tree value
-drops below ``--threshold`` (default 0.8) times the best committed value.
+commits*: it walks the file's git history and prints each route's cold
+and warm trajectory.
+
+The check is host-neutral.  Points/sec scale with the host, so a
+document regenerated on a slower machine reads lower on every route.
+Each route is therefore also read as its points/sec over the same
+document's :data:`REFERENCE` route in the same phase, a ratio from which
+host speed cancels.  A route regresses when its working-tree value is
+below ``--threshold`` (default 0.8) times the best committed value both
+in points/sec and in that ratio: a uniformly slower host lowers only
+the first, a change that speeds up the reference route alone (such as
+pausing the garbage collector during event-loop runs) lowers only the
+second, and a route that fell behind lowers both.  On a faster host a
+route's loss must exceed the host's gain to show.  The reference route
+itself is shown but not checked.
 
 Usage::
 
@@ -27,9 +39,14 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["main", "route_metrics", "BENCH_NAME"]
+__all__ = ["main", "route_metrics", "relative_metrics", "BENCH_NAME",
+           "REFERENCE"]
 
 BENCH_NAME = "BENCH_speed.json"
+
+#: the route every other route is read against: the event loop, the
+#: reference engine, which runs on every committed column
+REFERENCE = "event"
 
 
 def route_metrics(doc: dict) -> Dict[str, float]:
@@ -46,6 +63,19 @@ def route_metrics(doc: dict) -> Dict[str, float]:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed aggregate block: {exc!r}") from None
+
+
+def relative_metrics(metrics: Dict[str, float]) -> Dict[str, float]:
+    """Each non-reference metric of :func:`route_metrics` over the
+    :data:`REFERENCE` route's in the same phase; empty when the document
+    has no reference route."""
+    out = {}
+    for metric, value in metrics.items():
+        route, phase = metric.rsplit(" ", 1)
+        base = metrics.get(f"{REFERENCE} {phase}")
+        if route != REFERENCE and base:
+            out[metric] = value / base
+    return out
 
 
 def _git(args: List[str], cwd: Path) -> Optional[str]:
@@ -102,8 +132,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--threshold", type=float, default=0.8,
-        help="flag a regression when the working-tree value is below "
-             "THRESHOLD x the best committed value (default 0.8)",
+        help="flag a regression when a route's working-tree points/sec, "
+             f"and its ratio to the {REFERENCE} route's, are both below "
+             "THRESHOLD x their best committed values (default 0.8)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -121,44 +152,63 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"{BENCH_NAME}: unreadable ({exc})", file=sys.stderr)
         return 1
+    ratios = relative_metrics(current)
+    if not ratios:
+        print(f"{BENCH_NAME}: no {REFERENCE!r} route to read the others "
+              f"against", file=sys.stderr)
+        return 1
 
     history = []
     for sha, date, old in file_history(directory, BENCH_NAME, args.commits):
         try:
-            history.append((sha, date, route_metrics(old)))
+            metrics = route_metrics(old)
         except ValueError:
             continue
+        history.append((sha, date, metrics, relative_metrics(metrics)))
 
     regressions = []
-    print(f"{BENCH_NAME}  [aggregate points/sec per route]")
+    print(f"{BENCH_NAME}  [aggregate points/sec per route, and its ratio "
+          f"to the {REFERENCE} route in the same phase]")
     for metric, value in current.items():
+        ratio = ratios.get(metric)
         print(metric)
-        print(f"  working tree: {value:12.1f} pts/s")
-        trail = [(sha, date, old[metric]) for sha, date, old in history
-                 if metric in old]
-        for sha, date, old_value in trail:
-            print(f"  {sha} {date}: {old_value:12.1f} pts/s")
-        if not trail:
+        print(f"  working tree: {_cell(value, ratio)}")
+        trail = [(sha, date, old[metric], old_ratios.get(metric))
+                 for sha, date, old, old_ratios in history if metric in old]
+        for sha, date, old_value, old_ratio in trail:
+            print(f"  {sha} {date}: {_cell(old_value, old_ratio)}")
+        if ratio is None:
+            print("  (reference route: not checked)")
+            continue
+        prior = [(old_value, old_ratio) for *_, old_value, old_ratio in trail
+                 if old_ratio is not None]
+        if not prior:
             print("  (no committed history)")
             continue
-        best_prior = max(old_value for _, _, old_value in trail)
-        if value < args.threshold * best_prior:
-            print(
-                f"  REGRESSION: {value:.1f} < "
-                f"{args.threshold:.2f} x best committed ({best_prior:.1f})"
-            )
+        best_value = max(old_value for old_value, _ in prior)
+        best_ratio = max(old_ratio for _, old_ratio in prior)
+        best = f"{best_value:.1f} pts/s, {best_ratio:.3f}x {REFERENCE}"
+        if (value < args.threshold * best_value
+                and ratio < args.threshold * best_ratio):
+            print(f"  REGRESSION: both under {args.threshold:.2f} x best "
+                  f"committed ({best})")
             regressions.append(metric)
         else:
-            print(
-                f"  ok: within {args.threshold:.2f}x of best committed "
-                f"({best_prior:.1f})"
-            )
+            print(f"  ok: within {args.threshold:.2f}x of best committed "
+                  f"({best}) in points/sec or in ratio")
 
     if regressions:
         print(f"regressed: {', '.join(regressions)}")
         return 1 if args.check else 0
     print("all routes within threshold")
     return 0
+
+
+def _cell(value: float, ratio: Optional[float]) -> str:
+    text = f"{value:12.1f} pts/s"
+    if ratio is not None:
+        text += f"  {ratio:10.3f}x {REFERENCE}"
+    return text
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

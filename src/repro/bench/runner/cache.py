@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence
 
 import repro
 from repro.bench.microbench import MicrobenchResult
-from repro.bench.runner.points import Point
+from repro.bench.runner.points import ColumnSpec, Point, column_of
 from repro.bench.runner.store import ShardStore
 
 __all__ = [
@@ -89,31 +89,29 @@ def cache_key(point: Point, epoch: Optional[str] = None) -> str:
 
 
 #: memoized column hashes — hashing a resolved ``MachineParams`` spec is
-#: ~0.5 ms, which would dominate cached-column reads if paid per point;
+#: ~0.5 ms, which would dominate cached-column reads if paid per lookup;
 #: every size along a column shares the hash, so memoize it by the
-#: point's hashable column identity (all spec fields but ``msg_bytes``)
+#: column's identity and the epoch
 _COLUMN_KEY_MEMO: Dict[tuple, str] = {}
 
 
-def column_key(point: Point, epoch: Optional[str] = None) -> str:
-    """Stable content hash identifying a point's *column group*.
+def column_key(
+    column: "ColumnSpec | Point", epoch: Optional[str] = None
+) -> str:
+    """Stable content hash identifying a *column group*: ``column``, or
+    the column of a :class:`Point`.
 
     The column is the point spec with ``msg_bytes`` removed: every size
     along one figure curve shares it.  Engine, thresholds, params and the
     protocol all stay in the key, so the column store aliases exactly as
     much as the per-point key does — nothing.
     """
-    epoch = epoch or CACHE_EPOCH
-    ident = (
-        point.library, point.collective, point.nodes, point.ppn,
-        point.warmup, point.measure, point.params, point.thresholds,
-        point.engine, epoch,
-    )
+    if isinstance(column, Point):
+        column = column_of(column)
+    ident = (column, epoch or CACHE_EPOCH)
     key = _COLUMN_KEY_MEMO.get(ident)
     if key is None:
-        spec = point.spec_dict()
-        del spec["msg_bytes"]
-        payload = {"version": epoch, "column": spec}
+        payload = {"version": ident[1], "column": column.spec_dict()}
         canonical = json.dumps(
             payload, sort_keys=True, separators=(",", ":")
         )
@@ -138,8 +136,6 @@ def _result_doc(result: MicrobenchResult) -> dict:
 
 
 def _result_from_doc(doc: dict) -> MicrobenchResult:
-    # positional: a sweep client decodes one row per size, and keyword
-    # passing costs a third of the construction
     return MicrobenchResult(
         doc["library"],
         doc["collective"],
@@ -152,9 +148,9 @@ def _result_from_doc(doc: dict) -> MicrobenchResult:
     )
 
 
-#: public aliases — the serve wire protocol ships results as exactly the
-#: documents the legacy cache used (JSON floats round-trip float64 via
-#: repr, so a result crossing the socket stays bit-identical)
+#: public aliases — a result as the document the pre-1.4.0 JSON cache
+#: stored (JSON floats round-trip float64 via repr, so a row read back
+#: stays bit-identical); the client CLI prints rows in this form
 result_to_doc = _result_doc
 result_from_doc = _result_from_doc
 
@@ -239,69 +235,89 @@ class ResultCache:
         return row
 
     def get_many(
-        self, points: Sequence[Point]
+        self, column: ColumnSpec, sizes: Sequence[int]
     ) -> List[Optional[MicrobenchResult]]:
-        """Cached results for ``points``, one group scan per column.
+        """Cached results of ``column`` at ``sizes``, in ``sizes`` order
+        (``None`` for a miss): one :func:`column_key` and one group scan
+        for the whole column.
 
-        Points may span several columns; each group's shards are read at
-        most once (the store memoizes merged views).  Hit/miss accounting
-        is per point, identical to a :meth:`get` loop.
+        Hit/miss accounting is per size, identical to a :meth:`get` loop.
         """
-        out: List[Optional[MicrobenchResult]] = []
-        for point in points:
-            row = self._lookup(point, column_key(point))
-            if row is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            out.append(row)
+        key = column_key(column)
+        group = self.store.group(key)
+        pending = self._pending.get(key)
+        if pending:
+            out = [pending[s] if s in pending else group.get(s)
+                   for s in sizes]
+        else:
+            out = list(map(group.get, sizes))
+        misses = len([row for row in out if row is None])
+        self.misses += misses
+        self.hits += len(out) - misses
         return out
 
     # -- writes ----------------------------------------------------------
 
-    def put(self, point: Point, result: MicrobenchResult) -> None:
-        """Buffer ``result``; durable after the next :meth:`flush`.
-
-        Within the buffer, a repeated put of the same (column, size)
-        overwrites — same last-write-wins the append-only shard merge
-        applies on disk.
-        """
-        group = self._pending.setdefault(column_key(point), {})
-        if point.msg_bytes not in group:
-            self._pending_rows += 1
-        group[point.msg_bytes] = result
-        self.stores += 1
-        if self._pending_rows >= self.flush_threshold:
-            self.flush()
-
-    def put_many(
+    def _buffer(
         self, points: Sequence[Point], results: Sequence[MicrobenchResult]
     ) -> None:
-        """Store a batch (typically one column) and flush it as shards."""
-        if len(points) != len(results):
-            raise ValueError(
-                f"{len(points)} points but {len(results)} results"
-            )
         for point, result in zip(points, results):
             group = self._pending.setdefault(column_key(point), {})
             if point.msg_bytes not in group:
                 self._pending_rows += 1
             group[point.msg_bytes] = result
             self.stores += 1
-        self.flush()
+
+    def put(self, point: Point, result: MicrobenchResult) -> None:
+        """Buffer ``result``; durable after the next :meth:`flush`, which
+        runs here once ``flush_threshold`` rows are pending.
+
+        Within the buffer, a repeated put of the same (column, size)
+        overwrites — same last-write-wins the append-only shard merge
+        applies on disk.
+        """
+        self._buffer((point,), (result,))
+        if self._pending_rows >= self.flush_threshold:
+            self.flush()
+
+    def put_many(
+        self,
+        points: Sequence[Point],
+        results: Sequence[MicrobenchResult],
+        flush: bool = True,
+    ) -> None:
+        """Store a batch (typically one column) and flush it as shards;
+        with ``flush=False``, buffer it like :meth:`put` and flush only
+        once ``flush_threshold`` rows are pending."""
+        if len(points) != len(results):
+            raise ValueError(
+                f"{len(points)} points but {len(results)} results"
+            )
+        self._buffer(points, results)
+        if flush or self._pending_rows >= self.flush_threshold:
+            self.flush()
+
+    @property
+    def pending_rows(self) -> int:
+        """Rows buffered and not yet published."""
+        return self._pending_rows
 
     def flush(self) -> int:
         """Publish pending rows, one shard per column group; returns rows
-        written.  Crash-safe: a shard appears fully or not at all."""
+        written.  Crash-safe: a shard appears fully or not at all.  If a
+        publish fails (``OSError``: a full disk, an I/O error), the groups
+        not yet published stay pending, still served by lookups, and the
+        error propagates; the next flush retries them."""
         written = 0
         if not self._pending:
             return 0
-        for key, rows in self._pending.items():
+        for key in list(self._pending):
+            rows = self._pending[key]
             ordered = [rows[size] for size in sorted(rows)]
             self.store.append(key, ordered)
+            del self._pending[key]
+            self._pending_rows -= len(ordered)
             written += len(ordered)
-        self._pending.clear()
-        self._pending_rows = 0
         self.flushes += 1
         return written
 

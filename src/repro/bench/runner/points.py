@@ -8,12 +8,12 @@ lists of points; the runner decides how (and whether) to execute them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.core.tuning import Thresholds
 from repro.hw.params import MachineParams, bebop_broadwell
 
-__all__ = ["Point", "column_of", "expand_sweep"]
+__all__ = ["Point", "ColumnSpec", "column_of", "columns_of", "expand_sweep"]
 
 
 @dataclass(frozen=True)
@@ -52,22 +52,7 @@ class Point:
 
     def spec_dict(self) -> Dict:
         """Canonical JSON-able description (stable cache-key input)."""
-        return {
-            "library": self.library,
-            "collective": self.collective,
-            "nodes": self.nodes,
-            "ppn": self.ppn,
-            "msg_bytes": self.msg_bytes,
-            "warmup": self.warmup,
-            "measure": self.measure,
-            "params": asdict(self.resolved_params()),
-            # None = library default; the library name is in the key, so a
-            # default can never alias an explicit override
-            "thresholds": (
-                None if self.thresholds is None else asdict(self.thresholds)
-            ),
-            "engine": self.engine,
-        }
+        return {**column_of(self).spec_dict(), "msg_bytes": self.msg_bytes}
 
     def label(self) -> str:
         """Short human-readable form for progress lines."""
@@ -77,14 +62,71 @@ class Point:
         )
 
 
-def column_of(point: Point) -> Tuple:
-    """Hashable identity of ``point``'s column: every field but
-    ``msg_bytes``, so the sizes of one figure curve share it."""
-    return (
+class ColumnSpec(NamedTuple):
+    """A *column*: every :class:`Point` field but ``msg_bytes``, so the
+    sizes of one figure curve share it.
+
+    A plain tuple underneath, so it hashes and compares like one and costs
+    a fraction of a frozen :class:`Point` to build: a sweep is planned and
+    looked up per column, and a :class:`Point` is built only for a size
+    that must be evaluated (:meth:`point`).
+    """
+
+    library: str
+    collective: str
+    nodes: int
+    ppn: int
+    warmup: int = 1
+    measure: int = 2
+    params: Optional[MachineParams] = None
+    thresholds: Optional[Thresholds] = None
+    engine: str = "event"
+
+    def point(self, msg_bytes: int) -> Point:
+        """The column's point at ``msg_bytes``."""
+        return Point(self.library, self.collective, self.nodes, self.ppn,
+                     msg_bytes, *self[4:])
+
+    def spec_dict(self) -> Dict:
+        """:meth:`Point.spec_dict` without ``msg_bytes`` (the column
+        cache key's input)."""
+        params = self.params if self.params is not None else bebop_broadwell()
+        return {
+            "library": self.library,
+            "collective": self.collective,
+            "nodes": self.nodes,
+            "ppn": self.ppn,
+            "warmup": self.warmup,
+            "measure": self.measure,
+            "params": asdict(params),
+            # None = library default; the library name is in the key, so a
+            # default can never alias an explicit override
+            "thresholds": (
+                None if self.thresholds is None else asdict(self.thresholds)
+            ),
+            "engine": self.engine,
+        }
+
+
+def column_of(point: Point) -> ColumnSpec:
+    """The column ``point`` belongs to."""
+    return ColumnSpec(
         point.library, point.collective, point.nodes, point.ppn,
         point.warmup, point.measure, point.params, point.thresholds,
         point.engine,
     )
+
+
+def columns_of(points: Sequence[Point]) -> Dict[ColumnSpec, List[int]]:
+    """The indices of ``points`` grouped by column, columns in first-seen
+    order and each column's indices in ``points`` order."""
+    groups: Dict[tuple, List[int]] = {}
+    for i, p in enumerate(points):
+        # a plain tuple per point; one ColumnSpec per column
+        groups.setdefault((p.library, p.collective, p.nodes, p.ppn, p.warmup,
+                           p.measure, p.params, p.thresholds, p.engine),
+                          []).append(i)
+    return {ColumnSpec(*key): idxs for key, idxs in groups.items()}
 
 
 def expand_sweep(

@@ -3,8 +3,9 @@
 Each :class:`~repro.bench.runner.points.Point` is an independent,
 deterministic simulation, so a sweep is embarrassingly parallel.  Both
 sweep fronts, :class:`SweepRunner` here and the :mod:`repro.serve`
-daemon, go through one plan (:func:`plan_sweep`).  It groups the points
-by *column* (points identical but for ``msg_bytes``), resolves each
+daemon, go through one plan (:func:`plan_sweep`).  It takes the sweep
+as *columns* (a :class:`~repro.bench.runner.points.ColumnSpec`, every
+point field but ``msg_bytes``, plus the column's sizes), resolves each
 column's engine once, reads each column from the result cache with one
 :meth:`~repro.bench.runner.cache.ResultCache.get_many` call, and cuts
 the misses into work units:
@@ -18,10 +19,12 @@ the misses into work units:
   :func:`run_point_spec`, so ``jobs=N`` spreads a column of event or DAG
   points across the pool.
 
-One worker, :func:`run_sweep_column_stats`, evaluates any unit through
-one table that maps route to evaluator.  The runner ships units (point
-specs pickle in ~200 bytes; worlds never cross) to a ``multiprocessing``
-pool, writes each column back with one
+A :class:`Point` is built only for a size that misses: the work units
+carry them, and a sweep whose rows are all cached builds none.  One
+worker, :func:`run_sweep_column_stats`, evaluates any unit through one
+table that maps route to evaluator.  The runner groups its points into
+columns, ships units (point specs pickle in ~200 bytes; worlds never
+cross) to a ``multiprocessing`` pool, writes each column back with one
 :meth:`~repro.bench.runner.cache.ResultCache.put_many`, and reassembles
 results in submission order.  Serial, parallel and cache-hit execution
 are bit-identical by construction (the batch engine's bit-identity
@@ -47,7 +50,7 @@ from repro.bench.microbench import (
     run_point,
 )
 from repro.bench.runner.cache import ResultCache
-from repro.bench.runner.points import Point, column_of
+from repro.bench.runner.points import ColumnSpec, Point, columns_of
 from repro.sched.fastpath import check_protocol
 
 __all__ = [
@@ -94,9 +97,15 @@ class SweepUnit(NamedTuple):
 
 
 class SweepColumn(NamedTuple):
-    """One column of a planned sweep that needs evaluation."""
+    """One planned column of a sweep."""
 
-    #: request indices of the column's points with no cached row
+    spec: ColumnSpec
+    #: the requested sizes, in request order (a size may repeat)
+    sizes: Sequence[int]
+    #: the row of each of ``sizes``: the cached one, ``None`` for a miss
+    #: until the front fills it in
+    rows: List[Optional[MicrobenchResult]]
+    #: indices into ``sizes`` with no cached row
     misses: List[int]
     #: the misses' distinct sizes, cut into work units
     units: List[SweepUnit]
@@ -164,59 +173,47 @@ def run_sweep_column_stats(
 
 
 def _column_units(
-    column: Sequence[Point], missing: Sequence[Point]
+    spec: ColumnSpec, sizes: Sequence[int], missing: Sequence[int]
 ) -> List[SweepUnit]:
-    """The work units of one column: ``column`` is every point of it in
-    the sweep, ``missing`` one point per size that needs evaluation."""
-    first = column[0]
-    if first.engine in ("batch", "analytic"):
-        route, floor = first.engine, 0
-    elif (first.engine == "auto"
-          and resolve_engine("auto", first.library, first.collective) == "dag"
-          and len({p.msg_bytes for p in column if p.msg_bytes >= 1}) > 1):
+    """The work units of one column: ``sizes`` are all of its sizes in the
+    sweep, ``missing`` the distinct ones that need evaluation."""
+    if spec.engine in ("batch", "analytic"):
+        route, floor = spec.engine, 0
+    elif (spec.engine == "auto"
+          and resolve_engine("auto", spec.library, spec.collective) == "dag"
+          and len({s for s in sizes if s >= 1}) > 1):
         # the batch pass pays for itself over several sizes; the planners
         # refuse empty messages, which run_point answers on the event loop
         route, floor = "batch", 1
     else:
-        return [SweepUnit("point", (p,)) for p in missing]
-    whole = tuple(p for p in missing if p.msg_bytes >= floor)
+        return [SweepUnit("point", (spec.point(s),)) for s in missing]
+    whole = tuple(spec.point(s) for s in missing if s >= floor)
     units = [SweepUnit(route, whole)] if whole else []
-    return units + [SweepUnit("point", (p,)) for p in missing
-                    if p.msg_bytes < floor]
+    return units + [SweepUnit("point", (spec.point(s),)) for s in missing
+                    if s < floor]
 
 
 def plan_sweep(
-    points: Sequence[Point], cache: Optional[ResultCache] = None
-) -> Tuple[List[Optional[MicrobenchResult]], List[SweepColumn]]:
-    """The cached rows of ``points`` and the work the rest need.
+    columns: Sequence[Tuple[ColumnSpec, Sequence[int]]],
+    cache: Optional[ResultCache] = None,
+) -> List[SweepColumn]:
+    """The cached rows of each ``(spec, sizes)`` column and the work its
+    misses need, one :class:`SweepColumn` per column in order.
 
-    Returns each point's cached row (``None`` for a miss), and one
-    :class:`SweepColumn` per column with misses, in first-seen order.
-    ``cache=None`` reads nothing, so every point is a miss.  The route
+    ``cache=None`` reads nothing, so every size is a miss.  The route
     depends on the column's sizes in the sweep, not on which of them are
     cached, so a partly cached column keeps its unit shape.
     """
-    results: List[Optional[MicrobenchResult]] = [None] * len(points)
-    groups: Dict[Tuple, List[int]] = {}
-    for i, point in enumerate(points):
-        groups.setdefault(column_of(point), []).append(i)
-    columns: List[SweepColumn] = []
-    for idxs in groups.values():
-        column = [points[i] for i in idxs]
-        hits = (cache.get_many(column) if cache is not None
-                else [None] * len(column))
-        misses: List[int] = []
-        missing: Dict[int, Point] = {}
-        for i, point, hit in zip(idxs, column, hits):
-            if hit is None:
-                misses.append(i)
-                missing.setdefault(point.msg_bytes, point)
-            else:
-                results[i] = hit
-        if misses:
-            columns.append(SweepColumn(
-                misses, _column_units(column, list(missing.values()))))
-    return results, columns
+    planned: List[SweepColumn] = []
+    for spec, sizes in columns:
+        rows = (cache.get_many(spec, sizes) if cache is not None
+                else [None] * len(sizes))
+        misses = [i for i, row in enumerate(rows) if row is None]
+        units = (_column_units(spec, sizes,
+                               list(dict.fromkeys(sizes[i] for i in misses)))
+                 if misses else [])
+        planned.append(SweepColumn(spec, sizes, rows, misses, units))
+    return planned
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -315,7 +312,16 @@ class SweepRunner:
             ]
         total = len(points)
         consult = self.use_cache and not self.refresh
-        results, columns = plan_sweep(points, self.cache if consult else None)
+        groups = columns_of(points)
+        planned = plan_sweep(
+            [(spec, [points[i].msg_bytes for i in idxs])
+             for spec, idxs in groups.items()],
+            self.cache if consult else None,
+        )
+        results: List[Optional[MicrobenchResult]] = [None] * total
+        for idxs, col in zip(groups.values(), planned):
+            for i, row in zip(idxs, col.rows):
+                results[i] = row
         progress = self.progress
         done = 0
         if progress:
@@ -324,13 +330,15 @@ class SweepRunner:
                     done += 1
                     progress(done, total, point, "cache")
 
-        units = [unit for col in columns for unit in col.units]
+        units = [unit for col in planned for unit in col.units]
         if self.jobs > 1 and len(units) > 1:
             computed = iter(self._map_pool(run_sweep_column_stats, units))
         else:
             computed = map(run_sweep_column_stats, units)
         totals = self._lowering_totals
-        for col in columns:
+        for idxs, col in zip(groups.values(), planned):
+            if not col.units:
+                continue
             evaluated: List[Point] = []
             rows: List[MicrobenchResult] = []
             for unit in col.units:
@@ -343,7 +351,8 @@ class SweepRunner:
             if self.use_cache:
                 self.cache.put_many(evaluated, rows)
             by_size = {p.msg_bytes: row for p, row in zip(evaluated, rows)}
-            for i in col.misses:
+            for j in col.misses:
+                i = idxs[j]
                 results[i] = by_size[points[i].msg_bytes]
                 if progress:
                     done += 1

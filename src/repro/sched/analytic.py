@@ -21,8 +21,9 @@ engine to scan large parameter spaces cheaply and the exact engines to
 confirm anything that matters.
 
 Message counts are *logical*: the static per-iteration internode message
-count of the compiled schedule (:func:`repro.sched.check.check_planned`)
-times the iteration count.  Rendezvous control traffic (RTS/CTS) is not
+count of the compiled schedule (:func:`static_internode_messages`, which
+counts its off-node sends without running the static checker) times the
+iteration count.  Rendezvous control traffic (RTS/CTS) is not
 modelled, so counts can undercount the exact engines' totals for
 above-threshold messages.
 
@@ -52,8 +53,10 @@ from repro.models.formulas import (
     flat_allgather_refined,
     scatter_refined,
 )
+from repro.sched.ir import SendStep
 from repro.sched.registry import (
     MCOLL_VARIANTS,
+    PlannedCollective,
     _mcoll_thresholds,
     canonical_name,
 )
@@ -66,6 +69,7 @@ __all__ = [
     "analytic_supported",
     "evaluate_axis",
     "evaluate_point",
+    "static_internode_messages",
 ]
 
 #: documented maximum relative error of the analytic tier vs the exact
@@ -124,6 +128,23 @@ def _analytic_params(params: MachineParams) -> AnalyticParams:
     return AnalyticParams.from_machine(params)
 
 
+def static_internode_messages(piece: PlannedCollective, ppn: int) -> int:
+    """Internode messages per iteration of one planned schedule: its sends
+    to a rank on another node than the sender's.
+
+    Equal to :func:`repro.sched.check.check_planned`'s
+    ``internode_messages`` for every schedule the checker accepts (each
+    send is matched, so each counts once), without its per-rank replay of
+    buffers, matching and deadlock detection.
+    """
+    return sum(
+        1
+        for rank, program in zip(piece.ranks, piece.schedule.programs)
+        for step in program.steps
+        if step.__class__ is SendStep and step.dst // ppn != rank // ppn
+    )
+
+
 @lru_cache(maxsize=None)
 def _static_messages(
     library: str,
@@ -134,15 +155,14 @@ def _static_messages(
     thresholds: Optional[Thresholds],
 ) -> int:
     """Static per-iteration internode message count of the compiled
-    schedule, one checker pass per algorithm regime (the count depends on
-    the selected algorithm, not on the byte size within a regime)."""
-    from repro.sched.check import check_planned
+    schedule, one count per algorithm regime (the count depends on the
+    selected algorithm, not on the byte size within a regime)."""
     from repro.sched.registry import plan_for
 
     piece = plan_for(
         library, collective, nodes, ppn, rep_size, thresholds=thresholds
     )
-    return check_planned(piece, ppn).internode_messages
+    return static_internode_messages(piece, ppn)
 
 
 def _regime_ids(
@@ -215,8 +235,8 @@ def evaluate_axis(
         times = flat_allgather_refined(ap, cb, nodes, ppn)
     times = np.atleast_1d(np.asarray(times, dtype=float))
 
-    # logical message counts: one static checker pass per algorithm
-    # regime, broadcast across the sizes that share it
+    # logical message counts: one static count per algorithm regime,
+    # broadcast across the sizes that share it
     regimes = _regime_ids(
         library, collective, nodes, ppn,
         np.asarray(list(sizes)), thresholds,

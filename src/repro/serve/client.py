@@ -22,18 +22,19 @@ import json
 import socket
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.bench.microbench import MicrobenchResult
-from repro.bench.runner.points import Point, column_of
+from repro.bench.runner.points import Point, columns_of
 from repro.serve.protocol import (
     MAX_LINE,
+    PROTOCOL_VERSION,
     ServeError,
     column_to_doc,
     decode_message,
+    decode_results,
     encode_message,
     parse_address,
-    result_from_doc,
 )
 
 __all__ = ["SweepClient", "wait_until_ready", "main"]
@@ -118,25 +119,24 @@ class SweepClient:
         bit-identical to a local ``SweepRunner.run``.
 
         The request carries one column spec per distinct column among
-        ``points``, each with its sizes in request order.
+        ``points``, each with its sizes in request order; each row is
+        rebuilt from its column's identity fields, its size and its
+        fragment of the response.
         """
-        columns: Dict[tuple, List[int]] = {}
-        for i, point in enumerate(points):
-            columns.setdefault(column_of(point), []).append(i)
-        doc = {"op": "sweep", "columns": [
-            column_to_doc(points[idxs[0]], [points[i].msg_bytes for i in idxs])
-            for idxs in columns.values()
+        groups = columns_of(points)
+        sizes = [[points[i].msg_bytes for i in idxs]
+                 for idxs in groups.values()]
+        doc = {"op": "sweep", "version": PROTOCOL_VERSION, "columns": [
+            column_to_doc(spec, column_sizes)
+            for spec, column_sizes in zip(groups, sizes)
         ]}
         if timeout is not None:
             doc["timeout"] = timeout
-        docs = self.request(doc)["results"]
-        if len(docs) != len(points):
-            raise ServeError("internal", f"{len(docs)} results for "
-                                         f"{len(points)} points")
+        columns = decode_results(self.request(doc), sizes)
         results: List[Optional[MicrobenchResult]] = [None] * len(points)
-        order = (i for idxs in columns.values() for i in idxs)
-        for i, result in zip(order, docs):
-            results[i] = result_from_doc(result)
+        for idxs, rows in zip(groups.values(), columns):
+            for i, row in zip(idxs, rows):
+                results[i] = row
         return results  # type: ignore[return-value]
 
     def stats(self) -> dict:
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
             ]
             results = client.sweep(points, timeout=args.timeout)
             if args.json:
-                from repro.serve.protocol import result_to_doc
+                from repro.bench.runner.cache import result_to_doc
 
                 print(json.dumps([result_to_doc(r) for r in results],
                                  indent=2))

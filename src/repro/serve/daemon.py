@@ -4,11 +4,12 @@ Architecture (one asyncio event loop, one resident worker pool)::
 
     client conns ──> per-connection handler (sequential per conn)
                         │  admission gate (max_pending, else "overloaded")
-                        │  column specs validated, expanded to points
+                        │  column specs validated, one spec per column
                         ▼
                   plan_sweep ──all hits──> response joined from the
-                        │                  rows' encoded bytes, with no
-                        │                  suspension, task or timer
+                        │                  rows' encoded fragments, with
+                        │                  no Point, suspension, task or
+                        │                  timer
                         │ misses, cut into work units
                         │ per-request deadline (wait_for + cancellation)
                         ▼
@@ -23,9 +24,11 @@ Architecture (one asyncio event loop, one resident worker pool)::
                                                to columnar shards
 
 **Coalescing.**  The cache reads and work units are the sweep runner's:
-:func:`~repro.bench.runner.pool.plan_sweep` reads each column with one
-``get_many`` and cuts its misses into units, one per column for the
-whole-column routes and one per size for the rest.  Each unit in flight
+:func:`~repro.bench.runner.pool.plan_sweep` takes the columns as decoded
+from the wire, reads each with one ``get_many`` and cuts its misses into
+units, one per column for the whole-column routes and one per size for
+the rest; only the missing sizes become
+:class:`~repro.bench.runner.points.Point` values.  Each unit in flight
 is an ``asyncio.Task`` registered in a table keyed by the unit's column
 group hash (:func:`~repro.bench.runner.cache.column_key`), plus the size
 for a per-size unit.  A request whose misses land on a key
@@ -43,12 +46,23 @@ immediately rather than queueing unboundedly and timing everyone out.
 Clients retry with backoff; the ``stats`` op exposes ``active``/
 ``rejected`` so operators can see the gate working.
 
+**Publishing.**  Evaluated rows buffer in the cache and publish as
+shards once ``flush_threshold`` rows are pending, every
+``flush_interval`` seconds, on the ``flush`` op and at shutdown.  A
+failed publish (a full disk, an I/O error) fails no sweep: the rows stay
+pending and are served from the buffer, the failure is logged to stderr
+and counted (``publish_failures`` in the ``stats`` op), and the next
+flush retries them.  Only the ``flush`` op, which asks for the publish,
+answers the failure as an error.
+
 **Shutdown.**  ``shutdown`` op or SIGINT/SIGTERM: stop accepting, give
 in-flight requests and evaluations a grace period to drain, cancel the
 stragglers, flush buffered rows to shards, hang up on the clients still
 connected, stop the pool.  The flush is the part that matters — buffered
 puts are the write-batching half of the columnar store, and the daemon
 owns the buffer — so it comes before anything that waits on a client.
+A flush that fails there still lets every later step run; ``python -m
+repro.serve`` then exits 1, naming the rows it could not publish.
 
 Results are **bit-identical** to
 :meth:`~repro.bench.runner.pool.SweepRunner.run` on the same point list:
@@ -83,7 +97,7 @@ from repro.serve.protocol import (
     encode_results,
     parse_address,
     read_message,
-    sweep_points,
+    sweep_columns,
     wire_timeout,
     write_message,
 )
@@ -105,6 +119,7 @@ class DaemonStats:
     timeouts: int = 0        #: requests cancelled at their deadline
     rejected: int = 0        #: sweeps refused at the admission gate
     errors: int = 0          #: error responses (any code)
+    publish_failures: int = 0  #: flushes of buffered rows that failed
     started: float = field(default_factory=time.monotonic)
 
     def to_doc(self) -> dict:
@@ -119,6 +134,7 @@ class DaemonStats:
             "timeouts": self.timeouts,
             "rejected": self.rejected,
             "errors": self.errors,
+            "publish_failures": self.publish_failures,
             "uptime_s": time.monotonic() - self.started,
         }
 
@@ -223,7 +239,7 @@ class SweepDaemon:
             self._server.close()
             await self._drain()
             flusher.cancel()
-            self.cache.flush()
+            self._publish()
             if kind == "unix":
                 try:
                     os.unlink(self.address[1])
@@ -259,7 +275,23 @@ class SweepDaemon:
     async def _flusher(self) -> None:
         while True:
             await asyncio.sleep(self.flush_interval)
-            self.cache.flush()
+            self._publish()
+
+    def _publish(self) -> int:
+        """Publish the buffered rows; returns rows written.  A failure
+        leaves the rest pending (lookups still serve them), is logged
+        and counted, and returns 0: the next flush retries."""
+        try:
+            return self.cache.flush()
+        except OSError as exc:
+            self._publish_failed(exc)
+            return 0
+
+    def _publish_failed(self, exc: OSError) -> None:
+        self.stats.publish_failures += 1
+        print(f"repro.serve: publishing buffered rows failed ({exc}); "
+              f"{self.cache.pending_rows} rows stay pending and are "
+              f"retried at the next flush", file=sys.stderr, flush=True)
 
     async def _drain(self) -> None:
         """Give in-flight requests and evaluations ``grace`` seconds,
@@ -351,7 +383,12 @@ class SweepDaemon:
             elif op == "stats":
                 doc = {"ok": True, "stats": self.stats_doc()}
             elif op == "flush":
-                doc = {"ok": True, "flushed": self.cache.flush()}
+                try:
+                    flushed = self.cache.flush()
+                except OSError as exc:
+                    self._publish_failed(exc)
+                    raise
+                doc = {"ok": True, "flushed": flushed}
             elif op == "shutdown":
                 return self._reply(request, {"ok": True,
                                              "shutting_down": True}), True
@@ -388,21 +425,22 @@ class SweepDaemon:
                 f"{self._active} sweeps in flight (max_pending="
                 f"{self.max_pending}); retry later",
             )
-        points = sweep_points(request.get("columns"))
+        columns = sweep_columns(request)
         timeout = wire_timeout(request.get("timeout", self.default_timeout))
+        points = sum(len(sizes) for _, sizes in columns)
         self.stats.sweeps += 1
-        self.stats.points += len(points)
-        results, columns = plan_sweep(points, self.cache)
-        misses = sum(len(col.misses) for col in columns)
-        self.stats.hits += len(points) - misses
+        self.stats.points += points
+        planned = plan_sweep(columns, self.cache)
+        misses = sum(len(col.misses) for col in planned)
+        self.stats.hits += points - misses
         self.stats.misses += misses
-        if columns:
+        if misses:
             self._active += 1
             try:
                 # a failed unit fails the request; shielded unit tasks
                 # keep running and stay coalescable
                 work = asyncio.gather(*(
-                    self._fetch(unit) for col in columns for unit in col.units
+                    self._fetch(unit) for col in planned for unit in col.units
                 ))
                 if timeout is None:
                     fetched = await work
@@ -420,14 +458,14 @@ class SweepDaemon:
             finally:
                 self._active -= 1
             rows = iter(fetched)
-            for col in columns:
+            for col in planned:
                 by_size: Dict[int, MicrobenchResult] = {}
                 for _ in col.units:
                     by_size.update(next(rows))
                 for i in col.misses:
-                    results[i] = by_size[points[i].msg_bytes]
+                    col.rows[i] = by_size[col.sizes[i]]
         tail = {"id": request["id"]} if "id" in request else {}
-        return encode_results(results, tail)
+        return encode_results([(col.spec, col.rows) for col in planned], tail)
 
     # -- evaluation ------------------------------------------------------
 
@@ -483,8 +521,12 @@ class SweepDaemon:
         self._lowering["hits"] += delta["hits"]
         self._lowering["misses"] += delta["misses"]
         self._lowering["units"] += 1
-        for point, row in zip(unit.points, rows):
-            self.cache.put(point, row)
+        try:
+            # buffered: published at the threshold, the flush interval or
+            # shutdown; a failed publish leaves the rows pending
+            self.cache.put_many(unit.points, rows, flush=False)
+        except OSError as exc:
+            self._publish_failed(exc)
 
     async def _run_in_pool(self, fn, arg):
         """One work unit on the resident executor (tests wrap this to
@@ -589,5 +631,10 @@ def main(argv=None) -> int:
         await daemon.serve(ready=announce)
 
     asyncio.run(_run())
+    unpublished = daemon.cache.pending_rows
+    if unpublished:
+        print(f"repro.serve: drained, but {unpublished} buffered rows could "
+              f"not be published", file=sys.stderr)
+        return 1
     print("repro.serve: drained and flushed, bye", file=sys.stderr)
     return 0

@@ -9,10 +9,10 @@ that is echoed verbatim in the response:
 ========== ==============================================================
 op          request fields → response fields
 ========== ==============================================================
-``sweep``   ``columns`` (list of column specs), optional ``timeout``
-            seconds (a finite number > 0, or ``null`` for none) →
-            ``results`` (list of result docs: column by column, each in
-            its ``sizes`` order)
+``sweep``   ``version`` (:data:`PROTOCOL_VERSION`), ``columns`` (list of
+            column specs), optional ``timeout`` seconds (a finite number
+            > 0, or ``null`` for none) → ``columns`` (one result column
+            per requested column, in request order)
 ``stats``   → ``stats`` (daemon/cache/lowering counter document)
 ``ping``    → ``version`` (protocol version), ``pid``
 ``flush``   → ``flushed`` (rows published to shards)
@@ -24,27 +24,42 @@ with codes from :data:`ERROR_CODES` (``overloaded`` and ``timeout`` are
 the backpressure/cancellation signals clients are expected to handle,
 e.g. by retrying later).
 
-A column spec is a :class:`~repro.bench.runner.points.Point` spec
-without ``msg_bytes`` (``params``/``thresholds`` as nested dataclass
-dicts or ``null``) plus ``sizes``, a non-empty list of JSON integers::
+A column spec is a :class:`~repro.bench.runner.points.ColumnSpec` (a
+:class:`~repro.bench.runner.points.Point` spec without ``msg_bytes``;
+``params``/``thresholds`` as nested dataclass dicts or ``null``) plus
+``sizes``, a non-empty list of JSON integers::
 
-    {"op": "sweep", "timeout": 60, "columns": [
+    {"op": "sweep", "version": 3, "timeout": 60, "columns": [
       {"library": "PiP-MColl", "collective": "allgather", "nodes": 4,
        "ppn": 8, "warmup": 1, "measure": 2, "params": null,
        "thresholds": null, "engine": "auto", "sizes": [512, 4096, 65536]}]}
 
 The spec is validated once per column and the sizes one by one
-(:func:`column_to_doc` / :func:`column_from_doc`), so a request pays its
-per-message costs once per column rather than once per size.  A sweep
-may carry at most :data:`MAX_POINTS` sizes in all, the most one response
-can hold (:func:`sweep_points`).  Results travel as the same documents
-the pre-1.4.0 JSON cache used
-(:func:`~repro.bench.runner.cache.result_to_doc`); JSON floats serialize
-via ``repr`` and therefore round-trip float64 **exactly**, so a result
-crossing the socket stays bit-identical to one computed in-process —
-the property ``tests/serve/`` pins against ``SweepRunner.run``.  Each
-served row's document is encoded once (:func:`encoded_result`) and a
-sweep response is a join of those bytes (:func:`encode_results`).
+(:func:`column_to_doc` / :func:`column_from_doc`); the daemon plans and
+looks up each column as a whole, so a request pays its per-message costs
+once per column rather than once per size.  A sweep may ask for at most
+:data:`MAX_POINTS` sizes in all (:func:`sweep_columns`).  A sweep
+without ``"version": 3`` — a v1 sweep of ``points``, a v2 sweep of
+``columns`` — answers ``bad-request``.
+
+A sweep response carries one result column per requested column.  The
+rows' identity fields travel once per column (the library in its
+registry spelling); then, in the column's ``sizes`` order, one
+*fragment* per size holds what varies per size, ``[time, [samples...],
+internode_messages]``::
+
+    {"ok": true, "columns": [
+      {"library": "PiP-MColl", "collective": "allgather", "nodes": 4,
+       "ppn": 8, "rows": [[1.5e-05, [1.5e-05, 1.5e-05], 24], ...]}]}
+
+The client rebuilds each row from the column's identity fields, the
+requested size and the fragment (:func:`decode_results`).  JSON floats
+serialize via ``repr`` and therefore round-trip float64 **exactly**, so
+a result crossing the socket stays bit-identical to one computed
+in-process — the property ``tests/serve/`` pins against
+``SweepRunner.run``.  Each served row's fragment is encoded once
+(:func:`encoded_result`) and a sweep response is a join of those bytes
+(:func:`encode_results`).
 """
 
 from __future__ import annotations
@@ -57,8 +72,7 @@ from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.microbench import COLLECTIVES, ENGINES, MicrobenchResult
-from repro.bench.runner.cache import result_from_doc, result_to_doc
-from repro.bench.runner.points import Point
+from repro.bench.runner.points import ColumnSpec, Point
 from repro.core.tuning import Thresholds
 from repro.hw.params import MachineParams
 from repro.sched.registry import LIBRARIES, PLANNER_BACKED, canonical_name
@@ -66,18 +80,24 @@ from repro.sched.registry import LIBRARIES, PLANNER_BACKED, canonical_name
 __all__ = [
     "PROTOCOL_VERSION", "MAX_LINE", "ERROR_CODES", "ServeError",
     "MAX_POINTS", "parse_address", "column_to_doc", "column_from_doc",
-    "sweep_points", "wire_timeout", "result_to_doc", "result_from_doc",
-    "encoded_result", "encode_results", "encode_message", "decode_message",
-    "read_message", "write_message",
+    "sweep_columns", "wire_timeout", "encoded_result", "encode_results",
+    "decode_results", "encode_message", "decode_message", "read_message",
+    "write_message",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: one message may not exceed this many bytes on the wire — bounds the
 #: daemon's read buffer per connection (the work a sweep may ask for is
 #: bounded by MAX_POINTS); a 121-size column's request is under 1 kB and
-#: its response ~24 kB, so the ceiling is generous without being unbounded
+#: its response ~9 kB, so the ceiling is generous without being unbounded
 MAX_LINE = 8 * 1024 * 1024
+
+#: the most sizes one sweep may ask for: a cap on the work one request
+#: can queue.  A v3 response of this many sizes fits far inside MAX_LINE
+#: (about 0.7 MB at the shortest fragment, ``[0,[],0]``); the value is
+#: the count a v2 response, a full result document per size, could carry
+MAX_POINTS = 77_672
 
 ERROR_CODES = (
     "bad-request",   # unparseable message or malformed column spec
@@ -134,26 +154,28 @@ def parse_address(address: str) -> Address:
 # -- column specs -----------------------------------------------------------
 
 
-def column_to_doc(point: Point, sizes: Sequence[int]) -> dict:
-    """The wire form of one sweep column: ``point``'s spec without
-    ``msg_bytes``, plus ``sizes``.
+def column_to_doc(
+    column: "ColumnSpec | Point", sizes: Sequence[int]
+) -> dict:
+    """The wire form of one sweep column: ``column``'s spec (a
+    :class:`ColumnSpec`, or any point of the column) plus ``sizes``.
 
-    ``params``/``thresholds`` stay ``None`` when the point uses defaults
-    (the daemon reconstructs identical :class:`Point` values, so cache
+    ``params``/``thresholds`` stay ``None`` when the column uses defaults
+    (the daemon reconstructs an identical :class:`ColumnSpec`, so cache
     keys and results match a local ``SweepRunner`` run exactly).
     """
     return {
-        "library": point.library,
-        "collective": point.collective,
-        "nodes": point.nodes,
-        "ppn": point.ppn,
-        "warmup": point.warmup,
-        "measure": point.measure,
-        "params": None if point.params is None else asdict(point.params),
+        "library": column.library,
+        "collective": column.collective,
+        "nodes": column.nodes,
+        "ppn": column.ppn,
+        "warmup": column.warmup,
+        "measure": column.measure,
+        "params": None if column.params is None else asdict(column.params),
         "thresholds": (
-            None if point.thresholds is None else asdict(point.thresholds)
+            None if column.thresholds is None else asdict(column.thresholds)
         ),
-        "engine": point.engine,
+        "engine": column.engine,
         "sizes": list(sizes),
     }
 
@@ -194,9 +216,10 @@ def wire_timeout(value) -> Optional[float]:
     return float(value)
 
 
-def column_from_doc(doc: dict) -> List[Point]:
-    """The points of one column, from its wire form, in ``sizes`` order;
-    raises :class:`ServeError` (``bad-request``) on anything malformed."""
+def column_from_doc(doc: dict) -> Tuple[ColumnSpec, List[int]]:
+    """One column's spec and its sizes (in ``sizes`` order), from its wire
+    form; raises :class:`ServeError` (``bad-request``) on anything
+    malformed."""
     if not isinstance(doc, dict):
         raise ServeError("bad-request",
                          f"column spec is not an object: {doc!r}")
@@ -218,22 +241,18 @@ def column_from_doc(doc: dict) -> List[Point]:
         if entry is None:
             raise ServeError("bad-request", f"unknown library {library!r}; "
                                             f"known: {list(LIBRARIES)}")
-        # the registry spelling: every engine takes it, and a column is
-        # cached under one key however the caller spelled its library
-        library = entry[0]
         collective = str(doc["collective"])
         if collective not in COLLECTIVES:
             raise ServeError("bad-request", f"unknown collective "
                                             f"{collective!r}; known: "
                                             f"{list(COLLECTIVES)}")
-        # Point's positional fields before msg_bytes, then after it
-        head = (
-            library,
+        spec = ColumnSpec(
+            # the registry spelling: every engine takes it, and a column
+            # is cached under one key however the caller spelled it
+            entry[0],
             collective,
             _wire_int("nodes", doc["nodes"], 1),
             _wire_int("ppn", doc["ppn"], 1),
-        )
-        rest = (
             _wire_int("warmup", doc.get("warmup", 1), 0),
             _wire_int("measure", doc.get("measure", 2), 1),
             params,
@@ -250,21 +269,26 @@ def column_from_doc(doc: dict) -> List[Point]:
         raise ServeError("bad-request", f"sizes must be a non-empty list, "
                                         f"got {sizes!r}")
     # zero bytes is a valid size: the event engine answers it
-    return [Point(*head, _wire_int(f"sizes[{i}]", size, 0), *rest)
-            for i, size in enumerate(sizes)]
+    if not all(type(size) is int and size >= 0 for size in sizes):
+        for i, size in enumerate(sizes):
+            _wire_int(f"sizes[{i}]", size, 0)
+    return spec, sizes
 
 
-def sweep_points(columns) -> List[Point]:
-    """The points of a sweep's ``columns`` field, column by column.
+def sweep_columns(request: dict) -> List[Tuple[ColumnSpec, List[int]]]:
+    """The ``(spec, sizes)`` columns of a sweep request, in order.
 
-    Raises ``bad-request`` for anything but a non-empty list of valid
-    column specs, and — before any point is built — for more than
-    :data:`MAX_POINTS` sizes in all.
+    Raises ``bad-request`` for a request without ``"version": 3`` or
+    without a non-empty list of valid column specs, and — before any
+    column is decoded — for more than :data:`MAX_POINTS` sizes in all.
     """
-    if not isinstance(columns, list) or not columns:
+    columns = request.get("columns")
+    if (request.get("version") != PROTOCOL_VERSION
+            or not isinstance(columns, list) or not columns):
         raise ServeError(
-            "bad-request", f"sweep needs a non-empty 'columns' list "
-                           f"(protocol v{PROTOCOL_VERSION})"
+            "bad-request", f"a sweep needs protocol v{PROTOCOL_VERSION}: "
+                           f"'version': {PROTOCOL_VERSION} and a non-empty "
+                           f"'columns' list"
         )
     count = sum(
         len(doc["sizes"]) for doc in columns
@@ -273,9 +297,9 @@ def sweep_points(columns) -> List[Point]:
     if count > MAX_POINTS:
         raise ServeError(
             "bad-request", f"sweep of {count} points exceeds {MAX_POINTS}, "
-                           f"the most one response can carry"
+                           f"the most one sweep may ask for"
         )
-    return [p for doc in columns for p in column_from_doc(doc)]
+    return [column_from_doc(doc) for doc in columns]
 
 
 # -- framing ----------------------------------------------------------------
@@ -291,9 +315,14 @@ def _framed(line: bytes) -> bytes:
     return line
 
 
-def _compact(doc: dict) -> bytes:
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: a str as a JSON string, as ``_ENCODER`` writes it
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _compact(doc) -> bytes:
     """``doc`` as compact JSON: the encoding of every message and row."""
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(doc).encode("utf-8")
 
 
 def encode_message(doc: dict) -> bytes:
@@ -301,24 +330,15 @@ def encode_message(doc: dict) -> bytes:
     return _framed(_compact(doc))
 
 
-#: the most points one sweep may ask for.  Its response carries a result
-#: document per point, none shorter than one with empty names and
-#: one-digit numbers, so a larger sweep could never be answered within
-#: MAX_LINE (a size costs two bytes of request, so MAX_LINE alone would
-#: admit some four million)
-MAX_POINTS = MAX_LINE // (
-    len(_compact(result_to_doc(MicrobenchResult("", "", 0, 0, 0, 0, (), 0))))
-    + 1  # the comma between documents
-)
-
-#: id(row) -> (weak reference to the row, its encoded document); see
+#: id(row) -> (weak reference to the row, its encoded fragment); see
 #: encoded_result
 _ENCODED: Dict[int, Tuple[weakref.ref, bytes]] = {}
 
 
 def encoded_result(row: MicrobenchResult) -> bytes:
-    """``row``'s result document as compact JSON bytes, encoded on the
-    first call for this row object and reused after it.
+    """``row``'s fragment, ``[time, [samples...], internode_messages]``,
+    as compact JSON bytes, encoded on the first call for this row object
+    and reused after it.
 
     Rows are immutable and the memo is keyed by the row *object*, so its
     bytes never describe another row: a put or flush that replaces a
@@ -331,20 +351,66 @@ def encoded_result(row: MicrobenchResult) -> bytes:
     entry = _ENCODED.get(key)
     if entry is not None and entry[0]() is row:
         return entry[1]
-    blob = _compact(result_to_doc(row))
+    blob = _compact([row.time, list(row.samples), row.internode_messages])
     _ENCODED[key] = (weakref.ref(row, lambda _: _ENCODED.pop(key, None)),
                      blob)
     return blob
 
 
-def encode_results(results: Sequence[MicrobenchResult], tail: dict) -> bytes:
-    """A successful sweep response, framed: ``results``' encoded rows
+def encode_results(
+    columns: Sequence[Tuple[ColumnSpec, Sequence[MicrobenchResult]]],
+    tail: dict,
+) -> bytes:
+    """A successful sweep response, framed: per ``(spec, rows)`` column,
+    the spec's identity fields once and the rows' encoded fragments
     joined, plus ``tail``'s fields (the echoed ``id``, if any)."""
-    line = (b'{"ok":true,"results":['
-            + b",".join([encoded_result(r) for r in results]) + b"]")
+    parts = [
+        ('{"library":%s,"collective":%s,"nodes":%d,"ppn":%d,"rows":['
+         % (_json_str(spec.library), _json_str(spec.collective), spec.nodes,
+            spec.ppn)).encode("utf-8")
+        + b",".join([encoded_result(r) for r in rows]) + b"]}"
+        for spec, rows in columns
+    ]
+    line = b'{"ok":true,"columns":[' + b",".join(parts) + b"]"
     if tail:
         line += b"," + _compact(tail)[1:-1]
     return _framed(line + b"}")
+
+
+def decode_results(
+    response: dict, sizes: Sequence[Sequence[int]]
+) -> List[List[MicrobenchResult]]:
+    """The rows of a sweep response whose request asked for ``sizes``, one
+    list per column, each in its ``sizes`` order.
+
+    Raises :class:`ServeError` for a response without the v3 shape (a v2
+    daemon's ``results``, a column count or a row count that does not
+    match the request, a fragment that is not ``[time, samples,
+    messages]``).
+    """
+    try:
+        columns = response["columns"]
+        if len(columns) != len(sizes):
+            raise ValueError(f"{len(columns)} columns for {len(sizes)} "
+                             f"requested")
+        out = []
+        for column, column_sizes in zip(columns, sizes):
+            head = (column["library"], column["collective"],
+                    column["nodes"], column["ppn"])
+            rows = column["rows"]
+            if len(rows) != len(column_sizes):
+                raise ValueError(f"{len(rows)} rows for "
+                                 f"{len(column_sizes)} sizes")
+            out.append([
+                MicrobenchResult(*head, size, time, tuple(samples), messages)
+                for size, (time, samples, messages) in zip(column_sizes, rows)
+            ])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServeError(
+            "internal", f"sweep response is not protocol "
+                        f"v{PROTOCOL_VERSION}: {exc!r}"
+        ) from None
+    return out
 
 
 def decode_message(line: bytes) -> dict:

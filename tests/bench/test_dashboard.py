@@ -3,7 +3,9 @@
 Two pins: the dashboard must parse the ``BENCH_speed.json`` the
 repository actually commits (so a schema drift in ``bench_speed.py``
 fails here, not in a cron job), and it must flag an injected regression
-across a real git history.
+across a real git history, host-neutrally: a document from a uniformly
+slower host passes, and so does one where only the reference route got
+faster; one route falling behind the others fails.
 """
 
 import json
@@ -13,7 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.dashboard import BENCH_NAME, main, route_metrics
+from repro.bench.dashboard import (
+    BENCH_NAME,
+    main,
+    relative_metrics,
+    route_metrics,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -48,6 +55,19 @@ def test_headline_metric_falls_back_to_any_points_per_sec():
     assert route_metrics(_doc(custom=7.5)) == {
         "custom cold": 3.75, "custom warm": 7.5,
     }
+
+
+def test_routes_are_read_against_the_event_route_in_the_same_phase():
+    metrics = route_metrics(_doc(event=40.0, dag=120.0, store=8.0))
+    assert relative_metrics(metrics) == {
+        "dag cold": 3.0, "dag warm": 3.0,
+        "store cold": 0.2, "store warm": 0.2,
+    }
+    # a uniformly slower host leaves every ratio where it was
+    slow = route_metrics(_doc(event=24.0, dag=72.0, store=4.8))
+    assert relative_metrics(slow) == pytest.approx(relative_metrics(metrics))
+    # without the reference route there is nothing to read against
+    assert relative_metrics(route_metrics(_doc(store=8.0))) == {}
 
 
 def test_headline_metric_rejects_metricless_docs():
@@ -100,8 +120,18 @@ def _git(repo: Path, *args: str) -> None:
     )
 
 
-def _write_doc(repo: Path, pts_per_sec: float) -> None:
-    (repo / BENCH_NAME).write_text(json.dumps(_doc(store=pts_per_sec)))
+#: a healthy document's warm points/sec per route
+ROUTES = {"event": 40.0, "dag": 120.0, "store": 100_000.0}
+
+
+def _write_doc(repo: Path, **routes: float) -> None:
+    (repo / BENCH_NAME).write_text(json.dumps(_doc(**routes)))
+
+
+def _commit(repo: Path, message: str, **routes: float) -> None:
+    _write_doc(repo, **routes)
+    _git(repo, "add", BENCH_NAME)
+    _git(repo, "commit", "-qm", message)
 
 
 @needs_git
@@ -109,24 +139,31 @@ def test_dashboard_flags_injected_regression(tmp_path, capsys):
     repo = tmp_path / "repo"
     repo.mkdir()
     _git(repo, "init", "-q")
-    _write_doc(repo, 100_000.0)
-    _git(repo, "add", BENCH_NAME)
-    _git(repo, "commit", "-qm", "good run")
-    _write_doc(repo, 120_000.0)
-    _git(repo, "add", BENCH_NAME)
-    _git(repo, "commit", "-qm", "better run")
+    _commit(repo, "good run", **ROUTES)
+    _commit(repo, "better run", **{**ROUTES, "store": 120_000.0})
 
     # working tree regresses far below threshold x best committed
-    _write_doc(repo, 10_000.0)
+    _write_doc(repo, **{**ROUTES, "store": 10_000.0})
     rc = main(["--dir", str(repo), "--check"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "REGRESSION" in out
-    assert "120000.0" in out  # compared against the best, not the latest
+    # compared against the best (120000 pts/s, 120000 / 40 = 3000x the
+    # event route), not the latest
+    assert "120000.0 pts/s, 3000.000x event" in out
 
     # without --check the regression is reported but the exit is clean
     assert main(["--dir", str(repo)]) == 0
     assert "REGRESSION" in capsys.readouterr().out
+
+    # one route 25% slower than its best, on an otherwise unchanged
+    # host, fails: its ratio to the event route fell below 0.8x
+    for route, best in (("store", 120_000.0), ("dag", 120.0)):
+        _write_doc(repo, **{**ROUTES, "store": 120_000.0,
+                            route: best * 0.75})
+        assert main(["--dir", str(repo), "--check"]) == 1
+        out = capsys.readouterr().out
+        assert f"regressed: {route} cold, {route} warm" in out
 
 
 @needs_git
@@ -134,12 +171,23 @@ def test_dashboard_passes_healthy_history(tmp_path, capsys):
     repo = tmp_path / "repo"
     repo.mkdir()
     _git(repo, "init", "-q")
-    _write_doc(repo, 100_000.0)
-    _git(repo, "add", BENCH_NAME)
-    _git(repo, "commit", "-qm", "baseline")
-    _write_doc(repo, 95_000.0)  # noise-level dip, above 0.8x
+    _commit(repo, "baseline", **ROUTES)
+    # noise-level dip, above 0.8x
+    _write_doc(repo, **{**ROUTES, "store": 95_000.0})
     rc = main(["--dir", str(repo), "--check"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "ok: within" in out
     assert "all routes within threshold" in out
+    # every route uniformly 40% slower: a slower host, not a regression
+    _write_doc(repo, **{route: v * 0.6 for route, v in ROUTES.items()})
+    assert main(["--dir", str(repo), "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "REGRESSION" not in out
+    assert "all routes within threshold" in out
+    assert "(reference route: not checked)" in out
+    # only the reference route 40% faster: every ratio falls, no route
+    # got slower
+    _write_doc(repo, **{**ROUTES, "event": ROUTES["event"] * 1.4})
+    assert main(["--dir", str(repo), "--check"]) == 0
+    assert "REGRESSION" not in capsys.readouterr().out

@@ -21,6 +21,7 @@ from repro.bench.runner import (
     run_points,
 )
 from repro.bench.runner.cache import column_key
+from repro.bench.runner.points import column_of
 from repro.bench.runner.pool import (
     SweepUnit,
     run_point_spec,
@@ -30,6 +31,7 @@ from repro.core.tuning import Thresholds
 from repro.hw.params import bebop_broadwell
 
 #: small but non-trivial: 2 libraries x 2 sizes x one 2x2 shape = 4 points
+
 POINTS = expand_sweep(
     "allreduce", [64, 4096], ["PiP-MColl", "PiP-MPICH"], nodes=2, ppn=2
 )
@@ -37,6 +39,11 @@ POINTS = expand_sweep(
 
 def _cache(tmp_path) -> ResultCache:
     return ResultCache(tmp_path / "cache")
+
+
+def _column(points):
+    """``points`` of one column as ``get_many``'s arguments."""
+    return column_of(points[0]), [p.msg_bytes for p in points]
 
 
 # -- cross-mode determinism (the acceptance-criteria test) ----------------
@@ -428,13 +435,13 @@ def test_get_many_put_many_round_trip_and_accounting(tmp_path):
     assert cache.store.shard_count() == 1
     assert cache.flushes == 1
     assert len(cache) == len(COLUMN_POINTS)
-    back = cache.get_many(COLUMN_POINTS)
+    back = cache.get_many(*_column(COLUMN_POINTS))
     assert back == results
     assert cache.hits == len(COLUMN_POINTS)
     # a fresh cache object reads the same entries back from disk (the
     # writer served its own appends from the in-memory index, read-free)
     fresh = ResultCache(cache.root)
-    assert fresh.get_many(COLUMN_POINTS) == results
+    assert fresh.get_many(*_column(COLUMN_POINTS)) == results
     assert fresh.bytes_read > 0
 
 
@@ -444,10 +451,10 @@ def test_put_many_merges_instead_of_clobbering(tmp_path):
     results = run_sweep_column_stats(COLUMN_UNIT)[0]
     cache.put_many(first, results[:2])
     cache.put_many(rest, results[2:])
-    assert cache.get_many(COLUMN_POINTS) == results
+    assert cache.get_many(*_column(COLUMN_POINTS)) == results
     # append-only: two puts -> two shards of one group, merged on read
     assert cache.store.shard_count() == 2
-    assert ResultCache(cache.root).get_many(COLUMN_POINTS) == results
+    assert ResultCache(cache.root).get_many(*_column(COLUMN_POINTS)) == results
 
 
 def test_corrupted_column_shard_is_dropped_and_missed(tmp_path):
@@ -457,7 +464,7 @@ def test_corrupted_column_shard_is_dropped_and_missed(tmp_path):
     path = next((cache.root / "shards").glob("*/*.npz"))
     path.write_bytes(b"torn write")
     fresh = ResultCache(cache.root)
-    assert fresh.get_many(COLUMN_POINTS) == [None] * len(COLUMN_POINTS)
+    assert fresh.get_many(*_column(COLUMN_POINTS)) == [None] * len(COLUMN_POINTS)
     assert fresh.misses == len(COLUMN_POINTS)
     assert not path.exists()
 

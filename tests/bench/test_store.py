@@ -26,6 +26,7 @@ from repro.bench.runner.cache import (
     main as cache_main,
     result_to_doc,
 )
+from repro.bench.runner.points import column_of
 from repro.bench.runner.pool import SweepUnit, run_sweep_column_stats
 from repro.bench.runner.store import ShardStore
 
@@ -61,6 +62,11 @@ def _write_json_column(root, points, results, epoch=LEGACY_EPOCH):
     return path
 
 
+def _column(points):
+    """``points`` of one column as ``get_many``'s arguments."""
+    return column_of(points[0]), [p.msg_bytes for p in points]
+
+
 def _row(msg_bytes: int, time: float = 1.0) -> MicrobenchResult:
     return MicrobenchResult(
         library="PiP-MColl", collective="allgather", nodes=2, ppn=2,
@@ -82,7 +88,7 @@ def test_two_writers_same_group_lose_nothing(tmp_path):
     a.put_many(POINTS[:2], results[:2])
     b.put_many(POINTS[2:], results[2:])
     fresh = ResultCache(tmp_path)
-    assert fresh.get_many(POINTS) == results
+    assert fresh.get_many(*_column(POINTS)) == results
     assert fresh.store.shard_count() == 2
 
 
@@ -294,13 +300,13 @@ def test_legacy_json_and_migrated_shards_no_longer_hit(tmp_path):
     _write_json_column(tmp_path, POINTS[:3], results[:3])
     _write_json_point(tmp_path, POINTS[3], results[3])
     cache = ResultCache(tmp_path)
-    assert cache.get_many(POINTS) == [None] * len(POINTS)
+    assert cache.get_many(*_column(POINTS)) == [None] * len(POINTS)
     assert cache.misses == len(POINTS)
     ShardStore(tmp_path / "legacy").append(
         column_key(POINTS[0], LEGACY_EPOCH), results
     )
     fresh = ResultCache(tmp_path)
-    assert fresh.get_many(POINTS) == [None] * len(POINTS)
+    assert fresh.get_many(*_column(POINTS)) == [None] * len(POINTS)
     assert "legacy_hits" not in fresh.stats()
     # clear() still sweeps both leftovers off the disk
     assert fresh.clear() == 3

@@ -21,8 +21,9 @@ from repro.sched.analytic import (
     analytic_supported,
     evaluate_axis,
     evaluate_point,
+    static_internode_messages,
 )
-from repro.sched.check import check_planned
+from repro.sched.check import GRID_SHAPES, GRID_SIZES, check_planned
 from repro.sched.registry import plan_for, registry_combinations
 
 SHAPES = ((2, 4), (3, 8))
@@ -105,6 +106,18 @@ def test_message_counts_are_static_times_iterations(lib, coll):
             assert est.internode_messages == static * 5, (
                 lib, coll, nodes, ppn, nbytes
             )
+
+
+def test_static_count_equals_the_checkers_on_the_grid():
+    """The analytic tier counts a schedule's off-node sends directly; on
+    every registry combination over the checker's ``--grid`` shapes and
+    sizes the count equals the full static check's."""
+    for lib, coll in registry_combinations():
+        for nodes, ppn in GRID_SHAPES:
+            for nbytes in GRID_SIZES:
+                piece = plan_for(lib, coll, nodes, ppn, nbytes)
+                assert static_internode_messages(piece, ppn) == \
+                    check_planned(piece, ppn).internode_messages, piece.label
 
 
 # -- engine wiring --------------------------------------------------------

@@ -126,3 +126,43 @@ def test_client_cli_shutdown_stops_an_in_process_daemon(tmp_path, capsys):
     assert client_main(["--connect", sock, "--shutdown"]) == 0
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_daemon_exits_nonzero_naming_rows_it_could_not_publish(tmp_path):
+    """A daemon whose store cannot take a shard (here ``shards`` is a
+    file, not a directory) answers its sweeps from the buffer, shuts
+    down cleanly, and exits 1 naming the rows it could not publish."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "shards").write_text("not a directory")
+    sock = str(tmp_path / "daemon.sock")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        "src" + os.pathsep + env["PYTHONPATH"]
+        if env.get("PYTHONPATH") else "src"
+    )
+    points = [Point("PiP-MColl", "allgather", 2, 4, s, engine="batch")
+              for s in (64, 512, 4096)]
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--listen", sock,
+         "--jobs", "0", "--cache-dir", str(cache_dir)],
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))),
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        try:
+            wait_until_ready(sock, deadline=30.0)
+            with SweepClient(sock) as client:
+                got = client.sweep(points)
+                client.shutdown()
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert got == SweepRunner(jobs=1, use_cache=False).run(points)
+    assert proc.returncode == 1
+    assert "3 buffered rows could not be published" in err
+    assert not os.path.exists(sock)

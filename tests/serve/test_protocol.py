@@ -6,25 +6,29 @@ import json
 import pytest
 
 from repro.bench.microbench import MicrobenchResult
-from repro.bench.runner.cache import ResultCache
-from repro.bench.runner.points import Point
+from repro.bench.runner.cache import (
+    ResultCache,
+    result_from_doc,
+    result_to_doc,
+)
+from repro.bench.runner.points import ColumnSpec, Point, column_of
 from repro.core.tuning import Thresholds
 from repro.hw.params import tiny_test_machine
 from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_LINE,
     MAX_POINTS,
+    PROTOCOL_VERSION,
     ServeError,
     column_from_doc,
     column_to_doc,
     decode_message,
+    decode_results,
     encode_message,
     encode_results,
     encoded_result,
     parse_address,
-    result_from_doc,
-    result_to_doc,
-    sweep_points,
+    sweep_columns,
 )
 
 
@@ -60,15 +64,16 @@ def test_point_round_trips_including_params_and_thresholds():
     for point in points:
         doc = _wire(column_to_doc(point, [point.msg_bytes]))
         assert "msg_bytes" not in doc
-        assert column_from_doc(doc) == [point]
-    # one spec, many sizes: the points come back in ``sizes`` order
+        spec, sizes = column_from_doc(doc)
+        assert (spec, sizes) == (column_of(point), [point.msg_bytes])
+        assert spec.point(point.msg_bytes) == point
+        # a column spec encodes like any point of its column
+        assert column_to_doc(spec, sizes) == doc
+    # one spec, many sizes: the sizes come back in order, repeats kept
     point = points[1]
     sizes = [4096, 0, 64, 4096]
-    assert column_from_doc(_wire(column_to_doc(point, sizes))) == [
-        Point(point.library, point.collective, point.nodes, point.ppn, s,
-              point.warmup, point.measure, point.params, engine="batch")
-        for s in sizes
-    ]
+    assert column_from_doc(_wire(column_to_doc(point, sizes))) == (
+        column_of(point), sizes)
 
 
 def _column_doc(**fields):
@@ -130,8 +135,8 @@ def test_library_spelling_becomes_the_registry_name_at_the_front_door():
     """Any spelling ``canonical_name`` maps to a registry library is
     admitted as that library's registry name, which every engine takes."""
     for spelling in ("pip_mcoll", "PIP MCOLL", "pip-mcoll"):
-        points = column_from_doc(_column_doc(library=spelling))
-        assert [p.library for p in points] == ["PiP-MColl"]
+        spec, _ = column_from_doc(_column_doc(library=spelling))
+        assert spec.library == "PiP-MColl"
     assert column_from_doc(_column_doc(library="openmpi"))[0].library == (
         "OpenMPI")
 
@@ -187,20 +192,62 @@ def test_framing_round_trip_and_junk():
         decode_message(b"[1, 2]\n")  # an array is not a message
 
 
+def _fragment(row):
+    return [row.time, list(row.samples), row.internode_messages]
+
+
 def test_encoded_results_frame_like_an_encoded_message():
-    """A sweep response joined from encoded rows is the very line
-    ``encode_message`` makes of the same document."""
+    """A sweep response joined from encoded fragments is the very line
+    ``encode_message`` makes of the same v3 document: per column, its
+    identity fields once and one fragment per size, in ``sizes`` order
+    (repeats included).  The client rebuilds the rows exactly."""
+    spec = ColumnSpec("PiP-MColl", "allgather", 2, 4, engine="auto")
+    sizes = [64, 512, 64]
     rows = [
         MicrobenchResult("PiP-MColl", "allgather", 2, 4, size, 1e-05 * size,
                          (1e-05 * size, 0.1 + 0.2), 7)
-        for size in (64, 512)
+        for size in sizes
     ]
-    docs = [result_to_doc(r) for r in rows]
+    other = ColumnSpec("OpenMPI", "allreduce", 3, 2, engine="event")
+    other_rows = [MicrobenchResult("OpenMPI", "allreduce", 3, 2, 0, 0.0,
+                                   (-0.0, 0.0), 0)]
+    columns = [(spec, rows), (other, other_rows)]
     for tail in ({}, {"id": 7}, {"id": "req-42"}):
-        line = encode_results(rows, tail)
-        assert line == encode_message({"ok": True, "results": docs, **tail})
-        assert [result_from_doc(d) for d in decode_message(line)["results"]] \
-            == rows
+        line = encode_results(columns, tail)
+        assert line == encode_message({"ok": True, "columns": [
+            {"library": s.library, "collective": s.collective,
+             "nodes": s.nodes, "ppn": s.ppn,
+             "rows": [_fragment(r) for r in rs]}
+            for s, rs in columns
+        ], **tail})
+        back = decode_results(decode_message(line), [sizes, [0]])
+        assert back == [rows, other_rows]
+        # bit for bit: the signs of zero survive too
+        assert [str(x) for x in back[1][0].samples] == ["-0.0", "0.0"]
+
+
+def test_response_without_the_v3_shape_raises_serve_error():
+    """A v2 response (a flat ``results`` list of documents), or one whose
+    columns, rows or fragments do not match the request, is a
+    :class:`ServeError`, never a ``KeyError`` or a wrong row."""
+    row = MicrobenchResult("PiP-MColl", "allgather", 2, 4, 64, 1.0,
+                           (1.0, 1.0), 3)
+    good = json.loads(encode_results(
+        [(ColumnSpec("PiP-MColl", "allgather", 2, 4), [row])], {}))
+    assert decode_results(good, [[64]]) == [[row]]
+    v2 = {"ok": True, "results": [result_to_doc(row)]}
+    short = {"ok": True, "columns": [{**good["columns"][0], "rows": []}]}
+    bad_fragment = {"ok": True, "columns": [
+        {**good["columns"][0], "rows": [[1.0, [1.0, 1.0]]]}]}
+    headless = {"ok": True, "columns": [{"rows": [[1.0, [1.0], 3]]}]}
+    for response, sizes in ((v2, [[64]]), (good, [[64], [128]]),
+                            (short, [[64]]), (bad_fragment, [[64]]),
+                            (headless, [[64]]), ({"ok": True}, [[64]]),
+                            ({"ok": True, "columns": 3}, [[64]])):
+        with pytest.raises(ServeError) as err:
+            decode_results(response, sizes)
+        assert err.value.code == "internal"
+        assert f"v{PROTOCOL_VERSION}" in err.value.message
 
 
 def _row(size, time):
@@ -214,12 +261,12 @@ def test_encoded_rows_are_never_stale_and_die_with_their_row(tmp_path):
     cache.put(point, _row(64, 1.0))
     old = cache.get(point)
     blob = encoded_result(old)
-    assert json.loads(blob) == result_to_doc(old)
+    assert json.loads(blob) == _fragment(old)
     assert encoded_result(cache.get(point)) is blob  # encoded once
     # a put that replaces the row: the bytes served are the new row's
     cache.put(point, _row(64, 2.0))
     new = cache.get(point)
-    assert json.loads(encoded_result(new))["time"] == 2.0
+    assert json.loads(encoded_result(new))[0] == 2.0
     # the replaced row's bytes go when the row does
     old_key = id(old)
     del old
@@ -230,7 +277,7 @@ def test_encoded_rows_are_never_stale_and_die_with_their_row(tmp_path):
     cache.flush()
     back = cache.get(point)
     assert back is not new and back == new
-    assert json.loads(encoded_result(back)) == result_to_doc(new)
+    assert json.loads(encoded_result(back)) == _fragment(new)
     new_key, back_key = id(new), id(back)
     del new
     gc.collect()
@@ -250,26 +297,34 @@ def test_oversized_message_refused_on_encode():
     with pytest.raises(ServeError) as err:
         encode_message({"blob": "x" * MAX_LINE})
     assert err.value.code == "bad-request"
-    huge = MicrobenchResult("x" * MAX_LINE, "allgather", 2, 4, 64, 1.0,
-                            (1.0,), 3)
+    huge = ColumnSpec("x" * MAX_LINE, "allgather", 2, 4)
     with pytest.raises(ServeError) as err:
-        encode_results([huge], {})
+        encode_results([(huge, [_row(64, 1.0)])], {})
     assert err.value.code == "bad-request"
+
+
+def _sweep(*columns):
+    return {"op": "sweep", "version": PROTOCOL_VERSION,
+            "columns": list(columns)}
 
 
 def test_sweep_of_more_points_than_a_response_can_carry_is_refused(
     monkeypatch,
 ):
-    """A size costs two bytes of request but a whole result document of
-    response, so the line limit alone would admit millions of points.  A
-    sweep with more sizes than any response within MAX_LINE can carry is
-    refused before a single point is built; one at the cap is not."""
-    # the cap is tight for the shortest result document there is ...
+    """MAX_POINTS caps the work one sweep may ask for: a size costs two
+    bytes of request, so the line limit alone would admit millions.  A
+    sweep of more sizes is refused before a single column is decoded;
+    one at the cap is not, and its response fits far inside MAX_LINE."""
+    assert MAX_POINTS == 77_672
     tiny = MicrobenchResult("", "", 0, 0, 0, 0, (), 0)
-    with pytest.raises(ServeError):
-        encode_results([tiny] * (MAX_POINTS + 1), {})
-    # ... and real rows are longer
-    assert len(encoded_result(_row(64, 1.0))) > len(encoded_result(tiny))
+    longest_header = ColumnSpec("PiP-MColl-small", "allreduce", 2**31, 2**31)
+    fits = encode_results([(longest_header, [tiny] * MAX_POINTS)], {})
+    assert len(fits) < MAX_LINE // 8
+    # a row of two full-precision samples is eight times longer, and
+    # still fits
+    row = _row(64, 1.0 / 3.0)
+    assert len(encode_results([(longest_header, [row] * MAX_POINTS)],
+                              {})) < MAX_LINE
 
     def spec(count):
         return _column_doc(sizes=[0] * count)
@@ -277,19 +332,39 @@ def test_sweep_of_more_points_than_a_response_can_carry_is_refused(
     # specs the count cannot read are left to column validation
     for columns in ([], {"sizes": [0]}, ["not a column"], [spec(1), {}]):
         with pytest.raises(ServeError) as err:
-            sweep_points(columns)
+            sweep_columns({"op": "sweep", "version": PROTOCOL_VERSION,
+                           "columns": columns})
         assert err.value.code == "bad-request"
     built = []
     monkeypatch.setattr(protocol, "column_from_doc",
-                        lambda doc: built.append(len(doc["sizes"])) or [])
+                        lambda doc: built.append(len(doc["sizes"])) or doc)
     half = MAX_POINTS // 2
     with pytest.raises(ServeError) as err:
-        sweep_points([spec(half), spec(MAX_POINTS - half + 1)])
+        sweep_columns(_sweep(spec(half), spec(MAX_POINTS - half + 1)))
     assert err.value.code == "bad-request"
     assert f"exceeds {MAX_POINTS}" in err.value.message
     assert built == []
-    assert sweep_points([spec(half), spec(MAX_POINTS - half)]) == []
+    assert len(sweep_columns(_sweep(spec(half), spec(MAX_POINTS - half)))) \
+        == 2
     assert built == [half, MAX_POINTS - half]
+
+
+def test_sweep_without_the_version_marker_is_refused():
+    """A v3 sweep carries ``"version": 3``.  A sweep without it (a v2
+    sweep of columns, a v1 sweep of points) or with another version is
+    refused, naming v3, before any column is decoded."""
+    column = _column_doc(sizes=[64, 1024])
+    assert sweep_columns(_sweep(column)) == [column_from_doc(column)]
+    for request in ({"op": "sweep", "columns": [column]},
+                    {"op": "sweep", "version": 2, "columns": [column]},
+                    {"op": "sweep", "points": [
+                        {**column, "msg_bytes": 64}]},
+                    {"op": "sweep", "version": "3", "columns": [column]}):
+        with pytest.raises(ServeError) as err:
+            sweep_columns(request)
+        assert err.value.code == "bad-request"
+        assert f"v{PROTOCOL_VERSION}" in err.value.message
+        assert "'columns'" in err.value.message
 
 
 def test_serve_error_doc_round_trip():

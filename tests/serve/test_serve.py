@@ -1,5 +1,5 @@
 """Daemon behaviour through a real socket: bit-identity, coalescing,
-timeouts, backpressure, shutdown flush.
+timeouts, backpressure, shutdown flush, failed shard publishes.
 
 Every test runs a real :class:`SweepDaemon` on a unix socket in a
 background thread and talks to it with the blocking
@@ -9,7 +9,9 @@ keeps evaluation in-process (worker threads), so tests can wrap
 """
 
 import asyncio
+import errno
 import json
+import os
 import socket
 import threading
 import time
@@ -18,10 +20,18 @@ import pytest
 
 from repro.bench.microbench import run_point
 from repro.bench.runner import Point, ResultCache, SweepRunner
+from repro.bench.runner.points import column_of
 from repro.bench.runner.pool import plan_sweep
+from repro.bench.runner.store import ShardStore
 from repro.hw.params import bebop_broadwell
 from repro.serve import ServeError, SweepClient, SweepDaemon, wait_until_ready
-from repro.serve.protocol import MAX_POINTS, column_to_doc, result_from_doc
+from repro.serve.protocol import (
+    MAX_POINTS,
+    PROTOCOL_VERSION,
+    column_to_doc,
+    decode_results,
+    encode_message,
+)
 
 AXIS = (64, 1024, 16384)
 
@@ -36,6 +46,20 @@ def column(sizes=AXIS, collective="allgather", engine="batch"):
 def reference(points):
     """What the daemon must reproduce bit-identically."""
     return SweepRunner(jobs=1, use_cache=False).run(points)
+
+
+def stored(root, points):
+    """The rows of one column's ``points`` in a fresh cache at ``root``."""
+    return ResultCache(root).get_many(column_of(points[0]),
+                                      [p.msg_bytes for p in points])
+
+
+def sweep_doc(*columns, **fields):
+    """A v3 sweep request of ``columns``, each a list of points."""
+    return {"op": "sweep", "version": PROTOCOL_VERSION, "columns": [
+        column_to_doc(points[0], [p.msg_bytes for p in points])
+        for points in columns
+    ], **fields}
 
 
 class DaemonThread:
@@ -145,9 +169,10 @@ def test_runner_and_daemon_share_one_plan(tmp_path):
     rows of per-point ``run_point``; the daemon evaluates each unit
     once."""
     points = [p for column_points, _ in PLAN_TABLE for p in column_points]
-    _, columns = plan_sweep(points)
+    planned = plan_sweep([(column_of(ps[0]), [p.msg_bytes for p in ps])
+                          for ps, _ in PLAN_TABLE])
     assert [[(unit.route, len(unit.points)) for unit in col.units]
-            for col in columns] == [units for _, units in PLAN_TABLE]
+            for col in planned] == [units for _, units in PLAN_TABLE]
     expected = [
         run_point(p.library, p.collective, p.nodes, p.ppn, p.msg_bytes,
                   warmup=p.warmup, measure=p.measure, engine=p.engine)
@@ -191,6 +216,24 @@ def test_results_come_back_in_request_order(tmp_path):
     assert got == again == reference(points)
 
 
+def _answer(daemon, request):
+    """``daemon``'s response to ``request``, which must come on the first
+    step of its coroutine: no suspension, hence no event loop needed."""
+    step = daemon._dispatch(request)
+    with pytest.raises(StopIteration) as done:
+        step.send(None)
+    line, stop_after = done.value.value
+    assert not stop_after
+    return json.loads(line)
+
+
+def _warm_daemon(tmp_path, points):
+    cache = ResultCache(tmp_path / "serve_cache")
+    cache.put_many(points, reference(points))
+    return SweepDaemon(str(tmp_path / "never-bound.sock"), cache=cache,
+                       jobs=0)
+
+
 def test_all_hit_sweep_is_answered_without_awaiting(tmp_path):
     """A sweep whose rows are all cached is answered without suspending:
     its coroutine finishes on the first step, with no task, no deadline
@@ -198,36 +241,108 @@ def test_all_hit_sweep_is_answered_without_awaiting(tmp_path):
     admission, validation and counting steps as a sweep that must
     evaluate."""
     points = column()
-    cache = ResultCache(tmp_path / "serve_cache")
-    cache.put_many(points, reference(points))
-    daemon = SweepDaemon(str(tmp_path / "never-bound.sock"), cache=cache,
-                         jobs=0)
-    request = {"op": "sweep", "columns": [column_to_doc(points[0], AXIS)],
-               "timeout": 30, "id": 9}
+    daemon = _warm_daemon(tmp_path, points)
+    request = sweep_doc(points, timeout=30, id=9)
 
-    def answer(request):
-        step = daemon._dispatch(request)
-        with pytest.raises(StopIteration) as done:
-            step.send(None)
-        line, stop_after = done.value.value
-        assert not stop_after
-        return json.loads(line)
-
-    response = answer(request)
+    response = _answer(daemon, request)
     assert response["id"] == 9 and daemon._active == 0
-    assert [result_from_doc(d) for d in response["results"]] \
-        == reference(points)
+    assert decode_results(response, [AXIS]) == [reference(points)]
     # the refusals a sweep that evaluates meets, in the same order
-    assert answer({**request, "timeout": "abc"})["error"]["code"] \
+    assert _answer(daemon, {**request, "timeout": "abc"})["error"]["code"] \
         == "bad-request"
     daemon._active = daemon.max_pending
-    assert answer(request)["error"]["code"] == "overloaded"
+    assert _answer(daemon, request)["error"]["code"] == "overloaded"
     daemon._draining = True
-    assert answer(request)["error"]["code"] == "shutting-down"
+    assert _answer(daemon, request)["error"]["code"] == "shutting-down"
     stats = daemon.stats_doc()["daemon"]
     assert (stats["requests"], stats["sweeps"], stats["points"],
             stats["hits"], stats["misses"], stats["rejected"],
             stats["errors"], stats["evaluations"]) == (4, 1, 3, 3, 0, 1, 3, 0)
+
+
+def test_all_hit_sweep_builds_no_point(tmp_path, monkeypatch):
+    """The daemon plans and looks up a sweep per column: an all-hit sweep
+    of one 10-size column constructs no :class:`Point` at all (the
+    missing sizes of a sweep that evaluates are the only ones built)."""
+    points = column(tuple(1024 * 2 ** k for k in range(10)),
+                    engine="auto")
+    daemon = _warm_daemon(tmp_path, points)
+    request = sweep_doc(points)
+    built = []
+    init = Point.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Point, "__init__", counting_init)
+    response = _answer(daemon, request)
+    assert built == []
+    monkeypatch.setattr(Point, "__init__", init)
+    assert decode_results(response, [[p.msg_bytes for p in points]]) \
+        == [reference(points)]
+    assert daemon.stats_doc()["daemon"]["hits"] == 10
+
+
+def test_sweep_response_wire_shape(tmp_path):
+    """The raw v3 response of a two-column sweep with a repeated size:
+    the columns in request order, each with its identity fields once (the
+    library in its registry spelling) and one ``[time, samples,
+    internode_messages]`` fragment per requested size, in order; then the
+    echoed ``id``."""
+    first = column((1024, 64, 1024), engine="dag")
+    second = [Point("OpenMPI", "allgather", 2, 2, 512, engine="event")]
+    request = sweep_doc(first, second, id="req-7")
+    request["columns"][0]["library"] = "pip_mcoll"
+    with DaemonThread(tmp_path) as harness:
+        response = raw_request(harness.sock, json.dumps(request))
+    rows = reference(first) + reference(second)
+    assert response == {"ok": True, "columns": [
+        {"library": "PiP-MColl", "collective": "allgather", "nodes": 2,
+         "ppn": 4, "rows": [[r.time, list(r.samples), r.internode_messages]
+                            for r in rows[:3]]},
+        {"library": "OpenMPI", "collective": "allgather", "nodes": 2,
+         "ppn": 2, "rows": [[rows[3].time, list(rows[3].samples),
+                             rows[3].internode_messages]]},
+    ], "id": "req-7"}
+    assert list(response) == ["ok", "columns", "id"]
+    assert [list(c) for c in response["columns"]] == [
+        ["library", "collective", "nodes", "ppn", "rows"]] * 2
+
+
+class _CannedFile:
+    """A client connection's file that answers every request with one
+    canned line."""
+
+    def __init__(self, line):
+        self.line = line
+
+    def write(self, data):
+        pass
+
+    def flush(self):
+        pass
+
+    def readline(self, limit=-1):
+        return self.line
+
+
+def test_client_refuses_a_v2_response(tmp_path):
+    """A client talking to a v2 daemon gets a flat ``results`` list of
+    row documents back; it raises ServeError, not KeyError."""
+    points = column()
+    rows = reference(points)
+    v2 = encode_message({"ok": True, "results": [
+        {"library": r.library, "collective": r.collective, "nodes": r.nodes,
+         "ppn": r.ppn, "msg_bytes": r.msg_bytes, "time": r.time,
+         "samples": list(r.samples),
+         "internode_messages": r.internode_messages} for r in rows]})
+    client = SweepClient(str(tmp_path / "unused.sock"))
+    client._file = _CannedFile(v2)
+    with pytest.raises(ServeError) as err:
+        client.sweep(points)
+    assert err.value.code == "internal"
+    assert f"v{PROTOCOL_VERSION}" in err.value.message
 
 
 # -- coalescing ------------------------------------------------------------
@@ -368,9 +483,9 @@ def test_shutdown_flushes_buffered_shards(tmp_path):
         probe = ResultCache(tmp_path / "serve_cache")
         assert probe.store.shard_count() == 0
     # __exit__ sent shutdown and joined: the drain flushed the buffer
-    fresh = ResultCache(tmp_path / "serve_cache")
-    assert fresh.get_many(points) == got == reference(points)
-    assert fresh.store.shard_count() > 0
+    assert stored(tmp_path / "serve_cache", points) == got \
+        == reference(points)
+    assert ResultCache(tmp_path / "serve_cache").store.shard_count() > 0
 
 
 def test_shutdown_hangs_up_on_idle_clients(tmp_path):
@@ -418,7 +533,7 @@ def test_shutdown_aborts_a_client_that_stopped_reading(tmp_path):
         assert time.monotonic() - started < 5
     assert got == reference(points)
     assert harness.left_handlers == []
-    assert ResultCache(tmp_path / "serve_cache").get_many(points) == got
+    assert stored(tmp_path / "serve_cache", points) == got
 
 
 def test_flush_op_publishes_pending_rows_on_demand(tmp_path):
@@ -429,8 +544,108 @@ def test_flush_op_publishes_pending_rows_on_demand(tmp_path):
         with harness.client() as client:
             got = client.sweep(points)
             assert client.flush() == len(points)
-        fresh = ResultCache(tmp_path / "serve_cache")
-        assert fresh.get_many(points) == got
+        assert stored(tmp_path / "serve_cache", points) == got
+
+
+# -- failed shard publishes -------------------------------------------------
+
+
+def failing_publishes(monkeypatch, code):
+    """Make every shard publish raise ``OSError(code)`` until the returned
+    ``recover()`` is called; ``attempts`` lists each try's row count."""
+    attempts = []
+    failing = [True]
+    append = ShardStore.append
+
+    def flaky(self, key, rows):
+        attempts.append(len(rows))
+        if failing[0]:
+            raise OSError(code, os.strerror(code))
+        return append(self, key, rows)
+
+    monkeypatch.setattr(ShardStore, "append", flaky)
+    return attempts, lambda: failing.__setitem__(0, False)
+
+
+def test_failed_publish_fails_no_sweep(tmp_path, monkeypatch, capsys):
+    """A full disk at the flush threshold: the sweep still answers its
+    rows, which stay pending and serve the repeat; the failure is logged
+    and counted.  Only the ``flush`` op, which asks for the publish,
+    answers it as an error; once the disk recovers the rows land."""
+    attempts, recover = failing_publishes(monkeypatch, errno.ENOSPC)
+    cache = ResultCache(tmp_path / "serve_cache", flush_threshold=2)
+    points = column(engine="dag")
+    with DaemonThread(tmp_path, cache=cache,
+                      flush_interval=3600.0) as harness:
+        with harness.client() as client:
+            got = client.sweep(points)
+            again = client.sweep(points)
+            stats = client.stats()
+            with pytest.raises(ServeError) as err:
+                client.flush()
+            assert err.value.code == "internal"
+            assert "No space left on device" in err.value.message
+            recover()
+            assert client.flush() == len(points)
+            after = client.stats()
+    assert got == again == reference(points)
+    assert attempts[:2] == [2, 3]
+    daemon, buffered = stats["daemon"], stats["cache"]
+    assert (daemon["evaluations"], daemon["hits"], daemon["errors"]) \
+        == (3, 3, 0)
+    assert daemon["publish_failures"] == 2
+    assert buffered["pending_rows"] == 3 and buffered["shards"] == 0
+    assert after["daemon"]["publish_failures"] == 3
+    assert after["cache"]["pending_rows"] == 0
+    assert stored(tmp_path / "serve_cache", points) == got
+    err = capsys.readouterr().err
+    assert "publishing buffered rows failed" in err
+    assert "No space left on device" in err
+
+
+def test_flusher_retries_after_a_failed_publish(tmp_path, monkeypatch):
+    """An I/O error in a periodic flush leaves the flusher running: it
+    retries every interval, and publishes once the store recovers."""
+    attempts, recover = failing_publishes(monkeypatch, errno.EIO)
+    cache = ResultCache(tmp_path / "serve_cache", flush_threshold=10**6)
+    points = column()
+    with DaemonThread(tmp_path, cache=cache, flush_interval=0.05) as harness:
+        with harness.client() as client:
+            got = client.sweep(points)
+            deadline = time.monotonic() + 10
+            while len(attempts) < 3:
+                assert time.monotonic() < deadline, attempts
+                time.sleep(0.02)
+            recover()
+            while client.stats()["cache"]["pending_rows"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            stats = client.stats()["daemon"]
+    assert stats["publish_failures"] >= 3
+    assert stored(tmp_path / "serve_cache", points) == got \
+        == reference(points)
+
+
+def test_shutdown_completes_when_its_flush_fails(tmp_path, monkeypatch):
+    """A publish that fails at shutdown still lets every later step run:
+    the socket file goes, connected clients are hung up on and their
+    handlers finish, and the pool stops.  The rows it could not publish
+    stay counted as pending."""
+    failing_publishes(monkeypatch, errno.EIO)
+    cache = ResultCache(tmp_path / "serve_cache", flush_threshold=10**6)
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as idle:
+        with DaemonThread(tmp_path, cache=cache,
+                          flush_interval=3600.0) as harness:
+            idle.connect(harness.sock)
+            with harness.client() as client:
+                client.sweep(column())
+        # __exit__ sent shutdown and joined the daemon
+        assert idle.recv(1) == b""
+    assert not os.path.exists(harness.sock)
+    assert harness.left_handlers == []
+    assert harness.daemon._executor._shutdown
+    assert harness.daemon.stats.publish_failures == 1
+    assert cache.pending_rows == len(AXIS)
 
 
 # -- protocol errors over the wire -----------------------------------------
@@ -443,25 +658,30 @@ def test_unknown_op_and_bad_sweeps_answer_with_errors(tmp_path):
                 client.request({"op": "frobnicate"})
             assert err.value.code == "bad-request"
             with pytest.raises(ServeError) as err:
-                client.request({"op": "sweep", "columns": []})
+                client.request({"op": "sweep", "version": PROTOCOL_VERSION,
+                                "columns": []})
             assert err.value.code == "bad-request"
             with pytest.raises(ServeError) as err:
-                client.request({"op": "sweep",
+                client.request({"op": "sweep", "version": PROTOCOL_VERSION,
                                 "columns": [{"library": "only"}]})
             assert err.value.code == "bad-request"
-            # more sizes than any response can carry: refused unbuilt
-            spec = column_to_doc(column()[0], [64] * (MAX_POINTS + 1))
+            # more sizes than one sweep may ask for: refused undecoded
             with pytest.raises(ServeError) as err:
-                client.request({"op": "sweep", "columns": [spec]})
+                client.request(sweep_doc(column((64,) * (MAX_POINTS + 1))))
             assert err.value.code == "bad-request"
             assert f"exceeds {MAX_POINTS}" in err.value.message
-            # a protocol v1 sweep of points is refused, naming columns
-            with pytest.raises(ServeError) as err:
-                client.request({"op": "sweep", "points": [
-                    {"library": "PiP-MColl", "collective": "allgather",
-                     "nodes": 2, "ppn": 4, "msg_bytes": 512}]})
-            assert err.value.code == "bad-request"
-            assert "'columns'" in err.value.message
+            # a protocol v1 sweep of points and a v2 sweep of columns,
+            # neither carrying the version, are refused, naming v3
+            for old in ({"op": "sweep", "points": [
+                            {"library": "PiP-MColl", "collective": "allgather",
+                             "nodes": 2, "ppn": 4, "msg_bytes": 512}]},
+                        {k: v for k, v in sweep_doc(column()).items()
+                         if k != "version"}):
+                with pytest.raises(ServeError) as err:
+                    client.request(old)
+                assert err.value.code == "bad-request"
+                assert "'columns'" in err.value.message
+                assert f"v{PROTOCOL_VERSION}" in err.value.message
             # a spec the engines would refuse is refused at the door
             with pytest.raises(ServeError) as err:
                 client.sweep([Point("PiP-MColl", "allgather", 2, 4, 512,
@@ -529,8 +749,7 @@ def test_client_disconnecting_mid_line_costs_one_error(tmp_path):
     shutdown."""
     cache = ResultCache(tmp_path / "serve_cache", flush_threshold=10**6)
     points = column()
-    line = json.dumps({"op": "sweep",
-                       "columns": [column_to_doc(points[0], AXIS)]})
+    line = json.dumps(sweep_doc(points))
     with DaemonThread(tmp_path, cache=cache,
                       flush_interval=3600.0) as harness:
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as rude:
@@ -547,7 +766,7 @@ def test_client_disconnecting_mid_line_costs_one_error(tmp_path):
     assert got == reference(points)
     assert (stats["errors"], stats["connections"]) == (1, 1)
     assert harness.left_handlers == []
-    assert ResultCache(tmp_path / "serve_cache").get_many(points) == got
+    assert stored(tmp_path / "serve_cache", points) == got
 
 
 def test_malformed_timeout_answers_bad_request(tmp_path):
@@ -559,7 +778,8 @@ def test_malformed_timeout_answers_bad_request(tmp_path):
         def sweep(timeout):
             return raw_request(
                 harness.sock,
-                f'{{"op":"sweep","columns":[{spec}],"timeout":{timeout}}}',
+                f'{{"op":"sweep","version":{PROTOCOL_VERSION},'
+                f'"columns":[{spec}],"timeout":{timeout}}}',
             )
 
         for timeout in ('"abc"', "NaN", "true", "1e400", "-Infinity", "0",
