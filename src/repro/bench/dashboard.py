@@ -8,16 +8,17 @@ and warm trajectory.
 
 The check is host-neutral.  Points/sec scale with the host, so a
 document regenerated on a slower machine reads lower on every route.
-Each route is therefore also read as its points/sec over the same
-document's :data:`REFERENCE` route in the same phase, a ratio from which
-host speed cancels.  A route regresses when its working-tree value is
-below ``--threshold`` (default 0.8) times the best committed value both
-in points/sec and in that ratio: a uniformly slower host lowers only
-the first, a change that speeds up the reference route alone (such as
-pausing the garbage collector during event-loop runs) lowers only the
-second, and a route that fell behind lowers both.  On a faster host a
-route's loss must exceed the host's gain to show.  The reference route
-itself is shown but not checked.
+Against each committed document, each route's speed-up in the working
+tree is therefore read over the *median* route's speed-up in the same
+phase (:func:`relative_speedups`): host speed scales every route alike
+and cancels, and the median moves little when any one route moves,
+however far (a route that got four times faster, or the event loop
+alone getting faster, leaves the others where they were).  A
+route regresses when that relative speed-up falls below ``--threshold``
+(default 0.8) against any committed document, that is, when it fell
+behind the median route by more than ``1 - threshold`` since then.  A
+document is read against another only where they share at least
+:data:`MIN_ROUTES` routes in a phase.
 
 Usage::
 
@@ -34,19 +35,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["main", "route_metrics", "relative_metrics", "BENCH_NAME",
-           "REFERENCE"]
+__all__ = ["main", "route_metrics", "relative_speedups", "BENCH_NAME",
+           "MIN_ROUTES"]
 
 BENCH_NAME = "BENCH_speed.json"
 
-#: the route every other route is read against: the event loop, the
-#: reference engine, which runs on every committed column
-REFERENCE = "event"
+#: routes per phase the check needs: the median of fewer moves with the
+#: one route it is meant to catch
+MIN_ROUTES = 3
 
 
 def route_metrics(doc: dict) -> Dict[str, float]:
@@ -56,25 +58,37 @@ def route_metrics(doc: dict) -> Dict[str, float]:
     if not isinstance(agg, dict) or not agg:
         raise ValueError("no aggregate block")
     try:
-        return {
+        metrics = {
             f"{route} {phase}": float(block[f"{phase}_points_per_sec"])
             for route, block in agg.items()
             for phase in ("cold", "warm")
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed aggregate block: {exc!r}") from None
+    if not all(value > 0 for value in metrics.values()):
+        raise ValueError(f"points/sec must be positive: {metrics}")
+    return metrics
 
 
-def relative_metrics(metrics: Dict[str, float]) -> Dict[str, float]:
-    """Each non-reference metric of :func:`route_metrics` over the
-    :data:`REFERENCE` route's in the same phase; empty when the document
-    has no reference route."""
+def relative_speedups(
+    current: Dict[str, float], old: Dict[str, float]
+) -> Dict[str, float]:
+    """Each metric's speed-up from ``old`` to ``current`` (both
+    :func:`route_metrics`) over the median speed-up of the routes in
+    the same phase, for the phases in which both documents hold at least
+    :data:`MIN_ROUTES` routes.
+
+    1.0 is a route that kept pace with the median route; a uniformly
+    faster or slower host leaves every value at 1.0."""
     out = {}
-    for metric, value in metrics.items():
-        route, phase = metric.rsplit(" ", 1)
-        base = metrics.get(f"{REFERENCE} {phase}")
-        if route != REFERENCE and base:
-            out[metric] = value / base
+    for phase in ("cold", "warm"):
+        speedups = {
+            metric: value / old[metric] for metric, value in current.items()
+            if metric.endswith(f" {phase}") and metric in old
+        }
+        if len(speedups) >= MIN_ROUTES:
+            host = statistics.median(speedups.values())
+            out.update((metric, up / host) for metric, up in speedups.items())
     return out
 
 
@@ -132,9 +146,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--threshold", type=float, default=0.8,
-        help="flag a regression when a route's working-tree points/sec, "
-             f"and its ratio to the {REFERENCE} route's, are both below "
-             "THRESHOLD x their best committed values (default 0.8)",
+        help="flag a regression when a route's working-tree speed-up "
+             "since a committed document is below THRESHOLD x the median "
+             "route's in the same phase (default 0.8)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -152,10 +166,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"{BENCH_NAME}: unreadable ({exc})", file=sys.stderr)
         return 1
-    ratios = relative_metrics(current)
-    if not ratios:
-        print(f"{BENCH_NAME}: no {REFERENCE!r} route to read the others "
-              f"against", file=sys.stderr)
+    routes = len(current) // 2
+    if routes < MIN_ROUTES:
+        print(f"{BENCH_NAME}: {routes} routes; reading host speed needs at "
+              f"least {MIN_ROUTES}", file=sys.stderr)
         return 1
 
     history = []
@@ -164,51 +178,41 @@ def main(argv=None) -> int:
             metrics = route_metrics(old)
         except ValueError:
             continue
-        history.append((sha, date, metrics, relative_metrics(metrics)))
+        history.append((sha, date, metrics, relative_speedups(current,
+                                                              metrics)))
 
     regressions = []
-    print(f"{BENCH_NAME}  [aggregate points/sec per route, and its ratio "
-          f"to the {REFERENCE} route in the same phase]")
+    print(f"{BENCH_NAME}  [aggregate points/sec per route; since each "
+          f"committed document, the route's speed-up over the median "
+          f"route's in the same phase]")
     for metric, value in current.items():
-        ratio = ratios.get(metric)
         print(metric)
-        print(f"  working tree: {_cell(value, ratio)}")
-        trail = [(sha, date, old[metric], old_ratios.get(metric))
-                 for sha, date, old, old_ratios in history if metric in old]
-        for sha, date, old_value, old_ratio in trail:
-            print(f"  {sha} {date}: {_cell(old_value, old_ratio)}")
-        if ratio is None:
-            print("  (reference route: not checked)")
-            continue
-        prior = [(old_value, old_ratio) for *_, old_value, old_ratio in trail
-                 if old_ratio is not None]
-        if not prior:
+        print(f"  working tree: {value:12.1f} pts/s")
+        trail = [(sha, date, old[metric], speedups.get(metric))
+                 for sha, date, old, speedups in history if metric in old]
+        for sha, date, old_value, relative in trail:
+            since = "" if relative is None else f"  {relative:7.3f}x median"
+            print(f"  {sha} {date}: {old_value:12.1f} pts/s{since}")
+        compared = [(relative, sha) for sha, _, _, relative in trail
+                    if relative is not None]
+        if not compared:
             print("  (no committed history)")
             continue
-        best_value = max(old_value for old_value, _ in prior)
-        best_ratio = max(old_ratio for _, old_ratio in prior)
-        best = f"{best_value:.1f} pts/s, {best_ratio:.3f}x {REFERENCE}"
-        if (value < args.threshold * best_value
-                and ratio < args.threshold * best_ratio):
-            print(f"  REGRESSION: both under {args.threshold:.2f} x best "
-                  f"committed ({best})")
+        worst, sha = min(compared)
+        if worst < args.threshold:
+            print(f"  REGRESSION: {worst:.3f}x the median route's speed-up "
+                  f"since {sha}, under {args.threshold:.2f}")
             regressions.append(metric)
         else:
-            print(f"  ok: within {args.threshold:.2f}x of best committed "
-                  f"({best}) in points/sec or in ratio")
+            print(f"  ok: within {args.threshold:.2f}x of the median "
+                  f"route's speed-up since every committed document "
+                  f"(worst {worst:.3f}x, since {sha})")
 
     if regressions:
         print(f"regressed: {', '.join(regressions)}")
         return 1 if args.check else 0
     print("all routes within threshold")
     return 0
-
-
-def _cell(value: float, ratio: Optional[float]) -> str:
-    text = f"{value:12.1f} pts/s"
-    if ratio is not None:
-        text += f"  {ratio:10.3f}x {REFERENCE}"
-    return text
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

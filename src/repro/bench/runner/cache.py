@@ -209,11 +209,11 @@ class ResultCache:
 
     # -- lookups ---------------------------------------------------------
 
-    def _lookup(self, point: Point, key: str) -> Optional[MicrobenchResult]:
+    def _lookup(self, key: str, size: int) -> Optional[MicrobenchResult]:
         pending = self._pending.get(key)
-        if pending is not None and point.msg_bytes in pending:
-            return pending[point.msg_bytes]
-        return self.store.group(key).get(point.msg_bytes)
+        if pending is not None and size in pending:
+            return pending[size]
+        return self.store.group(key).get(size)
 
     def peek(self, point: Point) -> Optional[MicrobenchResult]:
         """:meth:`get` without touching the hit/miss counters.
@@ -223,11 +223,11 @@ class ResultCache:
         traffic, and must not inflate the stats a ``stats`` request (or
         ``record.py --cache-stats``) reports.
         """
-        return self._lookup(point, column_key(point))
+        return self._lookup(column_key(point), point.msg_bytes)
 
     def get(self, point: Point) -> Optional[MicrobenchResult]:
         """The cached result for ``point``, or ``None`` on a miss."""
-        row = self._lookup(point, column_key(point))
+        row = self._lookup(column_key(point), point.msg_bytes)
         if row is None:
             self.misses += 1
         else:
@@ -244,13 +244,7 @@ class ResultCache:
         Hit/miss accounting is per size, identical to a :meth:`get` loop.
         """
         key = column_key(column)
-        group = self.store.group(key)
-        pending = self._pending.get(key)
-        if pending:
-            out = [pending[s] if s in pending else group.get(s)
-                   for s in sizes]
-        else:
-            out = list(map(group.get, sizes))
+        out = [self._lookup(key, size) for size in sizes]
         misses = len([row for row in out if row is None])
         self.misses += misses
         self.hits += len(out) - misses
@@ -281,21 +275,15 @@ class ResultCache:
             self.flush()
 
     def put_many(
-        self,
-        points: Sequence[Point],
-        results: Sequence[MicrobenchResult],
-        flush: bool = True,
+        self, points: Sequence[Point], results: Sequence[MicrobenchResult]
     ) -> None:
-        """Store a batch (typically one column) and flush it as shards;
-        with ``flush=False``, buffer it like :meth:`put` and flush only
-        once ``flush_threshold`` rows are pending."""
+        """Store a batch (typically one column) and flush it as shards."""
         if len(points) != len(results):
             raise ValueError(
                 f"{len(points)} points but {len(results)} results"
             )
         self._buffer(points, results)
-        if flush or self._pending_rows >= self.flush_threshold:
-            self.flush()
+        self.flush()
 
     @property
     def pending_rows(self) -> int:

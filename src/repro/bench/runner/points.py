@@ -47,9 +47,6 @@ class Point:
     #: and ``batch`` are bit-identical by construction.
     engine: str = "event"
 
-    def resolved_params(self) -> MachineParams:
-        return self.params if self.params is not None else bebop_broadwell()
-
     def spec_dict(self) -> Dict:
         """Canonical JSON-able description (stable cache-key input)."""
         return {**column_of(self).spec_dict(), "msg_bytes": self.msg_bytes}

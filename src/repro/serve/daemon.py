@@ -521,12 +521,13 @@ class SweepDaemon:
         self._lowering["hits"] += delta["hits"]
         self._lowering["misses"] += delta["misses"]
         self._lowering["units"] += 1
-        try:
-            # buffered: published at the threshold, the flush interval or
-            # shutdown; a failed publish leaves the rows pending
-            self.cache.put_many(unit.points, rows, flush=False)
-        except OSError as exc:
-            self._publish_failed(exc)
+        for point, row in zip(unit.points, rows):
+            try:
+                # buffered first: a threshold flush that fails leaves the
+                # row pending, served and retried
+                self.cache.put(point, row)
+            except OSError as exc:
+                self._publish_failed(exc)
 
     async def _run_in_pool(self, fn, arg):
         """One work unit on the resident executor (tests wrap this to

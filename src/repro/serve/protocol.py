@@ -269,9 +269,8 @@ def column_from_doc(doc: dict) -> Tuple[ColumnSpec, List[int]]:
         raise ServeError("bad-request", f"sizes must be a non-empty list, "
                                         f"got {sizes!r}")
     # zero bytes is a valid size: the event engine answers it
-    if not all(type(size) is int and size >= 0 for size in sizes):
-        for i, size in enumerate(sizes):
-            _wire_int(f"sizes[{i}]", size, 0)
+    for i, size in enumerate(sizes):
+        _wire_int(f"sizes[{i}]", size, 0)
     return spec, sizes
 
 

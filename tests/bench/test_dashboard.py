@@ -4,8 +4,9 @@ Two pins: the dashboard must parse the ``BENCH_speed.json`` the
 repository actually commits (so a schema drift in ``bench_speed.py``
 fails here, not in a cron job), and it must flag an injected regression
 across a real git history, host-neutrally: a document from a uniformly
-slower host passes, and so does one where only the reference route got
-faster; one route falling behind the others fails.
+slower or faster host passes, and so does one where a single route got
+faster, however far; one route falling behind the others fails on any
+host.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 from repro.bench.dashboard import (
     BENCH_NAME,
     main,
-    relative_metrics,
+    relative_speedups,
     route_metrics,
 )
 
@@ -57,17 +58,29 @@ def test_headline_metric_falls_back_to_any_points_per_sec():
     }
 
 
-def test_routes_are_read_against_the_event_route_in_the_same_phase():
-    metrics = route_metrics(_doc(event=40.0, dag=120.0, store=8.0))
-    assert relative_metrics(metrics) == {
-        "dag cold": 3.0, "dag warm": 3.0,
-        "store cold": 0.2, "store warm": 0.2,
-    }
-    # a uniformly slower host leaves every ratio where it was
-    slow = route_metrics(_doc(event=24.0, dag=72.0, store=4.8))
-    assert relative_metrics(slow) == pytest.approx(relative_metrics(metrics))
-    # without the reference route there is nothing to read against
-    assert relative_metrics(route_metrics(_doc(store=8.0))) == {}
+def test_speedups_are_read_against_the_median_route_in_the_same_phase():
+    old = route_metrics(_doc(event=40.0, dag=120.0, store=100.0))
+    # dag kept pace with the median route (store, 1.5x); event fell
+    # behind it; cold and warm are read apart
+    new = route_metrics(_doc(event=48.0, dag=180.0, store=150.0))
+    assert relative_speedups(new, old) == pytest.approx({
+        "event cold": 0.8, "event warm": 0.8,
+        "dag cold": 1.0, "dag warm": 1.0,
+        "store cold": 1.0, "store warm": 1.0,
+    })
+    # a uniformly slower host leaves every route at 1.0
+    slow = route_metrics(_doc(event=24.0, dag=72.0, store=60.0))
+    assert list(relative_speedups(slow, old).values()) \
+        == pytest.approx([1.0] * 6)
+    # one route four times faster does not move the others
+    fast = route_metrics(_doc(event=40.0, dag=480.0, store=100.0))
+    assert relative_speedups(fast, old)["store warm"] == pytest.approx(1.0)
+    # a route the old document lacks is not read, and fewer than three
+    # shared routes are not read at all
+    extra = route_metrics(_doc(event=40.0, dag=120.0, store=100.0, json=5.0))
+    assert "json warm" not in relative_speedups(extra, old)
+    two = route_metrics(_doc(dag=120.0, store=100.0))
+    assert relative_speedups(new, two) == {}
 
 
 def test_headline_metric_rejects_metricless_docs():
@@ -79,6 +92,8 @@ def test_headline_metric_rejects_metricless_docs():
         route_metrics({})
     with pytest.raises(ValueError):
         route_metrics({"aggregate": {"dag": {"warm_points_per_sec": 1.0}}})
+    with pytest.raises(ValueError):
+        route_metrics(_doc(dag=0.0))
 
 
 # -- the committed benchmark document ----------------------------------------
@@ -104,6 +119,14 @@ def test_dashboard_runs_over_the_repository(capsys):
 def test_dashboard_exits_2_without_bench_files(tmp_path, capsys):
     assert main(["--dir", str(tmp_path)]) == 2
     assert f"no {BENCH_NAME}" in capsys.readouterr().err
+
+
+def test_dashboard_refuses_too_few_routes_to_read_host_speed(
+        tmp_path, capsys):
+    (tmp_path / BENCH_NAME).write_text(json.dumps(_doc(dag=1.0, store=2.0)))
+    assert main(["--dir", str(tmp_path), "--commits", "0"]) == 1
+    assert "2 routes; reading host speed needs at least 3" \
+        in capsys.readouterr().err
 
 
 # -- regression detection across a git history -----------------------------
@@ -134,6 +157,11 @@ def _commit(repo: Path, message: str, **routes: float) -> None:
     _git(repo, "commit", "-qm", message)
 
 
+def _scaled(host: float, **routes: float) -> dict:
+    """``routes`` as read on a host ``host`` times as fast."""
+    return {route: value * host for route, value in routes.items()}
+
+
 @needs_git
 def test_dashboard_flags_injected_regression(tmp_path, capsys):
     repo = tmp_path / "repo"
@@ -147,23 +175,28 @@ def test_dashboard_flags_injected_regression(tmp_path, capsys):
     rc = main(["--dir", str(repo), "--check"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "REGRESSION" in out
-    # compared against the best (120000 pts/s, 120000 / 40 = 3000x the
-    # event route), not the latest
-    assert "120000.0 pts/s, 3000.000x event" in out
+    assert "REGRESSION: 0.083x the median route's speed-up since" in out
+    assert "regressed: store cold, store warm" in out
 
     # without --check the regression is reported but the exit is clean
     assert main(["--dir", str(repo)]) == 0
     assert "REGRESSION" in capsys.readouterr().out
 
-    # one route 25% slower than its best, on an otherwise unchanged
-    # host, fails: its ratio to the event route fell below 0.8x
+    # one route 25% slower than its best, on an unchanged host, fails
     for route, best in (("store", 120_000.0), ("dag", 120.0)):
         _write_doc(repo, **{**ROUTES, "store": 120_000.0,
                             route: best * 0.75})
         assert main(["--dir", str(repo), "--check"]) == 1
-        out = capsys.readouterr().out
-        assert f"regressed: {route} cold, {route} warm" in out
+        assert f"regressed: {route} cold, {route} warm" \
+            in capsys.readouterr().out
+
+    # ... and on a host 1.25x faster, where its points/sec still read
+    # 0.94x the best committed
+    _write_doc(repo, **_scaled(1.25, **{**ROUTES, "store": 90_000.0}))
+    assert main(["--dir", str(repo), "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "regressed: store cold, store warm" in out
+    assert "REGRESSION: 0.750x" in out
 
 
 @needs_git
@@ -180,14 +213,24 @@ def test_dashboard_passes_healthy_history(tmp_path, capsys):
     assert "ok: within" in out
     assert "all routes within threshold" in out
     # every route uniformly 40% slower: a slower host, not a regression
-    _write_doc(repo, **{route: v * 0.6 for route, v in ROUTES.items()})
+    _write_doc(repo, **_scaled(0.6, **ROUTES))
     assert main(["--dir", str(repo), "--check"]) == 0
     out = capsys.readouterr().out
     assert "REGRESSION" not in out
     assert "all routes within threshold" in out
-    assert "(reference route: not checked)" in out
-    # only the reference route 40% faster: every ratio falls, no route
-    # got slower
-    _write_doc(repo, **{**ROUTES, "event": ROUTES["event"] * 1.4})
+    # one route four times faster: the others did not fall behind
+    _write_doc(repo, **{**ROUTES, "store": ROUTES["store"] * 4})
     assert main(["--dir", str(repo), "--check"]) == 0
     assert "REGRESSION" not in capsys.readouterr().out
+
+    # the event route alone 35% faster is committed; a document of that
+    # tree from a host 0.75x as fast changed nothing, although dag's
+    # points/sec and its ratio to the event route both read under 0.8x
+    # their best, committed before the event route sped up
+    sped_up = {**ROUTES, "event": ROUTES["event"] * 1.35}
+    _commit(repo, "event route faster", **sped_up)
+    _write_doc(repo, **_scaled(0.75, **sped_up))
+    assert main(["--dir", str(repo), "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "REGRESSION" not in out
+    assert "all routes within threshold" in out
