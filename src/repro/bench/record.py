@@ -101,8 +101,8 @@ def main(argv=None) -> int:
         "--cache-stats", action="store_true",
         help="report result-store hits/misses/bytes (point- and "
              "column-level), shard count, in-memory index size, and "
-             "batch-lowering counters (aggregated across pool work "
-             "units) after the figures",
+             "the lowerings made across pool work units after the "
+             "figures",
     )
     parser.add_argument(
         "--incremental", action="store_true",
@@ -226,10 +226,10 @@ def main(argv=None) -> int:
             f"   [store: {s['shards']} shards on disk, index "
             f"{s['index_groups']} groups / {s['index_entries']} entries]"
         )
-        lo = runner.lowering_cache_totals()
+        lo = runner.lowering_totals()
         emit(
-            f"   [batch lowering: {lo['hits']} hits, {lo['misses']} misses "
-            f"across {lo['units']} work units]"
+            f"   [lowering: {lo['lowerings']} lowerings across "
+            f"{lo['units']} work units]"
         )
     return 0
 

@@ -152,24 +152,19 @@ def run_sweep_column_stats(
     unit: SweepUnit,
 ) -> Tuple[List[MicrobenchResult], Dict]:
     """Pool worker: evaluate one work unit; its rows (in ``unit.points``
-    order) and its lowering counters.
+    order) and the lowerings it made.
 
     Pool workers are separate processes, so the parent's
-    ``planner_cache_info()["batch_lowering"]`` counters never see their
-    work; each worker's counters die with its process.  The worker
-    snapshots the per-process counters around the unit and ships the
-    *delta* home with the rows, so a front can sum lowering hits and
-    misses over every unit it ran, whichever process ran it.
+    ``lowering_cache_info()`` never sees their work; each worker's count
+    dies with its process.  The worker reads the per-process count
+    around the unit and ships the *delta* home with the rows, so a front
+    can sum lowerings over every unit it ran, whichever process ran it.
     """
     from repro.sched.batch import lowering_cache_info
 
-    before = lowering_cache_info()
+    before = lowering_cache_info().misses
     rows = _ROUTES[unit.route](unit.points)
-    after = lowering_cache_info()
-    return rows, {
-        "hits": after.hits - before.hits,
-        "misses": after.misses - before.misses,
-    }
+    return rows, {"lowerings": lowering_cache_info().misses - before}
 
 
 def _column_units(
@@ -291,14 +286,14 @@ class SweepRunner:
         if engine is not None and engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
         self.engine = engine
-        #: lowering-cache counters summed over every work unit this
-        #: runner executed (pool or serial); see run_sweep_column_stats
-        self._lowering_totals = {"hits": 0, "misses": 0, "units": 0}
+        #: lowerings summed over every work unit this runner executed
+        #: (pool or serial); see run_sweep_column_stats
+        self._lowering_totals = {"lowerings": 0, "units": 0}
 
-    def lowering_cache_totals(self) -> Dict[str, int]:
-        """Batch-lowering hits/misses aggregated across all work units
-        run by this runner — survives the process pool, unlike the
-        in-process ``planner_cache_info()["batch_lowering"]`` counters."""
+    def lowering_totals(self) -> Dict[str, int]:
+        """Lowerings and work units summed over every unit run by this
+        runner — survives the process pool, unlike the in-process
+        ``lowering_cache_info()``."""
         return dict(self._lowering_totals)
 
     # -- execution -------------------------------------------------------
@@ -343,8 +338,7 @@ class SweepRunner:
             rows: List[MicrobenchResult] = []
             for unit in col.units:
                 unit_rows, delta = next(computed)
-                totals["hits"] += delta["hits"]
-                totals["misses"] += delta["misses"]
+                totals["lowerings"] += delta["lowerings"]
                 totals["units"] += 1
                 evaluated += unit.points
                 rows += unit_rows

@@ -150,8 +150,11 @@ class ShardStore:
         """Rows of one shard, or ``None`` for a damaged file (dropped)."""
         try:
             raw_size = path.stat().st_size
-            with np.load(path, allow_pickle=False) as data:
-                rows = _arrays_to_rows(data)
+            # np.load hands a path's handle to NpzFile before parsing the
+            # zip, so a truncated shard would leave it open: pass our own
+            with open(path, "rb") as fh:
+                with np.load(fh, allow_pickle=False) as data:
+                    rows = _arrays_to_rows(data)
         except FileNotFoundError:
             return None
         except (PermissionError, InterruptedError, MemoryError):

@@ -18,11 +18,12 @@ coroutine machinery, but still pays Python event dispatch once per
    (:func:`repro.sched.fastpath.lower_column`): the opcode program is
    built from the group's plan with every byte count/offset *selected*
    at the partition's sizes — a plain int where all sizes agree, an
-   ``(S,)`` integer vector where they differ.  Lowered columns live in
-   the process-wide lowering cache shared with the DAG engine (see
-   :func:`lowering_cache_info`); every size sent to the DAG engine is
-   lowered there first as a width-1 column, so the DAG engine replays
-   it without planning the point again.
+   ``(S,)`` integer vector where they differ.  Every size sent to the
+   DAG engine is lowered the same way as a width-1 column and handed to
+   :func:`~repro.sched.fastpath.evaluate_point`, which replays it
+   without planning the point again.  No lowering is kept: each is
+   freed when the pass or point that replays it returns
+   (:func:`lowering_cache_info` counts the lowerings made).
 3. **Replay once** on a :class:`~repro.sim.batchline.BatchTimeline`: the
    scalar DAG engine's continuation machine with a vector clock, by
    subclassing.  :class:`BatchWorld` extends
@@ -81,7 +82,6 @@ from repro.hw.memory import BatchMemory
 from repro.hw.nic import BatchFabric, BatchNic
 from repro.hw.params import MachineParams, bebop_broadwell
 from repro.sched.fastpath import (
-    _LOWERED,
     _OP_ADD,
     _OP_ALLOC,
     _OP_COPY,
@@ -106,7 +106,6 @@ from repro.sched.fastpath import (
     canonical_library,
     check_protocol,
     lower_column,
-    lowered_for,
     lowering_cache_info,
 )
 from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
@@ -120,7 +119,6 @@ __all__ = [
     "ColumnResult",
     "ColumnStats",
     "lowering_cache_info",
-    "clear_lowering_cache",
     "BatchWorld",
 ]
 
@@ -166,12 +164,6 @@ class ColumnResult(NamedTuple):
     #: per-size timing results (every one bit-identical to the DAG engine)
     results: Dict[int, FastpathResult]
     stats: ColumnStats
-
-
-def clear_lowering_cache() -> None:
-    """Drop lowered columns and reset the lowering counters (test
-    isolation)."""
-    _LOWERED.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -769,17 +761,15 @@ def evaluate_column(
     group_of = {s: g for g in groups for s in g[0]}
 
     def _lower(part: Tuple[int, ...]) -> _LoweredColumn:
-        group = group_of[part[0]]
-        return lowered_for(canon, collective, nodes, ppn, part, thresholds,
-                           lambda: lower_column(group, part, ppn))
+        return lower_column(group_of[part[0]], part, ppn)
 
     def _dag(s: int) -> FastpathResult:
-        # lower the size into the shared cache first: the DAG engine
-        # replays that width-1 entry instead of planning the point again
-        _lower((s,))
+        # the DAG engine replays the size's width-1 lowering of the
+        # column plan instead of planning the point again
         return _dag_evaluate_point(
             library, collective, nodes, ppn, s, params=params,
             warmup=warmup, measure=measure, thresholds=thresholds,
+            lowered=_lower((s,)),
         )
 
     results: Dict[int, FastpathResult] = {}
@@ -833,10 +823,9 @@ def evaluate_column(
                 results[s] = _dag(s)
                 singles.append(s)
             continue
-        lowered = _lower(part)
         try:
             part_results, divergent, labels = _evaluate_partition(
-                lowered, nodes, ppn, part, lib, params, warmup, measure,
+                _lower(part), nodes, ppn, part, lib, params, warmup, measure,
             )
         except BatchDivergence as d:
             # a size-dependent branch was not uniform: split the partition

@@ -14,14 +14,14 @@ points are plain timeline callbacks — no coroutines, no ``Buffer``
 objects, no ``Transport``.
 
 One lowering serves both fast engines: :func:`lower_column` lowers any
-selection of a plan's sizes, and one bounded, least-recently-used
-process-wide cache holds the results keyed by ``(library, collective,
-nodes, ppn, thresholds, sizes)``.  A
-batch partition is an entry of its sizes; a DAG point is the width-1
-entry of its size, planned and lowered only on a miss.  One continuation
-machine serves both too: the batch engine's world and task subclass
-:class:`FastWorld` and ``_Task`` and override only what its vector clock
-changes.
+selection of a plan's sizes.  A batch partition is the lowering of its
+sizes; a DAG point is the width-1 lowering of its size, which the batch
+engine hands to :func:`evaluate_point` from its column plan.  Nothing
+keeps a lowering: a sweep plans, lowers and replays each size once, so
+each lowering is freed when the evaluation that built it returns.  One
+continuation machine serves both too: the batch engine's world and task
+subclass :class:`FastWorld` and ``_Task`` and override only what its
+vector clock changes.
 
 Bit-identity (pinned by ``tests/sched/test_fastpath.py``) rests on two
 invariants:
@@ -51,7 +51,7 @@ semantic reference.
 from __future__ import annotations
 
 import numbers
-from collections import OrderedDict, deque
+from collections import deque
 from heapq import heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -352,6 +352,10 @@ def _lower_program(program: RankProgram, index: int, ppn: int,
     )
 
 
+#: lowerings :func:`lower_column` has made in this process
+_lowerings = 0
+
+
 def lower_column(piece: Tuple[Tuple[int, ...], PlannedCollective],
                  part: Tuple[int, ...], ppn: int) -> _LoweredColumn:
     """Lower the sizes ``part`` of one plan piece.
@@ -362,6 +366,8 @@ def lower_column(piece: Tuple[Tuple[int, ...], PlannedCollective],
     :func:`~repro.sched.registry.plan_for` result with its one size.
     ``part`` is any subset of ``sizes``.
     """
+    global _lowerings
+    _lowerings += 1
     sizes, planned = piece
     where = {s: i for i, s in enumerate(sizes)}
     gather = _gatherer([where[s] for s in part])
@@ -388,7 +394,7 @@ def lower_column(piece: Tuple[Tuple[int, ...], PlannedCollective],
 
 
 class CacheInfo(NamedTuple):
-    """``functools.CacheInfo``-compatible counters for the lowering cache."""
+    """``functools.CacheInfo``-shaped lowering counters."""
 
     hits: int
     misses: int
@@ -396,63 +402,13 @@ class CacheInfo(NamedTuple):
     currsize: int
 
 
-#: lowered columns the process-wide cache keeps; the least recently used
-#: is evicted first.  One column evaluation reuses its own entries at
-#: once, so the bound only has to hold one column's entries for a repeat
-#: of that column: the largest such working set on the benchmark's
-#: columns is 67 (OpenMPI allgather 2x16 over 121 sizes).  Bounded, a
-#: resident ``repro.serve`` worker no longer grows with every new column.
-_LOWERING_CAPACITY = 72
-
-
-class _LoweringCache:
-    """Process-wide lowered columns, keyed by ``(library, collective,
-    nodes, ppn, thresholds, sizes)``, bounded at ``capacity`` entries.
-
-    The one cache both fast engines lower through: a batch partition is
-    an entry of its sizes, a DAG point the width-1 entry of its size.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.entries: "OrderedDict[tuple, _LoweredColumn]" = OrderedDict()
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple, lower) -> _LoweredColumn:
-        """The entry under ``key``; ``lower()`` builds it on a miss."""
-        entries = self.entries
-        lowered = entries.get(key)
-        if lowered is not None:
-            self.hits += 1
-            entries.move_to_end(key)
-            return lowered
-        self.misses += 1
-        lowered = entries[key] = lower()
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-        return lowered
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_LOWERED = _LoweringCache(_LOWERING_CAPACITY)
-
-
 def lowering_cache_info() -> CacheInfo:
-    """Counters of the process-wide lowering cache.
+    """The lowerings made in this process, as ``misses``.
 
-    Surfaced through :func:`repro.sched.registry.planner_cache_info` as
-    ``"batch_lowering"``; a repeated sweep must be pure hits
-    (``tests/bench/test_runner.py`` pins this).
+    No lowering is kept, so ``hits`` and ``currsize`` read 0 and
+    ``maxsize`` is ``None``.
     """
-    return CacheInfo(
-        _LOWERED.hits, _LOWERED.misses, _LOWERED.capacity,
-        len(_LOWERED.entries),
-    )
+    return CacheInfo(0, _lowerings, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,44 +1183,31 @@ def canonical_library(library: str, collective: str, thresholds,
     return canon, lib
 
 
-def lowered_for(canon: str, collective: str, nodes: int, ppn: int,
-                sizes: Tuple[int, ...], thresholds,
-                lower) -> _LoweredColumn:
-    """The shared cache's lowering of ``sizes``; ``lower()`` on a miss."""
-    return _LOWERED.get(
-        (canon, collective, nodes, ppn, thresholds, sizes), lower
-    )
-
-
 def _prepare(library: str, collective: str, nodes: int, ppn: int,
-             msg_bytes: int, params: Optional[MachineParams],
-             thresholds) -> Tuple[FastWorld, _LoweredColumn]:
+             msg_bytes: int, params: Optional[MachineParams], thresholds,
+             lowered: Optional[_LoweredColumn] = None
+             ) -> Tuple[FastWorld, _LoweredColumn]:
     """Shared setup: the point's width-1 lowering and a fresh world.
 
-    The lowering comes from the shared cache; only a miss plans and
-    lowers the point.
+    Without ``lowered`` the point is planned and lowered here.
     """
     canon, lib = canonical_library(library, collective, thresholds, "dag")
-    point = (msg_bytes,)
-
-    def lower() -> _LoweredColumn:
+    if lowered is None:
+        point = (msg_bytes,)
         planned = plan_for(
             canon, collective, nodes, ppn, msg_bytes, thresholds=thresholds
         )
-        return lower_column((point, planned), point, ppn)
-
-    low = lowered_for(
-        canon, collective, nodes, ppn, point, thresholds, lower
-    )
+        lowered = lower_column((point, planned), point, ppn)
     # binding buffers are allocated once per point (stable identities ->
     # page-fault/attach state warms across iterations), exactly like the
     # phantom buffers _make_body allocates once in run_point; their ids
     # are baked into the lowering, so fresh ids continue above them
     world = FastWorld(
         params if params is not None else bebop_broadwell(),
-        nodes, ppn, lib.make_mechanism(), lib.software_overhead, low.nbufs,
+        nodes, ppn, lib.make_mechanism(), lib.software_overhead,
+        lowered.nbufs,
     )
-    return world, low
+    return world, lowered
 
 
 def evaluate_point(
@@ -1277,16 +1220,21 @@ def evaluate_point(
     warmup: int = 1,
     measure: int = 2,
     thresholds=None,
+    lowered: Optional[_LoweredColumn] = None,
 ) -> FastpathResult:
     """Evaluate one microbenchmark point on the DAG fast path.
 
     Mirrors :func:`repro.bench.microbench.run_point`'s protocol — warm-up
     iterations on the same world, then measured ones — and returns the
     per-iteration times plus the cumulative internode message count.
+    ``lowered`` is the point's width-1 :func:`lower_column` lowering,
+    which the batch engine builds from its column plan; without it the
+    point is planned and lowered here.
     """
     check_protocol(warmup, measure, (msg_bytes,))
     world, low = _prepare(
-        library, collective, nodes, ppn, int(msg_bytes), params, thresholds
+        library, collective, nodes, ppn, int(msg_bytes), params, thresholds,
+        lowered,
     )
     try:
         samples = world.run_protocol(low, warmup, measure)

@@ -295,7 +295,8 @@ def planner_cache_info() -> Dict[str, "object"]:
     point per process; anything beyond one miss per distinct signature
     means re-planning, which ``tests/sched/test_fastpath.py`` guards
     against.  Column planning (:func:`plan_column`) bypasses these
-    caches, so batch columns leave them untouched.
+    caches, so batch columns leave them untouched.  Lowerings are not
+    cached; :func:`repro.sched.fastpath.lowering_cache_info` counts them.
     """
     planners = (
         plan_scatter,
@@ -308,15 +309,7 @@ def planner_cache_info() -> Dict[str, "object"]:
         plan_hier_allgather,
         plan_hier_allreduce,
     )
-    info = {fn.__name__: fn.cache_info() for fn in planners}
-    # the fast engines' shared lowering cache is the same kind of animal —
-    # one compiled artifact per (structure, sizes), re-use counted — so it
-    # reports through the same window (lazy import: the registry must not
-    # pull in the engine stack)
-    from repro.sched.fastpath import lowering_cache_info
-
-    info["batch_lowering"] = lowering_cache_info()
-    return info
+    return {fn.__name__: fn.cache_info() for fn in planners}
 
 
 def registry_combinations() -> List[Tuple[str, str]]:

@@ -1,15 +1,15 @@
 """``repro.serve`` — the long-running sweep daemon and its clients.
 
 Every sweep used to be a cold CLI process: ~1 s of interpreter start and
-imports, then planner/lowering warm-up, all re-paid per invocation, each
+imports, then planner warm-up, all re-paid per invocation, each
 process talking to its own private cache object.  The serve daemon is the
 shared, persistent front end the ROADMAP's "heavy concurrent traffic"
 direction asks for:
 
 * **one warm process** owns a single :class:`~repro.bench.runner.cache.
   ResultCache`/:class:`~repro.bench.runner.store.ShardStore` plus the
-  process-wide planner and batch-lowering caches, and a resident worker
-  pool whose forked workers stay warm across requests;
+  process-wide planner caches, and a resident worker pool whose forked
+  workers stay warm across requests;
 * **many concurrent clients** speak a newline-delimited-JSON socket
   protocol (TCP or unix socket; see :mod:`repro.serve.protocol`) and
   submit sweep requests — column specs, each a :class:`~repro.bench.

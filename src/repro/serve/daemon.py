@@ -16,9 +16,9 @@ Architecture (one asyncio event loop, one resident worker pool)::
                   per-unit-key future table  ── coalesce: await the
                         │ (single flight)        in-flight task
                         ▼
-                  resident executor (forked workers, warm planner/
-                  lowering caches) running the *same* worker function
-                  the SweepRunner pool uses
+                  resident executor (forked workers, warm planner
+                  caches) running the *same* worker function the
+                  SweepRunner pool uses
                         ▼
                   buffered ResultCache puts ── periodic + shutdown flush
                                                to columnar shards
@@ -191,9 +191,9 @@ class SweepDaemon:
         #: work-unit key -> in-flight evaluation task (the coalescing
         #: table; see module docstring)
         self._inflight: Dict[str, asyncio.Task] = {}
-        #: lowering-cache deltas shipped home by work units (see
+        #: lowerings shipped home by work units (see
         #: run_sweep_column_stats)
-        self._lowering = {"hits": 0, "misses": 0, "units": 0}
+        self._lowering = {"lowerings": 0, "units": 0}
         self._active = 0
         #: live connection handler -> its writer (see _close_conns)
         self._conns: Dict[asyncio.Task, asyncio.StreamWriter] = {}
@@ -518,8 +518,7 @@ class SweepDaemon:
     async def _evaluate(self, unit: SweepUnit) -> None:
         self.stats.evaluations += 1
         rows, delta = await self._run_in_pool(run_sweep_column_stats, unit)
-        self._lowering["hits"] += delta["hits"]
-        self._lowering["misses"] += delta["misses"]
+        self._lowering["lowerings"] += delta["lowerings"]
         self._lowering["units"] += 1
         for point, row in zip(unit.points, rows):
             try:

@@ -387,6 +387,7 @@ def decode_results(
     match the request, a fragment that is not ``[time, samples,
     messages]``).
     """
+    new_row = object.__new__
     try:
         columns = response["columns"]
         if len(columns) != len(sizes):
@@ -394,16 +395,24 @@ def decode_results(
                              f"requested")
         out = []
         for column, column_sizes in zip(columns, sizes):
-            head = (column["library"], column["collective"],
-                    column["nodes"], column["ppn"])
+            head = {"library": column["library"],
+                    "collective": column["collective"],
+                    "nodes": column["nodes"], "ppn": column["ppn"]}
             rows = column["rows"]
             if len(rows) != len(column_sizes):
                 raise ValueError(f"{len(rows)} rows for "
                                  f"{len(column_sizes)} sizes")
-            out.append([
-                MicrobenchResult(*head, size, time, tuple(samples), messages)
-                for size, (time, samples, messages) in zip(column_sizes, rows)
-            ])
+            block = []
+            for size, (time, samples, messages) in zip(column_sizes, rows):
+                # the frozen dataclass's __init__ sets each field through
+                # object.__setattr__; filling __dict__ in field order
+                # builds the same row in half the time
+                row = new_row(MicrobenchResult)
+                row.__dict__.update(head, msg_bytes=size, time=time,
+                                    samples=tuple(samples),
+                                    internode_messages=messages)
+                block.append(row)
+            out.append(block)
     except (KeyError, TypeError, ValueError) as exc:
         raise ServeError(
             "internal", f"sweep response is not protocol "

@@ -28,6 +28,7 @@ def test_cache_stats_reports_store_shape(capsys):
     assert "stores in" in out and "flushes" in out
     assert "[store:" in out and "shards on disk" in out
     assert "index" in out and "entries]" in out
+    assert "[lowering: " in out and " lowerings across " in out
 
 
 def test_incremental_skips_unchanged_figure_and_reruns_after_change(capsys):

@@ -394,35 +394,33 @@ def test_parallel_column_execution_identical(tmp_path):
 
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_lowering_counters_aggregate_across_column_work_units(jobs):
-    """Workers are separate processes, so their lowering counters die with
+    """Workers are separate processes, so their lowering counts die with
     them; the runner must ship per-work-unit deltas home and sum them."""
-    from repro.sched.batch import clear_lowering_cache
+    from repro.sched.batch import lowering_cache_info
 
-    clear_lowering_cache()  # serial path shares this process's cache
     pts = COLUMN_POINTS + [
         Point("PiP-MPICH", "allgather", 2, 2, s, engine="batch")
         for s in (64, 1024, 16384)
     ]
     runner = SweepRunner(jobs=jobs, use_cache=False)
-    assert runner.lowering_cache_totals() == {
-        "hits": 0, "misses": 0, "units": 0,
-    }
+    assert runner.lowering_totals() == {"lowerings": 0, "units": 0}
+    before = lowering_cache_info().misses
     runner.run(pts)
-    totals = runner.lowering_cache_totals()
+    in_process = lowering_cache_info().misses - before
+    totals = runner.lowering_totals()
     assert totals["units"] == 2
-    assert totals["hits"] + totals["misses"] > 0
-    assert totals["misses"] > 0  # fresh work units always lower something
+    assert totals["lowerings"] > 0  # every work unit lowers something
+    # the serial path lowers in this process; the pool, in its workers
+    assert in_process == (totals["lowerings"] if jobs == 1 else 0)
 
 
 def test_lowering_delta_worker_returns_results_and_counters():
-    from repro.sched.batch import clear_lowering_cache
-
-    clear_lowering_cache()
     col_results, delta = run_sweep_column_stats(COLUMN_UNIT)
     assert col_results == _dag_reference(COLUMN_POINTS)
-    assert set(delta) == {"hits", "misses"}
-    assert delta["misses"] > 0
-    clear_lowering_cache()
+    assert set(delta) == {"lowerings"}
+    assert delta["lowerings"] > 0
+    # nothing is kept: the same unit lowers as much again
+    assert run_sweep_column_stats(COLUMN_UNIT) == (col_results, delta)
 
 
 def test_get_many_put_many_round_trip_and_accounting(tmp_path):
@@ -498,20 +496,15 @@ def test_cache_key_distinct_per_engine_including_batch():
     assert len(keys) == 4
 
 
-def test_grouped_sweep_never_relowers():
-    """The pool warm start: one lowering per column structure, reused
-    across every size and every repeat sweep."""
-    from repro.sched.batch import clear_lowering_cache, lowering_cache_info
-
-    clear_lowering_cache()
+def test_repeated_sweep_lowers_the_same_work_again():
+    """No lowering outlives its work unit: a repeat sweep lowers as much
+    as the first, and its rows are the same."""
     runner = SweepRunner(jobs=1, use_cache=False)
-    runner.run(COLUMN_POINTS)
-    first = lowering_cache_info()
-    assert first.misses > 0
-    runner.run(COLUMN_POINTS)
-    second = lowering_cache_info()
-    assert second.misses == first.misses
-    assert second.hits > first.hits
+    rows = runner.run(COLUMN_POINTS)
+    first = runner.lowering_totals()["lowerings"]
+    assert first > 0
+    assert runner.run(COLUMN_POINTS) == rows
+    assert runner.lowering_totals() == {"lowerings": 2 * first, "units": 2}
 
 
 def test_cache_clear_removes_column_entries(tmp_path):

@@ -22,7 +22,6 @@ from repro.hw.params import bebop_broadwell
 from repro.sched import batch as batch_mod
 from repro.sched.batch import (
     _evaluate_partition,
-    clear_lowering_cache,
     evaluate_column,
     lowering_cache_info,
 )
@@ -31,7 +30,6 @@ from repro.sched.ir import BufRef, IntraOpStep, RankProgram, Schedule
 from repro.sched.registry import (
     PLANNER_BACKED,
     PlannedCollective,
-    planner_cache_info,
     registry_combinations,
 )
 from repro.sim.batchline import BatchTimeline, SizeVec
@@ -195,7 +193,6 @@ def test_rebatch_recursion_and_depth_exhaustion(monkeypatch):
     from repro.sched import batch as batch_mod
 
     monkeypatch.setattr(batch_mod, "_REBATCH_DEPTH", 2)
-    clear_lowering_cache()
     sizes = (256, 512, 1024, 2048, 4096, 8192)
     col = _assert_column_identical("pip-mcoll", "scatter", 2, 2, sizes)
     # depth 0 (width 6) and depth 1 (width 5) each re-batch one cluster;
@@ -203,7 +200,6 @@ def test_rebatch_recursion_and_depth_exhaustion(monkeypatch):
     assert col.stats.retries == 2
     assert col.stats.rebatch_depth == 2
     assert col.stats.fallback_sizes  # the depth-exhausted remainder
-    clear_lowering_cache()
 
 
 # -- surface and argument checking ---------------------------------------
@@ -255,43 +251,22 @@ def test_run_point_engine_batch_rejects_tracing():
                   tracer=Tracer())
 
 
-# -- lowering cache -------------------------------------------------------
+# -- lowering ------------------------------------------------------------
 
 
-def test_repeated_columns_do_not_relower():
-    clear_lowering_cache()
-    sizes = (512, 1024, 4096)
-    evaluate_column("PiP-MColl", "allgather", 2, 3, sizes)
-    first = lowering_cache_info()
-    assert first.misses > 0 and first.currsize > 0
-    evaluate_column("PiP-MColl", "allgather", 2, 3, sizes)
-    second = lowering_cache_info()
-    assert second.misses == first.misses
-    assert second.hits > first.hits
-
-
-def test_lowering_cache_stays_at_capacity():
-    """More distinct lowerings than the capacity evict the least recently
-    used: the cache never grows past its bound."""
-    clear_lowering_cache()
-    capacity = lowering_cache_info().maxsize
-    last = capacity + 9
-    for s in range(1, last + 1):
-        evaluate_point("PiP-MColl", "scatter", 1, 2, s)
+def test_each_column_lowers_every_pass_and_dag_size_once():
+    """No lowering is kept: a column lowers each vector pass it starts (a
+    partition, or one abandoned at a split) and each size it routes to the
+    DAG engine, once, and a repeat of the column lowers them all again."""
+    made = []
+    for _ in range(2):
+        before = lowering_cache_info().misses
+        col = evaluate_column("OpenMPI", "allgather", 2, 4, STRADDLE_AXIS)
+        made.append(lowering_cache_info().misses - before)
+    st = col.stats
+    assert st.splits and st.fallback_sizes and st.singleton_sizes
+    passes = len(st.partitions) + st.splits
+    dag_sizes = len(st.fallback_sizes) + len(st.singleton_sizes)
+    assert made == [passes + dag_sizes] * 2
     info = lowering_cache_info()
-    assert info.misses == last
-    assert info.currsize == capacity
-    evaluate_point("PiP-MColl", "scatter", 1, 2, last)  # most recent: kept
-    assert lowering_cache_info().hits == info.hits + 1
-    evaluate_point("PiP-MColl", "scatter", 1, 2, 1)  # oldest: evicted
-    assert lowering_cache_info().misses == last + 1
-    assert lowering_cache_info().currsize == capacity
-    clear_lowering_cache()
-
-
-def test_lowering_cache_reports_through_planner_window():
-    info = planner_cache_info()
-    assert "batch_lowering" in info
-    li = info["batch_lowering"]
-    assert li == lowering_cache_info()
-    assert hasattr(li, "hits") and hasattr(li, "misses")
+    assert (info.hits, info.maxsize, info.currsize) == (0, None, 0)

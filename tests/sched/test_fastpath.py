@@ -157,7 +157,7 @@ def test_repeated_points_do_not_replan():
     run_point(*spec, engine="dag")
     run_point(*spec, engine="event")  # executor wrappers share the caches
     after = planner_cache_info()
-    assert set(after) == set(before) and len(after) == 10
+    assert set(after) == set(before) and len(after) == 9
     for name in after:
         assert after[name].misses == before[name].misses, name
     assert sum(i.hits for i in after.values()) > sum(

@@ -7,7 +7,8 @@ is found only by collections that scan every live object of the process.
 ``FastWorld.teardown`` leaves no cycle behind, on the DAG and batch
 engines alike and for a batch pass abandoned at a split, so with the
 collector disabled ``gc.collect()`` finds nothing after an evaluation.
-``gc_paused`` keeps automatic collection off while one runs.
+``gc_paused`` keeps automatic collection off while one runs.  No
+lowering is kept either: each dies with the evaluation that built it.
 """
 
 import gc
@@ -18,12 +19,17 @@ import pytest
 
 from repro.bench import microbench
 from repro.bench.microbench import run_point
+from repro.bench.runner import Point, SweepRunner
 from repro.hw.params import bebop_broadwell
 from repro.hw.topology import Topology
 from repro.mpi.runtime import World
 from repro.sched import batch as batch_mod
-from repro.sched.batch import clear_lowering_cache, evaluate_column
-from repro.sched.fastpath import evaluate_point, evaluate_tables
+from repro.sched.batch import evaluate_column
+from repro.sched.fastpath import (
+    _LoweredColumn,
+    evaluate_point,
+    evaluate_tables,
+)
 from repro.sched.registry import PLANNER_BACKED, registry_combinations
 from repro.sim.batchline import BatchTimeline
 from repro.sim.engine import Delay
@@ -62,8 +68,7 @@ def cyclic_garbage(fn) -> int:
 
 @pytest.mark.parametrize("lib,coll", registry_combinations())
 def test_dag_points_leave_no_cyclic_garbage(lib, coll):
-    # cold lowering: planning and lowering count too
-    clear_lowering_cache()
+    # planning and lowering count too
     for nodes, ppn in SHAPES:
         for nbytes in SIZES:
             assert cyclic_garbage(
@@ -82,7 +87,6 @@ def test_batch_column_leaves_no_cyclic_garbage():
     """A column that splits at thresholds (passes abandoned mid-run),
     falls back on order divergence and routes narrow partitions to the
     DAG engine."""
-    clear_lowering_cache()
     cols = []
     assert cyclic_garbage(lambda: cols.append(
         evaluate_column("OpenMPI", "allreduce", 2, 4, AXIS)
@@ -121,6 +125,32 @@ def test_every_registry_column_leaves_no_cyclic_garbage():
         assert cyclic_garbage(lambda: evaluate_column(
             PLANNER_BACKED[lib][0], coll, 2, 4, AXIS[::3]
         )) == 0, f"{lib}/{coll}"
+
+
+# -- no lowering outlives its evaluation -------------------------------------
+
+
+def lowerings_alive() -> int:
+    return sum(type(o) is _LoweredColumn for o in gc.get_objects())
+
+
+def test_no_lowering_outlives_its_evaluation():
+    """A DAG point, a column that splits, falls back and routes narrow
+    partitions to the DAG engine, and a runner sweep of a column unit and
+    a per-point unit each leave no lowering alive."""
+    gc.collect()
+    evaluate_point("OpenMPI", "allreduce", 2, 4, 4096)
+    assert lowerings_alive() == 0
+    stats = evaluate_column("OpenMPI", "allreduce", 2, 4, AXIS).stats
+    assert stats.splits and stats.fallback_sizes and stats.singleton_sizes
+    assert lowerings_alive() == 0
+    points = [Point("PiP-MColl", "allgather", 2, 2, s, engine="auto")
+              for s in SIZES]
+    points.append(Point("PiP-MColl", "scatter", 2, 2, 512, engine="dag"))
+    runner = SweepRunner(jobs=1, use_cache=False)
+    runner.run(points)
+    assert runner.lowering_totals()["units"] == 2
+    assert lowerings_alive() == 0
 
 
 # -- the pause ---------------------------------------------------------------

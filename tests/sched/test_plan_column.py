@@ -19,7 +19,7 @@ from repro.core.tuning import Thresholds
 from repro.mpi.collectives import group as group_mod
 from repro.mpi.collectives.group import block_partition
 from repro.sched import batch as batch_mod
-from repro.sched.batch import clear_lowering_cache, evaluate_column
+from repro.sched.batch import evaluate_column
 from repro.sched.fastpath import evaluate_point, lower_column
 from repro.sched.ir import (
     AllocStep,
@@ -313,14 +313,11 @@ def test_dag_replays_batch_lowered_sizes_bit_identically(monkeypatch):
     # run a vector pass on every partition wider than one size
     monkeypatch.setattr(batch_mod, "_MIN_BATCH_WIDTH", 2)
     sizes = (2048, 4096, 8192, 65536, 131072, 262144)
-    clear_lowering_cache()
     col = evaluate_column("PiP-MColl", "allreduce", 4, 3, sizes)
     assert set(col.stats.fallback_sizes) == set(sizes)
     for s in sizes:
-        clear_lowering_cache()
         assert evaluate_point("PiP-MColl", "allreduce", 4, 3, s) \
             == col.results[s], s
-    clear_lowering_cache()
 
 
 def test_over_split_columns_stay_exact(monkeypatch):
@@ -332,7 +329,6 @@ def test_over_split_columns_stay_exact(monkeypatch):
     args = ("PiP-MColl", "allreduce", 4, 3, sizes)
     # run a vector pass on every partition wider than one size
     monkeypatch.setattr(batch_mod, "_MIN_BATCH_WIDTH", 2)
-    clear_lowering_cache()
     want = evaluate_column(*args)
     pieces = plan_column("pip-mcoll", "allreduce", 4, 3, sizes)
     for module in (group_mod, mcoll, ring):
@@ -340,12 +336,10 @@ def test_over_split_columns_stay_exact(monkeypatch):
                             _block_partition_with_branch)
     split = plan_column("pip-mcoll", "allreduce", 4, 3, sizes)
     assert len(split) > len(pieces)  # C % N branches split the column
-    clear_lowering_cache()
     got = evaluate_column(*args)
     assert (len(got.stats.partitions) + len(got.stats.singleton_sizes)
             > len(want.stats.partitions) + len(want.stats.singleton_sizes))
     assert got.results == want.results
-    clear_lowering_cache()
 
 
 def test_planning_runs_once_per_structure(monkeypatch):
@@ -362,9 +356,7 @@ def test_planning_runs_once_per_structure(monkeypatch):
 
     monkeypatch.setattr(batch_mod, "plan_column", counting)
     before = mcoll.plan_scatter.cache_info()
-    clear_lowering_cache()
     evaluate_column("PiP-MColl", "scatter", 2, 4, OCTAVE_AXIS)
     assert calls == [1]
     after = mcoll.plan_scatter.cache_info()
     assert after.misses == before.misses and after.hits == before.hits
-    clear_lowering_cache()

@@ -1,7 +1,9 @@
 """Wire-protocol unit tests: addresses, column specs, framing, errors."""
 
+import dataclasses
 import gc
 import json
+import pickle
 
 import pytest
 
@@ -224,6 +226,28 @@ def test_encoded_results_frame_like_an_encoded_message():
         assert back == [rows, other_rows]
         # bit for bit: the signs of zero survive too
         assert [str(x) for x in back[1][0].samples] == ["-0.0", "0.0"]
+
+
+def test_decoded_rows_behave_like_constructed_rows():
+    """The client fills each row's ``__dict__`` instead of calling the
+    dataclass's ``__init__``; the row it builds must compare, hash,
+    print, pickle and ``replace`` exactly like the constructor's."""
+    want = MicrobenchResult("PiP-MColl", "allgather", 2, 4, 64, 1.5e-05,
+                            (1.5e-05, -0.0), 3)
+    line = encode_results(
+        [(ColumnSpec("PiP-MColl", "allgather", 2, 4), [want])], {})
+    [[got]] = decode_results(decode_message(line), [[64]])
+    assert type(got) is MicrobenchResult
+    assert vars(got) == vars(want)
+    assert list(vars(got)) == list(vars(want))  # field order: pickle bytes
+    assert got == want and hash(got) == hash(want) and {got, want} == {want}
+    assert repr(got) == repr(want)
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert pickle.loads(pickle.dumps(got)) == want
+    assert dataclasses.replace(got, msg_bytes=128) == dataclasses.replace(
+        want, msg_bytes=128)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.time = 0.0
 
 
 def test_response_without_the_v3_shape_raises_serve_error():

@@ -837,6 +837,8 @@ def test_stats_document_shape(tmp_path):
             doc = client.stats()
     for section in ("daemon", "cache", "lowering"):
         assert section in doc
+    # one per-point event unit: it lowers nothing
+    assert doc["lowering"] == {"lowerings": 0, "units": 1}
     daemon = doc["daemon"]
     for key in ("requests", "sweeps", "points", "hits", "misses",
                 "coalesced", "evaluations", "timeouts", "rejected",
