@@ -343,7 +343,7 @@ ALL_FIGURES = {
 
 
 # ---------------------------------------------------------------------------
-# Declarative point lists (incremental regeneration)
+# Declarative point lists
 # ---------------------------------------------------------------------------
 
 def _scaling_points(collective, small_bytes, medium_bytes, scale, params):
@@ -391,10 +391,9 @@ def figure_points(
 ) -> Optional[List[Point]]:
     """The declarative :class:`Point` list backing a figure at ``scale``.
 
-    ``None`` for figures that are not point-backed (fig01).  The
-    incremental path in ``repro.bench.record`` fingerprints these points'
-    column groups (see :mod:`repro.bench.manifest`) to decide whether a
-    figure's backing shards changed since it was last rendered.
+    ``None`` for figures that are not point-backed (fig01).
+    ``repro.bench.record`` checks its engine's coverage of these points
+    before any figure runs; the speed benchmarks sweep them.
     """
     if name not in ALL_FIGURES:
         raise KeyError(f"unknown figure {name!r}")

@@ -7,8 +7,7 @@ is the tool that produced the measured numbers quoted in EXPERIMENTS.md.
 Sweeps execute through :mod:`repro.bench.runner`: points fan out across a
 process pool (``--jobs``) and results are memoized in the columnar shard
 store under ``.bench_cache/`` (``--no-cache`` to bypass, ``--refresh`` to
-recompute and overwrite-by-append; ``--incremental`` skips figures whose
-backing shards are unchanged since their last recording).
+recompute and overwrite-by-append).
 ``--check`` reruns each figure serially with the cache off and asserts the
 parallel/cached series are bit-identical — the determinism guarantee CI
 leans on.  ``--engine dag`` (or ``auto``) evaluates points on the analytic
@@ -37,7 +36,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -105,13 +103,6 @@ def main(argv=None) -> int:
              "figures",
     )
     parser.add_argument(
-        "--incremental", action="store_true",
-        help="skip figures whose backing store shards are unchanged "
-             "since they were last recorded (tracked in "
-             "figures_manifest.json next to the shards; fig01 is never "
-             "skipped — it is not point-backed)",
-    )
-    parser.add_argument(
         "--check", action="store_true",
         help="after each figure, rerun it serially with the cache off and "
              "assert the series are identical (determinism self-test)",
@@ -153,15 +144,6 @@ def main(argv=None) -> int:
               f"cover {', '.join(gaps)}", file=sys.stderr)
         return 2
 
-    manifest = None
-    if args.incremental:
-        if args.no_cache:
-            parser.error("--incremental requires the result store "
-                         "(drop --no-cache)")
-        from repro.bench.manifest import MANIFEST_NAME, FigureManifest
-
-        manifest = FigureManifest(runner.cache.root / MANIFEST_NAME)
-
     out_path = Path(args.out) if args.out else None
     if out_path:
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -172,24 +154,7 @@ def main(argv=None) -> int:
             with out_path.open("a") as fh:
                 fh.write(text + "\n")
 
-    def _manifest_points(name):
-        pts = figure_points(name, scale)
-        if pts is not None and runner.engine is not None:
-            pts = [replace(p, engine=runner.engine) for p in pts]
-        return pts
-
     for name in names:
-        fig_id = fig_points = None
-        if manifest is not None:
-            fig_points = _manifest_points(name)
-            if fig_points is not None:
-                fig_id = manifest.figure_id(name, args.scale, runner.engine)
-                if not args.refresh and manifest.is_fresh(
-                    fig_id, manifest.fingerprint(runner.cache, fig_points)
-                ):
-                    emit(f"   [{name} backing shards unchanged, skipped "
-                         f"(incremental)]\n")
-                    continue
         t0 = time.time()
         result = ALL_FIGURES[name](scale=scale, runner=runner)
         wall = time.time() - t0
@@ -201,12 +166,6 @@ def main(argv=None) -> int:
                 f"{result.best_speedup_vs_fastest_other():.2f}x"
             )
         emit(f"   [{name} done in {wall:.1f}s host time]\n")
-        if fig_id is not None:
-            # fingerprint *after* the run: the sweep flushed its shards,
-            # so the recorded state covers every backing point
-            manifest.record(
-                fig_id, manifest.fingerprint(runner.cache, fig_points)
-            )
         if args.check:
             serial = SweepRunner(jobs=1, use_cache=False, engine=args.engine)
             reference = ALL_FIGURES[name](scale=scale, runner=serial)

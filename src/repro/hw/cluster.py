@@ -5,11 +5,10 @@ from __future__ import annotations
 from typing import List
 
 from repro.hw.memory import MemoryModel
-from repro.hw.nic import NodeNic
+from repro.hw.nic import Fabric, NodeNic
 from repro.hw.params import MachineParams
 from repro.hw.topology import Topology
 from repro.sim.engine import Engine
-from repro.sim.resources import Server
 
 __all__ = ["ClusterHW"]
 
@@ -28,8 +27,8 @@ class ClusterHW:
         self.params = params
         self.engine = engine if engine is not None else Engine()
         #: shared core-fabric bandwidth server (None = full bisection)
-        self.fabric: Server | None = (
-            Server(name="fabric") if params.fabric_bandwidth else None
+        self.fabric: Fabric | None = (
+            Fabric() if params.fabric_bandwidth else None
         )
         self.nics: List[NodeNic] = [
             NodeNic(params, node, topology.ppn, fabric=self.fabric)
@@ -55,5 +54,7 @@ class ClusterHW:
         """Clear resource queues and accounting (keeps warm page state)."""
         for nic in self.nics:
             nic.reset()
+        for memory in self.memories:
+            memory.reset()
         if self.fabric is not None:
             self.fabric.reset()

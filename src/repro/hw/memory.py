@@ -15,30 +15,36 @@ stage (§IV-A) therefore absorbs fault costs exactly like the real runs do.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Hashable, Set
+from typing import Hashable, List, Set
 
 import numpy as np
 
 from repro.hw.params import MachineParams
 from repro.sim.batchline import uniform_bool
 from repro.sim.engine import Delay, Engine, ProcGen
-from repro.sim.resources import MultiServer
 
 __all__ = ["MemoryModel", "BatchMemory"]
 
 
 class MemoryModel:
-    """Memory system of one node."""
+    """Memory system of one node.
+
+    The lanes are reserved eagerly, like the NIC stages (see
+    :mod:`repro.hw.nic`): ``_lane_free`` holds each lane's next-free time
+    as a heap, the layout :class:`BatchMemory` keeps as a matrix.
+    """
 
     def __init__(self, engine: Engine, params: MachineParams, node: int):
         self.engine = engine
         self.params = params
         self.node = node
-        self.lanes = MultiServer(params.derived_copy_lanes(), name=f"mem[{node}]")
+        # all-equal, so already a heap
+        self._lane_free: List[float] = [0.0] * params.derived_copy_lanes()
         self._warmed: Set[Hashable] = set()
-        #: bytes copied / reduced (accounting for reports and tests)
-        self.bytes_copied = 0
-        self.bytes_reduced = 0
+
+    def reset(self) -> None:
+        """Free every lane; the warm page-fault state stays."""
+        self._lane_free = [0.0] * len(self._lane_free)
 
     # -- cost arithmetic (no simulated blocking) --------------------------
 
@@ -68,37 +74,27 @@ class MemoryModel:
         """
         blocked = self.params.copy_latency + extra_fixed
         if nbytes > 0:
-            # lanes.reserve inlined (same arithmetic and accounting):
+            # the earliest-free lane serves the copy, reserved inline:
             # this runs once per simulated copy and sits on the hot path
             # of both engines
-            lanes = self.lanes
-            service = nbytes / self.params.core_copy_bw
-            heap = lanes._free_heap
-            earliest = heappop(heap)
+            lanes = self._lane_free
+            earliest = heappop(lanes)
             start = earliest if earliest > now else now
-            end = start + service
-            heappush(heap, end)
-            lanes.busy_time += service
-            lanes.served += 1
+            end = start + nbytes / self.params.core_copy_bw
+            heappush(lanes, end)
             blocked += end - now
-            self.bytes_copied += nbytes
         return blocked
 
     def reduce_occupy(self, now: float, nbytes: int, extra_fixed: float = 0.0) -> float:
         """Reserve the lanes for one reduction; return the blocked time."""
         blocked = self.params.copy_latency + extra_fixed
         if nbytes > 0:
-            lanes = self.lanes
-            service = nbytes / self.params.reduce_bw
-            heap = lanes._free_heap
-            earliest = heappop(heap)
+            lanes = self._lane_free
+            earliest = heappop(lanes)
             start = earliest if earliest > now else now
-            end = start + service
-            heappush(heap, end)
-            lanes.busy_time += service
-            lanes.served += 1
+            end = start + nbytes / self.params.reduce_bw
+            heappush(lanes, end)
             blocked += end - now
-            self.bytes_reduced += nbytes
         return blocked
 
     # -- blocking operations (yield from these inside a process) ----------

@@ -15,10 +15,16 @@ An internode message passes through, in order:
    the head of the message arrives, so an uncontended transfer costs
    ``nbytes/B + L``, not ``2·nbytes/B + L``, while incast still queues).
 
-All reservations are eager (see :mod:`repro.sim.resources`); the function
-returns the two times the MPI layer needs: when the sender's injection
-completed (local completion for nonblocking sends) and when the full message
-is available at the destination.
+All reservations are *eager*: a request made at simulated time ``t`` for
+``service`` seconds is assigned its ``(start, end)`` window at once, FIFO
+within the stage.  This is exact for work-conserving FIFO servers as long
+as reservations are never cancelled — which holds everywhere in this
+codebase — and avoids one event per queue transition, keeping large
+sweeps (2304 ranks × log-depth algorithms) fast.  So each stage is one
+float: a server's next-free time, or a rate limiter's next admission slot.
+The function returns the two times the MPI layer needs: when the sender's
+injection completed (local completion for nonblocking sends) and when the
+full message is available at the destination.
 """
 
 from __future__ import annotations
@@ -28,30 +34,33 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.hw.params import MachineParams
-from repro.sim.resources import RateLimiter, Server
 
-__all__ = ["NodeNic", "BatchNic", "BatchFabric"]
+__all__ = ["NodeNic", "Fabric", "BatchNic", "BatchFabric"]
 
 
 class NodeNic:
-    """NIC state for one node."""
+    """NIC state for one node.
+
+    The queue state is one float per stage, under the field names its
+    vector twin :class:`BatchNic` uses.
+    """
+
+    __slots__ = (
+        "params", "node", "fabric", "_inject_free", "_interval",
+        "_tx_rate_next", "_rx_rate_next", "_tx_bw_next", "_rx_bw_next",
+        "messages_sent", "bytes_sent",
+    )
 
     def __init__(self, params: MachineParams, node: int, ppn: int,
-                 fabric: "Server | None" = None):
+                 fabric: "Fabric | None" = None):
         self.params = params
         self.node = node
         #: shared core-fabric bandwidth server (None = full bisection)
         self.fabric = fabric
-        self.inject: List[Server] = [
-            Server(name=f"inject[{node}.{lr}]") for lr in range(ppn)
-        ]
-        self.tx_rate = RateLimiter(params.nic_msg_rate, name=f"txrate[{node}]")
-        self.rx_rate = RateLimiter(params.nic_msg_rate, name=f"rxrate[{node}]")
-        self.tx_bw = Server(name=f"txbw[{node}]")
-        self.rx_bw = Server(name=f"rxbw[{node}]")
-        #: messages / bytes sent (accounting)
-        self.messages_sent = 0
-        self.bytes_sent = 0
+        #: the NIC's message-rate ceiling as an admission spacing
+        self._interval = 1.0 / params.nic_msg_rate
+        self._inject_free: List[float] = [0.0] * ppn
+        self.reset()
 
     def transfer(
         self, now: float, src_local: int, dst: "NodeNic", nbytes: int,
@@ -74,84 +83,89 @@ class NodeNic:
         # ``nbytes / min(stage bandwidths) + wire latency``, while each
         # stage still serialises competing messages FIFO.
         #
-        # The Server/RateLimiter reservations are inlined here (same
-        # arithmetic, same accounting fields): this function runs once per
-        # simulated message and the method-call overhead of five reserve/
-        # admit calls dominated its cost.
+        # Each stage's reservation is written out inline rather than
+        # called: this function runs once per simulated message, and a
+        # method call per stage dominated its cost.
         # 1. per-process injection: eager data is copied by the CPU into
         # bounce buffers (``proc_bandwidth``); rendezvous data is DMA-pulled
         # by the NIC (``proc_dma_bandwidth``) and only costs the process
         # its doorbell, floored by the per-process message rate
-        inj = self.inject[src_local]
+        inject_free = self._inject_free
         service = nbytes / (p.proc_dma_bandwidth if dma else p.proc_bandwidth)
         rate_floor = 1.0 / p.proc_msg_rate
         if service < rate_floor:
             service = rate_floor
-        inj_start = inj._next_free
+        inj_start = inject_free[src_local]
         if now > inj_start:
             inj_start = now
         inj_done = inj_start + service
-        inj._next_free = inj_done
-        inj.busy_time += service
-        inj.served += 1
+        inject_free[src_local] = inj_done
         # 2. node transmit side: rate ceiling then bandwidth
-        tx_rate = self.tx_rate
-        tx_admit = tx_rate._next_slot
+        tx_admit = self._tx_rate_next
         if inj_start > tx_admit:
             tx_admit = inj_start
-        tx_rate._next_slot = tx_admit + tx_rate._interval
-        tx_rate.admitted += 1
-        wire_service = nbytes / p.nic_bandwidth
-        tx_bw = self.tx_bw
-        tx_start = tx_bw._next_free
+        self._tx_rate_next = tx_admit + self._interval
+        tx_start = self._tx_bw_next
         if tx_admit > tx_start:
             tx_start = tx_admit
-        tx_end = tx_start + wire_service
-        tx_bw._next_free = tx_end
-        tx_bw.busy_time += wire_service
-        tx_bw.served += 1
+        tx_end = tx_start + nbytes / p.nic_bandwidth
+        self._tx_bw_next = tx_end
         if inj_done > tx_end:
             tx_end = inj_done
         # 2b. oversubscribed core fabric (optional), pipelined like the rest
-        if self.fabric is not None:
-            fab_start, fab_end = self.fabric.reserve(
-                tx_start, nbytes / p.fabric_bandwidth
-            )
-            fab_end = max(fab_end, tx_end)
+        fabric = self.fabric
+        if fabric is not None:
+            fab_start = fabric._next_free
+            if tx_start > fab_start:
+                fab_start = tx_start
+            fab_end = fab_start + nbytes / p.fabric_bandwidth
+            fabric._next_free = fab_end
+            if tx_end > fab_end:
+                fab_end = tx_end
             head_start, tail_end = fab_start, fab_end
         else:
             head_start, tail_end = tx_start, tx_end
         # 3+4. wire + receive side
         head_arrival = head_start + p.wire_latency
-        rx_rate = dst.rx_rate
-        rx_admit = rx_rate._next_slot
+        rx_admit = dst._rx_rate_next
         if head_arrival > rx_admit:
             rx_admit = head_arrival
-        rx_rate._next_slot = rx_admit + rx_rate._interval
-        rx_rate.admitted += 1
-        rx_service = nbytes / dst.params.nic_bandwidth
-        rx_bw = dst.rx_bw
-        rx_start = rx_bw._next_free
+        dst._rx_rate_next = rx_admit + dst._interval
+        rx_start = dst._rx_bw_next
         if rx_admit > rx_start:
             rx_start = rx_admit
-        rx_end = rx_start + rx_service
-        rx_bw._next_free = rx_end
-        rx_bw.busy_time += rx_service
-        rx_bw.served += 1
+        rx_end = rx_start + nbytes / dst.params.nic_bandwidth
+        dst._rx_bw_next = rx_end
         arrival = tail_end + p.wire_latency
         if rx_end > arrival:
             arrival = rx_end
         return inj_done, arrival
 
     def reset(self) -> None:
-        for s in self.inject:
-            s.reset()
-        self.tx_rate.reset()
-        self.rx_rate.reset()
-        self.tx_bw.reset()
-        self.rx_bw.reset()
+        """Empty every queue and zero the message accounting."""
+        self._inject_free = [0.0] * len(self._inject_free)
+        self._tx_rate_next = 0.0
+        self._rx_rate_next = 0.0
+        self._tx_bw_next = 0.0
+        self._rx_bw_next = 0.0
         self.messages_sent = 0
         self.bytes_sent = 0
+
+
+class Fabric:
+    """Shared core-fabric bandwidth server: one FIFO next-free time.
+
+    One per world, handed to every :class:`NodeNic`, whose
+    :meth:`~NodeNic.transfer` reserves it inline.
+    """
+
+    __slots__ = ("_next_free",)
+
+    def __init__(self):
+        self._next_free = 0.0
+
+    def reset(self) -> None:
+        self._next_free = 0.0
 
 
 #: conflict-resource key of the shared core fabric (one per world)
@@ -161,8 +175,8 @@ _FB_KEY = ("fb",)
 class BatchFabric:
     """Shared core-fabric bandwidth server over the size axis.
 
-    The vector counterpart of the fabric :class:`~repro.sim.resources.Server`
-    one node hands every :class:`BatchNic`: a single FIFO next-free vector.
+    The vector twin of :class:`Fabric`, handed to every :class:`BatchNic`:
+    a single FIFO next-free vector.
     """
 
     __slots__ = ("_next_free",)
@@ -174,10 +188,10 @@ class BatchFabric:
 class BatchNic:
     """Vector-over-sizes mirror of :class:`NodeNic` for the batch engine.
 
-    Every scalar ``_next_free`` / ``_next_slot`` field of the inlined
-    reservation pipeline in :meth:`NodeNic.transfer` becomes an ``(S,)``
-    array over the partition's size axis; :meth:`transfer` replicates that
-    method's arithmetic operation for operation (same operand order, same
+    Every scalar queue field of :class:`NodeNic` becomes an ``(S,)`` array
+    of the same name over the partition's size axis (``_interval`` stays a
+    scalar); :meth:`transfer` replicates :meth:`NodeNic.transfer`'s
+    arithmetic operation for operation (same operand order, same
     ``max`` placements) so each size's component is bit-identical to the
     scalar computation.  ``np.maximum`` stands in for the scalar
     compare-and-assign idiom — identical values for identical operands.
@@ -185,8 +199,8 @@ class BatchNic:
     There is no size-dependent branch here, so no uniformity check: byte
     counts may arrive as an int (uniform across the partition) or as an
     ``(S,)`` integer vector and flow straight through the arithmetic.
-    Utilisation accounting (busy_time/served) is not maintained — the
-    batch engine reports samples and message counts only.
+    Neither twin keeps utilisation accounting: the batch engine reports
+    samples and message counts only.
 
     Each stage of the reservation pipeline is a resource for the
     timeline's conflict check (``tl.touch``): the per-process injection

@@ -58,7 +58,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.hw.memory import MemoryModel
-from repro.hw.nic import NodeNic
+from repro.hw.nic import Fabric, NodeNic
 from repro.hw.params import MachineParams, bebop_broadwell
 from repro.mpi.transport import RTS_HEADER_BYTES
 from repro.sched.ir import (
@@ -88,7 +88,6 @@ from repro.sched.registry import (
 from repro.shmem.base import MsgInfo
 from repro.sim.batchline import uniform_bool
 from repro.sim.engine import DeadlockError
-from repro.sim.resources import Server
 from repro.sim.timeline import Timeline, TimelineEvent
 
 __all__ = [
@@ -499,10 +498,11 @@ class FastWorld:
     """Hardware + matching state for one sweep point's DAG evaluation.
 
     Owns the same resource objects the event path would — per-node
-    :class:`NodeNic` and :class:`MemoryModel`, an optional shared fabric
-    server — plus lightweight stand-ins for the transport's match tables
-    and the PiP boards/counters.  Like :class:`~repro.mpi.runtime.World`,
-    all state persists across iterations (the warm-up protocol).
+    :class:`NodeNic` and :class:`MemoryModel`, an optional shared
+    :class:`Fabric` — plus lightweight stand-ins for the transport's match
+    tables and the PiP boards/counters.  Like
+    :class:`~repro.mpi.runtime.World`, all state persists across
+    iterations (the warm-up protocol).
     """
 
     def __init__(self, params: MachineParams, nodes: int, ppn: int,
@@ -554,8 +554,8 @@ class FastWorld:
         per-node NICs and memories."""
         self.tl = Timeline()
         shim = _EngineShim(self.tl)
-        self.fabric: Optional[Server] = (
-            Server(name="fabric") if params.fabric_bandwidth else None
+        self.fabric: Optional[Fabric] = (
+            Fabric() if params.fabric_bandwidth else None
         )
         self.nics = [
             NodeNic(params, node, self.ppn, fabric=self.fabric)

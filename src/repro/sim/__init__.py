@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulation substrate.
 
 This package is a purpose-built, dependency-free simulation kernel (in the
-spirit of SimPy, but deterministic and specialised for eager FIFO resource
-reservation) on which the simulated cluster, network, and MPI runtime are
-built.
+spirit of SimPy, but deterministic) on which the simulated cluster, network,
+and MPI runtime are built.  The hardware queues live with their cost model
+in :mod:`repro.hw`, reserved eagerly (see :mod:`repro.hw.nic`).
 """
 
 from repro.sim.engine import (
@@ -18,7 +18,6 @@ from repro.sim.engine import (
     WaitAll,
     WaitEvent,
 )
-from repro.sim.resources import MultiServer, RateLimiter, Server
 from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "SimulationError",
     "WaitAll",
     "WaitEvent",
-    "MultiServer",
-    "RateLimiter",
-    "Server",
     "TraceEvent",
     "Tracer",
 ]

@@ -31,49 +31,6 @@ def test_cache_stats_reports_store_shape(capsys):
     assert "[lowering: " in out and " lowerings across " in out
 
 
-def test_incremental_skips_unchanged_figure_and_reruns_after_change(capsys):
-    from repro.bench.runner import ResultCache
-
-    rc = main(["--figures", "fig06", "--scale", "small", "--incremental"])
-    assert rc == 0
-    first = capsys.readouterr().out
-    assert "skipped (incremental)" not in first
-
-    rc = main(["--figures", "fig06", "--scale", "small", "--incremental"])
-    assert rc == 0
-    second = capsys.readouterr().out
-    assert "fig06 backing shards unchanged, skipped (incremental)" in second
-    assert "done in" not in second
-
-    # touching the backing store invalidates the fingerprint
-    ResultCache().clear()
-    rc = main(["--figures", "fig06", "--scale", "small", "--incremental"])
-    assert rc == 0
-    third = capsys.readouterr().out
-    assert "skipped (incremental)" not in third
-    assert "done in" in third
-
-
-def test_incremental_refresh_always_reruns(capsys):
-    rc = main(["--figures", "fig06", "--scale", "small", "--incremental"])
-    assert rc == 0
-    capsys.readouterr()
-    rc = main([
-        "--figures", "fig06", "--scale", "small", "--incremental",
-        "--refresh",
-    ])
-    assert rc == 0
-    assert "skipped (incremental)" not in capsys.readouterr().out
-
-
-def test_incremental_requires_cache():
-    with pytest.raises(SystemExit):
-        main([
-            "--figures", "fig06", "--scale", "small", "--incremental",
-            "--no-cache",
-        ])
-
-
 def test_trace_flag_dumps_phase_tagged_perfetto_json(tmp_path, capsys):
     import json
 

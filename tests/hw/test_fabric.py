@@ -62,7 +62,7 @@ class TestFabricModel:
         hw = ClusterHW(Topology(2, 1), fabric_params(1e9))
         hw.nics[0].transfer(0.0, 0, hw.nics[1], 1 << 20)
         hw.reset_hardware()
-        assert hw.fabric.next_free() == 0.0
+        assert hw.fabric._next_free == 0.0
 
 
 class TestFabricCollectiveImpact:

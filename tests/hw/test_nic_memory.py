@@ -1,10 +1,13 @@
 """Tests for the NIC and memory hardware models."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.hw import ClusterHW, Topology, tiny_test_machine
-from repro.hw.memory import BatchMemory
+from repro.hw.memory import BatchMemory, MemoryModel
+from repro.hw.nic import BatchFabric, BatchNic
 from repro.sim.batchline import BatchDivergence
 from repro.sim.engine import Engine
 
@@ -109,7 +112,6 @@ class TestMemory:
         proc = eng.spawn(body())
         eng.run()
         assert eng.now == pytest.approx(1000 / p.core_copy_bw + p.copy_latency)
-        assert mem.bytes_copied == 1000
 
     def test_reduce_uses_reduce_bandwidth(self, hw):
         eng = hw.engine
@@ -164,12 +166,28 @@ class TestMemory:
         p = hw.params
         assert mem.fault_cost("k", 1) == pytest.approx(p.page_fault_time)
 
+    def test_reset_hardware_frees_the_lanes_and_keeps_warm_pages(self):
+        params = tiny_test_machine()  # 10 lanes
+        hw = ClusterHW(Topology(nodes=1, ppn=1), params)
+        mem = hw.memories[0]
+        assert mem.fault_cost("k", 1) > 0
+        for _ in range(params.derived_copy_lanes()):
+            mem.copy_occupy(0.0, 1 << 20)
+        hw.reset_hardware()
+        fresh = ClusterHW(Topology(nodes=1, ppn=1), params).memories[0]
+        assert mem.copy_occupy(0.0, 1024) == fresh.copy_occupy(0.0, 1024)
+        assert mem.fault_cost("k", 1) == 0.0
+
 
 class _Shim:
-    """The batch engine's ``engine`` duck: records conflict accesses."""
+    """The batch engine's ``engine`` duck, and its timeline's for
+    :class:`BatchNic`: records conflict accesses."""
 
     def __init__(self):
         self.touches = []
+
+    def touch(self, key):
+        self.touches.append((key, None))
 
     def touch_ok(self, key, ok):
         self.touches.append((key, ok))
@@ -221,3 +239,94 @@ class TestBatchMemory:
                                  2 * p.page_fault_time]
         assert "k" in bmem._warmed
         assert bmem.fault_cost("k", nbytes) == 0.0
+
+
+#: the twins' size axis: per-size byte counts from one byte to 1 MB, so
+#: the message-rate floor binds at some sizes and bandwidth at others
+TWIN_SIZES = np.array([1, 24, 700, 4096, 65_536, 1 << 20])
+
+
+def _twin_ops(seed, count, choices):
+    """A seeded op sequence: per op, ``choices(rng)``, a byte multiplier
+    (0 makes a zero-byte op) and a start — a fixed time, or an earlier
+    op's end plus a gap, so starts differ across sizes."""
+    rng = random.Random(seed)
+    ops = []
+    for k in range(count):
+        if k and rng.random() < 0.6:
+            start = (rng.randrange(max(0, k - 5), k), rng.random() * 1e-6)
+        else:
+            start = (None, rng.random() * 1e-5)
+        ops.append((choices(rng), rng.choice((0, 1, 1, 2, 3)), start))
+    return ops
+
+
+def _start(start, ends):
+    op, gap = start
+    return gap if op is None else ends[op] + gap
+
+
+def _column(rows, s):
+    """Size ``s``'s component of every op's result, as raw bytes."""
+    return np.array([np.broadcast_to(r, TWIN_SIZES.shape)[s]
+                     for r in rows]).tobytes()
+
+
+class TestTwinsAgreePerSize:
+    """Each size's component of a vector twin's run equals, bit for bit,
+    the scalar model's run of the same op sequence at that size."""
+
+    # a fabric 1.5x one NIC still lets receive sides queue behind it
+    @pytest.mark.parametrize("fabric_bandwidth", (None, 15e9))
+    def test_nic(self, fabric_bandwidth):
+        params = tiny_test_machine().with_overrides(
+            fabric_bandwidth=fabric_bandwidth)
+        nodes, ppn = 3, 2
+
+        def choices(rng):
+            src = rng.randrange(nodes)
+            dst = rng.choice([n for n in range(nodes) if n != src])
+            return src, rng.randrange(ppn), dst, rng.random() < 0.5
+
+        # 120 transfers among 3 nodes within ~10 us queue on every stage
+        ops = _twin_ops(7, 120, choices)
+        fabric = BatchFabric(TWIN_SIZES.size) if fabric_bandwidth else None
+        nics = [BatchNic(params, n, ppn, TWIN_SIZES.size, _Shim(), fabric)
+                for n in range(nodes)]
+        injects, arrivals = [], []
+        for (src, lr, dst, dma), scale, start in ops:
+            inj, arr = nics[src].transfer(_start(start, arrivals), lr,
+                                          nics[dst], TWIN_SIZES * scale, dma)
+            injects.append(inj)
+            arrivals.append(arr)
+        for s, nbytes in enumerate(TWIN_SIZES.tolist()):
+            hw = ClusterHW(Topology(nodes, ppn), params)
+            want_inj, want_arr = [], []
+            for (src, lr, dst, dma), scale, start in ops:
+                inj, arr = hw.nics[src].transfer(
+                    _start(start, want_arr), lr, hw.nics[dst],
+                    nbytes * scale, dma)
+                want_inj.append(inj)
+                want_arr.append(arr)
+            assert _column(injects, s) == np.array(want_inj).tobytes()
+            assert _column(arrivals, s) == np.array(want_arr).tobytes()
+            assert ([n.messages_sent for n in nics]
+                    == [n.messages_sent for n in hw.nics])
+
+    def test_memory(self):
+        params = tiny_test_machine()  # 10 lanes; 60 reservations queue
+        ops = _twin_ops(11, 60, lambda rng: rng.random() < 0.3)
+        batch = BatchMemory(_Shim(), params, 0, TWIN_SIZES.size)
+        ends = []
+        for reduce, scale, start in ops:
+            occupy = batch.reduce_occupy if reduce else batch.copy_occupy
+            now = _start(start, ends)
+            ends.append(now + occupy(now, TWIN_SIZES * scale, 1e-7))
+        for s, nbytes in enumerate(TWIN_SIZES.tolist()):
+            mem = MemoryModel(Engine(), params, 0)
+            want = []
+            for reduce, scale, start in ops:
+                occupy = mem.reduce_occupy if reduce else mem.copy_occupy
+                now = _start(start, want)
+                want.append(now + occupy(now, nbytes * scale, 1e-7))
+            assert _column(ends, s) == np.array(want).tobytes()
