@@ -160,7 +160,9 @@ class BatchMemory:
         # blocked durations are wait-free — so the pool multiset and both
         # return values are order-independent (see batchline docstring)
         ok = prev <= now
-        self.engine.touch_ok(self._mm_key, True if ok.all() else ok)
+        self.engine.touch_ok(
+            self._mm_key, True if np.count_nonzero(ok) == len(ok) else ok
+        )
         return blocked + (end - now)
 
     def copy_occupy(self, now, nbytes, extra_fixed=0.0):

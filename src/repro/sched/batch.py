@@ -45,11 +45,16 @@ coroutine machinery, but still pays Python event dispatch once per
    (each pass runs in a fresh :class:`BatchWorld`, so nothing leaks) and
    the partition splits at the mask.  Size-dependent *orderings* (a
    contended FIFO serviced in a different order at some size) are caught
-   after the run by the timeline's conflict-equivalence check
+   by the timeline's conflict-equivalence check
    (:meth:`~repro.sim.batchline.BatchTimeline.order_divergence`): every
    dispatch records the resources it touches, and a size is divergent iff
    some resource's access order under the pivot differs from that size's
-   own scalar order.  Divergent sizes are *re-adjudicated by partition*:
+   own scalar order.  Each protocol iteration is judged as it drains, and
+   its verdict is final, so the pass knows after every iteration how many
+   sizes it can still accept; it stops at the first iteration boundary
+   where those few no longer pay for the iterations left
+   (:meth:`BatchWorld.run_schedule` gives the rule), and its survivors go
+   to the DAG engine.  Divergent sizes are *re-adjudicated by partition*:
    the timeline's inversion matrix clusters them by divergence signature
    (:meth:`~repro.sim.batchline.BatchTimeline.divergence_labels` — which
    conflict pairs inverted), and each cluster is re-batched as its own
@@ -133,19 +138,25 @@ _REBATCH_DEPTH = 4
 #: costs more than the per-size replays it replaces.  Measured on cold
 #: evaluations: a pass lost to per-size DAG at every width of the
 #: small-scale figure columns (2-10 sizes) and first won at 8-11 sizes on
-#: the 121-size columns (DESIGN.md section 2, fallback rule 3)
+#: the 121-size columns (DESIGN.md section 2, fallback rule 3).  It also
+#: prices the rest of a running pass: with ``k`` of ``T`` iterations run,
+#: the rest costs as much as ``_MIN_BATCH_WIDTH * (T - k) / T`` replays,
+#: and a pass whose undivergent sizes are fewer than that stops (fallback
+#: rule 4)
 _MIN_BATCH_WIDTH = 11
 
 
 class ColumnStats(NamedTuple):
     """How one column was evaluated (diagnostics and test hooks)."""
 
-    #: size tuples evaluated in one vectorized pass each
+    #: size tuples evaluated in one completed vectorized pass each
     partitions: Tuple[Tuple[int, ...], ...]
     #: sizes flagged order-divergent and re-evaluated on the DAG engine
+    #: (those of abandoned passes included), not re-batched
     fallback_sizes: Tuple[int, ...]
-    #: sizes of partitions narrower than ``_MIN_BATCH_WIDTH``, routed
-    #: straight to the DAG engine
+    #: sizes routed straight to the DAG engine: those of partitions
+    #: narrower than ``_MIN_BATCH_WIDTH``, and the still-undivergent
+    #: survivors of abandoned passes
     singleton_sizes: Tuple[int, ...]
     #: runtime partition splits taken at size-dependent branches
     splits: int
@@ -156,6 +167,9 @@ class ColumnStats(NamedTuple):
     #: always 0; kept for readers of these stats (``perfbench/spans.py``
     #: reports it as ``batch.elided_passes``)
     elided_passes: int = 0
+    #: size tuples whose pass stopped at an iteration boundary, once too
+    #: few sizes were still undivergent to pay for the iterations left
+    abandoned: Tuple[Tuple[int, ...], ...] = ()
 
 
 class ColumnResult(NamedTuple):
@@ -169,6 +183,12 @@ class ColumnResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # runtime: the vectorized world and continuation machine
 # ---------------------------------------------------------------------------
+
+
+class _PassAbandoned(Exception):
+    """The pass stops at an iteration boundary: the sizes still
+    undivergent cannot pay for its remaining iterations
+    (:meth:`BatchWorld.run_schedule`)."""
 
 
 class _BatchShim(_EngineShim):
@@ -227,23 +247,28 @@ class BatchWorld(FastWorld):
     the warm-up/measure loop are inherited; the matching overrides
     (``_deliver``, ``_complete_send``) pair exactly as the scalar ones do
     but stamp per-size resume times (max-resume) and record conflict
-    accesses for the end-of-run check.  Warm state (page faults, XPMEM expose/attach) is keyed by structural
-    ids only, and every mutation happens on the single shared execution
-    path, so it evolves exactly as in each size's own scalar run.
+    accesses for the per-iteration check.  Warm state (page faults, XPMEM
+    expose/attach) is keyed by structural ids only, and every mutation
+    happens on the single shared execution path, so it evolves exactly as
+    in each size's own scalar run.
     """
 
     def __init__(self, params: MachineParams, nodes: int, ppn: int,
                  mechanism, software_overhead: float, width: int,
-                 buf_seq_start: int):
+                 buf_seq_start: int, iterations: int):
         self.width = width
         super().__init__(params, nodes, ppn, mechanism, software_overhead,
                          buf_seq_start)
         # buffer-identity conflicts only exist for mechanisms with warm
         # state (page-fault regions, expose/attach caches)
         self.track_mb = getattr(mechanism, "warm_state", True)
+        #: the protocol's iteration count, and how many are still to run
+        self._iterations = self._iterations_left = iterations
         #: (counter, threshold, reach, resume-used) per counter-wait
-        #: resume, validated post hoc against the full add log
+        #: resume of the running iteration, validated when it drains
         self._ct_checks: List[tuple] = []
+        #: sizes whose counter-wait resume failed validation
+        self._ct_divergent = np.zeros(width, dtype=bool)
         #: a board key was posted twice: values are order-ambiguous, so
         #: every size must fall back (never happens for planner schedules)
         self._board_conflict = False
@@ -315,35 +340,40 @@ class BatchWorld(FastWorld):
             req.t = tl.now
 
     def order_divergence(self) -> np.ndarray:
-        """Per-size divergence over resource orders *and* counter checks.
+        """Per-size divergence over resource orders *and* counter checks,
+        over every iteration run so far.
 
         The timeline's conflict-equivalence mask, widened by the counter
         crossing validation: each counter-wait resume used the exact
         crossing computed from the adds seen at trigger time, and an add
         processed later (in pivot order) firing earlier at some size
-        would make that size's true crossing earlier — re-checked here
-        against the full add log.  Double-posted board keys flag every
-        size (conservative; planner schedules post once).
+        would make that size's true crossing earlier — re-checked against
+        the full add log when the iteration drains (:meth:`run_schedule`).
+        Double-posted board keys flag every size (conservative; planner
+        schedules post once).
         """
         if self._board_conflict:
             return np.ones(self.width, dtype=bool)
-        divergent = self.tl.order_divergence()
-        if self._ct_checks:
-            divergent = divergent.copy()
-            for ctr, threshold, reach, used in self._ct_checks:
-                truth = np.maximum(
-                    reach, _counter_crossing(ctr, threshold)
-                )
-                divergent |= used != truth
-        return divergent
+        return self.tl.order_divergence() | self._ct_divergent
 
     # -- execution --------------------------------------------------------
 
     def run_schedule(self, compiled: Tuple[_Compiled, ...], envs,
                      symbols: dict, num_namespaces: int) -> np.ndarray:
-        """One iteration over the whole partition; returns elapsed ``(S,)``."""
+        """One iteration over the whole partition; returns elapsed ``(S,)``.
+
+        The drained iteration is judged at once: the timeline checks its
+        conflict pairs, and each of its counter-wait resumes is validated
+        here, against the complete add log (a later iteration only adds
+        later times, so the verdict is final).  Then, with ``k`` of the
+        protocol's ``T`` iterations run and ``A`` sizes still undivergent
+        (pivot included), the pass raises :class:`_PassAbandoned` iff
+        ``A * T < _MIN_BATCH_WIDTH * (T - k)``: the iterations left cost
+        ``(T - k) / T`` of a pass, a pass costs as much as
+        ``_MIN_BATCH_WIDTH`` per-size DAG replays, and the DAG replays the
+        survivors for ``A``.
+        """
         tl = self.tl
-        tl.new_epoch()
         start = tl.now
         k = num_namespaces
         ns_values = tuple(range(self._op_seq + 1, self._op_seq + 1 + k))
@@ -369,6 +399,18 @@ class BatchWorld(FastWorld):
                 f"{self._live} schedule program(s) blocked — batch "
                 f"evaluation deadlocked"
             )
+        if self._ct_checks:
+            bad = self._ct_divergent
+            for ctr, threshold, reach, used in self._ct_checks:
+                bad |= used != np.maximum(
+                    reach, _counter_crossing(ctr, threshold)
+                )
+            self._ct_checks = []
+        left = self._iterations_left = self._iterations_left - 1
+        if left:
+            alive = self.width - np.count_nonzero(self.order_divergence())
+            if alive * self._iterations < _MIN_BATCH_WIDTH * left:
+                raise _PassAbandoned
         end = self.end_times[0]
         for v in self.end_times[1:]:
             end = np.maximum(end, v)
@@ -383,7 +425,7 @@ class _BatchTask(_Task):
     point schedules exactly one timeline callback in the same relative
     order, so the pivot size's ``(time, seq)`` tie-breaks resolve
     identically to the scalar DAG engine, and every other size inherits
-    that order subject to the end-of-run divergence check.  It overrides
+    that order subject to the per-iteration divergence check.  It overrides
     only the continuations whose bodies touch the vector clock: the
     interpreter and the wait, receive, post and add continuations, which
     stamp per-size resume times (max-resume), log counter adds and record
@@ -548,7 +590,8 @@ class _BatchTask(_Task):
                 if c.value >= threshold:
                     # already crossed at the pivot; each size resumes at
                     # its own exact crossing (or its wait arrival, if
-                    # later), validated against late adds post hoc
+                    # later), validated against late adds when the
+                    # iteration drains
                     used = np.maximum(
                         now, _counter_crossing(c, threshold)
                     )
@@ -696,23 +739,28 @@ def _evaluate_partition(
     Returns per-size results (partition order), the order-divergence
     mask, and — when anything diverged — the per-size divergence
     signature labels; divergent entries' results are garbage and must be
-    recomputed.
+    recomputed.  The results are None when the pass was abandoned at an
+    iteration boundary; the mask and labels then cover the iterations it
+    ran.
     """
     world = BatchWorld(
         params, nodes, ppn, lib.make_mechanism(), lib.software_overhead,
-        len(part), lowered.nbufs,
+        len(part), lowered.nbufs, warmup + measure,
     )
     try:
         samples = world.run_protocol(lowered, warmup, measure)
-        divergent = world.order_divergence()
-        labels = (
-            world.tl.divergence_labels(divergent) if divergent.any()
-            else None
-        )
-        msgs = world.internode_messages()
+    except _PassAbandoned:
+        samples = None
     finally:
-        # a pass abandoned at a BatchDivergence split is freed too
+        # a pass split at a BatchDivergence is freed too
         world.teardown()
+    divergent = world.order_divergence()
+    labels = (
+        world.tl.divergence_labels(divergent) if divergent.any() else None
+    )
+    if samples is None:
+        return None, divergent, labels
+    msgs = world.internode_messages()
     results = [
         FastpathResult(tuple(float(v[j]) for v in samples), msgs)
         for j in range(len(part))
@@ -774,6 +822,7 @@ def evaluate_column(
 
     results: Dict[int, FastpathResult] = {}
     partitions: List[Tuple[int, ...]] = []
+    abandoned: List[Tuple[int, ...]] = []
     fallback: List[int] = []
     singles: List[int] = []
     splits = 0
@@ -841,17 +890,24 @@ def evaluate_column(
             stack.append((a, depth))
             stack.append((b, depth))
             continue
-        partitions.append(part)
-        any_divergent = False
-        for s, r, bad in zip(part, part_results, divergent):
-            if not bad:
-                results[s] = r
-            else:
-                any_divergent = True
-        if any_divergent:
+        if part_results is None:
+            # stopped at an iteration boundary: its few survivors go to
+            # the DAG engine, its divergent sizes are re-adjudicated as a
+            # completed pass's are
+            abandoned.append(part)
+            for s, bad in zip(part, divergent):
+                if not bad:
+                    results[s] = _dag(s)
+                    singles.append(s)
+        else:
+            partitions.append(part)
+            for s, r, bad in zip(part, part_results, divergent):
+                if not bad:
+                    results[s] = r
+        if divergent.any():
             handle_divergent(part, depth, divergent, labels)
     stats = ColumnStats(
         tuple(partitions), tuple(sorted(fallback)), tuple(sorted(singles)),
-        splits, retries, max_depth,
+        splits, retries, max_depth, abandoned=tuple(abandoned),
     )
     return ColumnResult(results, stats)

@@ -26,14 +26,23 @@ order size ``s``'s own scalar run would use:
   per-resource access sequences therefore compute identical values — the
   standard conflict-serializability argument, applied to a deterministic
   simulator;
-* after the run, :meth:`BatchTimeline.order_divergence` checks, for every
+* as each protocol iteration drains, the timeline checks, for every
   resource and every adjacent pair of accesses from *different* pops, that
   the two pops are ordered the same way size ``s``'s scalar run would
   order them (by fire time; ties by the scalar engine's push sequence,
   reconstructed from the recorded push parents — see below).  Sizes with
-  any conflicting inversion are flagged *divergent* and re-evaluated on
-  the scalar DAG engine.  No result computed under a non-equivalent order
-  is ever reported.
+  any conflicting inversion are flagged *divergent*
+  (:meth:`BatchTimeline.order_divergence`) and re-evaluated on the scalar
+  DAG engine.  No result computed under a non-equivalent order is ever
+  reported.
+
+A checked iteration's verdict is final.  A full drain separates two
+iterations, so no conflict pair spans them: each pair is judged exactly
+once, right after its iteration, and later iterations can only add
+divergent sizes, never clear one.  The batch engine reads the growing
+mask at every iteration boundary and abandons a pass whose remaining
+iterations can no longer pay for the sizes still undivergent (see
+:mod:`repro.sched.batch`).
 
 Max-resume semantics.  Synchronization resources — send/recv requests,
 board posts, counter thresholds — are *not* order-sensitive at all once
@@ -47,8 +56,8 @@ resources need no conflict tracking: the batch run computes every size's
 exact scalar resume time directly.  Counter waits additionally need the
 exact per-size *crossing* time (which add pushed the counter over the
 threshold differs per size); the batch engine computes it as an
-order statistic over the recorded add times and validates it post hoc
-(see :mod:`repro.sched.batch`).
+order statistic over the recorded add times and validates it when the
+iteration drains (see :mod:`repro.sched.batch`).
 
 Commuting accesses.  Some genuinely order-sensitive resources are
 order-insensitive for *particular* access pairs: two memory-lane-pool
@@ -144,10 +153,13 @@ def uniform_bool(mask) -> bool:
     :class:`BatchDivergence` so the caller's partition splits there.
     """
     if isinstance(mask, np.ndarray):
-        if mask[0]:
-            if mask.all():
-                return True
-        elif not mask.any():
+        # one count decides it: ``.all()``/``.any()`` each pay numpy's
+        # Python-level reduction wrappers, and this runs on every vector
+        # dispatch and every planner branch of a column
+        n = np.count_nonzero(mask)
+        if n == len(mask):
+            return True
+        if not n:
             return False
         raise BatchDivergence(mask)
     return mask
@@ -200,14 +212,14 @@ class BatchTimeline:
     Heap entries are ``(pivot_time, seq, fn, value, time_vec, parent)``;
     ``now`` is the ``(S,)`` fire-time vector of the entry being
     dispatched.  Ties at equal pivot time resolve by ``seq`` exactly like
-    the scalar engines.  Every pop is recorded, and resource accesses are
-    logged against the current pop, for the end-of-run conflict check.
+    the scalar engines.  Every pop of the running iteration is recorded,
+    and resource accesses are logged against the current pop, for the
+    conflict check that judges the iteration once it drains.
     """
 
     __slots__ = ("width", "now", "_heap", "_ready", "_seq",
-                 "_pop_times", "_pop_seqs", "_pop_epochs", "_pop_pars",
-                 "_res", "_res_ok", "_cur", "_epoch", "_epoch_start",
-                 "_wrong_cache")
+                 "_pop_times", "_pop_seqs", "_pop_pars", "_res", "_res_ok",
+                 "_cur", "_divergent", "_inverted")
 
     def __init__(self, width: int):
         self.width = width
@@ -215,9 +227,9 @@ class BatchTimeline:
         self._heap: list = []
         self._ready: deque = deque()
         self._seq = 0
+        # the current iteration's records, indexed by pop
         self._pop_times: list = []
         self._pop_seqs: list = []
-        self._pop_epochs: list = []
         #: per pop: index of the pop during whose segment it was pushed
         self._pop_pars: list = []
         #: resource key -> ordered list of accessing pop indices
@@ -227,16 +239,11 @@ class BatchTimeline:
         self._res_ok: Dict[Any, tuple] = {}
         #: pop whose dispatch segment is currently executing (-1 = root)
         self._cur = -1
-        self._epoch = 0
-        self._epoch_start = 0
-        #: memoised (pair index, wrong-order matrix) from the last check
-        self._wrong_cache = None
-
-    def new_epoch(self) -> None:
-        """Mark an iteration boundary (a full drain separates epochs)."""
-        self._epoch += 1
-        self._cur = -1
-        self._epoch_start = len(self._pop_times)
+        #: sizes inverted on some conflict pair of a drained iteration
+        self._divergent = np.zeros(width, dtype=bool)
+        #: per drained iteration, the ``(pairs, S)`` inversion rows of
+        #: its conflict pairs that are inverted at some size
+        self._inverted: list = []
 
     def call(self, time: np.ndarray, fn: Callable[[Any], None],
              value: Any = None) -> None:
@@ -280,7 +287,8 @@ class BatchTimeline:
             rec[1][-1] = rec[1][-1] & ok
 
     def run(self) -> np.ndarray:
-        """Dispatch until both queues drain; returns the final time vector.
+        """Run one iteration until both queues drain; returns the final
+        time vector.
 
         Mirrors ``Timeline.run``: the ready deque is drained completely
         before each single heap pop.  Ready callbacks execute inside the
@@ -288,15 +296,15 @@ class BatchTimeline:
         resource touches anchor to that pop; entries carrying a ``now``
         override (max-resume continuations) see their exact per-size
         resume vector, and the segment's own clock is restored afterwards.
+        The drain ends the iteration: its conflict pairs are judged then
+        (no pair spans two iterations), and its records are dropped.
         """
         heap = self._heap
         ready = self._ready
         pop = heappop
         pop_times = self._pop_times
         pop_seqs = self._pop_seqs
-        pop_epochs = self._pop_epochs
         pop_pars = self._pop_pars
-        epoch = self._epoch
         tvec = self.now
         while heap or ready:
             while ready:
@@ -315,60 +323,56 @@ class BatchTimeline:
             self._cur = len(pop_times)
             pop_times.append(tvec)
             pop_seqs.append(entry[1])
-            pop_epochs.append(epoch)
             pop_pars.append(entry[5])
             entry[2](entry[3])
-        # a scalar run ends at its own latest pop time, and which pop is
-        # latest varies with size; the epoch's final clock must therefore
-        # be the elementwise max over the epoch's pops, not the pivot-order
-        # last pop's vector — it seeds the next iteration's start and any
-        # per-size skew there leaks into carried resource state
-        seg = pop_times[self._epoch_start:]
-        if seg:
-            self.now = np.max(np.asarray(seg), axis=0)
+        if pop_times:
+            tmat = np.asarray(pop_times)
+            # a scalar run ends at its own latest pop time, and which pop
+            # is latest varies with size; the iteration's final clock must
+            # therefore be the elementwise max over its pops, not the
+            # pivot-order last pop's vector — it seeds the next iteration's
+            # start and any per-size skew there leaks into carried
+            # resource state
+            self.now = tmat.max(axis=0)
+            self._check(tmat)
+        # the next iteration starts from fresh records, at the root
+        self._cur = -1
+        self._pop_times = []
+        self._pop_seqs = []
+        self._pop_pars = []
+        self._res = {}
+        self._res_ok = {}
         return self.now
 
-    def _conflict_matrix(self):
-        """``(idx, wrong)`` over every distinct in-epoch conflict pair.
+    def _check(self, tmat: np.ndarray) -> None:
+        """Judge the drained iteration's conflict pairs, once.
 
-        ``idx`` is an ``(n, 2)`` int64 array of pop pairs the batch ran as
-        ``i`` then ``j``; ``wrong[r, s]`` is True when size ``s``'s own
-        scalar run would have dispatched pair ``r`` the *other* way — by
-        fire time, equal-time ties broken by the reconstructed push order.
-        Returns None when nothing conflicts.  Memoised (the batch engine
-        reads it once for the divergence mask and once for the signature
-        labels).
+        ``tmat`` is the iteration's ``(pops, S)`` fire-time matrix.  For
+        every distinct conflict pair the batch ran as pop ``i`` then pop
+        ``j``, size ``s`` is *inverted* when its own scalar run would have
+        dispatched the pair the other way — by fire time, equal-time ties
+        broken by the reconstructed push order.  The inverted sizes join
+        the running divergence mask, and the pairs inverted at some size
+        join the signature rows :meth:`divergence_labels` clusters by.
         """
-        cached = self._wrong_cache
-        if cached is not None:
-            return cached or None
-        npops = len(self._pop_times)
-        if npops < 2 or not (self._res or self._res_ok):
-            self._wrong_cache = False
-            return None
-        epochs = self._pop_epochs
-        # collect the distinct in-epoch conflict pairs (batch ran i, then
-        # j), each with its commutation mask: None = strict, else an ok
-        # mask under which an inversion is harmless.  A pair reached
-        # through several resources must be harmless under every one.
+        if len(tmat) < 2 or not (self._res or self._res_ok):
+            return
+        # collect the distinct conflict pairs (batch ran i, then j), each
+        # with its commutation mask: None = strict, else an ok mask under
+        # which an inversion is harmless.  A pair reached through several
+        # resources must be harmless under every one.
         pairs: Dict[tuple, Any] = {}
         for accesses in self._res.values():
             i = accesses[0]
             for j in accesses[1:]:
-                if (
-                    j != i and j != -1 and i != -1
-                    and epochs[i] == epochs[j]
-                ):
+                if j != i and j != -1 and i != -1:
                     pairs[(i, j)] = None
                 i = j
         for pops, oks in self._res_ok.values():
             i = pops[0]
             oki = oks[0]
             for j, okj in zip(pops[1:], oks[1:]):
-                if (
-                    j != i and j != -1 and i != -1
-                    and epochs[i] == epochs[j]
-                ):
+                if j != i and j != -1 and i != -1:
                     p = (i, j)
                     both = oki & okj
                     if p not in pairs:
@@ -386,13 +390,11 @@ class BatchTimeline:
                     or (isinstance(relax, np.ndarray) and relax.all()))
         ]
         if not kept:
-            self._wrong_cache = False
-            return None
+            return
         n = len(kept)
         idx = np.fromiter(
             (k for ij, _ in kept for k in ij), np.int64, 2 * n
         ).reshape(n, 2)
-        tmat = np.asarray(self._pop_times)
         ti = tmat[idx[:, 0]]
         tj = tmat[idx[:, 1]]
         # bulk fire-time pass: j strictly before i at size s is an
@@ -407,8 +409,10 @@ class BatchTimeline:
             # scalar-False masks are fully strict: nothing to clear
             if isinstance(relax, np.ndarray):
                 wrong[r] &= ~relax
-        self._wrong_cache = (idx, wrong)
-        return self._wrong_cache
+        inverted = wrong[wrong.any(axis=1)]
+        if len(inverted):
+            self._divergent |= inverted.any(axis=0)
+            self._inverted.append(inverted)
 
     def _push_order_bulk(self, pairs: np.ndarray,
                          tmat: np.ndarray) -> np.ndarray:
@@ -483,19 +487,18 @@ class BatchTimeline:
         return out
 
     def order_divergence(self) -> np.ndarray:
-        """Per-size conflict-divergence mask over everything dispatched.
+        """Per-size conflict-divergence mask over every drained iteration.
 
         ``divergent[s]`` is True when some resource was accessed by two
         pops in an order different from the one size ``s``'s own scalar
         run would have used — i.e. the batch dispatch order is *not*
         conflict-equivalent to ``s``'s scalar order, so ``s``'s results
         must be recomputed on the scalar engine.  The pivot (index 0) is
-        never divergent: the queues are ordered by it.
+        never divergent: the queues are ordered by it.  Each iteration is
+        judged once, when it drains, and its verdict is final, so the
+        mask only grows from one iteration to the next.
         """
-        mat = self._conflict_matrix()
-        if mat is None:
-            return np.zeros(self.width, dtype=bool)
-        return mat[1].any(axis=0)
+        return self._divergent.copy()
 
     def divergence_labels(self, divergent: np.ndarray) -> np.ndarray:
         """Cluster the flagged sizes by inversion signature.
@@ -512,11 +515,11 @@ class BatchTimeline:
         cols = np.nonzero(divergent)[0]
         if not len(cols):
             return labels
-        mat = self._conflict_matrix()
-        if mat is None:
+        rows = self._inverted
+        if not rows:
             labels[cols] = 0
             return labels
-        sub = mat[1][:, cols]
+        sub = np.concatenate(rows)[:, cols]
         active = sub.any(axis=1)
         if not active.any():
             # flagged from outside with no recorded inversion: one cluster

@@ -137,10 +137,13 @@ def test_double_posted_board_key_flags_every_size():
         bindings=({"send": SizeVec(sizes)}, {}),
     )
     lowered = lower_column((sizes, planned), sizes, ppn=2)
-    _, divergent, labels = _evaluate_partition(
+    results, divergent, labels = _evaluate_partition(
         lowered, 1, 2, sizes, make_library("PiP-MColl"), bebop_broadwell(),
         warmup=1, measure=1,
     )
+    # with no size left to accept, the pass stops after the warm-up, and
+    # its verdict covers the iteration it ran
+    assert results is None
     assert divergent.tolist() == [True, True, True]
     assert labels is not None
 
@@ -173,9 +176,11 @@ def test_rebatch_recursion_and_depth_exhaustion(monkeypatch):
     Stages divergence the conflict check would not naturally flag: every
     pass marks all but its pivot as one signature cluster, so the cluster
     re-batches (width shrinking by one per level) until ``_REBATCH_DEPTH``
-    exhausts and the remainder drains to the DAG engine.  Results must be
-    bit-identical throughout — including the accepted pivots' vectorized
-    results and the carried warm-state of every re-batched pass.
+    exhausts and the remainder drains to the DAG engine.  A width floor of
+    one lets every pass run to the end (a lone pivot always pays for the
+    iterations left), so results must be bit-identical throughout —
+    including the accepted pivots' vectorized results and the carried
+    warm-state of every re-batched pass.
     """
 
     def all_but_pivot(self):
@@ -193,6 +198,7 @@ def test_rebatch_recursion_and_depth_exhaustion(monkeypatch):
     from repro.sched import batch as batch_mod
 
     monkeypatch.setattr(batch_mod, "_REBATCH_DEPTH", 2)
+    monkeypatch.setattr(batch_mod, "_MIN_BATCH_WIDTH", 1)
     sizes = (256, 512, 1024, 2048, 4096, 8192)
     col = _assert_column_identical("pip-mcoll", "scatter", 2, 2, sizes)
     # depth 0 (width 6) and depth 1 (width 5) each re-batch one cluster;
@@ -200,6 +206,31 @@ def test_rebatch_recursion_and_depth_exhaustion(monkeypatch):
     assert col.stats.retries == 2
     assert col.stats.rebatch_depth == 2
     assert col.stats.fallback_sizes  # the depth-exhausted remainder
+    assert [p[0] for p in col.stats.partitions] == [256, 512, 1024]
+    assert col.stats.abandoned == ()
+
+
+#: every second size of the eighth-octave axis from 71467 B to 512 KB
+#: (OpenMPI allgather 2x16): the memory-lane pool diverges at every size
+#: but the pivot during the warm-up, yet most of them agree with each other
+CONTENDED = tuple(int(16 * 2 ** (k / 8)) for k in range(97, 121, 2))
+
+
+def test_pass_without_survivors_is_abandoned_after_the_warm_up():
+    """A pass whose warm-up leaves only its pivot undivergent stops
+    there: the pivot goes to the DAG engine, and the divergent sizes are
+    re-adjudicated as a completed pass's are — the largest signature
+    cluster re-batches under its own pivot and is accepted."""
+    col = _assert_column_identical("openmpi", "allgather", 2, 16, CONTENDED)
+    st = col.stats
+    assert st.abandoned == (CONTENDED,)
+    assert CONTENDED[0] in st.singleton_sizes
+    assert st.retries >= 1
+    assert any(set(p) < set(CONTENDED) for p in st.partitions)
+    # every size is accounted for exactly once
+    accepted = sum(len(p) for p in st.partitions)
+    assert (accepted + len(st.fallback_sizes) + len(st.singleton_sizes)
+            == len(CONTENDED))
 
 
 # -- surface and argument checking ---------------------------------------
@@ -256,17 +287,21 @@ def test_run_point_engine_batch_rejects_tracing():
 
 def test_each_column_lowers_every_pass_and_dag_size_once():
     """No lowering is kept: a column lowers each vector pass it starts (a
-    partition, or one abandoned at a split) and each size it routes to the
-    DAG engine, once, and a repeat of the column lowers them all again."""
-    made = []
-    for _ in range(2):
-        before = lowering_cache_info().misses
-        col = evaluate_column("OpenMPI", "allgather", 2, 4, STRADDLE_AXIS)
-        made.append(lowering_cache_info().misses - before)
-    st = col.stats
-    assert st.splits and st.fallback_sizes and st.singleton_sizes
-    passes = len(st.partitions) + st.splits
-    dag_sizes = len(st.fallback_sizes) + len(st.singleton_sizes)
-    assert made == [passes + dag_sizes] * 2
+    completed partition, one abandoned at a split or at an iteration
+    boundary) and each size it routes to the DAG engine, once, and a
+    repeat of the column lowers them all again."""
+    for lib, nodes, ppn, sizes in (("OpenMPI", 2, 4, STRADDLE_AXIS),
+                                   ("OpenMPI", 2, 16, CONTENDED)):
+        made = []
+        for _ in range(2):
+            before = lowering_cache_info().misses
+            col = evaluate_column(lib, "allgather", nodes, ppn, sizes)
+            made.append(lowering_cache_info().misses - before)
+        st = col.stats
+        assert st.fallback_sizes and st.singleton_sizes
+        assert st.splits if sizes is STRADDLE_AXIS else st.abandoned
+        passes = len(st.partitions) + len(st.abandoned) + st.splits
+        dag_sizes = len(st.fallback_sizes) + len(st.singleton_sizes)
+        assert made == [passes + dag_sizes] * 2
     info = lowering_cache_info()
     assert (info.hits, info.maxsize, info.currsize) == (0, None, 0)

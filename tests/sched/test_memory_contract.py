@@ -5,10 +5,11 @@ CPython's cyclic collector runs on allocation counts, and a replay
 allocates on every timeline event, so any world left on a reference cycle
 is found only by collections that scan every live object of the process.
 ``FastWorld.teardown`` leaves no cycle behind, on the DAG and batch
-engines alike and for a batch pass abandoned at a split, so with the
-collector disabled ``gc.collect()`` finds nothing after an evaluation.
-``gc_paused`` keeps automatic collection off while one runs.  No
-lowering is kept either: each dies with the evaluation that built it.
+engines alike and for a batch pass abandoned at a split or at an
+iteration boundary, so with the collector disabled ``gc.collect()``
+finds nothing after an evaluation.  ``gc_paused`` keeps automatic
+collection off while one runs.  No lowering is kept either: each dies
+with the evaluation that built it.
 """
 
 import gc
@@ -40,6 +41,9 @@ SIZES = (512, 32768, 131072)
 #: quarter-octave axis, 16 B .. ~2 MB: wide enough to batch, and across
 #: the eager/rendezvous and algorithm switches
 AXIS = tuple(sorted({int(16 * 2 ** (k / 4)) for k in range(70)}))
+#: OpenMPI allgather 2x16 on these 12 sizes runs one pass that stops
+#: after the warm-up, with only its pivot undivergent
+CONTENDED = tuple(int(16 * 2 ** (k / 8)) for k in range(97, 121, 2))
 
 
 @pytest.fixture(autouse=True)
@@ -86,7 +90,7 @@ def test_volume_tables_leave_no_cyclic_garbage(lib, coll):
 def test_batch_column_leaves_no_cyclic_garbage():
     """A column that splits at thresholds (passes abandoned mid-run),
     falls back on order divergence and routes narrow partitions to the
-    DAG engine."""
+    DAG engine, and one whose pass stops at an iteration boundary."""
     cols = []
     assert cyclic_garbage(lambda: cols.append(
         evaluate_column("OpenMPI", "allreduce", 2, 4, AXIS)
@@ -94,12 +98,17 @@ def test_batch_column_leaves_no_cyclic_garbage():
     stats = cols[0].stats
     assert stats.splits and stats.partitions
     assert stats.fallback_sizes and stats.singleton_sizes
+    assert cyclic_garbage(lambda: cols.append(
+        evaluate_column("OpenMPI", "allgather", 2, 16, CONTENDED)
+    )) == 0
+    assert cols[1].stats.abandoned == (CONTENDED,)
 
 
 def test_rebatched_and_forced_fallback_columns_leave_no_cyclic_garbage(
         monkeypatch):
     """Divergent clusters re-batched under their own pivot until the
-    depth bound, the rest drained to the DAG engine."""
+    depth bound, the rest drained to the DAG engine; with only the pivot
+    undivergent, every pass stops after the warm-up."""
 
     def all_but_pivot(self):
         bad = np.ones(self.width, dtype=bool)
@@ -118,6 +127,7 @@ def test_rebatched_and_forced_fallback_columns_leave_no_cyclic_garbage(
                         (256, 512, 1024, 2048, 4096, 8192))
     )) == 0
     assert cols[0].stats.retries and cols[0].stats.fallback_sizes
+    assert cols[0].stats.abandoned
 
 
 def test_every_registry_column_leaves_no_cyclic_garbage():
@@ -136,13 +146,17 @@ def lowerings_alive() -> int:
 
 def test_no_lowering_outlives_its_evaluation():
     """A DAG point, a column that splits, falls back and routes narrow
-    partitions to the DAG engine, and a runner sweep of a column unit and
-    a per-point unit each leave no lowering alive."""
+    partitions to the DAG engine, a column whose pass stops at an
+    iteration boundary, and a runner sweep of a column unit and a
+    per-point unit each leave no lowering alive."""
     gc.collect()
     evaluate_point("OpenMPI", "allreduce", 2, 4, 4096)
     assert lowerings_alive() == 0
     stats = evaluate_column("OpenMPI", "allreduce", 2, 4, AXIS).stats
     assert stats.splits and stats.fallback_sizes and stats.singleton_sizes
+    assert lowerings_alive() == 0
+    stats = evaluate_column("OpenMPI", "allgather", 2, 16, CONTENDED).stats
+    assert stats.abandoned
     assert lowerings_alive() == 0
     points = [Point("PiP-MColl", "allgather", 2, 2, s, engine="auto")
               for s in SIZES]
