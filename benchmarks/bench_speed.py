@@ -6,7 +6,8 @@ message-size column:
 
 ============  ===========================================================
 ``event``     ``run_point(engine="event")`` per size — the reference
-``dag``       ``run_point(engine="dag")`` per size
+``dag``       ``fastpath.evaluate_point`` per size, each with the
+              collector paused (as ``run_point`` runs ``auto``'s points)
 ``batch``     one ``evaluate_column`` call
 ``analytic``  one ``evaluate_axis`` call (approximate; dense and smoke
               columns only)
@@ -90,7 +91,9 @@ from repro.bench.runner.cache import (
 )
 from repro.sched.analytic import ERROR_BOUND, evaluate_axis
 from repro.sched.batch import evaluate_column
+from repro.sched.fastpath import evaluate_point
 from repro.serve import SweepClient, wait_until_ready
+from repro.util.gcpause import gc_paused
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "BENCH_speed.json"
@@ -154,10 +157,9 @@ def figure_columns() -> List[Column]:
 
 
 @contextmanager
-def _per_size(col: Column, row: dict, engine: str):
+def _per_size(col: Column, row: dict, evaluate):
     yield lambda: [
-        run_point(col.library, col.collective, col.nodes, col.ppn, s,
-                  engine=engine)
+        evaluate(col.library, col.collective, col.nodes, col.ppn, s)
         for s in col.sizes
     ]
 
@@ -242,10 +244,12 @@ def _serve(col: Column, row: dict):
                 proc.wait()
 
 
-#: route name -> context manager; the first five are microbench.ENGINES
+#: route name -> context manager: the engines of microbench.ENGINES
+#: (``auto`` through the sweep runner), ``auto``'s two replays on their
+#: own, and the I/O routes
 ROUTES = {
-    "event": partial(_per_size, engine="event"),
-    "dag": partial(_per_size, engine="dag"),
+    "event": partial(_per_size, evaluate=run_point),
+    "dag": partial(_per_size, evaluate=gc_paused(evaluate_point)),
     "batch": partial(_whole_column, evaluate_sizes=evaluate_column),
     "analytic": partial(_whole_column, evaluate_sizes=evaluate_axis),
     "auto": _auto,

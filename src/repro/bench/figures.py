@@ -12,6 +12,8 @@ Execution goes through :mod:`repro.bench.runner`: every sweep expands into
 declarative :class:`~repro.bench.runner.Point` specs and is submitted to a
 :class:`~repro.bench.runner.SweepRunner` — parallel across a process pool
 and memoized on disk, with results bit-identical to the old serial loops.
+The points ask for the ``auto`` engine (a runner's ``engine=`` overrides
+it); fig01 builds its own event-loop worlds.
 Pass ``runner=`` to control jobs/caching programmatically, or use the
 ``PIPMCOLL_JOBS`` / ``PIPMCOLL_CACHE`` environment knobs (see the runner
 module docs and ``python -m repro.bench.record --help``).
@@ -63,7 +65,8 @@ def _sweep_points(
     nodes: Optional[int] = None,
 ) -> List[Point]:
     return expand_sweep(
-        collective, sizes, libs, nodes or scale.nodes, scale.ppn, params
+        collective, sizes, libs, nodes or scale.nodes, scale.ppn, params,
+        engine="auto",
     )
 
 
@@ -75,7 +78,8 @@ def _node_sweep_points(
     params: Optional[MachineParams],
 ) -> List[Point]:
     return [
-        Point(lib, collective, nodes, scale.ppn, nbytes, params=params)
+        Point(lib, collective, nodes, scale.ppn, nbytes, params=params,
+              engine="auto")
         for nodes in scale.node_sweep
         for lib in libs
     ]

@@ -22,8 +22,9 @@ from repro.hw.topology import Topology
 from repro.mpi.buffer import Buffer
 from repro.mpi.datatypes import SUM
 from repro.mpi.runtime import RankCtx, World
-from repro.sched.fastpath import check_protocol, fastpath_supported
+from repro.sched.fastpath import check_protocol
 from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
+from repro.sched.registry import planner_backed
 from repro.sim.engine import ProcGen
 from repro.sim.trace import Tracer
 from repro.util.gcpause import gc_paused
@@ -40,15 +41,15 @@ COLLECTIVES = (
     "reduce",
 )
 
-#: how a point is evaluated: the coroutine event loop (authoritative), the
-#: DAG fast path (bit-identical, planner-backed pairs only: scatter,
-#: allgather and allreduce of all six libraries), the batch engine
-#: (bit-identical, whole size columns vectorized), the analytic tier
+#: how a point is evaluated: the coroutine event loop (authoritative),
+#: ``auto`` (one of the two exact replays wherever they apply — every
+#: figure point but fig01's p2p worlds — and the event loop otherwise:
+#: the DAG replay of :mod:`repro.sched.fastpath` for a point, the batch
+#: engine of :mod:`repro.sched.batch` for a sweep's multi-size column;
+#: both bit-identical to the event loop), or the analytic tier
 #: (closed-form estimates — approximate, error-bounded, never picked by
-#: ``auto``; see :mod:`repro.sched.analytic`), or ``auto`` (DAG/batch
-#: whenever they apply — every figure point but fig01's p2p worlds —
-#: event loop otherwise)
-ENGINES = ("event", "dag", "batch", "analytic", "auto")
+#: ``auto``; see :mod:`repro.sched.analytic`)
+ENGINES = ("event", "auto", "analytic")
 
 
 def resolve_engine(
@@ -70,7 +71,7 @@ def resolve_engine(
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     if engine == "auto":
         if (not tracing and msg_bytes >= 1
-                and fastpath_supported(library, collective)):
+                and planner_backed(library, collective)):
             return "dag"
         return "event"
     return engine
@@ -226,7 +227,7 @@ def _eval_analytic(library, collective, nodes, ppn, sizes,
 #: ``msg_bytes`` (``params``, ``warmup``, ``measure`` and ``thresholds``
 #: by keyword) and returning :data:`Timing` by size; none can trace.
 #: ``run_point`` passes one size; the sweep runner passes a whole column
-#: to ``batch`` and ``analytic`` (see :mod:`repro.bench.runner.pool`)
+#: to ``batch`` (``auto``'s) and ``analytic`` (see repro.bench.runner.pool)
 _EVALUATORS: Dict[str, Callable[..., Dict[int, Timing]]] = {
     "analytic": _eval_analytic,
     "batch": _eval_batch,
@@ -263,17 +264,13 @@ def run_point(
 
     ``engine`` selects how the point is evaluated (see :data:`ENGINES`).
     ``"event"`` runs the coroutine event loop, the reference every other
-    engine is checked against.  ``"dag"`` replays the compiled schedule
-    on the analytic fast path — bit-identical samples, no coroutines —
-    and only covers planner-backed pairs; it cannot trace.  ``"batch"``
-    routes through the vectorized column engine
-    (:func:`repro.sched.batch.evaluate_column`) — same coverage and
-    bit-identity contract as ``"dag"``; a single point gains nothing over
-    it, the option exists so sweep drivers can thread one engine name end
-    to end.  ``"analytic"`` skips simulation entirely and returns the
-    closed-form estimate (approximate — see :mod:`repro.sched.analytic`
-    for the error contract); ``auto`` never selects it.  ``"auto"``
-    degrades to the event loop instead of raising.
+    engine is checked against.  ``"auto"`` replays the point's compiled
+    schedule on the DAG fast path (:func:`resolve_engine`) — bit-identical
+    samples, no coroutines — and falls back to the event loop for a pair
+    without a planner, an empty message or a tracer.  ``"analytic"``
+    skips simulation entirely and returns the closed-form estimate
+    (approximate — see :mod:`repro.sched.analytic` for the error
+    contract); ``auto`` never selects it, and it cannot trace.
     """
     check_protocol(warmup, measure, (msg_bytes,))
     engine = resolve_engine(

@@ -10,13 +10,14 @@ store under ``.bench_cache/`` (``--no-cache`` to bypass, ``--refresh`` to
 recompute and overwrite-by-append).
 ``--check`` reruns each figure serially with the cache off and asserts the
 parallel/cached series are bit-identical — the determinism guarantee CI
-leans on.  ``--engine dag`` (or ``auto``) evaluates points on the analytic
-DAG fast path instead of the event loop — bit-identical results, several
-times faster on planner-backed sweeps; ``--engine batch`` evaluates whole
-message-size columns in one vectorized pass (bit-identical again, another
-multiple faster on dense axes; ``auto`` picks it by itself for
-planner-backed multi-size columns); ``--cache-stats`` reports cache
-hit/miss/byte counters at the end.
+leans on.  Figure sweeps run on ``auto``: every point of fig06–fig14 is
+planner-backed, so it replays on the DAG fast path, or a sweep's
+multi-size column on the batch engine — bit-identical to the event loop
+and several times faster; fig01 keeps its own event-loop worlds.
+``--engine event`` runs every point on the event loop instead, and
+``--engine analytic`` returns closed-form estimates for the pairs that
+have them; ``--cache-stats`` reports cache hit/miss/byte counters at the
+end.
 
 ``--trace out.json --trace-point LIBRARY/COLLECTIVE/NBYTES`` skips the
 figure sweeps and instead records one steady-state iteration of a single
@@ -46,7 +47,6 @@ from repro.bench.report import format_normalized, format_table
 from repro.bench.runner import SweepRunner
 from repro.bench.runner.pool import _stderr_progress
 from repro.sched.analytic import analytic_supported
-from repro.sched.fastpath import fastpath_supported
 
 __all__ = ["main"]
 
@@ -83,13 +83,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine", default=None, choices=ENGINES,
         help="evaluation engine for every point: the coroutine event loop "
-             "(authoritative), the DAG fast path (bit-identical, "
-             "planner-backed pairs only), batch (bit-identical; whole "
-             "size columns in one vectorized pass), analytic "
-             "(closed-form estimates, approximate), or auto (batch for "
-             "planner-backed multi-size columns, DAG for the rest of its "
-             "coverage); "
-             "default: PIPMCOLL_ENGINE or each point's own setting",
+             "(authoritative), auto (the DAG or batch replay wherever a "
+             "planner covers the pair, bit-identical to the event loop; "
+             "the event loop otherwise), or analytic (closed-form "
+             "estimates, approximate); default: each point's own "
+             "setting, auto for every figure but fig01",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -193,24 +191,16 @@ def main(argv=None) -> int:
     return 0
 
 
-#: the engines that cover only some (library, collective) pairs, each
-#: with its coverage test; the rest evaluate every pair
-_COVERAGE = {
-    "dag": fastpath_supported,
-    "batch": fastpath_supported,
-    "analytic": analytic_supported,
-}
-
-
 def _uncovered(names, scale, engine: Optional[str]) -> List[str]:
     """``figure:LIBRARY/COLLECTIVE`` for every pair of the figures
     ``names`` that its engine (``engine``, or each point's own) cannot
-    evaluate."""
+    evaluate: only ``analytic`` has gaps, since ``auto`` falls back to
+    the event loop."""
     gaps = {}
     for name in names:
         for p in figure_points(name, scale) or ():
-            covers = _COVERAGE.get(engine or p.engine)
-            if covers is not None and not covers(p.library, p.collective):
+            if ((engine or p.engine) == "analytic"
+                    and not analytic_supported(p.library, p.collective)):
                 gaps[f"{name}:{p.library}/{p.collective}"] = None
     return list(gaps)
 

@@ -42,9 +42,9 @@ class Point:
     params: Optional[MachineParams] = None
     thresholds: Optional[Thresholds] = None
     #: evaluation engine (see repro.bench.microbench.ENGINES).  Part of the
-    #: cache key: ``auto`` may resolve differently as fast-path coverage
-    #: grows, so engines never share cached entries even though ``dag``
-    #: and ``batch`` are bit-identical by construction.
+    #: cache key: ``event`` and ``auto`` are bit-identical by contract, and
+    #: keeping their entries apart means a divergence between them cannot
+    #: hide behind the cache.
     engine: str = "event"
 
     def spec_dict(self) -> Dict:

@@ -10,11 +10,11 @@ column's engine once, reads each column from the result cache with one
 :meth:`~repro.bench.runner.cache.ResultCache.get_many` call, and cuts
 the misses into work units:
 
-* a ``batch`` or ``analytic`` column, and the sizes of at least one byte
-  of a planner-backed ``auto`` column that spans two or more of them, are
-  one unit each, evaluated over the whole size axis in one call
-  (:func:`repro.sched.batch.evaluate_column`,
-  :func:`repro.sched.analytic.evaluate_axis`);
+* an ``analytic`` column, and the sizes of at least one byte of a
+  planner-backed ``auto`` column that spans two or more of them, are one
+  unit each, evaluated over the whole size axis in one call
+  (:func:`repro.sched.analytic.evaluate_axis`,
+  :func:`repro.sched.batch.evaluate_column`);
 * every other size is a unit of its own, evaluated by
   :func:`run_point_spec`, so ``jobs=N`` spreads a column of event or DAG
   points across the pool.
@@ -61,7 +61,6 @@ __all__ = [
 _ENV_JOBS = "PIPMCOLL_JOBS"
 _ENV_CACHE = "PIPMCOLL_CACHE"
 _ENV_PROGRESS = "PIPMCOLL_PROGRESS"
-_ENV_ENGINE = "PIPMCOLL_ENGINE"
 
 #: ``progress(done, total, point, source)`` with source in {"run", "cache"}
 ProgressFn = Callable[[int, int, Point, str], None]
@@ -140,7 +139,8 @@ def _column_rows(
 
 #: route -> evaluator of a unit's points, rows in ``points`` order:
 #: ``point`` runs each size through run_point (which resolves ``auto``
-#: itself); ``batch`` and ``analytic`` evaluate the whole size axis at once
+#: itself); ``batch`` (an ``auto`` column's) and ``analytic`` evaluate the
+#: whole size axis at once
 _ROUTES: Dict[str, Callable[[Sequence[Point]], List[MicrobenchResult]]] = {
     "point": _point_rows,
     "batch": partial(_column_rows, "batch"),
@@ -172,8 +172,8 @@ def _column_units(
 ) -> List[SweepUnit]:
     """The work units of one column: ``sizes`` are all of its sizes in the
     sweep, ``missing`` the distinct ones that need evaluation."""
-    if spec.engine in ("batch", "analytic"):
-        route, floor = spec.engine, 0
+    if spec.engine == "analytic":
+        route, floor = "analytic", 0
     elif (spec.engine == "auto"
           and resolve_engine("auto", spec.library, spec.collective) == "dag"
           and len({s for s in sizes if s >= 1}) > 1):
@@ -256,11 +256,10 @@ class SweepRunner:
         ``PIPMCOLL_PROGRESS`` and, when set, prints to stderr.
     engine:
         Force every point onto one evaluation engine (``"event"``,
-        ``"dag"``, ``"batch"``, ``"analytic"`` or ``"auto"``); ``None``
-        reads ``PIPMCOLL_ENGINE`` and,
-        when that is unset too, leaves each point's own ``engine`` field
-        alone.  The override rewrites the points before the cache pass, so
-        it is part of the cache key like any other spec field.
+        ``"auto"`` or ``"analytic"``); ``None`` leaves each point's own
+        ``engine`` field alone.  The override rewrites the points before
+        the cache pass, so it is part of the cache key like any other
+        spec field.
     """
 
     def __init__(
@@ -281,8 +280,6 @@ class SweepRunner:
         if progress is None and _env_flag(_ENV_PROGRESS, False):
             progress = _stderr_progress
         self.progress = progress
-        if engine is None:
-            engine = os.environ.get(_ENV_ENGINE) or None
         if engine is not None and engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
         self.engine = engine

@@ -1,6 +1,6 @@
 """The ``engine="analytic"`` tier: closed-form column evaluation.
 
-The fourth evaluation engine.  Where ``dag`` and ``batch`` replay the
+The approximate engine.  Where ``auto``'s DAG and batch replays run the
 compiled schedule exactly (bit-identical to the event loop), the analytic
 engine never executes a schedule at all: it lowers the registry's
 algorithm selection to the refined closed-form LogGP/Hockney cost
@@ -209,8 +209,11 @@ def evaluate_axis(
         raise ValueError(
             f"no closed-form lowering for {library!r}/{collective!r}"
         )
-    from repro.sched.fastpath import check_protocol
+    from repro.sched.fastpath import canonical_library, check_protocol
 
+    # the replay engines' front check: a library that does not select by
+    # size refuses a thresholds override instead of ignoring it
+    canonical_library(library, collective, thresholds)
     check_protocol(warmup, measure, sizes)
     if not sizes:
         raise ValueError("empty size axis")

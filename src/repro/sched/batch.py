@@ -70,7 +70,7 @@ coroutine machinery, but still pays Python event dispatch once per
 
 The contract is the DAG engine's, inherited transitively: for every size,
 ``evaluate_column``'s samples and message counts are **bit-identical** to
-``run_point(engine="dag")`` (``tests/sched/test_batch.py`` pins this
+``fastpath.evaluate_point``'s (``tests/sched/test_batch.py`` pins this
 across the registry grid, threshold-straddling axes, and randomized
 shapes).  The order-invariance argument lives in
 :mod:`repro.sim.batchline` and DESIGN.md section 2.
@@ -792,7 +792,7 @@ def evaluate_column(
     """
     sizes = list(sizes)
     check_protocol(warmup, measure, sizes)
-    canon, lib = canonical_library(library, collective, thresholds, "batch")
+    canon, lib = canonical_library(library, collective, thresholds)
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ValueError("empty size axis")

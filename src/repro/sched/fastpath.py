@@ -91,7 +91,6 @@ from repro.sim.engine import DeadlockError
 from repro.sim.timeline import Timeline, TimelineEvent
 
 __all__ = [
-    "fastpath_supported",
     "check_protocol",
     "evaluate_point",
     "evaluate_tables",
@@ -107,11 +106,6 @@ class FastpathResult(NamedTuple):
 
     samples: Tuple[float, ...]
     internode_messages: int
-
-
-#: whether the DAG engine covers a (library, collective) pair: exactly
-#: the planner-backed pairs, for a message of at least one byte
-fastpath_supported = planner_backed
 
 
 # ---------------------------------------------------------------------------
@@ -1163,16 +1157,17 @@ def check_protocol(warmup: int, measure: int, sizes=()) -> None:
             )
 
 
-def canonical_library(library: str, collective: str, thresholds,
-                      engine: str) -> Tuple[str, object]:
-    """``(registry name, library)`` for a pair the fast engines cover."""
+def canonical_library(library: str, collective: str,
+                      thresholds) -> Tuple[str, object]:
+    """``(registry name, library)`` for a pair the fast engines cover;
+    refuses ``thresholds`` for a library that does not select by size."""
     from repro.baselines.registry import make_library
 
     if not planner_backed(library, collective):
         raise ValueError(
-            f"engine={engine!r} does not cover ({library!r}, "
-            f"{collective!r}); only planner-backed pairs are supported — "
-            f"use engine='event'"
+            f"the DAG and batch replays cover planner-backed pairs only, "
+            f"not ({library!r}, {collective!r}); run_point(engine='auto') "
+            f"falls back to the event loop"
         )
     canon = canonical_name(library)
     lib = make_library(PLANNER_BACKED[canon][0])
@@ -1191,7 +1186,7 @@ def _prepare(library: str, collective: str, nodes: int, ppn: int,
 
     Without ``lowered`` the point is planned and lowered here.
     """
-    canon, lib = canonical_library(library, collective, thresholds, "dag")
+    canon, lib = canonical_library(library, collective, thresholds)
     if lowered is None:
         point = (msg_bytes,)
         planned = plan_for(

@@ -246,6 +246,13 @@ def column_from_doc(doc: dict) -> Tuple[ColumnSpec, List[int]]:
             raise ServeError("bad-request", f"unknown collective "
                                             f"{collective!r}; known: "
                                             f"{list(COLLECTIVES)}")
+        if engine == "analytic":  # the one engine with coverage gaps
+            from repro.sched.analytic import analytic_supported
+
+            if not analytic_supported(library, collective):
+                raise ServeError("bad-request", f"engine 'analytic' does "
+                                                f"not cover {entry[0]}/"
+                                                f"{collective}")
         spec = ColumnSpec(
             # the registry spelling: every engine takes it, and a column
             # is cached under one key however the caller spelled it

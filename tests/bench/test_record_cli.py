@@ -74,12 +74,46 @@ def test_unknown_scale_rejected(capsys):
         main(["--figures", "fig06", "--scale", "galactic"])
 
 
-@pytest.mark.parametrize("engine", ("native", "native-batch"))
+@pytest.mark.parametrize("engine", ("native", "native-batch", "dag", "batch"))
 def test_removed_engine_rejected(engine, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--figures", "fig06", "--scale", "small", "--engine", engine])
     assert exc.value.code == 2
     assert f"invalid choice: {engine!r}" in capsys.readouterr().err
+
+
+def test_figure_sweeps_replay_without_the_event_loop(monkeypatch, capsys):
+    """Figure points ask for ``auto``, and every fig06-fig14 pair is
+    planner-backed, so no figure point runs on the event loop unless
+    ``--engine event`` asks for it; the tables are the same either way."""
+    from repro.bench.config import SCALES
+    from repro.bench.figures import ALL_FIGURES, figure_points
+    from repro.mpi.runtime import World
+
+    for name in ALL_FIGURES:
+        points = figure_points(name, SCALES["small"])
+        assert points is None or {p.engine for p in points} == {"auto"}
+    runs = []
+    run = World.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(World, "run", counting_run)
+    argv = ["--figures", "fig06,fig09", "--scale", "small", "--jobs", "1",
+            "--no-cache"]
+
+    def tables():
+        return [line for line in capsys.readouterr().out.splitlines()
+                if "done in" not in line]
+
+    assert main(argv) == 0
+    assert runs == []
+    auto = tables()
+    assert main(argv + ["--engine", "event"]) == 0
+    assert runs
+    assert tables() == auto
 
 
 def test_engine_coverage_gap_exits_2_before_any_point_runs(capsys):

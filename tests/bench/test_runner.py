@@ -11,7 +11,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.microbench import MicrobenchResult, run_point
+from repro.bench.microbench import (
+    ENGINES,
+    MicrobenchResult,
+    resolve_engine,
+    run_point,
+)
 from repro.bench.runner import (
     Point,
     ResultCache,
@@ -24,6 +29,7 @@ from repro.bench.runner.cache import column_key
 from repro.bench.runner.points import column_of
 from repro.bench.runner.pool import (
     SweepUnit,
+    plan_sweep,
     run_point_spec,
     run_sweep_column_stats,
 )
@@ -143,8 +149,8 @@ def test_cache_key_distinguishes_every_spec_field(tmp_path):
         Point("PiP-MColl", "allreduce", 2, 2, 128),
         Point("PiP-MColl", "allreduce", 2, 2, 64, warmup=2),
         Point("PiP-MColl", "allreduce", 2, 2, 64, measure=3),
-        Point("PiP-MColl", "allreduce", 2, 2, 64, engine="dag"),
         Point("PiP-MColl", "allreduce", 2, 2, 64, engine="auto"),
+        Point("PiP-MColl", "allreduce", 2, 2, 64, engine="analytic"),
         Point(
             "PiP-MColl", "allreduce", 2, 2, 64,
             params=bebop_broadwell().with_overrides(
@@ -275,9 +281,10 @@ def test_worker_function_pickles_by_qualified_name():
 
 # -- column routing: the batch engine through the runner ------------------
 
-#: one batch column: 4 sizes of one (library, collective, shape)
+#: one ``auto`` column that the batch engine evaluates: 4 sizes of one
+#: planner-backed (library, collective, shape)
 COLUMN_POINTS = [
-    Point("PiP-MColl", "allgather", 2, 2, s, engine="batch")
+    Point("PiP-MColl", "allgather", 2, 2, s, engine="auto")
     for s in (64, 1024, 16384, 65536)
 ]
 #: the column as one work unit of the sweep worker's batch route
@@ -285,14 +292,23 @@ COLUMN_UNIT = SweepUnit("batch", tuple(COLUMN_POINTS))
 
 
 def _dag_reference(points):
+    """Each point's row from the DAG replay, which ``auto`` runs for a
+    single planner-backed point."""
+    assert all(resolve_engine("auto", p.library, p.collective,
+                              msg_bytes=p.msg_bytes) == "dag"
+               for p in points)
     return [
         run_point(p.library, p.collective, p.nodes, p.ppn, p.msg_bytes,
-                  warmup=p.warmup, measure=p.measure, engine="dag")
+                  warmup=p.warmup, measure=p.measure, engine="auto")
         for p in points
     ]
 
 
 def test_batch_column_through_runner_identical_to_dag(tmp_path):
+    (planned,) = plan_sweep([(column_of(COLUMN_POINTS[0]),
+                              [p.msg_bytes for p in COLUMN_POINTS])])
+    assert [(u.route, len(u.points)) for u in planned.units] \
+        == [("batch", len(COLUMN_POINTS))]
     got = SweepRunner(jobs=1, use_cache=False).run(COLUMN_POINTS)
     for g, ref in zip(got, _dag_reference(COLUMN_POINTS)):
         assert g.samples == ref.samples
@@ -384,7 +400,7 @@ def test_analytic_column_is_one_evaluate_axis_call(monkeypatch):
 
 def test_parallel_column_execution_identical(tmp_path):
     pts = COLUMN_POINTS + [
-        Point("PiP-MPICH", "allgather", 2, 2, s, engine="batch")
+        Point("PiP-MPICH", "allgather", 2, 2, s, engine="auto")
         for s in (64, 1024)
     ]
     serial = SweepRunner(jobs=1, use_cache=False).run(pts)
@@ -399,7 +415,7 @@ def test_lowering_counters_aggregate_across_column_work_units(jobs):
     from repro.sched.batch import lowering_cache_info
 
     pts = COLUMN_POINTS + [
-        Point("PiP-MPICH", "allgather", 2, 2, s, engine="batch")
+        Point("PiP-MPICH", "allgather", 2, 2, s, engine="auto")
         for s in (64, 1024, 16384)
     ]
     runner = SweepRunner(jobs=jobs, use_cache=False)
@@ -477,23 +493,27 @@ def test_column_key_groups_by_everything_but_size():
     assert a.msg_bytes != b.msg_bytes
     assert column_key(a) == column_key(b)
     for variant in (
-        Point("PiP-MPICH", "allgather", 2, 2, 64, engine="batch"),
-        Point("PiP-MColl", "allreduce", 2, 2, 64, engine="batch"),
-        Point("PiP-MColl", "allgather", 4, 2, 64, engine="batch"),
-        Point("PiP-MColl", "allgather", 2, 2, 64, engine="auto"),
-        Point("PiP-MColl", "allgather", 2, 2, 64, engine="batch", warmup=2),
-        Point("PiP-MColl", "allgather", 2, 2, 64, engine="batch",
+        Point("PiP-MPICH", "allgather", 2, 2, 64, engine="auto"),
+        Point("PiP-MColl", "allreduce", 2, 2, 64, engine="auto"),
+        Point("PiP-MColl", "allgather", 4, 2, 64, engine="auto"),
+        Point("PiP-MColl", "allgather", 2, 2, 64, engine="event"),
+        Point("PiP-MColl", "allgather", 2, 2, 64, engine="auto", warmup=2),
+        Point("PiP-MColl", "allgather", 2, 2, 64, engine="auto",
               thresholds=Thresholds.always_small()),
     ):
         assert column_key(variant) != column_key(a), variant
 
 
 def test_cache_key_distinct_per_engine_including_batch():
+    """Every engine keys its rows apart, and so do the ``dag`` and
+    ``batch`` rows a store may hold from when those were engine names:
+    no stored row of a removed name can serve an ``auto`` lookup."""
+    engines = ENGINES + ("dag", "batch")
     keys = {
         cache_key(Point("PiP-MColl", "allgather", 2, 2, 64, engine=e))
-        for e in ("event", "dag", "batch", "auto")
+        for e in engines
     }
-    assert len(keys) == 4
+    assert len(keys) == len(engines)
 
 
 def test_repeated_sweep_lowers_the_same_work_again():
@@ -533,15 +553,24 @@ def test_jobs_env_knob(monkeypatch):
         SweepRunner(use_cache=False)
 
 
-@pytest.mark.parametrize("engine", ("fast", "native", "native-batch"))
-def test_unknown_engine_rejected_by_runner_and_env(monkeypatch, engine):
+@pytest.mark.parametrize(
+    "engine", ("fast", "native", "native-batch", "dag", "batch"))
+def test_unknown_engine_rejected_by_runner(engine):
     """Removed engine names are unknown, never aliased: ``Point.engine``
-    is part of the cache key, so an alias would fork keys."""
+    is part of the cache key, so an alias would fork keys.  ``dag`` and
+    ``batch`` are the replays ``auto`` chooses between, not names."""
     with pytest.raises(ValueError, match=f"unknown engine {engine!r}"):
         SweepRunner(jobs=1, use_cache=False, engine=engine)
-    monkeypatch.setenv("PIPMCOLL_ENGINE", engine)
+
+
+@pytest.mark.parametrize("engine", ("dag", "batch"))
+def test_point_naming_a_replay_fails_when_it_runs(engine):
+    """A ``Point`` is a plain value and takes any engine string, but
+    evaluating one that names a replay raises like any unknown name."""
+    points = [Point("PiP-MColl", "allgather", 2, 2, s, engine=engine)
+              for s in (64, 1024)]
     with pytest.raises(ValueError, match=f"unknown engine {engine!r}"):
-        SweepRunner(jobs=1, use_cache=False)
+        SweepRunner(jobs=1, use_cache=False).run(points)
 
 
 def test_cache_env_knob(monkeypatch, tmp_path):

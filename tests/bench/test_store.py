@@ -32,7 +32,7 @@ from repro.bench.runner.store import ShardStore
 
 AXIS = (64, 1024, 16384, 65536)
 POINTS = [
-    Point("PiP-MColl", "allgather", 2, 2, s, engine="batch") for s in AXIS
+    Point("PiP-MColl", "allgather", 2, 2, s, engine="auto") for s in AXIS
 ]
 #: the column as one work unit of the sweep worker's batch route
 UNIT = SweepUnit("batch", tuple(POINTS))

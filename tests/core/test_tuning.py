@@ -13,11 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.bench.microbench import ENGINES, run_point
 from repro.bench.runner import Point
 from repro.bench.runner.cache import cache_key
 from repro.core.tuning import Thresholds
 from repro.serve.protocol import ServeError, column_from_doc, column_to_doc
+from tests.helpers import EVERY_ENGINE, evaluate_on
 
 FIELDS = ("allgather_large_bytes", "allreduce_large_bytes")
 BAD = (float("nan"), float("inf"), 64.5, 65536.0, True, False, -1, "65536",
@@ -44,11 +44,11 @@ def test_integer_types_are_stored_as_python_ints():
         == 10**30
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", EVERY_ENGINE)
 def test_numpy_threshold_evaluates_like_the_int_on_every_engine(engine):
-    args = ("PiP-MColl", "allgather", 2, 4, 65536)
-    assert run_point(*args, thresholds=_numpy_default(), engine=engine) \
-        == run_point(*args, thresholds=Thresholds(), engine=engine)
+    args = (engine, "PiP-MColl", "allgather", 2, 4, 65536)
+    assert evaluate_on(*args, thresholds=_numpy_default()) \
+        == evaluate_on(*args, thresholds=Thresholds())
 
 
 def test_equal_thresholds_share_one_cache_key():

@@ -1,9 +1,11 @@
-"""Shared helpers for collective-algorithm correctness tests."""
+"""Shared helpers for collective-algorithm correctness tests and for
+checks that must hold on every engine."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.microbench import ENGINES, run_point
 from repro.hw import Topology, tiny_test_machine
 from repro.mpi import DOUBLE, Buffer, World
 from repro.mpi.collectives import Group
@@ -39,3 +41,27 @@ def alloc_outputs(world: World, count: int) -> list[Buffer]:
 def gathered_matrix(inputs: list[Buffer]) -> np.ndarray:
     """Concatenation of all rank inputs (allgather ground truth)."""
     return np.concatenate([b.array() for b in inputs])
+
+
+#: every engine a point can reach: the names ``run_point`` takes, and the
+#: two exact replays ``auto`` chooses between, called directly
+EVERY_ENGINE = ENGINES + ("dag", "batch")
+
+
+def evaluate_on(engine: str, library: str, collective: str, nodes: int,
+                ppn: int, msg_bytes, **kw):
+    """One point's ``(samples, internode_messages)`` on ``engine`` of
+    :data:`EVERY_ENGINE`; keywords as :func:`run_point` takes them."""
+    if engine == "dag":
+        from repro.sched.fastpath import evaluate_point
+
+        r = evaluate_point(library, collective, nodes, ppn, msg_bytes, **kw)
+    elif engine == "batch":
+        from repro.sched.batch import evaluate_column
+
+        (r,) = evaluate_column(library, collective, nodes, ppn, [msg_bytes],
+                               **kw).results.values()
+    else:
+        r = run_point(library, collective, nodes, ppn, msg_bytes,
+                      engine=engine, **kw)
+    return tuple(r.samples), r.internode_messages

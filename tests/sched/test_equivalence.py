@@ -24,6 +24,7 @@ from repro.hw.topology import Topology
 from repro.mpi.buffer import Buffer
 from repro.mpi.datatypes import SUM
 from repro.sched import batch
+from repro.sched.fastpath import evaluate_point
 from repro.sched.registry import PLANNER_BACKED, planner_backed
 
 _GOLDEN = json.loads(
@@ -108,13 +109,12 @@ _FAST_GOLDEN = [
 
 @pytest.mark.parametrize("point", _FAST_GOLDEN, ids=_label)
 def test_dag_reproduces_golden_point(point):
-    result = run_point(
+    result = evaluate_point(
         point["library"],
         point["collective"],
         point["nodes"],
         point["ppn"],
         point["msg_bytes"],
-        engine="dag",
     )
     assert list(result.samples) == point["samples"]
     assert result.internode_messages == point["internode_messages"]

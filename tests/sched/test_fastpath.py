@@ -1,8 +1,9 @@
 """Cross-engine equivalence: the DAG fast path vs the event loop.
 
 The fast path's whole contract is *bit-identical* timing: for every
-planner-backed (library, collective) pair, ``engine="dag"`` must reproduce
-the event loop's samples and message counts exactly — same floats, not
+planner-backed (library, collective) pair, the DAG replay
+(:func:`evaluate_point`, which ``auto`` runs) must reproduce the event
+loop's samples and message counts exactly — same floats, not
 "close" floats — across the full registry grid and randomized shapes.
 Anything less means the analytic evaluator serviced some resource queue in
 a different order than the event loop would have, which is precisely the
@@ -13,16 +14,14 @@ import random
 
 import pytest
 
+import repro.bench.microbench as microbench
 from repro.bench.microbench import resolve_engine, run_point
 from repro.sched.check import check_planned
-from repro.sched.fastpath import (
-    evaluate_point,
-    evaluate_tables,
-    fastpath_supported,
-)
+from repro.sched.fastpath import evaluate_point, evaluate_tables
 from repro.sched.registry import (
     PLANNER_BACKED,
     plan_for,
+    planner_backed,
     planner_cache_info,
     registry_combinations,
 )
@@ -34,11 +33,12 @@ SIZES = (512, 32768, 131072)
 def _assert_point_identical(lib, coll, nodes, ppn, nbytes, **kw):
     name = PLANNER_BACKED[lib][0]
     event = run_point(name, coll, nodes, ppn, nbytes, engine="event", **kw)
-    dag = run_point(name, coll, nodes, ppn, nbytes, engine="dag", **kw)
+    # the replay itself, not auto: an uncovered pair raises instead of
+    # falling back to the event loop
+    dag = evaluate_point(name, coll, nodes, ppn, nbytes, **kw)
     label = f"{lib}/{coll} {nodes}x{ppn} {nbytes}B"
     assert dag.samples == event.samples, label
     assert dag.internode_messages == event.internode_messages, label
-    assert dag == event, label
 
 
 # -- the acceptance grid: every registry pair x shapes x sizes ------------
@@ -96,7 +96,9 @@ def test_auto_resolves_to_dag_only_where_supported():
         == "event"
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("fast", "PiP-MColl", "allreduce")
-    for removed in ("native", "native-batch"):
+    # removed names are unknown, not aliased: the JIT tiers, and the two
+    # replays auto chooses between
+    for removed in ("native", "native-batch", "dag", "batch"):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine(removed, "PiP-MColl", "allreduce")
         with pytest.raises(ValueError, match="unknown engine"):
@@ -105,25 +107,39 @@ def test_auto_resolves_to_dag_only_where_supported():
 
 def test_fastpath_supported_matches_registry():
     for lib, coll in registry_combinations():
-        assert fastpath_supported(PLANNER_BACKED[lib][0], coll)
-    assert not fastpath_supported("MVAPICH2", "bcast")
-    assert not fastpath_supported("PiP-MPICH", "alltoall")
-    assert not fastpath_supported("PiP-MColl", "bcast")
+        assert planner_backed(PLANNER_BACKED[lib][0], coll)
+    assert not planner_backed("MVAPICH2", "bcast")
+    assert not planner_backed("PiP-MPICH", "alltoall")
+    assert not planner_backed("PiP-MColl", "bcast")
 
 
 def test_dag_engine_rejects_unsupported_pairs():
-    with pytest.raises(ValueError, match="planner-backed"):
-        run_point("MVAPICH2", "bcast", 2, 2, 512, engine="dag")
-    with pytest.raises(ValueError, match="planner-backed"):
-        evaluate_point("PiP-MPICH", "gather", 2, 2, 512)
+    for library, collective in (("MVAPICH2", "bcast"),
+                                ("PiP-MPICH", "gather")):
+        with pytest.raises(ValueError, match="planner-backed") as err:
+            evaluate_point(library, collective, 2, 2, 512)
+        # the error points at the engine that covers every pair
+        assert "engine='auto'" in str(err.value)
 
 
-def test_dag_engine_rejects_tracing():
+def test_auto_traces_on_the_event_loop(monkeypatch):
+    """The replays cannot trace, so ``auto`` with a tracer never reaches
+    them: it runs the event loop and records its spans.  (``analytic``
+    refuses a tracer: ``test_analytic.py``.)"""
     from repro.sim.trace import Tracer
 
-    with pytest.raises(ValueError, match="trace"):
-        run_point("PiP-MColl", "allreduce", 2, 2, 512, engine="dag",
-                  tracer=Tracer())
+    def no_replay(*args, **kwargs):  # pragma: no cover - fails the test
+        raise AssertionError("a traced point reached the DAG replay")
+
+    reference = Tracer()
+    want = run_point("PiP-MColl", "allreduce", 2, 2, 512, engine="event",
+                     tracer=reference)
+    monkeypatch.setattr(microbench, "_dag_evaluate_point", no_replay)
+    traced = Tracer()
+    got = run_point("PiP-MColl", "allreduce", 2, 2, 512, engine="auto",
+                    tracer=traced)
+    assert got == want
+    assert traced.events and traced.events == reference.events
 
 
 def test_auto_degrades_to_event_instead_of_raising():
@@ -138,8 +154,8 @@ def test_dag_engine_honours_threshold_overrides():
     kw = dict(thresholds=Thresholds.always_large())
     _assert_point_identical("pip-mcoll", "allreduce", 2, 2, 512, **kw)
     with pytest.raises(ValueError, match="thresholds"):
-        run_point("PiP-MPICH", "allgather", 2, 2, 512, engine="dag",
-                  thresholds=Thresholds())
+        evaluate_point("PiP-MPICH", "allgather", 2, 2, 512,
+                       thresholds=Thresholds())
 
 
 def test_dag_engine_requires_measured_iteration():
@@ -152,9 +168,9 @@ def test_dag_engine_requires_measured_iteration():
 
 def test_repeated_points_do_not_replan():
     spec = ("PiP-MColl", "allreduce", 3, 2, 7168)
-    run_point(*spec, engine="dag")  # plans on first sight (or earlier test)
+    evaluate_point(*spec)  # plans on first sight (or earlier test)
     before = planner_cache_info()
-    run_point(*spec, engine="dag")
+    evaluate_point(*spec)
     run_point(*spec, engine="event")  # executor wrappers share the caches
     after = planner_cache_info()
     assert set(after) == set(before) and len(after) == 9

@@ -160,7 +160,7 @@ def test_no_lowering_outlives_its_evaluation():
     assert lowerings_alive() == 0
     points = [Point("PiP-MColl", "allgather", 2, 2, s, engine="auto")
               for s in SIZES]
-    points.append(Point("PiP-MColl", "scatter", 2, 2, 512, engine="dag"))
+    points.append(Point("PiP-MColl", "scatter", 2, 2, 512, engine="auto"))
     runner = SweepRunner(jobs=1, use_cache=False)
     runner.run(points)
     assert runner.lowering_totals()["units"] == 2
@@ -247,7 +247,7 @@ def test_evaluations_run_paused(monkeypatch):
         return dag(*args, **kwargs)
 
     monkeypatch.setattr(microbench, "_dag_evaluate_point", spy_dag)
-    run_point("PiP-MColl", "allgather", 2, 2, 512, engine="dag")
+    run_point("PiP-MColl", "allgather", 2, 2, 512, engine="auto")
     plan_column = batch_mod.plan_column
 
     def spy_plan(*args, **kwargs):

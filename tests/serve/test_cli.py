@@ -141,7 +141,7 @@ def test_daemon_exits_nonzero_naming_rows_it_could_not_publish(tmp_path):
         "src" + os.pathsep + env["PYTHONPATH"]
         if env.get("PYTHONPATH") else "src"
     )
-    points = [Point("PiP-MColl", "allgather", 2, 4, s, engine="batch")
+    points = [Point("PiP-MColl", "allgather", 2, 4, s, engine="auto")
               for s in (64, 512, 4096)]
     with subprocess.Popen(
         [sys.executable, "-m", "repro.serve", "--listen", sock,

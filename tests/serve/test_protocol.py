@@ -57,7 +57,7 @@ def test_point_round_trips_including_params_and_thresholds():
     points = [
         Point("PiP-MColl", "allgather", 2, 4, 512, engine="auto"),
         Point("PiP-MColl", "allreduce", 4, 8, 65536, warmup=2, measure=3,
-              params=tiny_test_machine(), engine="batch"),
+              params=tiny_test_machine(), engine="analytic"),
         Point("PiP-MColl", "allgather", 2, 2, 1024,
               thresholds=Thresholds.always_small(), engine="event"),
         # zero bytes and zero warm-up are valid: the event engine answers
@@ -111,7 +111,7 @@ def test_invalid_machine_params_rejected_at_the_front_door(field, value):
     """Parameters are validated when the column is decoded, so a NaN or
     negative rate never reaches an engine or the result cache."""
     doc = column_to_doc(Point("PiP-MColl", "allgather", 2, 2, 64,
-                              params=tiny_test_machine(), engine="dag"),
+                              params=tiny_test_machine(), engine="auto"),
                         [64, 70_000])
     doc["params"][field] = value
     with pytest.raises(ServeError) as err:
@@ -124,13 +124,29 @@ def test_unknown_engine_rejected_at_the_front_door():
     """Engine names are validated once, at the daemon entry, with the
     same message the SweepRunner constructor uses — a bad name must not
     surface as an ``internal`` error from deep inside a worker.  The
-    removed JIT engine names are unknown, not aliased."""
-    for engine in ("fast", "native", "native-batch"):
+    removed JIT engine names are unknown, not aliased, and so are the two
+    replays ``auto`` chooses between."""
+    for engine in ("fast", "native", "native-batch", "dag", "batch"):
         with pytest.raises(ServeError) as err:
             column_from_doc(_column_doc(engine=engine))
         assert err.value.code == "bad-request"
         assert f"unknown engine {engine!r}" in err.value.message
         assert "known:" in err.value.message
+
+
+def test_uncovered_analytic_column_rejected_at_the_front_door():
+    """Only ``analytic`` has coverage gaps; a column outside its closed
+    forms is refused when decoded, under any spelling of the library."""
+    for library in ("OpenMPI", "openmpi"):
+        with pytest.raises(ServeError) as err:
+            column_from_doc(_column_doc(library=library, engine="analytic"))
+        assert err.value.code == "bad-request"
+        assert "'analytic' does not cover OpenMPI/allreduce" \
+            in err.value.message
+    spec, _ = column_from_doc(_column_doc(engine="analytic"))
+    assert (spec.library, spec.engine) == ("PiP-MColl", "analytic")
+    # the other engines cover every pair (auto through the event loop)
+    assert column_from_doc(_column_doc(library="OpenMPI"))[0].engine == "auto"
 
 
 def test_library_spelling_becomes_the_registry_name_at_the_front_door():
@@ -281,7 +297,7 @@ def _row(size, time):
 
 def test_encoded_rows_are_never_stale_and_die_with_their_row(tmp_path):
     cache = ResultCache(tmp_path)
-    point = Point("PiP-MColl", "allgather", 2, 4, 64, engine="batch")
+    point = Point("PiP-MColl", "allgather", 2, 4, 64, engine="auto")
     cache.put(point, _row(64, 1.0))
     old = cache.get(point)
     blob = encoded_result(old)

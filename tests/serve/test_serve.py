@@ -23,6 +23,7 @@ from repro.bench.runner import Point, ResultCache, SweepRunner
 from repro.bench.runner.points import column_of
 from repro.bench.runner.pool import plan_sweep
 from repro.bench.runner.store import ShardStore
+from repro.core.tuning import Thresholds
 from repro.hw.params import bebop_broadwell
 from repro.serve import ServeError, SweepClient, SweepDaemon, wait_until_ready
 from repro.serve.protocol import (
@@ -36,7 +37,7 @@ from repro.serve.protocol import (
 AXIS = (64, 1024, 16384)
 
 
-def column(sizes=AXIS, collective="allgather", engine="batch"):
+def column(sizes=AXIS, collective="allgather", engine="auto"):
     return [
         Point("PiP-MColl", collective, 2, 4, s, engine=engine)
         for s in sizes
@@ -120,10 +121,10 @@ class DaemonThread:
 
 
 def test_sweep_bit_identical_to_runner_across_engines(tmp_path):
-    # a batch column, auto points (upgraded to the column route on both
-    # fronts), and a scalar event point — the full routing surface
+    # auto columns (upgraded to the column route on both fronts) and a
+    # scalar event point — the full routing surface
     points = (
-        column(engine="batch")
+        column()
         + [Point("PiP-MColl", "allreduce", 2, 4, s, engine="auto")
            for s in (512, 8192)]
         + [Point("OpenMPI", "allgather", 2, 2, 1024, engine="event")]
@@ -142,13 +143,9 @@ def _sizes(library, collective, engine, sizes):
 #: one sweep's columns, each with the work units (route, width) the
 #: shared plan cuts it into when nothing is cached
 PLAN_TABLE = [
-    # event and DAG columns: one unit per size, so jobs=N spreads them
+    # an event column: one unit per size, so jobs=N spreads them
     (_sizes("PiP-MColl", "allgather", "event", (64, 1024, 16384)),
      [("point", 1)] * 3),
-    (_sizes("PiP-MPICH", "allreduce", "dag", (64, 4096)),
-     [("point", 1)] * 2),
-    # a batch column is one unit, even at one size
-    (_sizes("PiP-MColl", "scatter", "batch", (512,)), [("batch", 1)]),
     # an analytic column is one evaluate_axis call
     (_sizes("OpenMPI", "allgather", "analytic", (64, 1024, 16384)),
      [("analytic", 3)]),
@@ -159,7 +156,7 @@ PLAN_TABLE = [
     # alltoall has no planner: auto runs it size by size
     (_sizes("PiP-MColl", "alltoall", "auto", (64, 1024)),
      [("point", 1)] * 2),
-    # one auto size gains nothing from a batch pass
+    # one auto size gains nothing from a batch pass: the DAG runs it
     (_sizes("IntelMPI", "allgather", "auto", (2048,)), [("point", 1)]),
 ]
 
@@ -290,7 +287,7 @@ def test_sweep_response_wire_shape(tmp_path):
     library in its registry spelling) and one ``[time, samples,
     internode_messages]`` fragment per requested size, in order; then the
     echoed ``id``."""
-    first = column((1024, 64, 1024), engine="dag")
+    first = column((1024, 64, 1024))
     second = [Point("OpenMPI", "allgather", 2, 2, 512, engine="event")]
     request = sweep_doc(first, second, id="req-7")
     request["columns"][0]["library"] = "pip_mcoll"
@@ -574,7 +571,8 @@ def test_failed_publish_fails_no_sweep(tmp_path, monkeypatch, capsys):
     answers it as an error; once the disk recovers the rows land."""
     attempts, recover = failing_publishes(monkeypatch, errno.ENOSPC)
     cache = ResultCache(tmp_path / "serve_cache", flush_threshold=2)
-    points = column(engine="dag")
+    # per-size units: three evaluations, three puts
+    points = column(engine="event")
     with DaemonThread(tmp_path, cache=cache,
                       flush_interval=3600.0) as harness:
         with harness.client() as client:
@@ -802,7 +800,7 @@ def test_invalid_machine_params_answer_bad_request(tmp_path):
         with harness.client() as client:
             for size in (64, 70_000):
                 point = Point("PiP-MColl", "allgather", 2, 2, size,
-                              params=params, engine="dag")
+                              params=params, engine="auto")
                 with pytest.raises(ServeError) as err:
                     client.sweep([point])
                 assert err.value.code == "bad-request"
@@ -811,16 +809,33 @@ def test_invalid_machine_params_answer_bad_request(tmp_path):
 
 
 def test_evaluation_failure_reports_internal_not_a_hang(tmp_path):
-    # a well-formed spec the DAG engine cannot evaluate: it fails inside
-    # the worker, not at the front door
-    bad = [Point("MVAPICH2", "bcast", 2, 4, 512, engine="dag")]
+    # a well-formed spec no engine can evaluate: OpenMPI has no size
+    # thresholds to override, which the worker finds, not the front door
+    bad = [Point("OpenMPI", "allgather", 2, 4, 512, engine="event",
+                 thresholds=Thresholds(allgather_large_bytes=32))]
     with DaemonThread(tmp_path) as harness:
         with harness.client() as client:
             with pytest.raises(ServeError) as err:
                 client.sweep(bad)
             assert err.value.code == "internal"
-            assert "planner-backed" in err.value.message
+            assert "no size thresholds" in err.value.message
             assert client.ping()["pid"] > 0  # daemon is still healthy
+
+
+def test_uncovered_analytic_column_answers_bad_request(tmp_path):
+    """``analytic`` is the one engine with coverage gaps: a column
+    outside its closed forms is refused at the door, as ``record.py``
+    refuses it, instead of failing inside a worker."""
+    bad = [Point("OpenMPI", "allreduce", 2, 4, s, engine="analytic")
+           for s in (64, 1024)]
+    with DaemonThread(tmp_path) as harness:
+        with harness.client() as client:
+            with pytest.raises(ServeError) as err:
+                client.sweep(bad)
+            assert err.value.code == "bad-request"
+            assert "'analytic' does not cover OpenMPI/allreduce" \
+                in err.value.message
+            assert client.stats()["daemon"]["evaluations"] == 0
 
 
 def test_request_id_is_echoed(tmp_path):
