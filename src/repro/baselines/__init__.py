@@ -4,8 +4,6 @@ from repro.baselines.base import MpiLibrary
 from repro.baselines.hierarchical import (
     hier_allgather,
     hier_allreduce,
-    hier_bcast,
-    hier_reduce,
     hier_scatter,
     leader_group,
     node_group,
@@ -22,8 +20,6 @@ __all__ = [
     "MpiLibrary",
     "hier_allgather",
     "hier_allreduce",
-    "hier_bcast",
-    "hier_reduce",
     "hier_scatter",
     "leader_group",
     "node_group",

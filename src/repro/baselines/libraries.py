@@ -15,6 +15,10 @@ overhead.  Algorithm selections follow the libraries' published defaults:
   with the leanest software stack of the four (it is generally the fastest
   baseline in the paper's figures).
 
+Each family writes its selection once, as :meth:`select`; the collective
+methods of :class:`~repro.baselines.base.MpiLibrary` and the schedule
+registry both read it.
+
 The ``software_overhead`` constants are calibration levers, not published
 numbers: they encode relative per-call path lengths so the baseline
 ordering matches the paper's figures.
@@ -22,141 +26,74 @@ ordering matches the paper's figures.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.baselines.base import MpiLibrary
-from repro.baselines.hierarchical import (
-    hier_allgather,
-    hier_allreduce,
-    hier_bcast,
-    hier_reduce,
-    hier_scatter,
+from repro.baselines.base import MpiLibrary, Selection
+from repro.sched.plans.baseline import mpich_select, plan_group
+from repro.sched.plans.hierarchical import (
+    COMPOSE_TAGS,
+    FAN_IN_TAGS,
+    FAN_OUT_TAGS,
+    plan_hier_allgather,
+    plan_hier_allreduce,
+    plan_hier_bcast,
+    plan_hier_reduce,
+    plan_hier_scatter,
 )
-from repro.mpi.buffer import Buffer
-from repro.mpi.collectives import (
-    alltoall_bruck,
-    alltoall_pairwise,
-    barrier_dissemination,
-    bcast_binomial,
-    gather_binomial,
-    reduce_binomial,
-    scatter_binomial,
-)
-from repro.mpi.collectives.group import Group
-from repro.mpi.collectives.scheduled import run_group
-from repro.mpi.datatypes import ReduceOp
-from repro.mpi.runtime import RankCtx
-from repro.sched.plans.baseline import mpich_allgather, mpich_allreduce
 from repro.shmem import HybridMechanism, KernelCopy, PipShmem, PosixShmem
-from repro.sim.engine import ProcGen
 from repro.util.units import KB
 
 __all__ = ["PiPMPICH", "OpenMPI", "MVAPICH2", "IntelMPI"]
 
 _US = 1e-6
 
-
-def _mpich_alltoall(ctx: RankCtx, group: Group, sendbuf: Buffer,
-                    recvbuf: Buffer) -> ProcGen:
-    """MPICH's default alltoall selection (Bruck for short blocks)."""
-    block_bytes = (sendbuf.nbytes // group.size) if group.size else 0
-    if block_bytes <= 256 and group.size >= 8:
-        yield from alltoall_bruck(ctx, group, sendbuf, recvbuf)
-    else:
-        yield from alltoall_pairwise(ctx, group, sendbuf, recvbuf)
+#: rooted collectives: their group plans take the root's group index
+_ROOTED = ("scatter", "bcast", "gather", "reduce")
 
 
 class _FlatLibrary(MpiLibrary):
     """Classical flat algorithms over the whole communicator."""
 
-    def scatter(self, ctx: RankCtx, sendbuf: Optional[Buffer],
-                recvbuf: Buffer, root: int = 0) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from scatter_binomial(
-            ctx, self.world_group(ctx), sendbuf, recvbuf, root
-        )
-
-    def allgather(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
-        yield from self._enter(ctx)
-        group = self.world_group(ctx)
-        yield from run_group(
-            ctx, group, mpich_allgather(group.size, recvbuf.nbytes),
-            {"send": sendbuf, "recv": recvbuf}, sendbuf.count,
-        )
-
-    def allreduce(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer,
-                  op: ReduceOp) -> ProcGen:
-        yield from self._enter(ctx)
-        group = self.world_group(ctx)
-        yield from run_group(
-            ctx, group, mpich_allreduce(group.size, sendbuf.nbytes),
-            {"send": sendbuf, "recv": recvbuf}, sendbuf.count, op=op,
-        )
-
-    def alltoall(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from _mpich_alltoall(ctx, self.world_group(ctx), sendbuf, recvbuf)
-
-    def bcast(self, ctx: RankCtx, buf: Buffer, root: int = 0) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from bcast_binomial(ctx, self.world_group(ctx), buf, root)
-
-    def gather(self, ctx: RankCtx, sendbuf: Buffer,
-               recvbuf: Optional[Buffer], root: int = 0) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from gather_binomial(ctx, self.world_group(ctx), sendbuf, recvbuf, root)
-
-    def reduce(self, ctx: RankCtx, sendbuf: Buffer,
-               recvbuf: Optional[Buffer], op: ReduceOp, root: int = 0) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from reduce_binomial(ctx, self.world_group(ctx), sendbuf, recvbuf, op, root)
-
-    def barrier(self, ctx: RankCtx) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from barrier_dissemination(ctx, self.world_group(ctx))
+    def select(self, collective: str, nodes: int, ppn: int, count, nbytes,
+               root: int = 0) -> Selection:
+        """MPICH's choice of group algorithm, run over the world."""
+        size = nodes * ppn
+        emit = mpich_select(collective, size, nbytes)
+        root_arg = (root,) if collective in _ROOTED else ()
+        return (plan_group, (emit, tuple(range(size)), count, *root_arg),
+                ("tag",))
 
 
-class _HierLibrary(MpiLibrary):
-    """Two-level leader-based collectives."""
+#: the leader-based compositions, by collective: planner and group tags
+_HIER = {
+    "scatter": (plan_hier_scatter, FAN_OUT_TAGS),
+    "allgather": (plan_hier_allgather, COMPOSE_TAGS),
+    "allreduce": (plan_hier_allreduce, COMPOSE_TAGS),
+    "bcast": (plan_hier_bcast, FAN_OUT_TAGS),
+    "reduce": (plan_hier_reduce, FAN_IN_TAGS),
+}
+#: the compositions whose leaders exchange whole node blocks
+_NODE_BLOCKS = ("scatter", "allgather")
 
-    def scatter(self, ctx: RankCtx, sendbuf: Optional[Buffer],
-                recvbuf: Buffer, root: int = 0) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from hier_scatter(ctx, sendbuf, recvbuf, root)
 
-    def allgather(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from hier_allgather(ctx, sendbuf, recvbuf, mpich_allgather)
+class _HierLibrary(_FlatLibrary):
+    """Two-level leader-based collectives.
 
-    def allreduce(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer,
-                  op: ReduceOp) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from hier_allreduce(ctx, sendbuf, recvbuf, op, mpich_allreduce)
+    Alltoall, gather and barrier run flat, as production libraries run
+    them even in hierarchical mode: the leader composition buys nothing
+    there (a gather's root must receive every byte either way).
+    """
 
-    def alltoall(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
-        # production libraries run alltoall flat even in hierarchical mode
-        yield from self._enter(ctx)
-        yield from _mpich_alltoall(ctx, self.world_group(ctx), sendbuf, recvbuf)
-
-    def bcast(self, ctx: RankCtx, buf: Buffer, root: int = 0) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from hier_bcast(ctx, buf, root)
-
-    def gather(self, ctx: RankCtx, sendbuf: Buffer,
-               recvbuf: Optional[Buffer], root: int = 0) -> ProcGen:
-        # gathers run flat: the leader composition buys nothing (the root
-        # must receive every byte either way)
-        yield from self._enter(ctx)
-        yield from gather_binomial(ctx, self.world_group(ctx), sendbuf, recvbuf, root)
-
-    def reduce(self, ctx: RankCtx, sendbuf: Buffer,
-               recvbuf: Optional[Buffer], op: ReduceOp, root: int = 0) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from hier_reduce(ctx, sendbuf, recvbuf, op, root)
-
-    def barrier(self, ctx: RankCtx) -> ProcGen:
-        yield from self._enter(ctx)
-        yield from barrier_dissemination(ctx, self.world_group(ctx))
+    def select(self, collective: str, nodes: int, ppn: int, count, nbytes,
+               root: int = 0) -> Selection:
+        """MPICH's choice of leader algorithm, inside the composition."""
+        entry = _HIER.get(collective)
+        if entry is None:
+            return super().select(collective, nodes, ppn, count, nbytes,
+                                  root)
+        planner, tags = entry
+        per_leader = ppn * nbytes if collective in _NODE_BLOCKS else nbytes
+        leader = mpich_select(collective, nodes, per_leader)
+        root_arg = (root,) if collective in _ROOTED else ()
+        return planner, (nodes, ppn, count, *root_arg, leader), tags
 
 
 class PiPMPICH(_FlatLibrary):

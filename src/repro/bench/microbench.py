@@ -24,7 +24,7 @@ from repro.mpi.datatypes import SUM
 from repro.mpi.runtime import RankCtx, World
 from repro.sched.fastpath import check_protocol
 from repro.sched.fastpath import evaluate_point as _dag_evaluate_point
-from repro.sched.registry import planner_backed
+from repro.sched.registry import COLLECTIVES
 from repro.sim.engine import ProcGen
 from repro.sim.trace import Tracer
 from repro.util.gcpause import gc_paused
@@ -35,45 +35,36 @@ __all__ = [
     "ENGINES", "resolve_engine",
 ]
 
-#: the paper's three primary collectives first, then the extensions
-COLLECTIVES = (
-    "scatter", "allgather", "allreduce", "alltoall", "bcast", "gather",
-    "reduce",
-)
-
 #: how a point is evaluated: the coroutine event loop (authoritative),
-#: ``auto`` (one of the two exact replays wherever they apply — every
-#: figure point but fig01's p2p worlds — and the event loop otherwise:
-#: the DAG replay of :mod:`repro.sched.fastpath` for a point, the batch
-#: engine of :mod:`repro.sched.batch` for a sweep's multi-size column;
-#: both bit-identical to the event loop), or the analytic tier
-#: (closed-form estimates — approximate, error-bounded, never picked by
-#: ``auto``; see :mod:`repro.sched.analytic`)
+#: ``auto`` (one of the two exact replays of every collective's compiled
+#: schedule, at every size — the DAG replay of
+#: :mod:`repro.sched.fastpath` for a point, the batch engine of
+#: :mod:`repro.sched.batch` for a sweep's multi-size column; both
+#: bit-identical to the event loop, which ``auto`` uses only under a
+#: tracer), or the analytic tier (closed-form estimates — approximate,
+#: error-bounded, never picked by ``auto``; see :mod:`repro.sched.analytic`)
 ENGINES = ("event", "auto", "analytic")
 
 
 def resolve_engine(
     engine: str, library: str, collective: str, tracing: bool = False,
-    msg_bytes: int = 1,
 ) -> str:
     """Resolve ``auto`` to the engine that will actually run.
 
-    ``auto`` picks the DAG fast path exactly when the (library,
-    collective) pair is planner-backed, the message is at least one byte
-    (the planners refuse empty messages; the event loop answers them) and
-    no tracer is attached (phantom data is implied: :func:`run_point`
-    worlds are always phantom).  For a *single* point the result is
-    always ``"event"`` or ``"dag"``; the sweep runner upgrades ``auto``
+    ``auto`` picks the DAG fast path unless a tracer is attached (only
+    the event loop traces; phantom data is implied: :func:`run_point`
+    worlds are always phantom) — every (library, collective) pair at
+    every size has a compiled schedule.  For a *single* point the result
+    is always ``"event"`` or ``"dag"``; the sweep runner upgrades ``auto``
     columns to the batch engine itself, where the whole size axis is in
-    hand (see :mod:`repro.bench.runner.pool`).
+    hand (see :mod:`repro.bench.runner.pool`).  ``library`` and
+    ``collective`` are not read: an unknown name fails when the point
+    runs, on every engine.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     if engine == "auto":
-        if (not tracing and msg_bytes >= 1
-                and planner_backed(library, collective)):
-            return "dag"
-        return "event"
+        return "event" if tracing else "dag"
     return engine
 
 
@@ -266,8 +257,8 @@ def run_point(
     ``"event"`` runs the coroutine event loop, the reference every other
     engine is checked against.  ``"auto"`` replays the point's compiled
     schedule on the DAG fast path (:func:`resolve_engine`) — bit-identical
-    samples, no coroutines — and falls back to the event loop for a pair
-    without a planner, an empty message or a tracer.  ``"analytic"``
+    samples, no coroutines — and runs the event loop only under a tracer.
+    ``"analytic"``
     skips simulation entirely and returns the closed-form estimate
     (approximate — see :mod:`repro.sched.analytic` for the error
     contract); ``auto`` never selects it, and it cannot trace.
@@ -275,7 +266,6 @@ def run_point(
     check_protocol(warmup, measure, (msg_bytes,))
     engine = resolve_engine(
         engine, library, collective, tracing=tracer is not None,
-        msg_bytes=msg_bytes,
     )
     evaluate = _EVALUATORS.get(engine)
     if evaluate is not None:

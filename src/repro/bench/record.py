@@ -10,8 +10,8 @@ store under ``.bench_cache/`` (``--no-cache`` to bypass, ``--refresh`` to
 recompute and overwrite-by-append).
 ``--check`` reruns each figure serially with the cache off and asserts the
 parallel/cached series are bit-identical — the determinism guarantee CI
-leans on.  Figure sweeps run on ``auto``: every point of fig06–fig14 is
-planner-backed, so it replays on the DAG fast path, or a sweep's
+leans on.  Figure sweeps run on ``auto``: every point of fig06–fig14
+replays its compiled schedule on the DAG fast path, or a sweep's
 multi-size column on the batch engine — bit-identical to the event loop
 and several times faster; fig01 keeps its own event-loop worlds.
 ``--engine event`` runs every point on the event loop instead, and
@@ -83,9 +83,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine", default=None, choices=ENGINES,
         help="evaluation engine for every point: the coroutine event loop "
-             "(authoritative), auto (the DAG or batch replay wherever a "
-             "planner covers the pair, bit-identical to the event loop; "
-             "the event loop otherwise), or analytic (closed-form "
+             "(authoritative), auto (the DAG or batch replay, "
+             "bit-identical to the event loop), or analytic (closed-form "
              "estimates, approximate); default: each point's own "
              "setting, auto for every figure but fig01",
     )

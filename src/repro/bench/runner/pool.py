@@ -10,9 +10,9 @@ column's engine once, reads each column from the result cache with one
 :meth:`~repro.bench.runner.cache.ResultCache.get_many` call, and cuts
 the misses into work units:
 
-* an ``analytic`` column, and the sizes of at least one byte of a
-  planner-backed ``auto`` column that spans two or more of them, are one
-  unit each, evaluated over the whole size axis in one call
+* an ``analytic`` column, and an ``auto`` column that spans two or more
+  sizes, are one unit each, evaluated over the whole size axis in one
+  call
   (:func:`repro.sched.analytic.evaluate_axis`,
   :func:`repro.sched.batch.evaluate_column`);
 * every other size is a unit of its own, evaluated by
@@ -46,7 +46,6 @@ from repro.bench.microbench import (
     _EVALUATORS,
     ENGINES,
     MicrobenchResult,
-    resolve_engine,
     run_point,
 )
 from repro.bench.runner.cache import ResultCache
@@ -173,19 +172,14 @@ def _column_units(
     """The work units of one column: ``sizes`` are all of its sizes in the
     sweep, ``missing`` the distinct ones that need evaluation."""
     if spec.engine == "analytic":
-        route, floor = "analytic", 0
-    elif (spec.engine == "auto"
-          and resolve_engine("auto", spec.library, spec.collective) == "dag"
-          and len({s for s in sizes if s >= 1}) > 1):
-        # the batch pass pays for itself over several sizes; the planners
-        # refuse empty messages, which run_point answers on the event loop
-        route, floor = "batch", 1
+        route = "analytic"
+    elif spec.engine == "auto" and len(set(sizes)) > 1:
+        # the batch pass pays for itself over several sizes
+        route = "batch"
     else:
         return [SweepUnit("point", (spec.point(s),)) for s in missing]
-    whole = tuple(spec.point(s) for s in missing if s >= floor)
-    units = [SweepUnit(route, whole)] if whole else []
-    return units + [SweepUnit("point", (spec.point(s),)) for s in missing
-                    if s < floor]
+    whole = tuple(spec.point(s) for s in missing)
+    return [SweepUnit(route, whole)] if whole else []
 
 
 def plan_sweep(

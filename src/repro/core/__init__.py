@@ -9,13 +9,14 @@ from repro.core.allgather_large import mcoll_allgather_large
 from repro.core.allgather_small import mcoll_allgather_small
 from repro.core.allreduce_large import mcoll_allreduce_large
 from repro.core.allreduce_small import mcoll_allreduce_small
-from repro.core.alltoall import mcoll_alltoall
-from repro.core.barrier import mcoll_barrier
-from repro.core.bcast import mcoll_bcast
-from repro.core.gather import mcoll_gather
-from repro.core.reduce import mcoll_reduce
+from repro.core.extensions import (
+    mcoll_alltoall,
+    mcoll_barrier,
+    mcoll_bcast,
+    mcoll_gather,
+    mcoll_reduce,
+)
 from repro.core.intranode import (
-    intra_barrier,
     intra_bcast,
     intra_gather,
     intra_reduce_binomial,
@@ -36,7 +37,6 @@ __all__ = [
     "mcoll_bcast",
     "mcoll_gather",
     "mcoll_reduce",
-    "intra_barrier",
     "intra_bcast",
     "intra_gather",
     "intra_reduce_binomial",

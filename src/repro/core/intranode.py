@@ -25,8 +25,9 @@ Cost behaviour matches §III-C:
 
 Each operation is compiled to a per-local-rank schedule by the planners in
 :mod:`repro.sched.plans.intranode` and replayed here by the
-:class:`~repro.sched.executor.ScheduleExecutor`; ``intra_barrier`` stays a
-plain generator (it is keyed by the caller and too small to plan).
+:class:`~repro.sched.executor.ScheduleExecutor`.  The intranode barrier is
+no entry point of its own: planners inline it as
+:meth:`~repro.sched.emit.Emitter.barrier`.
 """
 
 from __future__ import annotations
@@ -46,19 +47,11 @@ from repro.sched.plans.intranode import (
 from repro.sim.engine import ProcGen
 
 __all__ = [
-    "intra_barrier",
     "intra_bcast",
     "intra_gather",
     "intra_reduce_binomial",
     "intra_reduce_chunked",
 ]
-
-
-def intra_barrier(ctx: RankCtx, key) -> ProcGen:
-    """Counter barrier among the node's ranks."""
-    counter = ctx.pip.counter(key)
-    yield from counter.add(1)
-    yield from counter.wait_at_least(ctx.ppn)
 
 
 def intra_bcast(

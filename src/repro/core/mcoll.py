@@ -1,38 +1,29 @@
 """The PiP-MColl library facade.
 
 Bundles the multi-object collective algorithms behind the common
-:class:`~repro.baselines.base.MpiLibrary` interface, with the paper's
-size-based algorithm switching (§IV-D) and the PiP intranode transport for
-any point-to-point traffic.
+:class:`~repro.baselines.base.MpiLibrary` interface: one selection with
+the paper's size-based algorithm switching (§IV-D), and the PiP intranode
+transport for any point-to-point traffic.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.baselines.base import MpiLibrary
-from repro.core.allgather_large import mcoll_allgather_large
-from repro.core.allgather_small import mcoll_allgather_small
-from repro.core.allreduce_large import mcoll_allreduce_large
-from repro.core.allreduce_small import mcoll_allreduce_small
-from repro.core.alltoall import mcoll_alltoall
-from repro.core.barrier import mcoll_barrier
-from repro.core.bcast import mcoll_bcast
-from repro.core.gather import mcoll_gather
-from repro.core.reduce import mcoll_reduce
-from repro.core.intranode import (
-    intra_bcast,
-    intra_gather,
-    intra_reduce_binomial,
-    intra_reduce_chunked,
-)
-from repro.core.scatter import mcoll_scatter
+from repro.baselines.base import MpiLibrary, Selection
 from repro.core.tuning import Thresholds
-from repro.mpi.buffer import Buffer
-from repro.mpi.datatypes import ReduceOp
-from repro.mpi.runtime import RankCtx
+from repro.sched.plans.mcoll import (
+    plan_allgather_large,
+    plan_allgather_small,
+    plan_allreduce_large,
+    plan_allreduce_small,
+    plan_alltoall,
+    plan_barrier,
+    plan_bcast,
+    plan_gather,
+    plan_reduce_large,
+    plan_reduce_small,
+    plan_scatter,
+)
 from repro.shmem.mechanisms import PipShmem
-from repro.sim.engine import ProcGen
 
 __all__ = ["PiPMColl"]
 
@@ -48,130 +39,37 @@ class PiPMColl(MpiLibrary):
     def make_mechanism(self) -> PipShmem:
         return PipShmem()
 
-    # -- primary collectives (§III-A, §III-B) -------------------------------
+    def select(self, collective: str, nodes: int, ppn: int, count, nbytes,
+               root: int = 0) -> Selection:
+        """The multi-object algorithms, with the size switches of §IV-D.
 
-    def scatter(
-        self, ctx: RankCtx, sendbuf: Optional[Buffer], recvbuf: Buffer,
-        root: int = 0,
-    ) -> ProcGen:
-        """Multi-object scatter; one algorithm across all sizes (§III-A1)."""
-        yield from self._enter(ctx)
-        yield from mcoll_scatter(ctx, sendbuf, recvbuf, root)
-
-    def allgather(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
-        """Multi-object allgather with the 64 kB algorithm switch."""
-        yield from self._enter(ctx)
-        if sendbuf.nbytes < self.thresholds.allgather_large_bytes:
-            yield from mcoll_allgather_small(ctx, sendbuf, recvbuf)
-        else:
-            yield from mcoll_allgather_large(ctx, sendbuf, recvbuf)
-
-    def allreduce(
-        self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer, op: ReduceOp
-    ) -> ProcGen:
-        """Multi-object allreduce with the 8 k-double (64 kB) switch."""
-        yield from self._enter(ctx)
-        if sendbuf.nbytes < self.thresholds.allreduce_large_bytes:
-            yield from mcoll_allreduce_small(ctx, sendbuf, recvbuf, op)
-        else:
-            yield from mcoll_allreduce_large(ctx, sendbuf, recvbuf, op)
-
-    # -- extension collectives (multi-object beyond the paper's three) ------
-
-    def alltoall(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
-        """Multi-object pairwise alltoall (extension; see core.alltoall)."""
-        yield from self._enter(ctx)
-        yield from mcoll_alltoall(ctx, sendbuf, recvbuf)
-
-    def bcast(self, ctx: RankCtx, buf: Buffer, root: int = 0) -> ProcGen:
-        """Multi-object internode broadcast (extension; see core.bcast)."""
-        yield from self._enter(ctx)
-        yield from mcoll_bcast(ctx, buf, root)
-
-    def barrier(self, ctx: RankCtx) -> ProcGen:
-        """Multi-object dissemination barrier (extension; see core.barrier)."""
-        yield from self._enter(ctx)
-        yield from mcoll_barrier(ctx)
-
-    def gather(self, ctx: RankCtx, sendbuf: Buffer,
-               recvbuf: Optional[Buffer], root: int = 0) -> ProcGen:
-        """Multi-object gather (extension; see core.gather)."""
-        yield from self._enter(ctx)
-        yield from mcoll_gather(ctx, sendbuf, recvbuf, root)
-
-    def reduce(self, ctx: RankCtx, sendbuf: Buffer,
-               recvbuf: Optional[Buffer], op: ReduceOp,
-               root: int = 0) -> ProcGen:
-        """Multi-object reduce (extension; see core.reduce).
-
-        Below the allreduce switch point the reduce-scatter structure
-        cannot amortise its per-chunk traffic, so small payloads take a
-        latency-oriented path: PiP intranode binomial reduce, then a
-        binomial tree over the node leaders."""
-        yield from self._enter(ctx)
-        if sendbuf.nbytes < self.thresholds.allreduce_large_bytes:
-            yield from self._reduce_small(ctx, sendbuf, recvbuf, op, root)
-        else:
-            yield from mcoll_reduce(ctx, sendbuf, recvbuf, op, root)
-
-    @staticmethod
-    def _reduce_small(ctx: RankCtx, sendbuf: Buffer,
-                      recvbuf: Optional[Buffer], op: ReduceOp,
-                      root: int) -> ProcGen:
-        from repro.mpi.collectives import Group, reduce_binomial
-
-        root_node = ctx.node_of(root)
-        root_leader = ctx.rank_of(root_node, 0)
-        tag = ("mred", root)
-        # PiP intranode reduce into the local root (zero copies, no p2p)
-        partial = ctx.alloc(sendbuf.dtype, sendbuf.count)
-        yield from intra_reduce_binomial(
-            ctx, sendbuf, partial if ctx.local_rank == 0 else None, op
-        )
-        if ctx.nodes == 1:
-            if ctx.local_rank == 0:
-                if ctx.rank == root:
-                    yield from ctx.copy(recvbuf, partial)
-                else:
-                    yield from ctx.send(root, partial, tag=tag)
-            if ctx.rank == root and ctx.local_rank != 0:
-                yield from ctx.recv(ctx.local_root_rank(), recvbuf, tag=tag)
-            return
-        leaders = Group([ctx.rank_of(n, 0) for n in range(ctx.nodes)])
-        if ctx.local_rank == 0:
-            if ctx.rank == root:
-                result = recvbuf
-            elif ctx.rank == root_leader:
-                result = ctx.alloc(sendbuf.dtype, sendbuf.count)
-            else:
-                result = None
-            yield from reduce_binomial(
-                ctx, leaders, partial, result, op,
-                leaders.index_of(root_leader),
-            )
-            if ctx.rank == root_leader and ctx.rank != root:
-                yield from ctx.send(root, result, tag=tag)
-        if ctx.rank == root and ctx.rank != root_leader:
-            assert recvbuf is not None
-            yield from ctx.recv(root_leader, recvbuf, tag=tag)
-
-    # -- auxiliary intranode collectives (§III-C), exposed for completeness --
-
-    @staticmethod
-    def intra_bcast(ctx: RankCtx, buf: Buffer, root_local: int = 0,
-                    large: bool = False) -> ProcGen:
-        yield from intra_bcast(ctx, buf, root_local, large)
-
-    @staticmethod
-    def intra_gather(ctx: RankCtx, sendbuf: Buffer, recvbuf: Optional[Buffer],
-                     root_local: int = 0) -> ProcGen:
-        yield from intra_gather(ctx, sendbuf, recvbuf, root_local)
-
-    @staticmethod
-    def intra_reduce(ctx: RankCtx, sendbuf: Buffer, recvbuf: Optional[Buffer],
-                     op: ReduceOp, root_local: int = 0,
-                     large: bool = False) -> ProcGen:
-        if large:
-            yield from intra_reduce_chunked(ctx, sendbuf, recvbuf, op, root_local)
-        else:
-            yield from intra_reduce_binomial(ctx, sendbuf, recvbuf, op, root_local)
+        Scatter, alltoall, bcast, gather and barrier run one algorithm
+        across all sizes.  Allgather switches to the multi-object ring at
+        ``allgather_large_bytes``; allreduce and reduce switch to the
+        reduce-scatter structure at ``allreduce_large_bytes``, below which
+        it cannot amortise its per-chunk traffic.
+        """
+        thr = self.thresholds
+        if collective == "scatter":
+            return plan_scatter, (nodes, ppn, count, root, True), ()
+        if collective == "allgather":
+            planner = (plan_allgather_small
+                       if nbytes < thr.allgather_large_bytes
+                       else plan_allgather_large)
+            return planner, (nodes, ppn, count), ()
+        if collective in ("allreduce", "reduce"):
+            small = nbytes < thr.allreduce_large_bytes
+            if collective == "allreduce":
+                planner = (plan_allreduce_small if small
+                           else plan_allreduce_large)
+                return planner, (nodes, ppn, count), ()
+            if small:
+                return (plan_reduce_small, (nodes, ppn, count, root),
+                        ("leader",))
+            return plan_reduce_large, (nodes, ppn, count, root), ()
+        if collective == "alltoall":
+            return plan_alltoall, (nodes, ppn, count), ()
+        if collective == "barrier":
+            return plan_barrier, (nodes, ppn), ()
+        planner = {"bcast": plan_bcast, "gather": plan_gather}[collective]
+        return planner, (nodes, ppn, count, root), ()

@@ -1,115 +1,32 @@
 """Alltoall algorithms: Bruck (small messages) and pairwise exchange.
 
 Not part of the paper's evaluated trio, but required as a baseline for the
-multi-object alltoall extension (:mod:`repro.core.alltoall`) and a standard
-member of any collectives suite.
+multi-object alltoall extension (:mod:`repro.core.extensions`) and a standard
+member of any collectives suite.  Each algorithm is described once, as an
+``emit_*`` planner in :mod:`repro.sched.plans.baseline`; the functions here
+check the buffers and replay the group schedule.
 """
 
 from __future__ import annotations
 
 from repro.mpi.buffer import Buffer
 from repro.mpi.collectives.group import Group
+from repro.mpi.collectives.scheduled import run_group
 from repro.mpi.runtime import RankCtx
+from repro.sched.plans.baseline import (
+    GroupEmitter,
+    emit_alltoall_bruck,
+    emit_alltoall_pairwise,
+)
 from repro.sim.engine import ProcGen
 
-__all__ = ["alltoall_bruck", "alltoall_pairwise"]
+__all__ = ["alltoall_bruck", "alltoall_pairwise", "check_alltoall_buffers"]
 
 
-def alltoall_bruck(
-    ctx: RankCtx, group: Group, sendbuf: Buffer, recvbuf: Buffer
-) -> ProcGen:
-    """Bruck alltoall: ``ceil(log2 size)`` rounds of packed exchanges.
-
-    Invariant: after processing bit ``k``, the block in slot ``j`` still
-    has to travel ``j``'s remaining (un-processed) hop distance; at the
-    end slot ``j`` holds the data that arrived from ``(me - j) % size``.
-    Latency-optimal for small blocks at the price of ``log2``-fold extra
-    volume and pack/unpack copies.
-    """
-    size = group.size
-    me = group.index_of(ctx.rank)
-    tag = ctx.collective_tag(group)
-    count = sendbuf.count // size
-    _validate(sendbuf, recvbuf, size, count)
-
-    if size == 1:
-        yield from ctx.copy(recvbuf, sendbuf)
-        return
-
-    # phase 1: local rotation — slot j carries data for (me + j) % size
-    tmp = ctx.alloc(sendbuf.dtype, size * count)
-    head = size - me
-    yield from ctx.copy(
-        tmp.view(0, head * count), sendbuf.view(me * count, head * count)
-    )
-    if me:
-        yield from ctx.copy(
-            tmp.view(head * count, me * count), sendbuf.view(0, me * count)
-        )
-
-    # phase 2: bit rounds — blocks whose slot index has bit k set jump 2^k
-    pack = ctx.alloc(sendbuf.dtype, ((size + 1) // 2) * count)
-    pof = 1
-    while pof < size:
-        slots = [j for j in range(size) if j & pof]
-        nblk = len(slots)
-        for i, j in enumerate(slots):
-            yield from ctx.copy(
-                pack.view(i * count, count), tmp.view(j * count, count)
-            )
-        dst = group.rank_at((me + pof) % size)
-        src = group.rank_at((me - pof) % size)
-        rbuf = ctx.alloc(sendbuf.dtype, nblk * count)
-        rreq = ctx.irecv(src, rbuf, tag=tag)
-        sreq = yield from ctx.isend(dst, pack.view(0, nblk * count), tag=tag)
-        yield from ctx.wait(rreq)
-        yield from ctx.wait(sreq)
-        for i, j in enumerate(slots):
-            yield from ctx.copy(
-                tmp.view(j * count, count), rbuf.view(i * count, count)
-            )
-        pof <<= 1
-
-    # phase 3: slot j arrived from (me - j) % size
-    for j in range(size):
-        src_index = (me - j) % size
-        yield from ctx.copy(
-            recvbuf.view(src_index * count, count), tmp.view(j * count, count)
-        )
-
-
-def alltoall_pairwise(
-    ctx: RankCtx, group: Group, sendbuf: Buffer, recvbuf: Buffer
-) -> ProcGen:
-    """Pairwise-exchange alltoall: ``size - 1`` direct rounds, no packing.
-
-    Bandwidth-optimal (each block crosses the wire once, straight into its
-    final position) — the classical large-message choice.
-    """
-    size = group.size
-    me = group.index_of(ctx.rank)
-    tag = ctx.collective_tag(group)
-    count = sendbuf.count // size
-    _validate(sendbuf, recvbuf, size, count)
-
-    yield from ctx.copy(
-        recvbuf.view(me * count, count), sendbuf.view(me * count, count)
-    )
-    for step in range(1, size):
-        dst_index = (me + step) % size
-        src_index = (me - step) % size
-        dst = group.rank_at(dst_index)
-        src = group.rank_at(src_index)
-        rreq = ctx.irecv(src, recvbuf.view(src_index * count, count), tag=tag)
-        sreq = yield from ctx.isend(
-            dst, sendbuf.view(dst_index * count, count), tag=tag
-        )
-        yield from ctx.wait(rreq)
-        yield from ctx.wait(sreq)
-
-
-def _validate(sendbuf: Buffer, recvbuf: Buffer, size: int, count: int) -> None:
-    if sendbuf.count != size * count or sendbuf.count % size:
+def check_alltoall_buffers(sendbuf: Buffer, recvbuf: Buffer,
+                           size: int) -> None:
+    """Refuse buffers that are not ``size`` equal blocks each."""
+    if sendbuf.count % size:
         raise ValueError(
             f"sendbuf must hold one equal block per rank: "
             f"{sendbuf.count} elements across {size} ranks"
@@ -118,3 +35,28 @@ def _validate(sendbuf: Buffer, recvbuf: Buffer, size: int, count: int) -> None:
         raise ValueError(
             f"recvbuf has {recvbuf.count} elements, need {sendbuf.count}"
         )
+
+
+def _alltoall(ctx: RankCtx, group: Group, emit: GroupEmitter,
+              sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
+    check_alltoall_buffers(sendbuf, recvbuf, group.size)
+    yield from run_group(
+        ctx, group, emit, {"send": sendbuf, "recv": recvbuf},
+        sendbuf.count // group.size,
+    )
+
+
+def alltoall_bruck(
+    ctx: RankCtx, group: Group, sendbuf: Buffer, recvbuf: Buffer
+) -> ProcGen:
+    """Bruck alltoall: ``ceil(log2 size)`` rounds of packed exchanges."""
+    yield from _alltoall(ctx, group, emit_alltoall_bruck, sendbuf, recvbuf)
+
+
+def alltoall_pairwise(
+    ctx: RankCtx, group: Group, sendbuf: Buffer, recvbuf: Buffer
+) -> ProcGen:
+    """Pairwise-exchange alltoall: ``size - 1`` direct rounds, no
+    packing."""
+    yield from _alltoall(ctx, group, emit_alltoall_pairwise, sendbuf,
+                         recvbuf)

@@ -29,9 +29,9 @@ above-threshold messages.
 
 Coverage is :data:`ANALYTIC_PAIRS`, the eight pairs with a closed form:
 the PiP-MColl variants' three collectives and the flat baselines'
-allgather.  It is a subset of the planner-backed registry surface
-(:data:`repro.sched.registry.PLANNER_BACKED`) the DAG and batch engines
-cover; :func:`analytic_supported` reports it.
+allgather.  It is a subset of the registry surface
+(:func:`repro.sched.registry.registry_combinations`) the DAG and batch
+engines cover; :func:`analytic_supported` reports it.
 """
 
 from __future__ import annotations
@@ -54,12 +54,7 @@ from repro.models.formulas import (
     scatter_refined,
 )
 from repro.sched.ir import SendStep
-from repro.sched.registry import (
-    MCOLL_VARIANTS,
-    PlannedCollective,
-    _mcoll_thresholds,
-    canonical_name,
-)
+from repro.sched.registry import PlannedCollective, canonical_name
 
 __all__ = [
     "ANALYTIC_PAIRS",
@@ -166,16 +161,16 @@ def _static_messages(
 
 
 def _regime_ids(
-    library: str,
     collective: str,
     nodes: int,
     ppn: int,
     sizes: np.ndarray,
-    thresholds: Optional[Thresholds],
+    thr: Optional[Thresholds],
 ) -> np.ndarray:
-    """Algorithm-regime id per size, mirroring ``plan_for``'s selection."""
-    if library in MCOLL_VARIANTS:
-        thr = _mcoll_thresholds(library, thresholds)
+    """Algorithm-regime id per size, mirroring ``plan_for``'s selection
+    (``thr`` is a PiP-MColl variant's thresholds, None for the flat
+    baselines)."""
+    if thr is not None:
         if collective == "allgather":
             return (sizes >= thr.allgather_large_bytes).astype(int)
         if collective == "allreduce":
@@ -213,7 +208,11 @@ def evaluate_axis(
 
     # the replay engines' front check: a library that does not select by
     # size refuses a thresholds override instead of ignoring it
-    canonical_library(library, collective, thresholds)
+    _, lib = canonical_library(library, thresholds)
+    # the PiP-MColl variants select by thresholds: the override, or the
+    # variant's own
+    thr = thresholds if thresholds is not None else getattr(
+        lib, "thresholds", None)
     check_protocol(warmup, measure, sizes)
     if not sizes:
         raise ValueError("empty size axis")
@@ -224,8 +223,7 @@ def evaluate_axis(
     ap = _analytic_params(machine)
     cb = np.asarray(list(sizes), dtype=float)
 
-    if library in MCOLL_VARIANTS:
-        thr = _mcoll_thresholds(library, thresholds)
+    if thr is not None:
         if collective == "scatter":
             times = scatter_refined(ap, cb, nodes, ppn)
         elif collective == "allgather":
@@ -241,8 +239,7 @@ def evaluate_axis(
     # logical message counts: one static count per algorithm regime,
     # broadcast across the sizes that share it
     regimes = _regime_ids(
-        library, collective, nodes, ppn,
-        np.asarray(list(sizes)), thresholds,
+        collective, nodes, ppn, np.asarray(list(sizes)), thr
     )
     iters = warmup + measure
     counts = np.empty(len(cb), dtype=int)

@@ -792,7 +792,7 @@ def evaluate_column(
     """
     sizes = list(sizes)
     check_protocol(warmup, measure, sizes)
-    canon, lib = canonical_library(library, collective, thresholds)
+    canon, lib = canonical_library(library, thresholds)
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ValueError("empty size axis")

@@ -34,7 +34,8 @@ CLI::
         --np 8x16 --nbytes 64K
 
 prints the per-phase volume/message table and exits non-zero if any check
-fails.  ``--grid`` sweeps the full planner-backed registry instead.
+fails.  ``--grid`` sweeps the full registry (every library and
+microbenchmark collective) instead.
 """
 
 from __future__ import annotations
@@ -424,8 +425,8 @@ def _parse_bytes(text: str) -> int:
         value = int(text) * factor
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad byte size {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("byte size must be positive")
+    if value < 0:
+        raise argparse.ArgumentTypeError("byte size must be non-negative")
     return value
 
 

@@ -87,7 +87,8 @@ class Emitter:
         self.steps.append(IntraOpStep("wait", key, n=n))
 
     def barrier(self, key: Any, ppn: int) -> None:
-        """The ``intra_barrier`` idiom: add one, wait for all ``ppn``."""
+        """Counter barrier among the node's ``ppn`` ranks: add one, wait
+        for all ``ppn``."""
         self.counter_add(key, 1)
         self.counter_wait(key, ppn)
 

@@ -1,6 +1,6 @@
 """DAG fast-path evaluator: analytic timing of compiled schedules.
 
-Every planner-backed collective compiles to a static per-rank
+Every collective a library runs compiles to a static per-rank
 :class:`~repro.sched.ir.Schedule`, so its simulated duration is fully
 determined by the schedule's cross-rank dependency DAG (send/recv matching
 by tag, board/counter joins) and the hardware cost closures — there is
@@ -41,9 +41,10 @@ at ``start + overhead`` directly.  At iteration start the timeline is
 empty and spawn dispatches make no observable state change, so the rank
 slices still execute in rank order at the same instant.
 
-Scope is exactly the planner-backed registry
-(:func:`repro.sched.registry.plan_for`) driven with phantom data — the
-microbenchmark configuration every figure sweep uses.  Tracing, validation
+Scope is exactly the schedule registry
+(:func:`repro.sched.registry.plan_for`: every microbenchmark collective
+of every library, at every size) driven with phantom data — the
+microbenchmark configuration every sweep uses.  Tracing, validation
 oracles, and real-data runs stay on the event loop, which remains the
 semantic reference.
 """
@@ -83,7 +84,6 @@ from repro.sched.registry import (
     PlannedCollective,
     canonical_name,
     plan_for,
-    planner_backed,
 )
 from repro.shmem.base import MsgInfo
 from repro.sim.batchline import uniform_bool
@@ -1157,20 +1157,15 @@ def check_protocol(warmup: int, measure: int, sizes=()) -> None:
             )
 
 
-def canonical_library(library: str, collective: str,
+def canonical_library(library: str,
                       thresholds) -> Tuple[str, object]:
-    """``(registry name, library)`` for a pair the fast engines cover;
-    refuses ``thresholds`` for a library that does not select by size."""
+    """``(registry name, library)`` under any spelling of the library
+    name; refuses ``thresholds`` for a library that does not select by
+    size."""
     from repro.baselines.registry import make_library
 
-    if not planner_backed(library, collective):
-        raise ValueError(
-            f"the DAG and batch replays cover planner-backed pairs only, "
-            f"not ({library!r}, {collective!r}); run_point(engine='auto') "
-            f"falls back to the event loop"
-        )
     canon = canonical_name(library)
-    lib = make_library(PLANNER_BACKED[canon][0])
+    lib = make_library(PLANNER_BACKED.get(canon, library))
     if thresholds is not None and not hasattr(lib, "thresholds"):
         raise ValueError(
             f"library {library!r} has no size thresholds to override"
@@ -1186,7 +1181,7 @@ def _prepare(library: str, collective: str, nodes: int, ppn: int,
 
     Without ``lowered`` the point is planned and lowered here.
     """
-    canon, lib = canonical_library(library, collective, thresholds)
+    canon, lib = canonical_library(library, thresholds)
     if lowered is None:
         point = (msg_bytes,)
         planned = plan_for(

@@ -2,7 +2,8 @@
 
 MPICH-style binomial scatter, gather, bcast and reduce; recursive-doubling
 and Rabenseifner allreduce (both with the non-power-of-two fold); Bruck,
-recursive-doubling and ring allgather.  Each ``emit_*`` transcribes the
+recursive-doubling and ring allgather; Bruck and pairwise-exchange
+alltoall; the dissemination barrier.  Each ``emit_*`` transcribes the
 control flow of one algorithm for one group member, in the
 :mod:`repro.sched.plans.intranode` emit style: buffer names and an alloc
 prefix are parameters, so the two-level compositions of
@@ -20,9 +21,10 @@ communicator-scoped tag stays symbolic (``Sym("tag")`` in
 mutates per-(rank, group) call counters and therefore must keep running
 in the wrapper.  The rooted algorithms take any ``root_index``.
 
-The ``mpich_*`` selectors are MPICH's default algorithm choices, shared by
-the flat and leader-based libraries and the registry: each maps ``(group
-size, bytes)`` to an emitter.
+The ``mpich_*`` selectors are MPICH's default algorithm choices: each
+maps ``(group size, bytes)`` to an emitter.  :func:`mpich_select` is the
+one place that calls them; the flat libraries run its choice over the
+world and the leader-based ones over their leaders.
 """
 
 from __future__ import annotations
@@ -45,10 +47,15 @@ __all__ = [
     "emit_allgather_bruck",
     "emit_allgather_recursive_doubling",
     "emit_allgather_ring",
+    "emit_alltoall_bruck",
+    "emit_alltoall_pairwise",
+    "emit_barrier_dissemination",
     "plan_group",
     "mpich_scatter",
     "mpich_allgather",
     "mpich_allreduce",
+    "mpich_alltoall",
+    "mpich_select",
     "MPICH_ALLGATHER_RING_BYTES",
     "MPICH_ALLREDUCE_RD_BYTES",
 ]
@@ -286,13 +293,19 @@ def _core_to_group(newrank: int, rem: int) -> int:
     return newrank * 2 + 1 if newrank < rem else newrank + rem
 
 
-def _exchange(em: Emitter, partner: int, recv_ref: BufRef,
-              send_ref: BufRef, tag: Any) -> None:
-    """Simultaneous exchange: post the receive, send, wait both."""
-    rreq = em.irecv(partner, recv_ref, tag)
-    sreq = em.isend(partner, send_ref, tag)
+def _sendrecv(em: Emitter, dst: int, send_ref: BufRef, src: int,
+              recv_ref: BufRef, tag: Any) -> None:
+    """``RankCtx.sendrecv``: post the receive, send, wait both."""
+    rreq = em.irecv(src, recv_ref, tag)
+    sreq = em.isend(dst, send_ref, tag)
     em.wait(rreq)
     em.wait(sreq)
+
+
+def _exchange(em: Emitter, partner: int, recv_ref: BufRef,
+              send_ref: BufRef, tag: Any) -> None:
+    """Simultaneous exchange with one partner."""
+    _sendrecv(em, partner, send_ref, partner, recv_ref, tag)
 
 
 def emit_allreduce_recursive_doubling(
@@ -476,6 +489,101 @@ def emit_allgather_ring(
 
 
 # ---------------------------------------------------------------------------
+# alltoall: Bruck and pairwise exchange
+# ---------------------------------------------------------------------------
+
+def emit_alltoall_bruck(
+    em: Emitter, ranks: Tuple[int, ...], me: int, count, tag: Any, *,
+    send: str = "send", recv: str = "recv", prefix: str = "a2a_bruck_",
+) -> None:
+    """Bruck alltoall: ``ceil(log2 size)`` rounds of packed exchanges of
+    ``count``-element blocks.
+
+    Invariant: after processing bit ``k``, the block in slot ``j`` still
+    has to travel ``j``'s remaining (un-processed) hop distance; at the
+    end slot ``j`` holds the data that arrived from ``(me - j) % size``.
+    Latency-optimal for small blocks at the price of ``log2``-fold extra
+    volume and pack/unpack copies.
+    """
+    size = len(ranks)
+    em.phase("alltoall-bruck")
+    if size == 1:
+        em.copy(BufRef(recv), BufRef(send))
+        return
+
+    # phase 1: local rotation — slot j carries data for (me + j) % size
+    tmp = em.alloc(f"{prefix}tmp", size * count, dtype_of=send)
+    head = size - me
+    em.copy(tmp.view(0, head * count),
+            BufRef(send, me * count, head * count))
+    if me:
+        em.copy(tmp.view(head * count, me * count),
+                BufRef(send, 0, me * count))
+
+    # phase 2: bit rounds — blocks whose slot index has bit k set jump 2^k
+    pack = em.alloc(f"{prefix}pack", ((size + 1) // 2) * count,
+                    dtype_of=send)
+    pof = 1
+    while pof < size:
+        slots = [j for j in range(size) if j & pof]
+        nblk = len(slots)
+        for i, j in enumerate(slots):
+            em.copy(pack.view(i * count, count), tmp.view(j * count, count))
+        rbuf = em.alloc(f"{prefix}r{pof}", nblk * count, dtype_of=send)
+        _sendrecv(em, ranks[(me + pof) % size], pack.view(0, nblk * count),
+                  ranks[(me - pof) % size], rbuf, tag)
+        for i, j in enumerate(slots):
+            em.copy(tmp.view(j * count, count), rbuf.view(i * count, count))
+        pof <<= 1
+
+    # phase 3: slot j arrived from (me - j) % size
+    for j in range(size):
+        em.copy(BufRef(recv, ((me - j) % size) * count, count),
+                tmp.view(j * count, count))
+
+
+def emit_alltoall_pairwise(
+    em: Emitter, ranks: Tuple[int, ...], me: int, count, tag: Any, *,
+    send: str = "send", recv: str = "recv", prefix: str = "",
+) -> None:
+    """Pairwise-exchange alltoall: ``size - 1`` direct rounds, no packing
+    (allocates nothing, so ``prefix`` is unused).
+
+    Bandwidth-optimal (each block crosses the wire once, straight into its
+    final position) — the classical large-message choice.
+    """
+    size = len(ranks)
+    em.phase("alltoall-pairwise")
+    em.copy(BufRef(recv, me * count, count), BufRef(send, me * count, count))
+    for step in range(1, size):
+        dst_index = (me + step) % size
+        src_index = (me - step) % size
+        _sendrecv(em, ranks[dst_index], BufRef(send, dst_index * count, count),
+                  ranks[src_index], BufRef(recv, src_index * count, count),
+                  tag)
+
+
+# ---------------------------------------------------------------------------
+# barrier
+# ---------------------------------------------------------------------------
+
+def emit_barrier_dissemination(
+    em: Emitter, ranks: Tuple[int, ...], me: int, count, tag: Any, *,
+    token: str = "token", prefix: str = "",
+) -> None:
+    """Dissemination barrier: ``ceil(log2 size)`` rounds of exchanges of
+    the zero-byte buffer ``token`` with the members ``2^k`` ahead and
+    behind (``count`` and ``prefix`` are unused)."""
+    size = len(ranks)
+    em.phase("barrier-dissemination")
+    mask = 1
+    while mask < size:
+        _sendrecv(em, ranks[(me + mask) % size], BufRef(token),
+                  ranks[(me - mask) % size], BufRef(token), tag)
+        mask <<= 1
+
+
+# ---------------------------------------------------------------------------
 # standalone group schedules and MPICH's selection
 # ---------------------------------------------------------------------------
 
@@ -523,3 +631,36 @@ def mpich_allreduce(size: int, nbytes) -> GroupEmitter:
     if nbytes <= MPICH_ALLREDUCE_RD_BYTES:
         return emit_allreduce_recursive_doubling
     return emit_allreduce_rabenseifner
+
+
+def mpich_alltoall(size: int, block_bytes) -> GroupEmitter:
+    """MPICH's default alltoall selection: Bruck for short blocks on
+    groups of eight or more, pairwise exchange otherwise.  The group size
+    is tested first, so a size column on a small group never splits."""
+    if size >= 8 and block_bytes <= 256:
+        return emit_alltoall_bruck
+    return emit_alltoall_pairwise
+
+
+#: the rooted and unrooted collectives MPICH runs one algorithm for
+_MPICH_FIXED = {
+    "bcast": emit_bcast_binomial,
+    "gather": emit_gather_binomial,
+    "reduce": emit_reduce_binomial,
+    "barrier": emit_barrier_dissemination,
+}
+
+
+def mpich_select(collective: str, size: int, nbytes) -> GroupEmitter:
+    """MPICH's algorithm for ``collective`` over a group of ``size``
+    members, each contributing ``nbytes`` (an alltoall's per-member
+    block)."""
+    if collective == "scatter":
+        return mpich_scatter(size, nbytes)
+    if collective == "allgather":
+        return mpich_allgather(size, size * nbytes)
+    if collective == "allreduce":
+        return mpich_allreduce(size, nbytes)
+    if collective == "alltoall":
+        return mpich_alltoall(size, nbytes)
+    return _MPICH_FIXED[collective]

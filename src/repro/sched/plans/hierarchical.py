@@ -1,18 +1,19 @@
 """Planners for the two-level (leader-based) compositions.
 
-MVAPICH2 and Intel MPI run scatter, allgather and allreduce as an
-intranode phase over each node's group, an internode phase among one
-leader per node (local rank 0), and an intranode fan-out — the two-level
-scheme of Zhou et al. (arXiv:2007.06892).  Each planner chains the group
-emitters of :mod:`repro.sched.plans.baseline` into one world-indexed
-program per rank, transcribing the ``repro.baselines.hierarchical``
-composition step for step; the leader phase runs whichever emitter the
-caller's selector picked (MPICH's, for the modelled libraries).
+MVAPICH2 and Intel MPI run scatter, allgather, allreduce, bcast and
+reduce as an intranode phase over each node's group, an internode phase
+among one leader per node (local rank 0), and an intranode fan-out — the
+two-level scheme of Zhou et al. (arXiv:2007.06892).  Each planner chains
+the group emitters of :mod:`repro.sched.plans.baseline` into one
+world-indexed program per rank; the leader phase runs whichever emitter
+the caller's selector picked (MPICH's, for the modelled libraries).
 
 Every group phase tags its messages with its own group's collective tag,
 drawn by the wrapper and bound as a symbol: ``"node-in"`` for the
 intranode gather/reduce, ``"leader"`` for the leader phase and
-``"node-out"`` for the intranode scatter/broadcast.
+``"node-out"`` for the intranode scatter/broadcast.  The rooted
+compositions move data between a non-leader root and its node's leader
+on a constant, root-scoped tag: only those two ranks use that channel.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ __all__ = [
     "plan_hier_scatter",
     "plan_hier_allgather",
     "plan_hier_allreduce",
-    "SCATTER_TAGS",
+    "plan_hier_bcast",
+    "plan_hier_reduce",
+    "FAN_OUT_TAGS",
+    "FAN_IN_TAGS",
     "COMPOSE_TAGS",
 ]
 
@@ -41,8 +45,11 @@ _NODE_IN = Sym("node-in")
 _LEADER = Sym("leader")
 _NODE_OUT = Sym("node-out")
 
-#: the group-tag symbols each composition binds, in draw order
-SCATTER_TAGS = ("leader", "node-out")
+#: the group-tag symbols each composition binds, in draw order: the
+#: rooted fan-outs (scatter, bcast), the rooted fan-in (reduce), and the
+#: unrooted compositions (allgather, allreduce)
+FAN_OUT_TAGS = ("leader", "node-out")
+FAN_IN_TAGS = ("node-in", "leader")
 COMPOSE_TAGS = ("node-in", "leader", "node-out")
 
 
@@ -144,3 +151,74 @@ def plan_hier_allreduce(nodes: int, ppn: int, count,
         emit_bcast_binomial(em, node_ranks, lr, C, _NODE_OUT, buf="recv")
         programs.append(em.build())
     return _schedule(programs, f"hier-allreduce {N}x{P} c{C}")
+
+
+@lru_cache(maxsize=None)
+def plan_hier_bcast(nodes: int, ppn: int, count, root: int,
+                    leader: GroupEmitter) -> Schedule:
+    """Leader-based broadcast: root -> its leader -> leaders -> intranode.
+
+    A non-leader root first forwards its buffer to its node's leader (one
+    intranode hop), as production libraries do.
+    """
+    N, P, C = nodes, ppn, count
+    leaders = tuple(n * P for n in range(N))
+    root_node = root // P
+    root_leader = root_node * P
+    reloc = ("hier-bcast-reloc", root)
+    programs = []
+    for rank in range(N * P):
+        node, lr = divmod(rank, P)
+        em = Emitter()
+        if root != root_leader:
+            if rank == root:
+                em.wait(em.isend(root_leader, BufRef("buf"), reloc))
+            elif rank == root_leader:
+                em.wait(em.irecv(root, BufRef("buf"), reloc))
+        if lr == 0:
+            leader(em, leaders, node, C, _LEADER, root_node, buf="buf")
+        emit_bcast_binomial(em, tuple(range(node * P, (node + 1) * P)), lr,
+                            C, _NODE_OUT, 0, buf="buf")
+        programs.append(em.build())
+    return _schedule(programs, f"hier-bcast {N}x{P} c{C} root{root}")
+
+
+@lru_cache(maxsize=None)
+def plan_hier_reduce(nodes: int, ppn: int, count, root: int,
+                     leader: GroupEmitter) -> Schedule:
+    """Leader-based reduce: intranode reduce -> leader reduce -> deliver.
+
+    The leader reduction targets the root's node leader; a final intranode
+    hop delivers to a non-leader root.
+    """
+    N, P, C = nodes, ppn, count
+    leaders = tuple(n * P for n in range(N))
+    root_node = root // P
+    root_leader = root_node * P
+    deliver = ("hier-reduce-deliver", root)
+    programs = []
+    for rank in range(N * P):
+        node, lr = divmod(rank, P)
+        node_ranks = tuple(range(node * P, (node + 1) * P))
+        em = Emitter()
+        if lr == 0:
+            em.alloc("hre_part", C, dtype_of="send")
+            emit_reduce_binomial(em, node_ranks, 0, C, _NODE_IN, 0,
+                                 recv="hre_part", prefix="hre_n_")
+            result = None
+            if rank == root:
+                result = "recv"
+            elif rank == root_leader:
+                result = "hre_res"
+                em.alloc(result, C, dtype_of="send")
+            leader(em, leaders, node, C, _LEADER, root_node,
+                   send="hre_part", recv=result, prefix="hre_l_")
+            if rank == root_leader and rank != root:
+                em.wait(em.isend(root, BufRef(result), deliver))
+        else:
+            emit_reduce_binomial(em, node_ranks, lr, C, _NODE_IN, 0,
+                                 recv=None, prefix="hre_n_")
+            if rank == root:
+                em.wait(em.irecv(root_leader, BufRef("recv"), deliver))
+        programs.append(em.build())
+    return _schedule(programs, f"hier-reduce {N}x{P} c{C} root{root}")

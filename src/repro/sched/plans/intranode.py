@@ -21,7 +21,6 @@ from repro.sched.emit import Emitter
 from repro.sched.ir import BufRef, Ns, RankProgram, Schedule
 
 __all__ = [
-    "emit_intra_barrier",
     "emit_intra_bcast",
     "emit_intra_gather",
     "emit_intra_reduce_binomial",
@@ -31,11 +30,6 @@ __all__ = [
     "plan_intra_reduce_binomial",
     "plan_intra_reduce_chunked",
 ]
-
-
-def emit_intra_barrier(em: Emitter, key, ppn: int) -> None:
-    """Counter barrier among the node's ranks (``intra_barrier``)."""
-    em.barrier(key, ppn)
 
 
 def emit_intra_bcast(

@@ -1,21 +1,22 @@
-"""Planner-backed (library, collective) registry for static checking.
+"""The schedule registry: every (library, collective) pair, planned.
 
-Maps the benchmark-facing library/collective names to the planner that the
-live wrapper would execute for a given shape and message size — honouring
-the same selection logic (:class:`~repro.core.tuning.Thresholds` for
-PiP-MColl, MPICH's ``mpich_*`` selectors for the baselines) — and
-describes the buffer environment each participant starts with, so
-:mod:`repro.sched.check` can verify the schedule without running the
-simulator.  :func:`plan_column` runs the same selection once over a whole
-message-size column, for the batch engine.
+Maps the benchmark-facing library/collective names to the schedule the
+library would execute for a given shape and message size — by asking the
+library itself (:meth:`repro.baselines.base.MpiLibrary.select`, the one
+selection its event-loop methods also read) — and describes the buffer
+environment each participant starts with, so :mod:`repro.sched.check`
+can verify the schedule without running the simulator and the DAG and
+batch replays can evaluate it.  :func:`plan_column` runs the same
+selection once over a whole message-size column, for the batch engine.
 
-Coverage is the paper's three collectives (scatter, allgather,
-allreduce) for all six libraries: PiP-MColl and its forced-small variant;
-the flat baselines (PiP-MPICH, Open MPI), which run MPICH's group
-algorithms over the world; and the leader-based baselines (MVAPICH2,
-Intel MPI), which run the two-level compositions of
-:mod:`repro.sched.plans.hierarchical`.  Every plan roots at rank 0, as the
-benchmarks do.
+Coverage is every microbenchmark collective (scatter, allgather,
+allreduce, alltoall, bcast, gather, reduce) of all six libraries, at
+every size, 0 B included: PiP-MColl and its forced-small variant; the
+flat baselines (PiP-MPICH, Open MPI), which run MPICH's group algorithms
+over the world; and the leader-based baselines (MVAPICH2, Intel MPI),
+which run the two-level compositions of
+:mod:`repro.sched.plans.hierarchical`.  Every plan roots at rank 0, as
+the benchmarks do.
 
 Buffer sizes are in *elements*; the microbenchmarks drive every collective
 with byte elements, so element counts equal byte counts throughout.
@@ -27,24 +28,22 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sched.ir import Schedule
-from repro.sched.plans.baseline import (
-    mpich_allgather,
-    mpich_allreduce,
-    mpich_scatter,
-    plan_group,
-)
-from repro.sched.plans.hierarchical import (
-    COMPOSE_TAGS,
-    SCATTER_TAGS,
-    plan_hier_allgather,
-    plan_hier_allreduce,
-    plan_hier_scatter,
-)
-from repro.sched.plans.mcoll import (
+from repro.sched.plans import (
     plan_allgather_large,
     plan_allgather_small,
     plan_allreduce_large,
     plan_allreduce_small,
+    plan_alltoall,
+    plan_bcast,
+    plan_gather,
+    plan_group,
+    plan_hier_allgather,
+    plan_hier_allreduce,
+    plan_hier_bcast,
+    plan_hier_reduce,
+    plan_hier_scatter,
+    plan_reduce_large,
+    plan_reduce_small,
     plan_scatter,
 )
 
@@ -55,33 +54,30 @@ __all__ = [
     "planner_cache_info",
     "registry_combinations",
     "canonical_name",
-    "planner_backed",
     "PLANNER_BACKED",
     "LIBRARIES",
     "COLLECTIVES",
 ]
 
-COLLECTIVES = ("scatter", "allgather", "allreduce")
+#: the microbenchmark collectives: the paper's three, then the extensions
+COLLECTIVES = (
+    "scatter", "allgather", "allreduce", "alltoall", "bcast", "gather",
+    "reduce",
+)
 
-#: the planner-backed pairs: canonical library name -> (benchmark-facing
-#: library name, collectives with a planner).  Every engine's coverage
-#: check and the planners' own argument check read this one table.
-PLANNER_BACKED: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "pip-mcoll": ("PiP-MColl", COLLECTIVES),
-    "pip-mcoll-small": ("PiP-MColl-small", COLLECTIVES),
-    "pip-mpich": ("PiP-MPICH", COLLECTIVES),
-    "openmpi": ("OpenMPI", COLLECTIVES),
-    "mvapich2": ("MVAPICH2", COLLECTIVES),
-    "intelmpi": ("IntelMPI", COLLECTIVES),
+#: canonical library name -> benchmark-facing library name; the registry
+#: plans every one of :data:`COLLECTIVES` for each
+PLANNER_BACKED: Dict[str, str] = {
+    "pip-mcoll": "PiP-MColl",
+    "pip-mcoll-small": "PiP-MColl-small",
+    "pip-mpich": "PiP-MPICH",
+    "openmpi": "OpenMPI",
+    "mvapich2": "MVAPICH2",
+    "intelmpi": "IntelMPI",
 }
 
 #: checker-facing library names (canonical, lowercase)
 LIBRARIES = tuple(PLANNER_BACKED)
-
-#: the PiP-MColl variants
-MCOLL_VARIANTS = ("pip-mcoll", "pip-mcoll-small")
-#: the leader-based libraries; the rest run MPICH's flat selection
-HIERARCHICAL = ("mvapich2", "intelmpi")
 
 
 @dataclass(frozen=True)
@@ -107,25 +103,6 @@ def canonical_name(library: str) -> str:
     return library.lower().replace("_", "-").replace(" ", "-")
 
 
-def planner_backed(library: str, collective: str) -> bool:
-    """Whether the registry plans this (library, collective) pair, under
-    any spelling of the library name."""
-    entry = PLANNER_BACKED.get(canonical_name(library))
-    return entry is not None and collective in entry[1]
-
-
-def _mcoll_thresholds(library: str, thresholds) -> "Thresholds":
-    """The thresholds a PiP-MColl variant selects by: ``thresholds``, or
-    the variant's defaults when it is None."""
-    from repro.core.tuning import Thresholds
-
-    if thresholds is not None:
-        return thresholds
-    if library == "pip-mcoll-small":
-        return Thresholds.always_small()
-    return Thresholds()
-
-
 def _validate(library: str, collective: str, nodes: int, ppn: int,
               sizes) -> str:
     """Canonical library name, after rejecting what no planner covers."""
@@ -134,14 +111,14 @@ def _validate(library: str, collective: str, nodes: int, ppn: int,
         raise ValueError(
             f"no planner-backed library {library!r}; known: {list(LIBRARIES)}"
         )
-    collectives = PLANNER_BACKED[canon][1]
-    if collective not in collectives:
+    if collective not in COLLECTIVES:
         raise ValueError(
-            f"no planner-backed {collective!r} for {canon}; "
-            f"known: {list(collectives)}"
+            f"no planner-backed {collective!r}; known: {list(COLLECTIVES)}"
         )
-    if nodes < 1 or ppn < 1 or min(sizes) < 1:
-        raise ValueError("nodes, ppn and nbytes must be positive")
+    if nodes < 1 or ppn < 1 or min(sizes) < 0:
+        raise ValueError(
+            "nodes and ppn must be positive and nbytes non-negative"
+        )
     return canon
 
 
@@ -209,74 +186,33 @@ def plan_column(
 
 def _select(library: str, collective: str, nodes: int, ppn: int, nbytes,
             thresholds, cached: bool) -> PlannedCollective:
-    """The library's algorithm selection, for one size or a size vector.
+    """The library's own selection, for one size or a size vector.
 
     ``cached`` picks the planners' ``lru_cache`` or, for size vectors,
     their uncached bodies.
     """
+    from repro.baselines.registry import make_library
 
-    def plan(planner, *args) -> Schedule:
-        return (planner if cached else planner.__wrapped__)(*args)
+    lib = make_library(PLANNER_BACKED[library])
+    if thresholds is not None:
+        lib.thresholds = thresholds
+    planner, args, tags = lib.select(collective, nodes, ppn, nbytes, nbytes)
+    schedule = (planner if cached else planner.__wrapped__)(*args)
 
     size = nodes * ppn
+    # the root's (rank 0's) input buffers and everyone else's, in elements
+    whole = size * nbytes
+    root, other = {
+        "scatter": ({"send": whole, "recv": nbytes}, {"recv": nbytes}),
+        "allgather": ({"send": nbytes, "recv": whole},) * 2,
+        "allreduce": ({"send": nbytes, "recv": nbytes},) * 2,
+        "alltoall": ({"send": whole, "recv": whole},) * 2,
+        "bcast": ({"buf": nbytes},) * 2,
+        "gather": ({"send": nbytes, "recv": whole}, {"send": nbytes}),
+        "reduce": ({"send": nbytes, "recv": nbytes}, {"send": nbytes}),
+    }[collective]
     world = tuple(range(size))
-    # the group tags the schedule binds (symbolic; the checker resolves
-    # them to distinct constants)
-    tags: Tuple[str, ...] = ()
-
-    if library in MCOLL_VARIANTS:
-        thr = _mcoll_thresholds(library, thresholds)
-        if collective == "scatter":
-            schedule = plan(plan_scatter, nodes, ppn, nbytes, 0, True)
-        elif collective == "allgather":
-            if nbytes < thr.allgather_large_bytes:
-                schedule = plan(plan_allgather_small, nodes, ppn, nbytes)
-            else:
-                schedule = plan(plan_allgather_large, nodes, ppn, nbytes)
-        elif nbytes < thr.allreduce_large_bytes:
-            schedule = plan(plan_allreduce_small, nodes, ppn, nbytes)
-        else:
-            schedule = plan(plan_allreduce_large, nodes, ppn, nbytes)
-    elif library in HIERARCHICAL:
-        # the leader phase selects on the leader count and the bytes the
-        # libraries' wrappers hand MPICH's selectors
-        if collective == "scatter":
-            leader = mpich_scatter(nodes, ppn * nbytes)
-            schedule = plan(plan_hier_scatter, nodes, ppn, nbytes, 0, leader)
-            tags = SCATTER_TAGS
-        elif collective == "allgather":
-            leader = mpich_allgather(nodes, size * nbytes)
-            schedule = plan(plan_hier_allgather, nodes, ppn, nbytes, leader)
-            tags = COMPOSE_TAGS
-        else:
-            leader = mpich_allreduce(nodes, nbytes)
-            schedule = plan(plan_hier_allreduce, nodes, ppn, nbytes, leader)
-            tags = COMPOSE_TAGS
-    else:
-        # flat: MPICH's group algorithms over the world communicator
-        if collective == "scatter":
-            schedule = plan(plan_group, mpich_scatter(size, nbytes),
-                            world, nbytes, 0)
-        elif collective == "allgather":
-            schedule = plan(plan_group, mpich_allgather(size, size * nbytes),
-                            world, nbytes)
-        else:
-            schedule = plan(plan_group, mpich_allreduce(size, nbytes),
-                            world, nbytes)
-        tags = ("tag",)
-
-    if collective == "scatter":
-        bindings = tuple(
-            {"send": size * nbytes, "recv": nbytes} if rank == 0
-            else {"recv": nbytes}
-            for rank in world
-        )
-    elif collective == "allgather":
-        bindings = tuple(
-            {"send": nbytes, "recv": size * nbytes} for _ in world
-        )
-    else:  # allreduce
-        bindings = tuple({"send": nbytes, "recv": nbytes} for _ in world)
+    bindings = tuple(dict(root if rank == 0 else other) for rank in world)
     return PlannedCollective(
         label=f"{library} {collective} {nodes}x{ppn} {nbytes}B "
               f"[{schedule.label}]",
@@ -304,18 +240,21 @@ def planner_cache_info() -> Dict[str, "object"]:
         plan_allgather_large,
         plan_allreduce_small,
         plan_allreduce_large,
+        plan_alltoall,
+        plan_bcast,
+        plan_gather,
+        plan_reduce_small,
+        plan_reduce_large,
         plan_group,
         plan_hier_scatter,
         plan_hier_allgather,
         plan_hier_allreduce,
+        plan_hier_bcast,
+        plan_hier_reduce,
     )
     return {fn.__name__: fn.cache_info() for fn in planners}
 
 
 def registry_combinations() -> List[Tuple[str, str]]:
-    """Every (library, collective) pair with planner-backed coverage."""
-    return [
-        (lib, coll)
-        for lib, (_, collectives) in PLANNER_BACKED.items()
-        for coll in collectives
-    ]
+    """Every (library, collective) pair the registry plans."""
+    return [(lib, coll) for lib in PLANNER_BACKED for coll in COLLECTIVES]

@@ -237,8 +237,8 @@ def column_from_doc(doc: dict) -> Tuple[ColumnSpec, List[int]]:
             params = MachineParams(**params)
             params.validate()
         library = str(doc["library"])
-        entry = PLANNER_BACKED.get(canonical_name(library))
-        if entry is None:
+        name = PLANNER_BACKED.get(canonical_name(library))
+        if name is None:
             raise ServeError("bad-request", f"unknown library {library!r}; "
                                             f"known: {list(LIBRARIES)}")
         collective = str(doc["collective"])
@@ -251,12 +251,12 @@ def column_from_doc(doc: dict) -> Tuple[ColumnSpec, List[int]]:
 
             if not analytic_supported(library, collective):
                 raise ServeError("bad-request", f"engine 'analytic' does "
-                                                f"not cover {entry[0]}/"
+                                                f"not cover {name}/"
                                                 f"{collective}")
         spec = ColumnSpec(
             # the registry spelling: every engine takes it, and a column
             # is cached under one key however the caller spelled it
-            entry[0],
+            name,
             collective,
             _wire_int("nodes", doc["nodes"], 1),
             _wire_int("ppn", doc["ppn"], 1),
@@ -275,9 +275,11 @@ def column_from_doc(doc: dict) -> Tuple[ColumnSpec, List[int]]:
     if not isinstance(sizes, list) or not sizes:
         raise ServeError("bad-request", f"sizes must be a non-empty list, "
                                         f"got {sizes!r}")
-    # zero bytes is a valid size: the event engine answers it
+    # zero bytes is a valid size on every engine but the analytic tier,
+    # whose closed forms start at one byte
+    floor = 1 if spec.engine == "analytic" else 0
     for i, size in enumerate(sizes):
-        _wire_int(f"sizes[{i}]", size, 0)
+        _wire_int(f"sizes[{i}]", size, floor)
     return spec, sizes
 
 

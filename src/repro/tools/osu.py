@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List
+from typing import Iterator, List
 
-from repro.baselines.registry import LIBRARY_FACTORIES, library_names
+from repro.baselines.registry import LIBRARY_FACTORIES
 from repro.bench.microbench import COLLECTIVES, run_point
-from repro.hw.params import bebop_broadwell
 from repro.util.units import fmt_size, parse_size
 
-__all__ = ["main", "sweep_sizes"]
+__all__ = ["main", "sweep_sizes", "latency_rows"]
 
 
 def sweep_sizes(min_size: int, max_size: int) -> List[int]:
@@ -42,6 +41,18 @@ def sweep_sizes(min_size: int, max_size: int) -> List[int]:
     if sizes[-1] != max_size:
         sizes.append(max_size)
     return sizes
+
+
+def latency_rows(collective: str, libs: List[str], nodes: int, ppn: int,
+                 sizes: List[int]) -> Iterator[List[float]]:
+    """One row per size: each library's simulated seconds, replayed from
+    its compiled schedule (``engine="auto"``; bit-identical to the event
+    loop)."""
+    for nbytes in sizes:
+        yield [
+            run_point(lib, collective, nodes, ppn, nbytes, engine="auto").time
+            for lib in libs
+        ]
 
 
 def main(argv=None) -> int:
@@ -74,14 +85,9 @@ def main(argv=None) -> int:
           f"({args.nodes * args.ppn} ranks), simulated Broadwell+Omni-Path")
     header = f"{'# Size':>10}" + "".join(f" {lib:>16}" for lib in libs)
     print(header)
-    for nbytes in sizes:
-        cells = []
-        for lib in libs:
-            r = run_point(
-                lib, args.collective, args.nodes, args.ppn, nbytes,
-                params=bebop_broadwell(),
-            )
-            cells.append(f"{r.time * 1e6:14.2f}us")
+    rows = latency_rows(args.collective, libs, args.nodes, args.ppn, sizes)
+    for nbytes, times in zip(sizes, rows):
+        cells = [f"{t * 1e6:14.2f}us" for t in times]
         print(f"{fmt_size(nbytes):>10}" + "".join(f" {c:>16}" for c in cells))
     return 0
 

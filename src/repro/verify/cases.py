@@ -2,8 +2,9 @@
 
 A campaign of ``N`` points cycles round-robin through :data:`ENTRIES` — the
 registry of every verifiable collective surface: the six modelled libraries'
-collectives, the flat classical algorithms, the vector collectives, and the
-planner-backed schedules replayed directly through the
+collectives, the flat classical algorithms, the vector collectives, and
+every registry schedule (each library's seven microbenchmark collectives,
+empty messages included) replayed directly through the
 :class:`~repro.sched.executor.ScheduleExecutor`.  Each visit *rotates*
 dtype, intranode mechanism, eager/rendezvous regime, and threshold variant
 (guaranteed coverage), and draws shape, counts, reduction op, root, and
@@ -82,6 +83,7 @@ _VECTOR = ("scatterv", "gatherv", "allgatherv")
 #: the schedule surfaces of the first planner registry, in their original
 #: order; pairs the registry gained later are appended after every
 #: existing entry, so no entry's index (and rotation phase) moves
+_PAPER_COLLECTIVES = ("scatter", "allgather", "allreduce")
 _FIRST_SCHEDULE_PAIRS = (
     ("pip-mcoll", "scatter"),
     ("pip-mcoll", "allgather"),
@@ -105,8 +107,14 @@ def _build_entries() -> Tuple[Entry, ...]:
         for algo, coll in _FLAT_ALGORITHMS.items()
     ]
     entries += [Entry("vector", v, v) for v in _VECTOR]
+    # the registry covered the paper's three collectives before the
+    # extensions, so their pairs come first
+    pairs = registry_combinations()
     later = [
-        pair for pair in registry_combinations()
+        pair for pair in (
+            [p for p in pairs if p[1] in _PAPER_COLLECTIVES]
+            + [p for p in pairs if p[1] not in _PAPER_COLLECTIVES]
+        )
         if pair not in _FIRST_SCHEDULE_PAIRS
     ]
     entries += [
@@ -229,8 +237,6 @@ def build_case(seed: int, index: int) -> Case:
     world = tuple(range(world_size))
 
     count = int(_COUNTS[int(rng.integers(len(_COUNTS)))])
-    if entry.kind == "schedule" and count == 0:
-        count = 1  # planners reject empty messages; p2p tests cover zero
 
     group_ranks = world
     if entry.kind in ("flat", "vector"):

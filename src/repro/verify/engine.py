@@ -481,13 +481,14 @@ def _run_schedule_case(case: Case) -> Tuple[List[str], str]:
     op = _OP_BY_NAME[case.op_name]
     rng = np.random.default_rng((case.index, 0xC0FFEE))
 
-    # per-participant buffers: "send"-ish names are inputs, others outputs
+    # per-participant buffers: "send" and the bcast root's "buf" are
+    # inputs, the rest outputs; every plan roots at global rank 0
     inputs: List[Optional[np.ndarray]] = [None] * P
     bound: List[Dict[str, Optional[Buffer]]] = []
     for i in range(P):
         bufs: Dict[str, Optional[Buffer]] = {}
         for name, count in planned.bindings[i].items():
-            if name == "send":
+            if name == "send" or (name == "buf" and i == 0):
                 arr = _fill(rng, BYTE, count)
                 if inputs[i] is None:
                     inputs[i] = arr
@@ -514,18 +515,25 @@ def _run_schedule_case(case: Case) -> Tuple[List[str], str]:
     world.run(body)
 
     if coll == "scatter":
-        # the mcoll scatter plans root at global rank 0
-        root_input = inputs[0]
-        expected = oracles.scatter(root_input, P, C)
+        expected = oracles.scatter(inputs[0], P, C)
     elif coll == "allgather":
         expected = oracles.allgather(inputs)
     elif coll == "allreduce":
         expected = oracles.allreduce(inputs, op)
+    elif coll == "alltoall":
+        expected = oracles.alltoall(inputs, C)
+    elif coll == "bcast":
+        expected = oracles.bcast(inputs[0], P)
+    elif coll == "gather":
+        expected = oracles.gather(inputs, 0)
+    elif coll == "reduce":
+        expected = oracles.reduce(inputs, op, 0)
     else:  # pragma: no cover - registry drift
         raise ValueError(f"no oracle for schedule collective {coll!r}")
 
+    out = "buf" if coll == "bcast" else "recv"
     actual = [
-        bound[i]["recv"].array() if "recv" in bound[i] else None
+        bound[i][out].array() if out in bound[i] else None
         for i in range(P)
     ]
     labels = [f"rank {r} ({planned.label})" for r in planned.ranks]

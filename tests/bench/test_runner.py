@@ -282,7 +282,7 @@ def test_worker_function_pickles_by_qualified_name():
 # -- column routing: the batch engine through the runner ------------------
 
 #: one ``auto`` column that the batch engine evaluates: 4 sizes of one
-#: planner-backed (library, collective, shape)
+#: one (library, collective, shape) column
 COLUMN_POINTS = [
     Point("PiP-MColl", "allgather", 2, 2, s, engine="auto")
     for s in (64, 1024, 16384, 65536)
@@ -293,9 +293,8 @@ COLUMN_UNIT = SweepUnit("batch", tuple(COLUMN_POINTS))
 
 def _dag_reference(points):
     """Each point's row from the DAG replay, which ``auto`` runs for a
-    single planner-backed point."""
-    assert all(resolve_engine("auto", p.library, p.collective,
-                              msg_bytes=p.msg_bytes) == "dag"
+    single point."""
+    assert all(resolve_engine("auto", p.library, p.collective) == "dag"
                for p in points)
     return [
         run_point(p.library, p.collective, p.nodes, p.ppn, p.msg_bytes,
@@ -335,10 +334,13 @@ def test_auto_upgrades_multi_size_columns_and_stays_identical(tmp_path):
 
 
 def test_auto_column_with_a_zero_byte_size_matches_event():
-    """The planners refuse empty messages, so ``auto`` sends a zero-byte
-    point to the event loop instead of raising — alone or in a column."""
+    """The planners answer empty messages, so a zero-byte size rides in
+    its column's one batch unit — and alone it replays on the DAG."""
     pts = [Point("PiP-MColl", "allgather", 2, 2, s, engine="auto")
            for s in (0, 64, 1024)]
+    (planned,) = plan_sweep([(column_of(pts[0]), [0, 64, 1024])])
+    assert [(u.route, len(u.points)) for u in planned.units] \
+        == [("batch", 3)]
     got = SweepRunner(jobs=1, use_cache=False).run(pts)
     ref = SweepRunner(jobs=1, use_cache=False).run(
         [replace(p, engine="event") for p in pts]

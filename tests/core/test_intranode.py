@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    intra_barrier,
     intra_bcast,
     intra_gather,
     intra_reduce_binomial,
     intra_reduce_chunked,
 )
 from repro.mpi import DOUBLE, MAX, SUM, Buffer
+from repro.sched import Emitter, Schedule, ScheduleExecutor
 from repro.shmem import PipShmem
 
 from tests.helpers import make_world, rank_inputs
@@ -23,15 +23,20 @@ def node_world(ppn):
 
 
 class TestIntraBarrier:
+    """The counter barrier planners inline (``Emitter.barrier``)."""
+
     @pytest.mark.parametrize("ppn", PPNS)
     def test_no_early_exit(self, ppn):
         world = node_world(ppn)
         enter, exit_ = {}, {}
+        em = Emitter()
+        em.barrier("bar", ppn)
+        barrier = ScheduleExecutor(Schedule((em.build(),) * ppn))
 
         def body(ctx):
             yield from ctx.compute((ctx.rank + 1) * 1e-5)
             enter[ctx.rank] = world.engine.now
-            yield from intra_barrier(ctx, "bar")
+            yield from barrier.run(ctx, {})
             exit_[ctx.rank] = world.engine.now
 
         world.run(body)

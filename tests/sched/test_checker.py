@@ -191,6 +191,22 @@ def test_cli_accepts_issue_invocation_verbatim(capsys):
     assert rc == 0
 
 
+def test_cli_checks_empty_messages(capsys):
+    # every planner answers 0 B, so the command line takes it too
+    rc = main([
+        "--library", "mvapich2", "--collective", "reduce",
+        "--np", "2x3", "--nbytes", "0",
+    ])
+    assert rc == 0
+    assert "checker: OK" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--library", "mvapich2", "--collective", "reduce",
+            "--np", "2x3", "--nbytes", "-1",
+        ])
+    assert exc.value.code == 2
+
+
 def test_cli_unplanned_library_exits_nonzero(capsys):
     rc = main([
         "--library", "mpich-ch3", "--collective", "allreduce",
@@ -201,11 +217,11 @@ def test_cli_unplanned_library_exits_nonzero(capsys):
 
 
 def test_cli_baseline_collective_without_planner_exits_nonzero(capsys):
-    # every library plans the three collectives the CLI offers; a
-    # collective without a planner is refused at the command line
+    # every library plans the seven collectives the CLI offers; a
+    # collective no microbenchmark runs is refused at the command line
     with pytest.raises(SystemExit) as exc:
         main([
-            "--library", "pip-mpich", "--collective", "bcast",
+            "--library", "pip-mpich", "--collective", "barrier",
             "--np", "2x2", "--nbytes", "4K",
         ])
     assert exc.value.code == 2

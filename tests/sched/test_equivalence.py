@@ -9,7 +9,12 @@ three **bit-for-bit** — pure-Python planning work costs zero simulated
 time, so any drift at all means the executor changed the yield sequence,
 not just some constant.  Points with a ``root`` field run one rooted
 collective at that rank through a small custom body (the microbenchmark
-protocol always roots at rank 0).
+protocol always roots at rank 0), and barrier points run the library's
+barrier through one too (no microbenchmark runs it).
+
+Once a generator is deleted, the event loop and both replays execute the
+same plan, so these points and the real-data oracles (``tests/core``,
+``repro.verify``) are what still checks the algorithm itself.
 """
 
 import json
@@ -18,14 +23,14 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.registry import make_library
-from repro.bench.microbench import run_point
+from repro.bench.microbench import COLLECTIVES, run_point
 from repro.hw.params import bebop_broadwell
 from repro.hw.topology import Topology
 from repro.mpi.buffer import Buffer
 from repro.mpi.datatypes import SUM
 from repro.sched import batch
 from repro.sched.fastpath import evaluate_point
-from repro.sched.registry import PLANNER_BACKED, planner_backed
+from repro.sched.registry import PLANNER_BACKED
 
 _GOLDEN = json.loads(
     (Path(__file__).parent.parent / "data" / "golden_sched.json").read_text()
@@ -43,7 +48,8 @@ def _label(point):
 
 
 def _rooted_body(lib, size, collective, nbytes, root):
-    """One rooted collective at ``root`` over phantom buffers."""
+    """One rooted collective at ``root`` over phantom buffers, or one
+    barrier."""
     full = Buffer.phantom(nbytes * size)
     out = Buffer.phantom(nbytes)
     bufs = [Buffer.phantom(nbytes) for _ in range(size)]
@@ -51,7 +57,9 @@ def _rooted_body(lib, size, collective, nbytes, root):
     def body(ctx):
         mine = bufs[ctx.rank]
         at_root = ctx.rank == root
-        if collective == "scatter":
+        if collective == "barrier":
+            yield from lib.barrier(ctx)
+        elif collective == "scatter":
             yield from lib.scatter(ctx, full if at_root else None, mine,
                                    root=root)
         elif collective == "gather":
@@ -68,14 +76,14 @@ def _rooted_body(lib, size, collective, nbytes, root):
 
 def _run_rooted(point):
     """The microbenchmark protocol (one warm-up, two measured) on a
-    rooted body: ``(samples, mean, internode messages)``."""
+    rooted or barrier body: ``(samples, mean, internode messages)``."""
     lib = make_library(point["library"])
     world = lib.make_world(
         Topology(point["nodes"], point["ppn"]), bebop_broadwell(),
         phantom=True,
     )
     body = _rooted_body(lib, world.world_size, point["collective"],
-                        point["msg_bytes"], point["root"])
+                        point["msg_bytes"], point.get("root", 0))
     world.run(body)
     samples = [world.run(body).elapsed for _ in range(2)]
     return samples, sum(samples) / 2, world.hw.total_internode_messages()
@@ -83,7 +91,7 @@ def _run_rooted(point):
 
 @pytest.mark.parametrize("point", _GOLDEN, ids=_label)
 def test_schedule_replay_is_bit_identical_to_generator(point):
-    if "root" in point:
+    if "root" in point or point["collective"] == "barrier":
         samples, time, messages = _run_rooted(point)
     else:
         result = run_point(
@@ -101,9 +109,10 @@ def test_schedule_replay_is_bit_identical_to_generator(point):
     assert messages == point["internode_messages"]
 
 
+#: the microbenchmark points: the registry plans every one of them
 _FAST_GOLDEN = [
     p for p in _GOLDEN
-    if "root" not in p and planner_backed(p["library"], p["collective"])
+    if "root" not in p and p["collective"] in COLLECTIVES
 ]
 
 
@@ -121,7 +130,7 @@ def test_dag_reproduces_golden_point(point):
 
 
 def test_batch_reproduces_golden_points(monkeypatch):
-    """Each (library, collective, shape) of the planner-backed golden
+    """Each (library, collective, shape) of the microbenchmark golden
     points as one batch column, with a vector pass on every partition of
     two or more sizes."""
     monkeypatch.setattr(batch, "_MIN_BATCH_WIDTH", 2)
@@ -142,6 +151,6 @@ def test_batch_reproduces_golden_points(monkeypatch):
 
 def test_golden_file_covers_every_planned_library():
     libraries = {p["library"] for p in _GOLDEN}
-    assert {library for library, _ in PLANNER_BACKED.values()} <= libraries
+    assert set(PLANNER_BACKED.values()) <= libraries
     collectives = {p["collective"] for p in _GOLDEN}
-    assert {"scatter", "allgather", "allreduce"} <= collectives
+    assert set(COLLECTIVES) | {"barrier"} <= collectives

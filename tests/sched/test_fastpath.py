@@ -1,7 +1,7 @@
 """Cross-engine equivalence: the DAG fast path vs the event loop.
 
 The fast path's whole contract is *bit-identical* timing: for every
-planner-backed (library, collective) pair, the DAG replay
+(library, collective) pair of the registry, the DAG replay
 (:func:`evaluate_point`, which ``auto`` runs) must reproduce the event
 loop's samples and message counts exactly — same floats, not
 "close" floats — across the full registry grid and randomized shapes.
@@ -18,10 +18,10 @@ import repro.bench.microbench as microbench
 from repro.bench.microbench import resolve_engine, run_point
 from repro.sched.check import check_planned
 from repro.sched.fastpath import evaluate_point, evaluate_tables
+from repro.sched.batch import evaluate_column
 from repro.sched.registry import (
     PLANNER_BACKED,
     plan_for,
-    planner_backed,
     planner_cache_info,
     registry_combinations,
 )
@@ -31,10 +31,9 @@ SIZES = (512, 32768, 131072)
 
 
 def _assert_point_identical(lib, coll, nodes, ppn, nbytes, **kw):
-    name = PLANNER_BACKED[lib][0]
+    name = PLANNER_BACKED[lib]
     event = run_point(name, coll, nodes, ppn, nbytes, engine="event", **kw)
-    # the replay itself, not auto: an uncovered pair raises instead of
-    # falling back to the event loop
+    # the replay itself, not auto
     dag = evaluate_point(name, coll, nodes, ppn, nbytes, **kw)
     label = f"{lib}/{coll} {nodes}x{ppn} {nbytes}B"
     assert dag.samples == event.samples, label
@@ -82,18 +81,15 @@ def test_volume_tables_match_static_checker(lib, coll):
 
 
 def test_auto_resolves_to_dag_only_where_supported():
-    assert resolve_engine("auto", "PiP-MColl", "allreduce") == "dag"
+    # every pair is planned, so only a tracer sends auto to the event loop
+    for lib, coll in registry_combinations():
+        name = PLANNER_BACKED[lib]
+        assert resolve_engine("auto", name, coll) == "dag"
+        assert resolve_engine("auto", name, coll, tracing=True) == "event"
     assert resolve_engine("auto", "pip_mcoll", "scatter") == "dag"
-    assert resolve_engine("auto", "OpenMPI", "allgather") == "dag"
-    # the hierarchical baselines' compositions are planned too
-    assert resolve_engine("auto", "MVAPICH2", "allreduce") == "dag"
-    # non-planner-backed collectives of planner-backed libraries
-    assert resolve_engine("auto", "PiP-MColl", "alltoall") == "event"
-    assert resolve_engine("auto", "OpenMPI", "bcast") == "event"
-    assert resolve_engine("auto", "MVAPICH2", "reduce") == "event"
-    # tracing always needs the event loop
-    assert resolve_engine("auto", "PiP-MColl", "allreduce", tracing=True) \
-        == "event"
+    assert resolve_engine("auto", "PiP-MColl", "alltoall") == "dag"
+    assert resolve_engine("auto", "OpenMPI", "bcast") == "dag"
+    assert resolve_engine("auto", "MVAPICH2", "reduce") == "dag"
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("fast", "PiP-MColl", "allreduce")
     # removed names are unknown, not aliased: the JIT tiers, and the two
@@ -105,21 +101,25 @@ def test_auto_resolves_to_dag_only_where_supported():
             run_point("PiP-MColl", "allreduce", 2, 2, 512, engine=removed)
 
 
-def test_fastpath_supported_matches_registry():
-    for lib, coll in registry_combinations():
-        assert planner_backed(PLANNER_BACKED[lib][0], coll)
-    assert not planner_backed("MVAPICH2", "bcast")
-    assert not planner_backed("PiP-MPICH", "alltoall")
-    assert not planner_backed("PiP-MColl", "bcast")
-
-
 def test_dag_engine_rejects_unsupported_pairs():
-    for library, collective in (("MVAPICH2", "bcast"),
-                                ("PiP-MPICH", "gather")):
-        with pytest.raises(ValueError, match="planner-backed") as err:
-            evaluate_point(library, collective, 2, 2, 512)
-        # the error points at the engine that covers every pair
-        assert "engine='auto'" in str(err.value)
+    # a barrier is planned, but no microbenchmark runs it
+    with pytest.raises(ValueError, match="planner-backed 'barrier'"):
+        evaluate_point("MVAPICH2", "barrier", 2, 2, 512)
+    with pytest.raises(ValueError, match="unknown library"):
+        evaluate_point("NoSuchMPI", "bcast", 2, 2, 512)
+
+
+@pytest.mark.parametrize("lib,coll", registry_combinations())
+def test_zero_bytes_identical_on_every_engine(lib, coll):
+    """An empty message is a point like any other: the event loop, the
+    DAG replay and a batch column's 0 B row agree on it."""
+    name = PLANNER_BACKED[lib]
+    event = run_point(name, coll, 2, 3, 0, engine="event")
+    dag = evaluate_point(name, coll, 2, 3, 0)
+    row = evaluate_column(name, coll, 2, 3, [0, 16, 64]).results[0]
+    assert dag.samples == event.samples == row.samples
+    assert (dag.internode_messages == event.internode_messages
+            == row.internode_messages)
 
 
 def test_auto_traces_on_the_event_loop(monkeypatch):
@@ -173,7 +173,7 @@ def test_repeated_points_do_not_replan():
     evaluate_point(*spec)
     run_point(*spec, engine="event")  # executor wrappers share the caches
     after = planner_cache_info()
-    assert set(after) == set(before) and len(after) == 9
+    assert set(after) == set(before) and len(after) == 16
     for name in after:
         assert after[name].misses == before[name].misses, name
     assert sum(i.hits for i in after.values()) > sum(

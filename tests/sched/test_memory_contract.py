@@ -13,6 +13,8 @@ with the evaluation that built it.
 """
 
 import gc
+import importlib
+import pkgutil
 import threading
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.hw.params import bebop_broadwell
 from repro.hw.topology import Topology
 from repro.mpi.runtime import World
 from repro.sched import batch as batch_mod
+from repro.sched import plans
 from repro.sched.batch import evaluate_column
 from repro.sched.fastpath import (
     _LoweredColumn,
@@ -44,6 +47,26 @@ AXIS = tuple(sorted({int(16 * 2 ** (k / 4)) for k in range(70)}))
 #: OpenMPI allgather 2x16 on these 12 sizes runs one pass that stops
 #: after the warm-up, with only its pivot undivergent
 CONTENDED = tuple(int(16 * 2 ** (k / 8)) for k in range(97, 121, 2))
+
+
+#: every ``lru_cache``'d planner of :mod:`repro.sched.plans`
+PLANNERS = {
+    id(fn): fn
+    for info in pkgutil.iter_modules(plans.__path__)
+    for fn in vars(
+        importlib.import_module(f"{plans.__name__}.{info.name}")
+    ).values()
+    if hasattr(fn, "cache_clear")
+}.values()
+
+
+@pytest.fixture(autouse=True)
+def _empty_planner_caches():
+    """Every measurement starts from empty planner caches, so planning
+    happens inside it, and ``gc.collect()`` scans this test's plans
+    rather than every plan the session has cached before it."""
+    for fn in PLANNERS:
+        fn.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -133,7 +156,7 @@ def test_rebatched_and_forced_fallback_columns_leave_no_cyclic_garbage(
 def test_every_registry_column_leaves_no_cyclic_garbage():
     for lib, coll in registry_combinations():
         assert cyclic_garbage(lambda: evaluate_column(
-            PLANNER_BACKED[lib][0], coll, 2, 4, AXIS[::3]
+            PLANNER_BACKED[lib], coll, 2, 4, AXIS[::3]
         )) == 0, f"{lib}/{coll}"
 
 

@@ -43,7 +43,7 @@ SHAPES = (
 )
 #: the eighth-octave axis, 16 B .. 512 KB (121 sizes)
 OCTAVE_AXIS = tuple(sorted({int(16 * 2 ** (k / 8)) for k in range(121)}))
-SMALL_AXIS = tuple(range(1, 65))
+SMALL_AXIS = tuple(range(0, 65))
 OVERRIDES = (
     Thresholds.always_small(),
     Thresholds.always_large(),
@@ -52,8 +52,11 @@ OVERRIDES = (
 PLANNERS = (
     mcoll.plan_scatter, mcoll.plan_allgather_small, mcoll.plan_allgather_large,
     mcoll.plan_allreduce_small, mcoll.plan_allreduce_large,
+    mcoll.plan_alltoall, mcoll.plan_bcast, mcoll.plan_gather,
+    mcoll.plan_reduce_small, mcoll.plan_reduce_large,
     baseline.plan_group, hierarchical.plan_hier_scatter,
     hierarchical.plan_hier_allgather, hierarchical.plan_hier_allreduce,
+    hierarchical.plan_hier_bcast, hierarchical.plan_hier_reduce,
 )
 
 
@@ -158,10 +161,11 @@ def test_block_partition_of_a_size_vector_is_element_wise():
 
 def _threshold_axis(nodes, ppn):
     """Sizes one byte either side of every size switch: the PiP-MColl
-    64 KB algorithm switches, MPICH's 80 KB-total ring switch and 2 KB
-    allreduce switch, and the 16 KB eager/rendezvous threshold."""
+    64 KB algorithm switches, MPICH's 80 KB-total ring switch, 2 KB
+    allreduce switch and 256 B alltoall block switch, and the 16 KB
+    eager/rendezvous threshold."""
     world = nodes * ppn
-    marks = (64 * KB, 16 * KB, 2 * KB, 80 * KB // world,
+    marks = (64 * KB, 16 * KB, 2 * KB, 256, 80 * KB // world,
              -(-80 * KB // world))
     return tuple(sorted({m + d for m in marks for d in (-1, 0, 1)
                          if m + d >= 1}))

@@ -92,7 +92,7 @@ def test_both_algorithm_variants_pass_checker(collective, shape, thresholds):
 
 def _simulate(library, collective, nodes, ppn, nbytes):
     """One live iteration on the tiny test machine; returns the World."""
-    lib = make_library(PLANNER_BACKED[library][0])
+    lib = make_library(PLANNER_BACKED[library])
     world = lib.make_world(
         Topology(nodes, ppn), tiny_test_machine(), phantom=True
     )

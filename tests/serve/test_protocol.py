@@ -60,7 +60,7 @@ def test_point_round_trips_including_params_and_thresholds():
               params=tiny_test_machine(), engine="analytic"),
         Point("PiP-MColl", "allgather", 2, 2, 1024,
               thresholds=Thresholds.always_small(), engine="event"),
-        # zero bytes and zero warm-up are valid: the event engine answers
+        # zero bytes and zero warm-up are valid
         Point("PiP-MColl", "allreduce", 2, 2, 0, warmup=0, engine="auto"),
     ]
     for point in points:
@@ -72,7 +72,8 @@ def test_point_round_trips_including_params_and_thresholds():
         # a column spec encodes like any point of its column
         assert column_to_doc(spec, sizes) == doc
     # one spec, many sizes: the sizes come back in order, repeats kept
-    point = points[1]
+    # (on auto: the analytic tier refuses 0 B)
+    point = dataclasses.replace(points[1], engine="auto")
     sizes = [4096, 0, 64, 4096]
     assert column_from_doc(_wire(column_to_doc(point, sizes))) == (
         column_of(point), sizes)
@@ -145,8 +146,35 @@ def test_uncovered_analytic_column_rejected_at_the_front_door():
             in err.value.message
     spec, _ = column_from_doc(_column_doc(engine="analytic"))
     assert (spec.library, spec.engine) == ("PiP-MColl", "analytic")
-    # the other engines cover every pair (auto through the event loop)
+    # the other engines cover every pair
     assert column_from_doc(_column_doc(library="OpenMPI"))[0].engine == "auto"
+
+
+def test_zero_byte_analytic_column_rejected_at_the_front_door(tmp_path):
+    """The analytic tier's closed forms start at one byte: a column with
+    a 0 B size is refused when decoded, and the daemon answers
+    ``bad-request`` without evaluating anything.  Every other engine
+    answers an empty message."""
+    from repro.serve.daemon import SweepDaemon
+
+    doc = {"library": "PiP-MColl", "collective": "allgather", "nodes": 2,
+           "ppn": 2, "engine": "analytic", "sizes": [0, 64]}
+    with pytest.raises(ServeError) as err:
+        column_from_doc(doc)
+    assert err.value.code == "bad-request"
+    assert "sizes[0] must be >= 1" in err.value.message
+    for engine in ("event", "auto"):
+        assert column_from_doc({**doc, "engine": engine})[1] == [0, 64]
+
+    daemon = SweepDaemon(str(tmp_path / "never-bound.sock"),
+                         cache=ResultCache(tmp_path / "cache"), jobs=0)
+    step = daemon._dispatch({"op": "sweep", "version": PROTOCOL_VERSION,
+                             "columns": [doc]})
+    with pytest.raises(StopIteration) as done:
+        step.send(None)
+    line, _ = done.value.value
+    assert json.loads(line)["error"]["code"] == "bad-request"
+    assert daemon.stats_doc()["daemon"]["evaluations"] == 0
 
 
 def test_library_spelling_becomes_the_registry_name_at_the_front_door():

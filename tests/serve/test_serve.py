@@ -149,13 +149,13 @@ PLAN_TABLE = [
     # an analytic column is one evaluate_axis call
     (_sizes("OpenMPI", "allgather", "analytic", (64, 1024, 16384)),
      [("analytic", 3)]),
-    # a planner-backed auto column batches its sizes of one byte or more;
-    # the planners refuse an empty message, which runs by itself
+    # an auto column of two or more sizes is one batch unit, an empty
+    # message included
     (_sizes("PiP-MColl", "allreduce", "auto", (0, 64, 1024)),
-     [("batch", 2), ("point", 1)]),
-    # alltoall has no planner: auto runs it size by size
+     [("batch", 3)]),
+    # every collective is planned, alltoall too
     (_sizes("PiP-MColl", "alltoall", "auto", (64, 1024)),
-     [("point", 1)] * 2),
+     [("batch", 2)]),
     # one auto size gains nothing from a batch pass: the DAG runs it
     (_sizes("IntelMPI", "allgather", "auto", (2048,)), [("point", 1)]),
 ]

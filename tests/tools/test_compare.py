@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.microbench import run_point
 from repro.tools.compare import build_matrix, format_matrix, main
 
 
@@ -15,6 +16,15 @@ class TestBuildMatrix:
         for row in matrix.values():
             assert set(row) == set(libs)
             assert all(t > 0 for t in row.values())
+
+
+    def test_equals_the_event_loop(self):
+        libs = ["PiP-MColl", "PiP-MPICH", "MVAPICH2"]
+        matrix = build_matrix(libs, 2, 3, 1024)
+        for coll, row in matrix.items():
+            for lib, time in row.items():
+                assert time == run_point(lib, coll, 2, 3, 1024,
+                                         engine="event").time, (coll, lib)
 
 
 class TestFormat:

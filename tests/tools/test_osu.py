@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.tools.osu import main, sweep_sizes
+from repro.bench.microbench import run_point
+from repro.tools.osu import latency_rows, main, sweep_sizes
 
 
 class TestSweepSizes:
@@ -20,6 +21,19 @@ class TestSweepSizes:
             sweep_sizes(0, 16)
         with pytest.raises(ValueError):
             sweep_sizes(64, 16)
+
+
+class TestLatencyRows:
+    @pytest.mark.parametrize("coll", ["alltoall", "reduce"])
+    def test_equals_the_event_loop(self, coll):
+        libs = ["PiP-MColl", "OpenMPI", "IntelMPI"]
+        sizes = sweep_sizes(16, 256)
+        rows = list(latency_rows(coll, libs, 3, 3, sizes))
+        assert rows == [
+            [run_point(lib, coll, 3, 3, s, engine="event").time
+             for lib in libs]
+            for s in sizes
+        ]
 
 
 class TestCli:
