@@ -12,18 +12,19 @@ replay themselves; the wrappers here run the scatter, allgather and
 allreduce compositions with a caller-chosen leader algorithm.  That
 argument is a *selector* ``(leader count, bytes) -> emitter`` over the
 group emitters of :mod:`repro.sched.plans.baseline`, such as MPICH's
-``mpich_*`` choices.
+choice (``mpich_select``).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.baselines.base import leader_group, node_group, replay
 from repro.mpi.buffer import Buffer
 from repro.mpi.datatypes import ReduceOp
 from repro.mpi.runtime import RankCtx
-from repro.sched.plans.baseline import mpich_scatter
+from repro.sched.plans.baseline import mpich_select
 from repro.sched.plans.hierarchical import (
     COMPOSE_TAGS,
     FAN_OUT_TAGS,
@@ -42,7 +43,7 @@ def hier_scatter(
     sendbuf: Optional[Buffer],
     recvbuf: Buffer,
     root: int,
-    leader_scatter: Callable = mpich_scatter,
+    leader_scatter: Callable = partial(mpich_select, "scatter"),
 ) -> ProcGen:
     """Leader-based scatter.
 
