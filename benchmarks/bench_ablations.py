@@ -18,17 +18,19 @@ Four studies, each isolating one ingredient of PiP-MColl's performance:
 The first and third studies compare registry libraries under
 ``MachineParams`` overrides, so they submit declarative ``Point``s through
 :mod:`repro.bench.runner` (pool + cache apply).  The overlap and
-switch-point studies need non-registry knobs (``overlap=``,
-``Thresholds``) and stay direct.
+switch-point studies need non-registry knobs (the planners' ``overlap``
+argument, ``Thresholds``) and stay direct.
 """
 
 import pytest
 
 from repro.bench.config import current_scale
 from repro.bench.runner import Point, run_points
-from repro.core import PiPMColl, Thresholds, mcoll_allgather_large, mcoll_scatter
+from repro.baselines.base import replay
+from repro.core import PiPMColl, Thresholds
 from repro.hw import Topology, bebop_broadwell
 from repro.mpi import SUM, Buffer, World
+from repro.sched.plans.mcoll import plan_allgather_large, plan_scatter
 from repro.shmem import PipShmem
 from repro.util.units import KB
 
@@ -48,9 +50,13 @@ def _run_scatter(world, nbytes, overlap=True):
     sendbuf = Buffer.phantom(nbytes * size)
     recvs = [Buffer.phantom(nbytes) for _ in range(size)]
 
+    scatter = plan_scatter(world.topology.nodes, world.topology.ppn, nbytes,
+                           0, overlap)
+
     def body(ctx):
         sb = sendbuf if ctx.rank == 0 else None
-        yield from mcoll_scatter(ctx, sb, recvs[ctx.rank], overlap=overlap)
+        yield from replay(ctx, scatter, (),
+                          {"send": sb, "recv": recvs[ctx.rank]})
 
     world.run(body)  # warm-up
     return world.run(body).elapsed
@@ -61,10 +67,12 @@ def _run_allgather_large(world, nbytes, overlap=True):
     sends = [Buffer.phantom(nbytes) for _ in range(size)]
     recvs = [Buffer.phantom(nbytes * size) for _ in range(size)]
 
+    allgather = plan_allgather_large(world.topology.nodes,
+                                     world.topology.ppn, nbytes, overlap)
+
     def body(ctx):
-        yield from mcoll_allgather_large(
-            ctx, sends[ctx.rank], recvs[ctx.rank], overlap=overlap
-        )
+        yield from replay(ctx, allgather, (),
+                          {"send": sends[ctx.rank], "recv": recvs[ctx.rank]})
 
     world.run(body)
     return world.run(body).elapsed

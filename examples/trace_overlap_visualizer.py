@@ -13,9 +13,10 @@ Run:  python examples/trace_overlap_visualizer.py
 import numpy as np
 
 import repro
-from repro.core import mcoll_allgather_large
+from repro.baselines.base import replay
 from repro.hw import Topology, bebop_broadwell
 from repro.mpi import DOUBLE, Buffer, World
+from repro.sched.plans.mcoll import plan_allgather_large
 from repro.shmem import PipShmem
 from repro.sim import Tracer
 
@@ -34,10 +35,11 @@ def run(overlap: bool) -> tuple[float, Tracer]:
     inputs = [Buffer.real(rng.random(COUNT)) for _ in range(size)]
     outputs = [Buffer.alloc(DOUBLE, size * COUNT) for _ in range(size)]
 
+    allgather = plan_allgather_large(NODES, PPN, COUNT, overlap)
+
     def body(ctx):
-        yield from mcoll_allgather_large(
-            ctx, inputs[ctx.rank], outputs[ctx.rank], overlap=overlap
-        )
+        yield from replay(ctx, allgather, (),
+                          {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]})
 
     elapsed = world.run(body).elapsed
     expected = np.concatenate([b.array() for b in inputs])

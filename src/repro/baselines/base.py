@@ -18,7 +18,6 @@ import abc
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.mpi.buffer import Buffer
-from repro.mpi.collectives.alltoall import check_alltoall_buffers
 from repro.mpi.collectives.group import Group
 from repro.mpi.datatypes import ReduceOp
 from repro.mpi.runtime import RankCtx, World
@@ -27,8 +26,8 @@ from repro.sched.ir import Schedule
 from repro.shmem.base import ShmemMechanism
 from repro.sim.engine import Delay, ProcGen
 
-__all__ = ["MpiLibrary", "Selection", "node_group", "leader_group",
-           "replay"]
+__all__ = ["MpiLibrary", "Selection", "buffer_counts", "node_group",
+           "leader_group", "replay"]
 
 #: what :meth:`MpiLibrary.select` returns: the planner, the arguments it
 #: is called with, and the group-tag symbols its schedule binds
@@ -45,30 +44,58 @@ def leader_group(ctx: RankCtx) -> Group:
     return Group(ctx.rank_of(n, 0) for n in range(ctx.nodes))
 
 
+def buffer_counts(collective: str, size: int,
+                  count) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Each buffer's element count for one world collective, as
+    ``(root's, every other rank's)``.
+
+    ``size`` is the world size and ``count`` the per-rank element count
+    (an alltoall's per-rank block, 0 for a barrier).  A buffer only the
+    root supplies is absent from the other ranks' counts; the unrooted
+    collectives give every rank the same counts.
+    """
+    whole = size * count
+    return {
+        "scatter": ({"send": whole, "recv": count}, {"recv": count}),
+        "allgather": ({"send": count, "recv": whole},) * 2,
+        "allreduce": ({"send": count, "recv": count},) * 2,
+        "alltoall": ({"send": whole, "recv": whole},) * 2,
+        "bcast": ({"buf": count},) * 2,
+        "gather": ({"send": count, "recv": whole}, {"send": count}),
+        "reduce": ({"send": count, "recv": count}, {"send": count}),
+        "barrier": ({"token": 0},) * 2,
+    }[collective]
+
+
 def replay(ctx: RankCtx, schedule: Schedule, tags: Tuple[str, ...],
            bindings: Dict[str, Optional[Buffer]],
-           op: Optional[ReduceOp] = None) -> ProcGen:
-    """Replay a world schedule on this rank, binding its group tags.
+           op: Optional[ReduceOp] = None,
+           group: Optional[Group] = None) -> ProcGen:
+    """Replay ``schedule`` on this rank, binding its group tags.
 
-    Each tag symbol is the collective tag of the group whose phase it
-    scopes, drawn in ``tags`` order: ``"tag"`` the world's,
-    ``"node-in"`` and ``"node-out"`` this rank's node's, and ``"leader"``
-    the node leaders' — drawn on leaders only, as only they run that
-    phase.
+    ``group`` is the participating group (default: the world): this rank
+    runs its program ``group.index_of(ctx.rank)``.  Each tag symbol is the
+    collective tag of the group whose phase it scopes, drawn in ``tags``
+    order: ``"tag"`` the participating group's, ``"node-in"`` and
+    ``"node-out"`` this rank's node's, and ``"leader"`` the node leaders'
+    — drawn on leaders only, as only they run that phase.
     """
     symbols = {}
     for name in tags:
         if name == "tag":
-            group = Group(range(ctx.world_size))
+            scope = group if group is not None else Group(
+                range(ctx.world_size)
+            )
         elif name == "leader":
             if ctx.local_rank:
                 continue
-            group = leader_group(ctx)
+            scope = leader_group(ctx)
         else:
-            group = node_group(ctx)
-        symbols[name] = ctx.collective_tag(group)
+            scope = node_group(ctx)
+        symbols[name] = ctx.collective_tag(scope)
     yield from ScheduleExecutor(schedule).run(
         ctx, bindings, op=op, symbols=symbols,
+        program_index=None if group is None else group.index_of(ctx.rank),
     )
 
 
@@ -134,7 +161,6 @@ class MpiLibrary(abc.ABC):
     def alltoall(self, ctx: RankCtx, sendbuf: Buffer, recvbuf: Buffer) -> ProcGen:
         """MPI_Alltoall over the whole world (equal blocks)."""
         size = ctx.world_size
-        check_alltoall_buffers(sendbuf, recvbuf, size)
         yield from self._run(ctx, "alltoall", sendbuf.count // size,
                              sendbuf.nbytes // size,
                              {"send": sendbuf, "recv": recvbuf})
@@ -167,8 +193,21 @@ class MpiLibrary(abc.ABC):
     def _run(self, ctx: RankCtx, collective: str, count: int, nbytes: int,
              bindings: Dict[str, Optional[Buffer]], root: int = 0,
              op: Optional[ReduceOp] = None) -> ProcGen:
-        """Charge the per-call software overhead, then replay the schedule
-        :meth:`select` picks for this invocation."""
+        """Check the buffers, charge the per-call software overhead, then
+        replay the schedule :meth:`select` picks for this invocation."""
+        counts = buffer_counts(collective, ctx.world_size, count)
+        for name, need in counts[ctx.rank != root].items():
+            buf = bindings.get(name)
+            if buf is None:
+                raise ValueError(
+                    f"{collective} needs a {name} buffer of {need} elements"
+                    f" on rank {ctx.rank}"
+                )
+            if buf.count != need:
+                raise ValueError(
+                    f"{collective} {name} buffer has {buf.count} elements,"
+                    f" need {need}"
+                )
         yield Delay(self.software_overhead)
         planner, args, tags = self.select(
             collective, ctx.nodes, ctx.ppn, count, nbytes, root

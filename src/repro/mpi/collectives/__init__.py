@@ -1,22 +1,14 @@
-"""Classical MPI collective algorithms (the baselines' building blocks)."""
+"""Groups and the classical collectives that are not compiled schedules.
 
-from repro.mpi.collectives.alltoall import alltoall_bruck, alltoall_pairwise
-from repro.mpi.collectives.barrier import barrier_dissemination
+The classical group algorithms the baselines run are planners in
+:mod:`repro.sched.plans.baseline`; the reduce-scatter and vector
+collectives here are still hand-written generators.
+"""
+
 from repro.mpi.collectives.group import Group, block_partition
 from repro.mpi.collectives.reduce_scatter import (
     reduce_scatter_halving,
     reduce_scatter_pairwise,
-)
-from repro.mpi.collectives.scheduled import (
-    allgather_bruck,
-    allgather_recursive_doubling,
-    allgather_ring,
-    allreduce_rabenseifner,
-    allreduce_recursive_doubling,
-    bcast_binomial,
-    gather_binomial,
-    reduce_binomial,
-    scatter_binomial,
 )
 from repro.mpi.collectives.vector import (
     allgatherv_ring,
@@ -25,22 +17,10 @@ from repro.mpi.collectives.vector import (
 )
 
 __all__ = [
-    "allgather_bruck",
-    "allgather_recursive_doubling",
-    "allgather_ring",
-    "allreduce_rabenseifner",
-    "allreduce_recursive_doubling",
-    "alltoall_bruck",
-    "alltoall_pairwise",
-    "barrier_dissemination",
-    "bcast_binomial",
-    "gather_binomial",
     "Group",
     "block_partition",
-    "reduce_binomial",
     "reduce_scatter_halving",
     "reduce_scatter_pairwise",
-    "scatter_binomial",
     "allgatherv_ring",
     "gatherv_linear",
     "scatterv_linear",

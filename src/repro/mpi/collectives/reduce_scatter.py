@@ -2,7 +2,8 @@
 
 Recursive halving is the classical small/medium-message choice for
 commutative operations (power-of-two group sizes; general sizes fold to it
-inside :func:`~repro.mpi.collectives.scheduled.allreduce_rabenseifner`);
+inside
+:func:`~repro.sched.plans.baseline.emit_allreduce_rabenseifner`);
 pairwise exchange handles any size with bandwidth-optimal traffic and is
 MPICH's large-message commutative default.
 """

@@ -1,7 +1,7 @@
 """Replay a compiled schedule on the live runtime.
 
-:class:`ScheduleExecutor` is the single generator that now drives every
-migrated collective: it walks one rank's :class:`~repro.sched.ir.RankProgram`
+:class:`ScheduleExecutor` is the single generator that drives every
+collective, called by :func:`repro.baselines.base.replay`: it walks one rank's :class:`~repro.sched.ir.RankProgram`
 and performs each step through the same :class:`~repro.mpi.runtime.RankCtx`
 primitives the hand-written generators used, in the same order.  All
 simulated time is charged inside those primitives, and step dispatch is

@@ -564,7 +564,7 @@ class FastWorld:
     def next_group_tag(self, name: str) -> tuple:
         """A fresh value for group-tag symbol ``name``.
 
-        The event loop's wrappers bind ``RankCtx.collective_tag`` draws,
+        The event loop's ``replay`` binds ``RankCtx.collective_tag`` draws,
         ``(group tag_key, seq)`` tuples; only matching depends on the
         value, so one fresh value per symbol per invocation matches the
         same messages.  Node-group symbols are shared by every node's

@@ -87,8 +87,9 @@ class HashTag:
     """A message tag derived from a (possibly tuple) namespace key.
 
     Resolves to the key itself when it is an ``int``, else to
-    ``hash(key) & 0x7FFFFFFF`` — the derivation ``ring_allgather_blocks``
-    has always used.
+    ``hash(key) & 0x7FFFFFFF`` — the derivation the multi-object ring
+    (:func:`~repro.sched.plans.ring.emit_ring_allgather_blocks`) has
+    always used.
     """
 
     key: Any
@@ -271,9 +272,9 @@ class Schedule:
     """One collective invocation, compiled: a program per participant.
 
     ``programs[i]`` is the program of participant ``i`` — a global rank for
-    world collectives, a *local* rank for intranode collectives, a group
-    index for group collectives; the wrapper that owns the schedule knows
-    which.  ``num_namespaces`` is how many :class:`Ns` markers each program
+    world collectives, a group index for group collectives (a *local* rank
+    for one node's group); :func:`repro.baselines.base.replay` picks the
+    program from the participating group it is given.  ``num_namespaces`` is how many :class:`Ns` markers each program
     resolves (identical across ranks by construction).
     """
 

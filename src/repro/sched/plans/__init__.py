@@ -2,10 +2,10 @@
 
 One module per layer:
 
-* :mod:`repro.sched.plans.intranode` — §III-C intranode building blocks
-  (emit helpers shared with the primary planners, plus standalone plans
-  backing the ``repro.core.intranode`` entry points);
-* :mod:`repro.sched.plans.ring` — the multi-object internode ring;
+* :mod:`repro.sched.plans.intranode` — the §III-C intranode building
+  blocks, as ``emit_*`` helpers the PiP-MColl planners inline;
+* :mod:`repro.sched.plans.ring` — the multi-object internode ring, an
+  ``emit_*`` helper of the large allgather and allreduce;
 * :mod:`repro.sched.plans.mcoll` — every PiP-MColl collective: the
   paper's three primary ones and the multi-object alltoall, bcast,
   gather, reduce and barrier;
@@ -17,7 +17,8 @@ One module per layer:
   compositions of MVAPICH2 and Intel MPI.
 
 Every collective a library runs is one of these schedules; the
-libraries' :meth:`~repro.baselines.base.MpiLibrary.select` picks which.
+libraries' :meth:`~repro.baselines.base.MpiLibrary.select` picks which,
+and :func:`repro.baselines.base.replay` runs it on the event loop.
 
 Every planner is ``lru_cache``'d on its full shape signature: the event
 loop replans each collective per rank and per iteration, and planning is
@@ -32,12 +33,6 @@ from repro.sched.plans.hierarchical import (
     plan_hier_reduce,
     plan_hier_scatter,
 )
-from repro.sched.plans.intranode import (
-    plan_intra_bcast,
-    plan_intra_gather,
-    plan_intra_reduce_binomial,
-    plan_intra_reduce_chunked,
-)
 from repro.sched.plans.mcoll import (
     plan_allgather_large,
     plan_allgather_small,
@@ -51,7 +46,6 @@ from repro.sched.plans.mcoll import (
     plan_reduce_small,
     plan_scatter,
 )
-from repro.sched.plans.ring import plan_ring_allgather_blocks
 
 __all__ = [
     "plan_group",
@@ -60,10 +54,6 @@ __all__ = [
     "plan_hier_bcast",
     "plan_hier_reduce",
     "plan_hier_scatter",
-    "plan_intra_bcast",
-    "plan_intra_gather",
-    "plan_intra_reduce_binomial",
-    "plan_intra_reduce_chunked",
     "plan_allgather_large",
     "plan_allgather_small",
     "plan_allreduce_large",
@@ -75,5 +65,4 @@ __all__ = [
     "plan_reduce_large",
     "plan_reduce_small",
     "plan_scatter",
-    "plan_ring_allgather_blocks",
 ]

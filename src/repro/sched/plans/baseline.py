@@ -1,15 +1,20 @@
 """Planners for the classical group algorithms the baselines run.
 
 MPICH-style binomial scatter, gather, bcast and reduce; recursive-doubling
-and Rabenseifner allreduce (both with the non-power-of-two fold); Bruck,
-recursive-doubling and ring allgather; Bruck and pairwise-exchange
-alltoall; the dissemination barrier.  Each ``emit_*`` transcribes the
-control flow of one algorithm for one group member, in the
-:mod:`repro.sched.plans.intranode` emit style: buffer names and an alloc
-prefix are parameters, so the two-level compositions of
-:mod:`repro.sched.plans.hierarchical` can chain several group phases into
-one program.  :func:`plan_group` wraps any of them into a standalone
-schedule whose programs are indexed by *group index*.
+and Rabenseifner allreduce (both with the non-power-of-two fold: the
+first ``2*rem`` members pair up, odd members absorb their even neighbour
+and join the power-of-two core, and results are copied back at the end);
+the three classical allgathers the paper names (§III-A2): Bruck for
+small non-power-of-two groups, recursive doubling for small power-of-two
+ones, ring for large messages; Bruck and pairwise-exchange alltoall (not
+part of the paper's evaluated trio, but the baseline for the
+multi-object alltoall extension); MPICH's default dissemination barrier.
+Each ``emit_*`` transcribes the control flow of one algorithm for one
+group member, in the :mod:`repro.sched.plans.intranode` emit style:
+buffer names and an alloc prefix are parameters, so the two-level
+compositions of :mod:`repro.sched.plans.hierarchical` can chain several
+group phases into one program.  :func:`plan_group` wraps any of them
+into a standalone schedule whose programs are indexed by *group index*.
 
 Every group emitter shares the signature ``emit(em, ranks, me, count,
 tag, [root_index,] *, <buffer names>, prefix)``: ``ranks`` are the group
@@ -18,8 +23,9 @@ plan time), ``me`` is the member's group index, ``count`` the per-member
 element count, and ``tag`` the message-tag expression.  The
 communicator-scoped tag stays symbolic (``Sym("tag")`` in
 :func:`plan_group`): it comes from :meth:`RankCtx.collective_tag`, which
-mutates per-(rank, group) call counters and therefore must keep running
-in the wrapper.  The rooted algorithms take any ``root_index``.
+mutates per-(rank, group) call counters and therefore is drawn at replay
+time (:func:`repro.baselines.base.replay`, over the group it is given).
+The rooted algorithms take any ``root_index``.
 
 The ``mpich_*`` selectors are MPICH's default algorithm choices: each
 maps ``(group size, bytes)`` to an emitter.  :func:`mpich_select` is the
@@ -187,8 +193,9 @@ def emit_bcast_binomial(
     em: Emitter, ranks: Tuple[int, ...], me: int, count, tag: Any,
     root_index: int = 0, *, buf: str = "buf", prefix: str = "bcast_",
 ) -> None:
-    """Binomial-tree broadcast of the root's ``buf``: ``ceil(log2 size)``
-    rounds, each holder forwarding the whole buffer to a member ``mask``
+    """Binomial-tree broadcast of the root's ``buf`` — the classic MPICH
+    small-message broadcast: ``ceil(log2 size)`` rounds, each holder
+    forwarding the whole buffer to a member ``mask``
     away in relative-rank space (``count`` and ``prefix`` are unused: the
     tree moves whole buffers and allocates nothing)."""
     size = len(ranks)
@@ -313,7 +320,8 @@ def emit_allreduce_recursive_doubling(
     send: str = "send", recv: str = "recv", prefix: str = "allreduce_rd_",
 ) -> None:
     """Recursive-doubling allreduce: ``log2`` rounds of full-buffer
-    exchanges, latency-optimal for small messages."""
+    exchanges, latency-optimal for small messages (MPICH's default up to
+    2 kB)."""
     size = len(ranks)
     em.phase("allreduce-recursive-doubling")
     acc = BufRef(recv)
@@ -339,8 +347,8 @@ def emit_allreduce_rabenseifner(
     send: str = "send", recv: str = "recv", prefix: str = "allreduce_rab_",
 ) -> None:
     """Rabenseifner's allreduce: recursive-halving reduce-scatter followed
-    by recursive-doubling allgather — bandwidth-optimal for large
-    messages."""
+    by recursive-doubling allgather — the bandwidth-optimal large-message
+    default the paper's §III-B2 contrasts against."""
     # lazy: repro.mpi.collectives imports this module
     from repro.mpi.collectives.group import block_partition
 
@@ -451,6 +459,10 @@ def emit_allgather_recursive_doubling(
     """Recursive-doubling allgather (power-of-two group sizes only;
     allocates nothing, so ``prefix`` is unused)."""
     size = len(ranks)
+    if not is_power_of(2, size):
+        raise ValueError(
+            f"recursive doubling needs a power-of-two size, got {size}"
+        )
     em.phase("recursive-doubling")
     em.copy(BufRef(recv, me * count, count), BufRef(send))
 
@@ -469,7 +481,8 @@ def emit_allgather_ring(
     em: Emitter, ranks: Tuple[int, ...], me: int, count, tag: Any, *,
     send: str = "send", recv: str = "recv", prefix: str = "",
 ) -> None:
-    """Ring allgather: ``size - 1`` rounds of neighbour exchange
+    """Ring allgather: ``size - 1`` rounds of neighbour exchange —
+    bandwidth-optimal total traffic, the classical large-message choice
     (allocates nothing, so ``prefix`` is unused)."""
     size = len(ranks)
     em.phase("ring")

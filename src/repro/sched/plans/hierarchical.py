@@ -3,17 +3,20 @@
 MVAPICH2 and Intel MPI run scatter, allgather, allreduce, bcast and
 reduce as an intranode phase over each node's group, an internode phase
 among one leader per node (local rank 0), and an intranode fan-out — the
-two-level scheme of Zhou et al. (arXiv:2007.06892).  Each planner chains
-the group emitters of :mod:`repro.sched.plans.baseline` into one
-world-indexed program per rank; the leader phase runs whichever emitter
-the caller's selector picked (MPICH's, for the modelled libraries).
+two-level scheme of Zhou et al. (arXiv:2007.06892).  The intranode
+phases travel through the library's configured shared-memory mechanism
+via regular p2p.  Each planner chains the group emitters of
+:mod:`repro.sched.plans.baseline` into one world-indexed program per
+rank; the leader phase runs whichever emitter the caller picked
+(MPICH's choice over the leaders, for the modelled libraries).
 
 Every group phase tags its messages with its own group's collective tag,
-drawn by the wrapper and bound as a symbol: ``"node-in"`` for the
-intranode gather/reduce, ``"leader"`` for the leader phase and
-``"node-out"`` for the intranode scatter/broadcast.  The rooted
-compositions move data between a non-leader root and its node's leader
-on a constant, root-scoped tag: only those two ranks use that channel.
+drawn by :func:`repro.baselines.base.replay` and bound as a symbol:
+``"node-in"`` for the intranode gather/reduce, ``"leader"`` for the
+leader phase and ``"node-out"`` for the intranode scatter/broadcast.
+The rooted compositions move data between a non-leader root and its
+node's leader on a constant, root-scoped tag: only those two ranks use
+that channel.
 """
 
 from __future__ import annotations

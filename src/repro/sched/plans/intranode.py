@@ -1,34 +1,49 @@
-"""Planners for the §III-C intranode building blocks.
+"""Planners for the PiP-MColl auxiliary intranode collectives (§III-C,
+Fig. 5).
 
-The ``emit_*`` functions transcribe the control flow of the original
-``repro.core.intranode`` generators for one local rank, so the primary
-collective planners can inline them (one executor run, phases spanning the
-whole collective); the ``plan_*`` functions wrap them into standalone
-per-node schedules backing the public ``intra_*`` entry points.
+These are the userspace building blocks the primary collectives compose:
+broadcast, gather, and reduce *within one node*, built purely from PiP
+primitives — address posting, flag counters, and direct loads/stores into
+peer buffers.  No messages, no syscalls, no double copies.
+
+Every ``emit_*`` here emits one local rank's part, and **every rank of
+one node** must run it: the ranks synchronise through the node's address
+board and counters under the caller's namespace key.  The PiP-MColl
+planners of :mod:`repro.sched.plans.mcoll` inline them (one executor
+run, phases spanning the whole collective).  The intranode barrier is no
+emitter of its own: planners inline it as
+:meth:`~repro.sched.emit.Emitter.barrier`.
+
+Cost behaviour matches §III-C:
+
+* small broadcast — root copies to a staging buffer, posts its address,
+  peers copy out in parallel; the root does *not* wait.
+* large broadcast — root posts its source buffer directly (zero staging
+  copy) but must wait until every peer has copied out.
+* gather — root posts its destination buffer; every process copies its
+  block in, in parallel.
+* small reduce — binomial tree of direct-access reductions.
+* large reduce — every buffer is chunked P ways and process *i* reduces
+  chunk *i* of every source into the destination (Fig. 5): P-way parallel
+  reduction bandwidth.
 
 Transcription fidelity is the whole game: every board post/lookup, counter
 operation, copy and reduction is emitted at exactly the position the
-generator performed it, so replay is bit-identical in simulated time.
+hand-written generators performed it, so replay is bit-identical in
+simulated time.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Optional
-
 from repro.mpi.collectives.group import block_partition
 from repro.sched.emit import Emitter
-from repro.sched.ir import BufRef, Ns, RankProgram, Schedule
+from repro.sched.ir import BufRef
 
 __all__ = [
     "emit_intra_bcast",
     "emit_intra_gather",
     "emit_intra_reduce_binomial",
     "emit_intra_reduce_chunked",
-    "plan_intra_bcast",
-    "plan_intra_gather",
-    "plan_intra_reduce_binomial",
-    "plan_intra_reduce_chunked",
 ]
 
 
@@ -76,7 +91,8 @@ def emit_intra_gather(
     prefix: str = "ig_",
 ) -> None:
     """Intranode gather: rank ``l``'s block at offset ``l * count`` of the
-    root's receive buffer, every process copying its own block in."""
+    root's receive buffer, every process copying its own block in —
+    P-way parallel, the inverse of Fig. 5's layout."""
     if lr == root_local:
         if ppn == 1:
             em.copy(BufRef(recv, 0, count), BufRef(send))
@@ -104,6 +120,8 @@ def emit_intra_reduce_binomial(
 ) -> BufRef:
     """Small-message intranode reduce: binomial tree of direct accesses.
 
+    Each tree parent reads its child's accumulator straight out of the
+    child's memory (PiP) — ``ceil(log2 P)`` rounds, no staging copies.
     Returns this rank's accumulator reference (the root's receive buffer,
     or the temporary a non-root folds into before its parent reads it).
     """
@@ -144,7 +162,16 @@ def emit_intra_reduce_chunked(
     recv: str = "recv",
     prefix: str = "irc_",
 ) -> None:
-    """Large-message intranode reduce (Fig. 5): chunk-parallel."""
+    """Large-message intranode reduce (Fig. 5): chunk-parallel.
+
+    Every process posts its source buffer; process ``i`` then reduces the
+    ``i``-th chunk of *every* source buffer into the ``i``-th chunk of the
+    root's destination — P processes reducing in parallel.
+
+    With ``all_wait`` every rank blocks until the whole destination is
+    reduced (needed when all ranks immediately read it, as in the
+    large-message allreduce); otherwise only the root waits.
+    """
     if ppn == 1:
         em.copy(BufRef(recv), BufRef(send))
         return
@@ -177,65 +204,3 @@ def emit_intra_reduce_chunked(
     em.counter_add((ns_key, "done"), 1)
     if all_wait or lr == root_local:
         em.counter_wait((ns_key, "done"), ppn)
-
-
-# ---------------------------------------------------------------------------
-# standalone per-node schedules (programs indexed by local rank)
-# ---------------------------------------------------------------------------
-
-def _node_schedule(programs, label: str) -> Schedule:
-    return Schedule(tuple(programs), num_namespaces=1, label=label)
-
-
-@lru_cache(maxsize=None)
-def plan_intra_bcast(
-    ppn: int, count: int, root_local: int, large: bool
-) -> Schedule:
-    # the generator draws its namespace before the ppn == 1 early-out, so
-    # the schedule always consumes one namespace, even when empty
-    programs = []
-    for lr in range(ppn):
-        em = Emitter()
-        emit_intra_bcast(
-            em, lr, ppn, count, root_local, large, ("ib", Ns(0))
-        )
-        programs.append(em.build())
-    return _node_schedule(programs, f"intra-bcast p{ppn} c{count}")
-
-
-@lru_cache(maxsize=None)
-def plan_intra_gather(ppn: int, count: int, root_local: int) -> Schedule:
-    programs = []
-    for lr in range(ppn):
-        em = Emitter()
-        emit_intra_gather(em, lr, ppn, count, root_local, ("ig", Ns(0)))
-        programs.append(em.build())
-    return _node_schedule(programs, f"intra-gather p{ppn} c{count}")
-
-
-@lru_cache(maxsize=None)
-def plan_intra_reduce_binomial(
-    ppn: int, count: int, root_local: int
-) -> Schedule:
-    programs = []
-    for lr in range(ppn):
-        em = Emitter()
-        emit_intra_reduce_binomial(
-            em, lr, ppn, count, root_local, ("irb", Ns(0))
-        )
-        programs.append(em.build())
-    return _node_schedule(programs, f"intra-reduce-binomial p{ppn} c{count}")
-
-
-@lru_cache(maxsize=None)
-def plan_intra_reduce_chunked(
-    ppn: int, count: int, root_local: int, all_wait: bool
-) -> Schedule:
-    programs = []
-    for lr in range(ppn):
-        em = Emitter()
-        emit_intra_reduce_chunked(
-            em, lr, ppn, count, root_local, all_wait, ("irc", Ns(0))
-        )
-        programs.append(em.build())
-    return _node_schedule(programs, f"intra-reduce-chunked p{ppn} c{count}")

@@ -1,8 +1,10 @@
 """Planners for PiP-MColl's collectives.
 
 The paper's three primary collectives (§III-A, §III-B) and the
-multi-object extensions built from the same ingredients: alltoall,
-bcast, gather, reduce and barrier.  Each ``plan_*`` emits one program
+multi-object extensions built from the same ingredients — every process
+of a node as an internode sender/receiver, reading and writing its
+peers' buffers directly through PiP: alltoall, bcast, gather, reduce and
+barrier.  Each ``plan_*`` emits one program
 per global rank and tags the algorithm phases (``PhaseStep``) for
 tracing and per-phase accounting.  The intranode and ring building
 blocks are inlined through their shared ``emit_*`` helpers with
@@ -13,7 +15,8 @@ Namespace layout per schedule (drawn by the executor in index order):
 * ``Ns(0)`` — the collective's own namespace (message tags, board keys);
 * ``Ns(1)`` — the namespace of the one nested intranode collective the
   allreduce and large reduce algorithms invoke
-  (``intra_reduce_binomial`` / ``_chunked``).
+  (:func:`~repro.sched.plans.intranode.emit_intra_reduce_binomial` /
+  ``_chunked``).
 
 The small reduce draws only its intranode reduce's namespace, as
 ``Ns(0)``; its leader phase is a group algorithm tagged with the
@@ -83,7 +86,33 @@ def _tree_rounds(N: int, P: int, vnode: int):
 def plan_scatter(
     nodes: int, ppn: int, count: int, root: int, overlap: bool
 ) -> Schedule:
-    """§III-A1 multi-object scatter (one algorithm across all sizes)."""
+    """§III-A1 multi-object scatter (Fig. 2), one algorithm across all
+    sizes: root ``root``'s send buffer (``world_size * count`` elements,
+    global-rank order) into every rank's receive buffer (``count``).
+
+    The conventional binomial scatter moves data between *one*
+    sender/receiver pair per node per round.  PiP-MColl instead uses every
+    process on a data-holding node as a sender: the node group splits into
+    ``P + 1`` sub-groups per round — the root node keeps one, and local
+    process ``R_l`` ships the data for sub-group ``R_l + 1`` to that
+    sub-group's root node, **directly out of the local root's buffer**
+    (possible only because PiP lets any local process read it without
+    copies or syscalls).  The intranode scatter — each process copying its
+    own ``C_b`` elements into its receive buffer — is overlapped with the
+    in-flight internode sends; ``overlap=False`` defers the own-block copy
+    until the internode sends complete, the ablation knob for that design
+    choice.
+
+    Generalisations over the paper's presentation (which assumes ``N`` is
+    a power of ``P+1``): node groups split into ``min(P+1, n)`` near-equal
+    consecutive chunks, so any ``(N, P)`` works; arbitrary roots are
+    handled with one virtual-node rotation copy at the root, exactly as
+    MPICH pays for non-zero roots.
+
+    Cost model (§III-A1): ``T = max(T_intrascatter, T_interscatter)`` with
+    ``T_intrascatter = a_r + P*C_b*b_r`` and
+    ``T_interscatter = a_e*ceil(log_{P+1} N) + C_b*(N-1)*P*b_e``.
+    """
     N, P, C = nodes, ppn, count
     ns = Ns(0)
     tag = Ns(0)
@@ -169,7 +198,34 @@ def plan_scatter(
 
 @lru_cache(maxsize=None)
 def plan_allgather_small(nodes: int, ppn: int, count: int) -> Schedule:
-    """§III-A2 multi-object Bruck allgather, radix ``P + 1``."""
+    """§III-A2 multi-object Bruck allgather, radix ``P + 1`` (Fig. 3):
+    every rank's ``count`` elements into every rank's receive buffer
+    (``world_size * count``, global-rank order).
+
+    After an intranode gather into the local root's buffer ``A``, every
+    round has **all P processes of a node** send the node's accumulated
+    prefix to P distinct nodes (at distances ``(R_l+1) * S_p``) and
+    receive P distinct extensions — all reading from and writing into the
+    local root's buffer directly (PiP).  One round multiplies the number
+    of gathered node blocks by ``P + 1``, giving ``ceil(log_{P+1} N)``
+    internode rounds instead of Bruck's ``log_2 N``.
+
+    Generalisation: the paper treats the non-power remainder as a separate
+    final stage; here every round uses
+    ``cnt = clamp(N - S_p - R_l*S_p, 0, S_p)`` blocks per process, which
+    makes the final partial round just a truncated regular round
+    (equivalent communication, any ``N``).
+
+    Blocks accumulate in node-relative order; the paper finishes with the
+    local root shifting into absolute order and broadcasting.  We fuse the
+    two: every process copies all blocks from ``A`` into its own receive
+    buffer with the rotation applied — same bytes moved, one less staging
+    pass.
+
+    Cost model (§III-A2): ``T = T_intra_gather + a_e*ceil(log_{P+1} N) +
+    ...``; internode volume grows quadratically in ``C_b``, which is why
+    §III-B1 switches to the ring algorithm for large messages.
+    """
     N, P, C = nodes, ppn, count
     ns = Ns(0)
     tag = Ns(0)
@@ -229,7 +285,21 @@ def plan_allgather_small(nodes: int, ppn: int, count: int) -> Schedule:
 def plan_allgather_large(
     nodes: int, ppn: int, count: int, overlap: bool = True
 ) -> Schedule:
-    """§III-B1 multi-object ring allgather."""
+    """§III-B1 multi-object ring allgather (Fig. 4).
+
+    Intranode gather into the local root's staging buffer (absolute
+    node-block order), then the multi-object ring of
+    :mod:`repro.sched.plans.ring`: ``N - 1`` steps, P independent ring
+    lanes per node (process ``R_l`` rings slice ``R_l`` of every node
+    block), with the intranode broadcast of completed blocks overlapped
+    with the in-flight ring transfers; ``overlap=False`` defers that
+    broadcast until after the ring, the ablation knob for §III-B1's
+    overlap design choice.
+
+    Linear in ``C_b`` (vs. the small-message algorithm's quadratic
+    growth) and bandwidth-optimal in total internode traffic — the paper
+    switches to this algorithm at 64 kB.
+    """
     N, P, C = nodes, ppn, count
     ns = Ns(0)
     block = P * C
@@ -276,7 +346,40 @@ def _digits(value: int, base: int, ndigits: int) -> List[int]:
 @lru_cache(maxsize=None)
 def plan_allreduce_small(nodes: int, ppn: int, count: int) -> Schedule:
     """§III-A3 multi-object Bruck allreduce with digit-decomposition
-    remainder handling."""
+    remainder handling: every rank's ``count`` elements, reduced into
+    every rank's receive buffer.
+
+    Structure follows the paper: intranode binomial reduce into the local
+    root's buffer, then radix-``P+1`` multi-object Bruck rounds — every
+    round, all P processes of a node send the node's accumulated partial
+    to P distinct nodes, receive P partials, and fold them in with a
+    chunk-parallel intranode reduction — then a final intranode broadcast.
+
+    Remainder handling (documented deviation): the paper's §III-A3 steps
+    5–6 describe per-round remainder buffers ``A_r`` but under-specify the
+    recurrence.  We implement the *digit-decomposition* scheme those
+    remainder buffers enable, which is exactly reconstructible and
+    provably correct for any ``N``:
+
+    * run the ``k = floor(log_{P+1} N)`` full rounds; after round ``j``
+      the node's accumulator covers a window of ``(P+1)^(j+1)``
+      consecutive nodes;
+    * whenever the base-``(P+1)`` digit ``d_j`` of ``R = N - (P+1)^k`` is
+      non-zero, snapshot the accumulator after round ``j`` (the paper's
+      remainder buffer);
+    * finish with one extra phase that tiles the remaining ``R`` nodes
+      with ``sum(d_j) <= P * (k+1)`` window-snapshot exchanges, spread
+      round-robin over the P processes (multi-object, like everything
+      else).
+
+    For power-of-``(P+1)`` node counts this is exactly the paper's
+    algorithm; otherwise it costs one extra communication phase, the same
+    order the paper's remainder stage pays.
+
+    The per-round intranode synchronisation this algorithm needs is the
+    "multi-object synchronisation" overhead §IV-B3 discusses — it is
+    charged faithfully through the PiP counter costs.
+    """
     N, P, C = nodes, ppn, count
     ns = Ns(0)
     tag = Ns(0)
@@ -438,7 +541,7 @@ def _emit_reduce_scatter(em: Emitter, node: int, lr: int, N: int, P: int,
     local root's accumulator ``A``, then, on more than one node, the
     internode multi-object reduce-scatter after which node ``n`` owns
     chunk ``n`` of the global reduction in ``A`` (see
-    :mod:`repro.core.allreduce_large`).  Returns the chunk partition and
+    :func:`plan_allreduce_large`).  Returns the chunk partition and
     the paired-node partition.
     """
     ns = Ns(0)
@@ -491,7 +594,32 @@ def _emit_reduce_scatter(em: Emitter, node: int, lr: int, N: int, P: int,
 
 @lru_cache(maxsize=None)
 def plan_allreduce_large(nodes: int, ppn: int, count: int) -> Schedule:
-    """§III-B2 reduce-scatter + multi-object ring allgather."""
+    """§III-B2 reduce-scatter + multi-object ring allgather, all phases
+    multi-object:
+
+    1. **Intranode chunk-parallel reduce** (Fig. 5) into the local root's
+       accumulator — every process reduces its 1/P chunk of all P source
+       buffers.
+    2. **Internode multi-object reduce-scatter**: the accumulator is split
+       into ``N`` chunks; node ``n`` ends owning chunk ``n`` reduced
+       across all nodes.  Local process ``R_l`` ships the chunks for its
+       share of paired nodes (the paper's ``[N*R_l/P, N*(R_l+1)/P)``
+       ranges, generalised to a near-equal partition for arbitrary
+       ``N, P``); the one process whose range contains the node's own id
+       receives the ``N-1`` incoming copies of chunk ``n`` and folds them
+       in.
+    3. **Internode multi-object ring allgather** of the per-node chunks
+       with overlapped intranode broadcast (shared with §III-B1 via
+       :mod:`repro.sched.plans.ring`).
+
+    This reduces internode volume from the small-message algorithm's
+    ``C_b * P * ceil(log_{P+1} N)`` to ``~2 * C_b * (N-1)/N`` per node —
+    the paper switches to it at 8 k double counts (64 kB).
+
+    The paper assumes ``N`` divisible by ``P`` and ``C_b`` divisible by
+    ``N``; we use near-equal partitions (``block_partition``) instead, so
+    any shape is correct.
+    """
     N, P, C = nodes, ppn, count
     ns = Ns(0)
     programs = []
@@ -527,7 +655,9 @@ def plan_allreduce_large(nodes: int, ppn: int, count: int) -> Schedule:
 
 @lru_cache(maxsize=None)
 def plan_alltoall(nodes: int, ppn: int, count: int) -> Schedule:
-    """Multi-object alltoall of ``count``-element blocks.
+    """Multi-object alltoall of ``count``-element blocks: block ``r`` of
+    a rank's send buffer lands in block ``me`` of rank ``r``'s receive
+    buffer.
 
     * every local rank posts its send buffer on the node's address board —
       thanks to the PiP shared address space there is **no intranode
@@ -662,7 +792,9 @@ def plan_bcast(nodes: int, ppn: int, count: int, root: int) -> Schedule:
 
 @lru_cache(maxsize=None)
 def plan_gather(nodes: int, ppn: int, count: int, root: int) -> Schedule:
-    """Multi-object gather into global rank ``root``'s receive buffer.
+    """Multi-object gather of every rank's ``count`` elements into global
+    rank ``root``'s receive buffer (``world_size * count``, global-rank
+    order).
 
     The mirror image of the multi-object scatter's motivation: a gather's
     bottleneck is the root *receiving*.  Here the root node's P processes

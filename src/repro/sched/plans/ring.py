@@ -1,22 +1,36 @@
-"""Planner for the multi-object internode ring (Fig. 4 core).
+"""Planner for the multi-object internode ring with overlapped intranode
+broadcast (Fig. 4 core).
 
-``emit_ring_allgather_blocks`` transcribes ``repro.core.ring`` for one
-rank; the primary planners inline it with their own namespace key, and
-:func:`plan_ring_allgather_blocks` wraps it into a standalone schedule (the
-caller-supplied namespace stays symbolic — ``Sym("ns")`` — because the
-public entry point receives it as an argument).
+This is the communication core shared by the large-message allgather
+(§III-B1, Fig. 4) and the allgather stage of the large-message allreduce
+(§III-B2): ``N - 1`` ring steps over nodes, where each node block is split
+into ``P`` slices and local process ``R_l`` rings slice ``R_l`` — P
+concurrent, fully independent ring lanes per node, all reading/writing the
+local root's staging buffer directly (PiP).
+
+Overlap: while the step-``s`` transfers are in flight, each process copies
+the block completed at step ``s-1`` from the staging buffer into its own
+receive buffer — the "overlapped intranode broadcast" of Fig. 4.  A block
+is complete once all ``P`` lane counters for it have arrived.
+
+Blocks may have heterogeneous sizes (``node_counts``/``node_displs`` in
+elements): uniform ``P*C`` blocks for the plain allgather, ``C/N``-ish
+chunks for the allreduce's gather stage.
+
+:func:`emit_ring_allgather_blocks` emits one rank's part; the PiP-MColl
+planners of :mod:`repro.sched.plans.mcoll` inline it with their own
+namespace key.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 from repro.mpi.collectives.group import block_partition
 from repro.sched.emit import Emitter
-from repro.sched.ir import BufRef, HashTag, Schedule, Sym
+from repro.sched.ir import BufRef, HashTag
 
-__all__ = ["emit_ring_allgather_blocks", "plan_ring_allgather_blocks"]
+__all__ = ["emit_ring_allgather_blocks"]
 
 
 def emit_ring_allgather_blocks(
@@ -34,9 +48,11 @@ def emit_ring_allgather_blocks(
 ) -> None:
     """Ring-allgather node blocks through ``staging`` into ``recv``.
 
-    Same preconditions as the generator: the node's own block is complete
-    in the shared staging buffer and all local ranks have synchronised on
-    that fact.
+    Preconditions: every local rank can reach the node's shared
+    ``staging`` (the local root's buffer, absolute node-block order),
+    whose own node block is already complete, and all local ranks have
+    synchronised on that fact.  ``recv`` is this rank's private
+    full-size buffer.
     """
     N, P = nodes, ppn
     tag = HashTag(ns_key)
@@ -97,29 +113,3 @@ def emit_ring_allgather_blocks(
             rbuf.view(node_displs[b], node_counts[b]),
             stag.view(node_displs[b], node_counts[b]),
         )
-
-
-@lru_cache(maxsize=None)
-def plan_ring_allgather_blocks(
-    nodes: int,
-    ppn: int,
-    node_counts: Tuple[int, ...],
-    node_displs: Tuple[int, ...],
-    overlap: bool,
-) -> Schedule:
-    """Standalone schedule (programs indexed by global rank); the caller's
-    namespace binds through ``symbols={"ns": ...}`` at execution."""
-    programs = []
-    for rank in range(nodes * ppn):
-        node, lr = divmod(rank, ppn)
-        em = Emitter()
-        emit_ring_allgather_blocks(
-            em, node, lr, nodes, ppn, Sym("ns"), node_counts, node_displs,
-            overlap=overlap,
-        )
-        programs.append(em.build())
-    return Schedule(
-        tuple(programs),
-        num_namespaces=0,
-        label=f"ring-allgather {nodes}x{ppn}",
-    )

@@ -4,9 +4,11 @@ Maps the benchmark-facing library/collective names to the schedule the
 library would execute for a given shape and message size — by asking the
 library itself (:meth:`repro.baselines.base.MpiLibrary.select`, the one
 selection its event-loop methods also read) — and describes the buffer
-environment each participant starts with, so :mod:`repro.sched.check`
-can verify the schedule without running the simulator and the DAG and
-batch replays can evaluate it.  :func:`plan_column` runs the same
+environment each participant starts with (the element counts of
+:func:`repro.baselines.base.buffer_counts`, which the libraries'
+collective methods check), so :mod:`repro.sched.check` can verify the
+schedule without running the simulator and the DAG and batch replays
+can evaluate it.  :func:`plan_column` runs the same
 selection once over a whole message-size column, for the batch engine.
 
 Coverage is every microbenchmark collective (scatter, allgather,
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.baselines.base import buffer_counts
 from repro.sched.ir import Schedule
 from repro.sched.plans import (
     plan_allgather_large,
@@ -201,16 +204,7 @@ def _select(library: str, collective: str, nodes: int, ppn: int, nbytes,
 
     size = nodes * ppn
     # the root's (rank 0's) input buffers and everyone else's, in elements
-    whole = size * nbytes
-    root, other = {
-        "scatter": ({"send": whole, "recv": nbytes}, {"recv": nbytes}),
-        "allgather": ({"send": nbytes, "recv": whole},) * 2,
-        "allreduce": ({"send": nbytes, "recv": nbytes},) * 2,
-        "alltoall": ({"send": whole, "recv": whole},) * 2,
-        "bcast": ({"buf": nbytes},) * 2,
-        "gather": ({"send": nbytes, "recv": whole}, {"send": nbytes}),
-        "reduce": ({"send": nbytes, "recv": nbytes}, {"send": nbytes}),
-    }[collective]
+    root, other = buffer_counts(collective, size, nbytes)
     world = tuple(range(size))
     bindings = tuple(dict(root if rank == 0 else other) for rank in world)
     return PlannedCollective(

@@ -4,8 +4,8 @@ A campaign of ``N`` points cycles round-robin through :data:`ENTRIES` — the
 registry of every verifiable collective surface: the six modelled libraries'
 collectives, the flat classical algorithms, the vector collectives, and
 every registry schedule (each library's seven microbenchmark collectives,
-empty messages included) replayed directly through the
-:class:`~repro.sched.executor.ScheduleExecutor`.  Each visit *rotates*
+empty messages included) replayed directly through
+:func:`~repro.baselines.base.replay`.  Each visit *rotates*
 dtype, intranode mechanism, eager/rendezvous regime, and threshold variant
 (guaranteed coverage), and draws shape, counts, reduction op, root, and
 subgroup from an rng seeded by ``(seed, point)`` (randomized breadth).

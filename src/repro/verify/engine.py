@@ -18,34 +18,37 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.base import replay
 from repro.baselines.registry import make_library
 from repro.core.mcoll import PiPMColl
 from repro.core.tuning import Thresholds
 from repro.hw import Topology, tiny_test_machine
 from repro.mpi.buffer import Buffer
 from repro.mpi.collectives import (
-    allgather_bruck,
-    allgather_recursive_doubling,
-    allgather_ring,
     allgatherv_ring,
-    allreduce_rabenseifner,
-    allreduce_recursive_doubling,
-    alltoall_bruck,
-    alltoall_pairwise,
-    barrier_dissemination,
-    bcast_binomial,
-    gather_binomial,
     gatherv_linear,
-    reduce_binomial,
     reduce_scatter_halving,
     reduce_scatter_pairwise,
-    scatter_binomial,
     scatterv_linear,
 )
 from repro.mpi.collectives.group import Group
 from repro.mpi.datatypes import BYTE, DataType, ReduceOp
 from repro.mpi.runtime import World
-from repro.sched.executor import ScheduleExecutor
+from repro.sched.plans.baseline import (
+    emit_allgather_bruck,
+    emit_allgather_recursive_doubling,
+    emit_allgather_ring,
+    emit_allreduce_rabenseifner,
+    emit_allreduce_recursive_doubling,
+    emit_alltoall_bruck,
+    emit_alltoall_pairwise,
+    emit_barrier_dissemination,
+    emit_bcast_binomial,
+    emit_gather_binomial,
+    emit_reduce_binomial,
+    emit_scatter_binomial,
+    plan_group,
+)
 from repro.sched.registry import plan_for
 from repro.shmem.mechanisms import PipShmem, PosixShmem
 from repro.verify import oracles
@@ -62,21 +65,26 @@ __all__ = ["PointResult", "run_point", "repro_command"]
 _DTYPE_BY_NAME: Dict[str, DataType] = {d.name: d for d in DTYPES}
 _OP_BY_NAME: Dict[str, ReduceOp] = {o.name: o for o in OPS}
 
-_FLAT_FUNCS = {
-    "allgather_bruck": allgather_bruck,
-    "allgather_recursive_doubling": allgather_recursive_doubling,
-    "allgather_ring": allgather_ring,
-    "allreduce_recursive_doubling": allreduce_recursive_doubling,
-    "allreduce_rabenseifner": allreduce_rabenseifner,
-    "alltoall_bruck": alltoall_bruck,
-    "alltoall_pairwise": alltoall_pairwise,
-    "bcast_binomial": bcast_binomial,
-    "gather_binomial": gather_binomial,
-    "reduce_binomial": reduce_binomial,
+#: the classical group algorithms, by entry label: replayed from their
+#: group schedules over the case's subgroup
+_FLAT_EMITTERS = {
+    "allgather_bruck": emit_allgather_bruck,
+    "allgather_recursive_doubling": emit_allgather_recursive_doubling,
+    "allgather_ring": emit_allgather_ring,
+    "allreduce_recursive_doubling": emit_allreduce_recursive_doubling,
+    "allreduce_rabenseifner": emit_allreduce_rabenseifner,
+    "alltoall_bruck": emit_alltoall_bruck,
+    "alltoall_pairwise": emit_alltoall_pairwise,
+    "bcast_binomial": emit_bcast_binomial,
+    "gather_binomial": emit_gather_binomial,
+    "reduce_binomial": emit_reduce_binomial,
+    "scatter_binomial": emit_scatter_binomial,
+    "barrier_dissemination": emit_barrier_dissemination,
+}
+#: the reduce-scatter generators, run as written
+_REDUCE_SCATTERS = {
     "reduce_scatter_halving": reduce_scatter_halving,
     "reduce_scatter_pairwise": reduce_scatter_pairwise,
-    "scatter_binomial": scatter_binomial,
-    "barrier_dissemination": barrier_dissemination,
 }
 
 
@@ -279,7 +287,6 @@ def _noop_body():
 
 def _run_flat_case(case: Case) -> Tuple[List[str], str]:
     algo = case.entry.algo
-    func = _FLAT_FUNCS[algo]
     mech = MECHANISMS[case.mechanism]()
     world = World(
         Topology(case.nodes, case.ppn),
@@ -306,23 +313,18 @@ def _run_flat_case(case: Case) -> Tuple[List[str], str]:
         sendbufs = [Buffer.real(a.copy(), dtype) for a in inputs]
         recvbufs = [Buffer.alloc(dtype, size * C) for _ in range(size)]
         expected = oracles.allgather(inputs)
-        args = lambda i: (sendbufs[i], recvbufs[i])  # noqa: E731
     elif coll == "allreduce":
         sendbufs = [Buffer.real(a.copy(), dtype) for a in inputs]
         recvbufs = [Buffer.alloc(dtype, C) for _ in range(size)]
         expected = oracles.allreduce(inputs, op)
-        args = lambda i: (sendbufs[i], recvbufs[i], op)  # noqa: E731
     elif coll == "alltoall":
         inputs = [_fill(rng, dtype, size * C) for _ in range(size)]
         sendbufs = [Buffer.real(a.copy(), dtype) for a in inputs]
         recvbufs = [Buffer.alloc(dtype, size * C) for _ in range(size)]
         expected = oracles.alltoall(inputs, C)
-        args = lambda i: (sendbufs[i], recvbufs[i])  # noqa: E731
     elif coll == "bcast":
-        bufs = [Buffer.real(a.copy(), dtype) for a in inputs]
-        recvbufs = bufs
+        recvbufs = [Buffer.real(a.copy(), dtype) for a in inputs]
         expected = oracles.bcast(inputs[root], size)
-        args = lambda i: (bufs[i],)  # noqa: E731
     elif coll == "gather":
         sendbufs = [Buffer.real(a.copy(), dtype) for a in inputs]
         recvbufs = [
@@ -330,20 +332,17 @@ def _run_flat_case(case: Case) -> Tuple[List[str], str]:
             for i in range(size)
         ]
         expected = oracles.gather(inputs, root)
-        args = lambda i: (sendbufs[i], recvbufs[i])  # noqa: E731
     elif coll == "reduce":
         sendbufs = [Buffer.real(a.copy(), dtype) for a in inputs]
         recvbufs = [
             Buffer.alloc(dtype, C) if i == root else None for i in range(size)
         ]
         expected = oracles.reduce(inputs, op, root)
-        args = lambda i: (sendbufs[i], recvbufs[i], op)  # noqa: E731
     elif coll == "reduce_scatter":
         inputs = [_fill(rng, dtype, size * C) for _ in range(size)]
         sendbufs = [Buffer.real(a.copy(), dtype) for a in inputs]
         recvbufs = [Buffer.alloc(dtype, C) for _ in range(size)]
         expected = oracles.reduce_scatter(inputs, op, C)
-        args = lambda i: (sendbufs[i], recvbufs[i], op)  # noqa: E731
     elif coll == "scatter":
         root_input = _fill(rng, dtype, size * C)
         sendbufs = [
@@ -352,21 +351,33 @@ def _run_flat_case(case: Case) -> Tuple[List[str], str]:
         ]
         recvbufs = [Buffer.alloc(dtype, C) for _ in range(size)]
         expected = oracles.scatter(root_input, size, C)
-        args = lambda i: (sendbufs[i], recvbufs[i])  # noqa: E731
-    elif coll == "barrier":
-        args = lambda i: ()  # noqa: E731
-    else:  # pragma: no cover - registry/enum drift
+    elif coll != "barrier":  # pragma: no cover - registry/enum drift
         raise ValueError(f"unknown flat collective {coll!r}")
 
-    rooted = coll in ("scatter", "gather", "reduce", "bcast")
+    if coll == "reduce_scatter":
+        schedule = None
+    else:
+        rooted = coll in ("scatter", "gather", "reduce", "bcast")
+        schedule = plan_group(
+            _FLAT_EMITTERS[algo], group.ranks,
+            0 if coll == "barrier" else C, *((root,) if rooted else ()),
+        )
 
     def body(ctx):
         if ctx.rank not in group:
             return _noop_body()
         i = group.index_of(ctx.rank)
-        if rooted:
-            return func(ctx, group, *args(i), root_index=root)
-        return func(ctx, group, *args(i))
+        if schedule is None:
+            return _REDUCE_SCATTERS[algo](
+                ctx, group, sendbufs[i], recvbufs[i], op
+            )
+        if coll == "barrier":
+            bindings = {"token": ctx.alloc_bytes(0)}
+        elif coll == "bcast":
+            bindings = {"buf": recvbufs[i]}
+        else:
+            bindings = {"send": sendbufs[i], "recv": recvbufs[i]}
+        return replay(ctx, schedule, ("tag",), bindings, op, group)
 
     world.run(body)
     if coll == "barrier":
@@ -497,20 +508,11 @@ def _run_schedule_case(case: Case) -> Tuple[List[str], str]:
                 bufs[name] = Buffer.alloc(BYTE, count)
         bound.append(bufs)
 
-    executor = ScheduleExecutor(planned.schedule)
-    rank_to_program = {r: i for i, r in enumerate(planned.ranks)}
+    tags = tuple(planned.symbols)
 
     def body(ctx):
-        i = rank_to_program.get(ctx.rank)
-        if i is None:
-            return _noop_body()
-        return executor.run(
-            ctx,
-            bound[i],
-            op=op,
-            symbols=dict(planned.symbols) if planned.symbols else None,
-            program_index=i,
-        )
+        # registry schedules are world-indexed: program i is rank i
+        return replay(ctx, planned.schedule, tags, bound[ctx.rank], op)
 
     world.run(body)
 

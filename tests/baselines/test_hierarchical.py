@@ -1,14 +1,26 @@
-"""Tests for the two-level (leader-based) collective composition."""
+"""Tests for the two-level (leader-based) collective composition.
+
+Each composition's schedule runs through ``replay`` with a leader
+algorithm chosen here: MPICH's binomial scatter, the ring allgather and
+the recursive-doubling allreduce.
+"""
 
 import numpy as np
 import pytest
 
-from repro.baselines import hier_allgather, hier_allreduce, hier_scatter
-from repro.baselines.hierarchical import leader_group, node_group
+from repro.baselines.base import leader_group, node_group, replay
 from repro.mpi import DOUBLE, SUM, Buffer
 from repro.sched.plans.baseline import (
     emit_allgather_ring,
     emit_allreduce_recursive_doubling,
+    emit_scatter_binomial,
+)
+from repro.sched.plans.hierarchical import (
+    COMPOSE_TAGS,
+    FAN_OUT_TAGS,
+    plan_hier_allgather,
+    plan_hier_allreduce,
+    plan_hier_scatter,
 )
 from repro.shmem import PosixShmem
 
@@ -38,9 +50,12 @@ class TestHierScatter:
         sendbuf = Buffer.real(full.copy())
         recvs = [Buffer.alloc(DOUBLE, count) for _ in range(size)]
 
+        scatter = plan_hier_scatter(*shape, count, 0, emit_scatter_binomial)
+
         def body(ctx):
             sb = sendbuf if ctx.rank == 0 else None
-            yield from hier_scatter(ctx, sb, recvs[ctx.rank], 0)
+            yield from replay(ctx, scatter, FAN_OUT_TAGS,
+                              {"send": sb, "recv": recvs[ctx.rank]})
 
         world.run(body)
         for i, r in enumerate(recvs):
@@ -54,9 +69,12 @@ class TestHierScatter:
         sendbuf = Buffer.real(full.copy())
         recvs = [Buffer.alloc(DOUBLE, 1) for _ in range(size)]
 
+        scatter = plan_hier_scatter(2, 3, 1, root, emit_scatter_binomial)
+
         def body(ctx):
             sb = sendbuf if ctx.rank == root else None
-            yield from hier_scatter(ctx, sb, recvs[ctx.rank], root)
+            yield from replay(ctx, scatter, FAN_OUT_TAGS,
+                              {"send": sb, "recv": recvs[ctx.rank]})
 
         world.run(body)
         for i, r in enumerate(recvs):
@@ -72,12 +90,12 @@ class TestHierAllgatherAllreduce:
         outputs = [Buffer.alloc(DOUBLE, size * 3) for _ in range(size)]
         expected = np.concatenate([b.array() for b in inputs])
 
-        def leader_ag(size, nbytes):
-            return emit_allgather_ring
+        allgather = plan_hier_allgather(3, 2, 3, emit_allgather_ring)
 
         def body(ctx):
-            yield from hier_allgather(ctx, inputs[ctx.rank], outputs[ctx.rank],
-                                      leader_ag)
+            yield from replay(ctx, allgather, COMPOSE_TAGS,
+                              {"send": inputs[ctx.rank],
+                               "recv": outputs[ctx.rank]})
 
         world.run(body)
         for out in outputs:
@@ -91,11 +109,13 @@ class TestHierAllgatherAllreduce:
         outputs = [Buffer.alloc(DOUBLE, 5) for _ in range(size)]
         expected = np.sum([b.array() for b in inputs], axis=0)
 
+        allreduce = plan_hier_allreduce(4, 3, 5,
+                                        emit_allreduce_recursive_doubling)
+
         def body(ctx):
-            yield from hier_allreduce(
-                ctx, inputs[ctx.rank], outputs[ctx.rank], SUM,
-                lambda size, nbytes: emit_allreduce_recursive_doubling,
-            )
+            yield from replay(ctx, allreduce, COMPOSE_TAGS,
+                              {"send": inputs[ctx.rank],
+                               "recv": outputs[ctx.rank]}, SUM)
 
         world.run(body)
         for out in outputs:
@@ -106,11 +126,13 @@ class TestHierAllgatherAllreduce:
         inputs = [Buffer.real(np.full(2, float(r))) for r in range(4)]
         outputs = [Buffer.alloc(DOUBLE, 2) for _ in range(4)]
 
+        allreduce = plan_hier_allreduce(1, 4, 2,
+                                        emit_allreduce_recursive_doubling)
+
         def body(ctx):
-            yield from hier_allreduce(
-                ctx, inputs[ctx.rank], outputs[ctx.rank], SUM,
-                lambda size, nbytes: emit_allreduce_recursive_doubling,
-            )
+            yield from replay(ctx, allreduce, COMPOSE_TAGS,
+                              {"send": inputs[ctx.rank],
+                               "recv": outputs[ctx.rank]}, SUM)
 
         world.run(body)
         for out in outputs:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import all_libraries, library_names, make_library
 from repro.hw import Topology, tiny_test_machine
-from repro.mpi import DOUBLE, SUM, Buffer
+from repro.mpi import BYTE, DOUBLE, SUM, Buffer
 
 SHAPES = [(1, 2), (3, 2), (4, 3), (5, 2)]
 LIBS = library_names(include_variants=True)
@@ -145,3 +145,62 @@ class TestLibraryCrossSizes:
         world.run(body)
         for out in outputs:
             assert np.array_equal(out.array(), expected)
+
+
+#: (send, recv) element counts on the root of a 2x2 world, 8 B per rank;
+#: every rank is given the root's, as non-roots may pass what they like
+#: for a buffer only the root uses
+GOOD_COUNTS = {
+    "scatter": (32, 8),
+    "allgather": (8, 32),
+    "allreduce": (8, 8),
+    "alltoall": (32, 32),
+    "gather": (8, 32),
+    "reduce": (8, 8),
+}
+#: the root's buffer each case spoils: missing (``None``), or one element
+#: short or long of what the collective needs
+BAD_BUFFERS = [
+    (coll, name, None) for coll, name in
+    (("scatter", "send"), ("gather", "recv"), ("reduce", "recv"))
+] + [
+    (coll, name, delta)
+    for coll, name in (("scatter", "send"), ("allgather", "recv"),
+                       ("allreduce", "recv"), ("gather", "recv"),
+                       ("reduce", "recv"), ("alltoall", "recv"))
+    for delta in (-1, 1)
+]
+
+
+def _bad_buffer_id(case):
+    coll, name, delta = case
+    kind = {None: "missing", -1: "short", 1: "long"}[delta]
+    return f"{coll}-{name}-{kind}"
+
+
+@pytest.mark.parametrize("case", BAD_BUFFERS, ids=_bad_buffer_id)
+@pytest.mark.parametrize("lib_name", LIBS)
+def test_bad_buffers_refused_before_any_time_passes(lib_name, case):
+    """Every library checks its buffers at the call: a missing or
+    wrong-sized buffer raises ``ValueError`` naming the buffer and the
+    count it needs, at simulated time 0, before the software overhead
+    or any schedule step runs."""
+    coll, name, delta = case
+    lib, world = lib_world(lib_name, (2, 2))
+    need = dict(zip(("send", "recv"), GOOD_COUNTS[coll]))
+    bufs = [
+        {n: Buffer.alloc(BYTE, c) for n, c in need.items()} for _ in range(4)
+    ]
+    bufs[0][name] = (None if delta is None
+                     else Buffer.alloc(BYTE, need[name] + delta))
+
+    def body(ctx):
+        send, recv = bufs[ctx.rank]["send"], bufs[ctx.rank]["recv"]
+        if coll in ("allreduce", "reduce"):
+            yield from getattr(lib, coll)(ctx, send, recv, SUM)
+        else:
+            yield from getattr(lib, coll)(ctx, send, recv)
+
+    with pytest.raises(ValueError, match=rf"{name} buffer .*\b{need[name]}\b"):
+        world.run(body)
+    assert world.engine.now == 0.0

@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import mcoll_alltoall
+from repro.baselines import make_library
+from repro.baselines.base import replay
 from repro.mpi import DOUBLE, Buffer
-from repro.mpi.collectives import Group, alltoall_bruck, alltoall_pairwise
+from repro.mpi.collectives import Group
+from repro.sched.plans.baseline import (
+    emit_alltoall_bruck,
+    emit_alltoall_pairwise,
+)
+from repro.sched.plans.mcoll import plan_alltoall
 from repro.shmem import PipShmem
 
-from tests.helpers import make_world, world_group
+from tests.helpers import make_world, replay_group, world_group
 
 SHAPES = [(1, 1), (1, 4), (2, 2), (3, 2), (4, 3), (5, 1), (9, 2)]
 
@@ -31,12 +37,13 @@ def build_inputs(size, count, seed=0):
     return inputs, expected
 
 
-CLASSICAL = [alltoall_bruck, alltoall_pairwise]
+CLASSICAL = [emit_alltoall_bruck, emit_alltoall_pairwise]
 
 
 class TestClassicalAlltoall:
     @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-    @pytest.mark.parametrize("algo", CLASSICAL, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("algo", CLASSICAL,
+                             ids=["alltoall_bruck", "alltoall_pairwise"])
     @pytest.mark.parametrize("count", [1, 3])
     def test_transpose_semantics(self, shape, algo, count):
         world = make_world(*shape)
@@ -46,22 +53,28 @@ class TestClassicalAlltoall:
         outputs = [Buffer.alloc(DOUBLE, size * count) for _ in range(size)]
 
         def body(ctx):
-            yield from algo(ctx, group, inputs[ctx.rank], outputs[ctx.rank])
+            yield from replay_group(
+                ctx, group, algo, count,
+                {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]},
+            )
 
         world.run(body)
         for r, out in enumerate(outputs):
             assert np.array_equal(out.array(), expected[r]), f"rank {r}"
 
     def test_uneven_sendbuf_rejected(self):
-        world = make_world(3, 1)
-        group = world_group(world)
+        """A flat library refuses a send buffer that is not one equal
+        block per rank (7 elements on 3 ranks: 2 per block, 6 in all)."""
+        lib = make_library("PiP-MPICH")
+        world = make_world(3, 1, mechanism=lib.make_mechanism())
         bad = Buffer.alloc(DOUBLE, 7)  # not divisible by 3
         out = Buffer.alloc(DOUBLE, 7)
 
         def body(ctx):
-            yield from alltoall_pairwise(ctx, group, bad, out)
+            yield from lib.alltoall(ctx, bad, out)
 
-        with pytest.raises(ValueError, match="equal block"):
+        with pytest.raises(ValueError,
+                           match="send buffer has 7 elements, need 6"):
             world.run(body)
 
     def test_bruck_cheaper_in_rounds_pairwise_in_volume(self):
@@ -80,7 +93,10 @@ class TestClassicalAlltoall:
             recvs = [Buffer.phantom(8 * 16) for _ in range(8)]
 
             def body(ctx):
-                yield from algo(ctx, group, sends[ctx.rank], recvs[ctx.rank])
+                yield from replay_group(
+                    ctx, group, algo, 16,
+                    {"send": sends[ctx.rank], "recv": recvs[ctx.rank]},
+                )
 
             world.run(body)
             return (
@@ -88,8 +104,8 @@ class TestClassicalAlltoall:
                 world.hw.total_internode_bytes(),
             )
 
-        bruck_msgs, bruck_bytes = run(alltoall_bruck)
-        pw_msgs, pw_bytes = run(alltoall_pairwise)
+        bruck_msgs, bruck_bytes = run(emit_alltoall_bruck)
+        pw_msgs, pw_bytes = run(emit_alltoall_pairwise)
         assert bruck_msgs < pw_msgs
         assert pw_bytes < bruck_bytes
 
@@ -104,7 +120,10 @@ class TestMcollAlltoall:
         outputs = [Buffer.alloc(DOUBLE, size * count) for _ in range(size)]
 
         def body(ctx):
-            yield from mcoll_alltoall(ctx, inputs[ctx.rank], outputs[ctx.rank])
+            yield from replay(
+                ctx, plan_alltoall(*shape, count), (),
+                {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]},
+            )
 
         world.run(body)
         for r, out in enumerate(outputs):
@@ -125,7 +144,10 @@ class TestMcollAlltoall:
         recvs = [Buffer.phantom(size * C) for _ in range(size)]
 
         def body(ctx):
-            yield from mcoll_alltoall(ctx, sends[ctx.rank], recvs[ctx.rank])
+            yield from replay(
+                ctx, plan_alltoall(nodes, ppn, C), (),
+                {"send": sends[ctx.rank], "recv": recvs[ctx.rank]},
+            )
 
         world.run(body)
         per_node_expected = (nodes - 1) * ppn * ppn * C
@@ -135,7 +157,6 @@ class TestMcollAlltoall:
     def test_beats_flat_pairwise_at_medium_sizes(self):
         """Node-aggregated lanes send P-fold fewer, P-fold bigger messages
         than the flat pairwise exchange — fewer per-message overheads."""
-        from repro.baselines import make_library
         from repro.hw import Topology, bebop_broadwell
 
         def run(libname):
@@ -167,7 +188,10 @@ class TestMcollAlltoall:
         outputs = [Buffer.alloc(DOUBLE, size * count) for _ in range(size)]
 
         def body(ctx):
-            yield from mcoll_alltoall(ctx, inputs[ctx.rank], outputs[ctx.rank])
+            yield from replay(
+                ctx, plan_alltoall(*shape, count), (),
+                {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]},
+            )
 
         world.run(body)
         for r, out in enumerate(outputs):

@@ -15,47 +15,44 @@ cost analysis *exactly*, independent of timing calibration:
 
 import pytest
 
-from repro.core import (
-    mcoll_allgather_large,
-    mcoll_allgather_small,
-    mcoll_allreduce_large,
-    mcoll_allreduce_small,
-    mcoll_scatter,
-)
+from repro.baselines.base import replay
 from repro.hw import Topology, tiny_test_machine
 from repro.mpi import SUM, Buffer, World
+from repro.sched.plans.mcoll import (
+    plan_allgather_large,
+    plan_allgather_small,
+    plan_allreduce_large,
+    plan_allreduce_small,
+    plan_scatter,
+)
 from repro.shmem import PipShmem
 from repro.util.intmath import ceil_div
 
 
-def run_collective(algo, nodes, ppn, nbytes, needs_op=False, scatter=False):
-    """Run one collective on phantom data; return the World for accounting."""
+def run_collective(planner, nodes, ppn, nbytes, needs_op=False,
+                   scatter=False):
+    """Replay one PiP-MColl planner's schedule on phantom data (a scatter
+    from rank 0 with overlap); return the World for accounting."""
     world = World(
         Topology(nodes, ppn), tiny_test_machine(), mechanism=PipShmem(),
         phantom=True,
     )
     size = world.world_size
     if scatter:
+        schedule = planner(nodes, ppn, nbytes, 0, True)
         sendbuf = Buffer.phantom(nbytes * size)
+        sends = [sendbuf] + [None] * (size - 1)
         recvs = [Buffer.phantom(nbytes) for _ in range(size)]
-
-        def body(ctx):
-            sb = sendbuf if ctx.rank == 0 else None
-            yield from algo(ctx, sb, recvs[ctx.rank])
-
     else:
+        schedule = planner(nodes, ppn, nbytes)
         sends = [Buffer.phantom(nbytes) for _ in range(size)]
-        if needs_op:
-            recvs = [Buffer.phantom(nbytes) for _ in range(size)]
+        recv_bytes = nbytes if needs_op else nbytes * size
+        recvs = [Buffer.phantom(recv_bytes) for _ in range(size)]
 
-            def body(ctx):
-                yield from algo(ctx, sends[ctx.rank], recvs[ctx.rank], SUM)
-
-        else:
-            recvs = [Buffer.phantom(nbytes * size) for _ in range(size)]
-
-            def body(ctx):
-                yield from algo(ctx, sends[ctx.rank], recvs[ctx.rank])
+    def body(ctx):
+        yield from replay(ctx, schedule, (),
+                          {"send": sends[ctx.rank], "recv": recvs[ctx.rank]},
+                          SUM if needs_op else None)
 
     world.run(body)
     return world
@@ -68,14 +65,14 @@ class TestScatterVolume:
         level it descends through; with near-equal (P+1)-ary splits total
         traffic is between the ideal (N-1)*P*C and that times the depth."""
         C = 64
-        world = run_collective(mcoll_scatter, nodes, ppn, C, scatter=True)
+        world = run_collective(plan_scatter, nodes, ppn, C, scatter=True)
         total = world.hw.total_internode_bytes()
         ideal = (nodes - 1) * ppn * C
         depth = max(1, -(-_log_ceil(ppn + 1, nodes)))
         assert ideal <= total <= ideal * depth
 
     def test_root_nic_carries_the_bulk(self):
-        world = run_collective(mcoll_scatter, 9, 2, 64, scatter=True)
+        world = run_collective(plan_scatter, 9, 2, 64, scatter=True)
         root_sent = world.hw.nics[0].bytes_sent
         total = world.hw.total_internode_bytes()
         assert root_sent >= total / 2
@@ -93,7 +90,7 @@ class TestAllgatherVolume:
         """Every node ships exactly (N-1) node blocks over the wire (the
         unified truncated-round formula conserves total volume)."""
         C = 16
-        world = run_collective(mcoll_allgather_small, nodes, ppn, C)
+        world = run_collective(plan_allgather_small, nodes, ppn, C)
         block = ppn * C
         expected_per_node = (nodes - 1) * block
         for nic in world.hw.nics:
@@ -103,8 +100,8 @@ class TestAllgatherVolume:
     def test_ring_matches_small_volume(self, nodes, ppn):
         """The ring moves the same bandwidth-optimal volume."""
         C = 16
-        w_small = run_collective(mcoll_allgather_small, nodes, ppn, C)
-        w_large = run_collective(mcoll_allgather_large, nodes, ppn, C)
+        w_small = run_collective(plan_allgather_small, nodes, ppn, C)
+        w_large = run_collective(plan_allgather_large, nodes, ppn, C)
         assert (
             w_small.hw.total_internode_bytes()
             == w_large.hw.total_internode_bytes()
@@ -113,7 +110,7 @@ class TestAllgatherVolume:
     def test_small_round_count(self):
         """ceil(log_{P+1} N) rounds of at most P messages per process."""
         nodes, ppn, C = 9, 2, 16
-        world = run_collective(mcoll_allgather_small, nodes, ppn, C)
+        world = run_collective(plan_allgather_small, nodes, ppn, C)
         rounds = _log_ceil(ppn + 1, nodes)
         # per node: at most P sends per round (data messages only — the
         # tiny machine has no extra control messages below 64 kB)
@@ -121,7 +118,7 @@ class TestAllgatherVolume:
             assert nic.messages_sent <= ppn * rounds
 
     def test_single_node_no_internode_traffic(self):
-        world = run_collective(mcoll_allgather_small, 1, 4, 64)
+        world = run_collective(plan_allgather_small, 1, 4, 64)
         assert world.hw.total_internode_bytes() == 0
 
 
@@ -131,7 +128,7 @@ class TestAllreduceVolume:
         allgather), versus C * P * rounds for the small algorithm."""
         nodes, ppn = 8, 4
         C = 8192  # bytes
-        w = run_collective(mcoll_allreduce_large, nodes, ppn, C, needs_op=True)
+        w = run_collective(plan_allreduce_large, nodes, ppn, C, needs_op=True)
         per_node = [nic.bytes_sent for nic in w.hw.nics]
         expected = 2 * C * (nodes - 1) / nodes
         for sent in per_node:
@@ -142,10 +139,10 @@ class TestAllreduceVolume:
         ~2*C*(N-1)/N per node."""
         nodes, ppn, C = 9, 4, 4096
         w_small = run_collective(
-            mcoll_allreduce_small, nodes, ppn, C, needs_op=True
+            plan_allreduce_small, nodes, ppn, C, needs_op=True
         )
         w_large = run_collective(
-            mcoll_allreduce_large, nodes, ppn, C, needs_op=True
+            plan_allreduce_large, nodes, ppn, C, needs_op=True
         )
         small_bytes = w_small.hw.total_internode_bytes()
         large_bytes = w_large.hw.total_internode_bytes()
@@ -155,7 +152,7 @@ class TestAllreduceVolume:
         """Power-of-(P+1) node counts: exactly P messages per process per
         round, ceil(log_{P+1} N) rounds, no remainder traffic."""
         nodes, ppn, C = 9, 2, 64  # 9 = (2+1)^2
-        w = run_collective(mcoll_allreduce_small, nodes, ppn, C, needs_op=True)
+        w = run_collective(plan_allreduce_small, nodes, ppn, C, needs_op=True)
         rounds = 2
         for nic in w.hw.nics:
             assert nic.messages_sent == ppn * rounds

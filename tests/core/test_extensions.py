@@ -4,17 +4,18 @@ and for the overlap ablation knobs."""
 import numpy as np
 import pytest
 
-from repro.core import (
-    PiPMColl,
-    mcoll_allgather_large,
-    mcoll_barrier,
-    mcoll_bcast,
-    mcoll_scatter,
-)
+from repro.baselines.base import replay
+from repro.core import PiPMColl
 from repro.mpi import DOUBLE, Buffer
+from repro.sched.plans.mcoll import (
+    plan_allgather_large,
+    plan_barrier,
+    plan_bcast,
+    plan_scatter,
+)
 from repro.shmem import PipShmem
 
-from tests.helpers import make_world
+from tests.helpers import make_world, replay_group
 
 SHAPES = [(1, 1), (1, 4), (2, 1), (4, 3), (9, 2), (5, 3), (13, 3), (16, 2)]
 
@@ -25,6 +26,18 @@ def shape_id(s):
 
 def pip_world(shape):
     return make_world(*shape, mechanism=PipShmem())
+
+
+def bcast(ctx, buf, root):
+    """PiP-MColl's multi-object broadcast of ``root``'s ``buf``."""
+    return replay(ctx, plan_bcast(ctx.nodes, ctx.ppn, buf.count, root), (),
+                  {"buf": buf})
+
+
+def barrier(ctx):
+    """PiP-MColl's radix-(P+1) dissemination barrier."""
+    return replay(ctx, plan_barrier(ctx.nodes, ctx.ppn), (),
+                  {"token": ctx.alloc_bytes(0)})
 
 
 class TestMcollBcast:
@@ -38,7 +51,7 @@ class TestMcollBcast:
         ]
 
         def body(ctx):
-            yield from mcoll_bcast(ctx, bufs[ctx.rank], root=0)
+            yield from bcast(ctx, bufs[ctx.rank], 0)
 
         world.run(body)
         for b in bufs:
@@ -54,7 +67,7 @@ class TestMcollBcast:
         ]
 
         def body(ctx):
-            yield from mcoll_bcast(ctx, bufs[ctx.rank], root=root)
+            yield from bcast(ctx, bufs[ctx.rank], root)
 
         world.run(body)
         for b in bufs:
@@ -65,7 +78,8 @@ class TestMcollBcast:
         than the flat binomial broadcast for small payloads."""
         from repro.hw import Topology, bebop_broadwell
         from repro.mpi import World
-        from repro.mpi.collectives import Group, bcast_binomial
+        from repro.mpi.collectives import Group
+        from repro.sched.plans.baseline import emit_bcast_binomial
 
         def run(use_mcoll):
             world = World(
@@ -77,9 +91,10 @@ class TestMcollBcast:
 
             def body(ctx):
                 if use_mcoll:
-                    yield from mcoll_bcast(ctx, bufs[ctx.rank], root=0)
+                    yield from bcast(ctx, bufs[ctx.rank], 0)
                 else:
-                    yield from bcast_binomial(ctx, group, bufs[ctx.rank], 0)
+                    yield from replay_group(ctx, group, emit_bcast_binomial,
+                                            64, {"buf": bufs[ctx.rank]}, 0)
 
             world.run(body)
             return world.run(body).elapsed
@@ -96,7 +111,7 @@ class TestMcollBarrier:
         def body(ctx):
             yield from ctx.compute(((ctx.rank * 13) % 7) * 1e-5)
             enter[ctx.rank] = world.engine.now
-            yield from mcoll_barrier(ctx)
+            yield from barrier(ctx)
             exit_[ctx.rank] = world.engine.now
 
         world.run(body)
@@ -109,7 +124,7 @@ class TestMcollBarrier:
         def body(ctx):
             for i in range(3):
                 yield from ctx.compute(ctx.rank * 1e-6 * (i + 1))
-                yield from mcoll_barrier(ctx)
+                yield from barrier(ctx)
                 if ctx.rank == 0:
                     history.append(world.engine.now)
 
@@ -147,9 +162,12 @@ class TestOverlapKnobs:
         sendbuf = Buffer.real(full.copy())
         recvs = [Buffer.alloc(DOUBLE, 2) for _ in range(size)]
 
+        scatter = plan_scatter(4, 3, 2, 0, False)
+
         def body(ctx):
             sb = sendbuf if ctx.rank == 0 else None
-            yield from mcoll_scatter(ctx, sb, recvs[ctx.rank], overlap=False)
+            yield from replay(ctx, scatter, (),
+                              {"send": sb, "recv": recvs[ctx.rank]})
 
         world.run(body)
         for i, r in enumerate(recvs):
@@ -163,10 +181,12 @@ class TestOverlapKnobs:
         outputs = [Buffer.alloc(DOUBLE, size * 4) for _ in range(size)]
         expected = np.concatenate([b.array() for b in inputs])
 
+        allgather = plan_allgather_large(3, 2, 4, False)
+
         def body(ctx):
-            yield from mcoll_allgather_large(
-                ctx, inputs[ctx.rank], outputs[ctx.rank], overlap=False
-            )
+            yield from replay(ctx, allgather, (),
+                              {"send": inputs[ctx.rank],
+                               "recv": outputs[ctx.rank]})
 
         world.run(body)
         for out in outputs:
@@ -185,10 +205,12 @@ class TestOverlapKnobs:
             sends = [Buffer.phantom(128 * 1024) for _ in range(size)]
             recvs = [Buffer.phantom(128 * 1024 * size) for _ in range(size)]
 
+            allgather = plan_allgather_large(6, 4, 128 * 1024, overlap)
+
             def body(ctx):
-                yield from mcoll_allgather_large(
-                    ctx, sends[ctx.rank], recvs[ctx.rank], overlap=overlap
-                )
+                yield from replay(ctx, allgather, (),
+                                  {"send": sends[ctx.rank],
+                                   "recv": recvs[ctx.rank]})
 
             world.run(body)
             return world.run(body).elapsed

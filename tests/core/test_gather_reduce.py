@@ -4,12 +4,14 @@ classical reduce-scatter algorithms."""
 import numpy as np
 import pytest
 
-from repro.core import mcoll_gather, mcoll_reduce
+from repro.baselines.base import replay
+from repro.core import PiPMColl
 from repro.mpi import DOUBLE, MAX, SUM, Buffer
 from repro.mpi.collectives import (
     reduce_scatter_halving,
     reduce_scatter_pairwise,
 )
+from repro.sched.plans.mcoll import plan_gather, plan_reduce_large
 from repro.shmem import PipShmem
 
 from tests.helpers import make_world, rank_inputs, world_group
@@ -21,6 +23,32 @@ def shape_id(s):
     return f"{s[0]}x{s[1]}"
 
 
+def run_gather(world, inputs, recvbuf, root=0):
+    """PiP-MColl's multi-object gather into ``root``'s ``recvbuf``."""
+    gather = plan_gather(world.topology.nodes, world.topology.ppn,
+                         inputs[0].count, root)
+
+    def body(ctx):
+        rb = recvbuf if ctx.rank == root else None
+        yield from replay(ctx, gather, (), {"send": inputs[ctx.rank],
+                                            "recv": rb})
+
+    world.run(body)
+
+
+def run_reduce(world, inputs, recvbuf, op, root=0):
+    """PiP-MColl's multi-object (reduce-scatter, then collect) reduce."""
+    reduce = plan_reduce_large(world.topology.nodes, world.topology.ppn,
+                               inputs[0].count, root)
+
+    def body(ctx):
+        rb = recvbuf if ctx.rank == root else None
+        yield from replay(ctx, reduce, (), {"send": inputs[ctx.rank],
+                                            "recv": rb}, op)
+
+    world.run(body)
+
+
 class TestMcollGather:
     @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
     def test_root_collects_in_rank_order(self, shape):
@@ -30,11 +58,7 @@ class TestMcollGather:
         inputs = rank_inputs(world, count)
         recvbuf = Buffer.alloc(DOUBLE, size * count)
 
-        def body(ctx):
-            rb = recvbuf if ctx.rank == 0 else None
-            yield from mcoll_gather(ctx, inputs[ctx.rank], rb, root=0)
-
-        world.run(body)
+        run_gather(world, inputs, recvbuf)
         expected = np.concatenate([b.array() for b in inputs])
         assert np.array_equal(recvbuf.array(), expected)
 
@@ -45,22 +69,19 @@ class TestMcollGather:
         inputs = rank_inputs(world, 2)
         recvbuf = Buffer.alloc(DOUBLE, size * 2)
 
-        def body(ctx):
-            rb = recvbuf if ctx.rank == root else None
-            yield from mcoll_gather(ctx, inputs[ctx.rank], rb, root=root)
-
-        world.run(body)
+        run_gather(world, inputs, recvbuf, root)
         expected = np.concatenate([b.array() for b in inputs])
         assert np.array_equal(recvbuf.array(), expected)
 
     def test_recvbuf_size_validated(self):
+        lib = PiPMColl()
         world = make_world(2, 2, mechanism=PipShmem())
         inputs = rank_inputs(world, 4)
         bad = Buffer.alloc(DOUBLE, 4)
 
         def body(ctx):
             rb = bad if ctx.rank == 0 else None
-            yield from mcoll_gather(ctx, inputs[ctx.rank], rb)
+            yield from lib.gather(ctx, inputs[ctx.rank], rb)
 
         with pytest.raises(ValueError, match="elements"):
             world.run(body)
@@ -78,11 +99,7 @@ class TestMcollGather:
         sends = [Buffer.phantom(64) for _ in range(size)]
         recvbuf = Buffer.phantom(64 * size)
 
-        def body(ctx):
-            rb = recvbuf if ctx.rank == 0 else None
-            yield from mcoll_gather(ctx, sends[ctx.rank], rb)
-
-        world.run(body)
+        run_gather(world, sends, recvbuf)
         # each non-root node sends P messages (one per lane)
         for nic in world.hw.nics[1:]:
             assert nic.messages_sent == 3
@@ -97,11 +114,7 @@ class TestMcollReduce:
         inputs = rank_inputs(world, count)
         recvbuf = Buffer.alloc(DOUBLE, count)
 
-        def body(ctx):
-            rb = recvbuf if ctx.rank == 0 else None
-            yield from mcoll_reduce(ctx, inputs[ctx.rank], rb, op, root=0)
-
-        world.run(body)
+        run_reduce(world, inputs, recvbuf, op)
         expected = npop([b.array() for b in inputs], axis=0)
         np.testing.assert_allclose(recvbuf.array(), expected, rtol=1e-12)
 
@@ -111,11 +124,7 @@ class TestMcollReduce:
         inputs = rank_inputs(world, 5)
         recvbuf = Buffer.alloc(DOUBLE, 5)
 
-        def body(ctx):
-            rb = recvbuf if ctx.rank == root else None
-            yield from mcoll_reduce(ctx, inputs[ctx.rank], rb, SUM, root=root)
-
-        world.run(body)
+        run_reduce(world, inputs, recvbuf, SUM, root)
         expected = np.sum([b.array() for b in inputs], axis=0)
         np.testing.assert_allclose(recvbuf.array(), expected, rtol=1e-12)
 
@@ -124,11 +133,7 @@ class TestMcollReduce:
         inputs = rank_inputs(world, 3)
         recvbuf = Buffer.alloc(DOUBLE, 3)
 
-        def body(ctx):
-            rb = recvbuf if ctx.rank == 0 else None
-            yield from mcoll_reduce(ctx, inputs[ctx.rank], rb, SUM)
-
-        world.run(body)
+        run_reduce(world, inputs, recvbuf, SUM)
         expected = np.sum([b.array() for b in inputs], axis=0)
         np.testing.assert_allclose(recvbuf.array(), expected, rtol=1e-12)
 

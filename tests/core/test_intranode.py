@@ -1,16 +1,22 @@
-"""Correctness of the PiP-MColl auxiliary intranode collectives (§III-C)."""
+"""Correctness of the PiP-MColl auxiliary intranode collectives (§III-C).
+
+Each building block runs as a one-node schedule built from its
+``emit_*`` emitter, replayed over the node's group (program index = local
+rank).
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    intra_bcast,
-    intra_gather,
-    intra_reduce_binomial,
-    intra_reduce_chunked,
-)
+from repro.baselines.base import node_group, replay
 from repro.mpi import DOUBLE, MAX, SUM, Buffer
-from repro.sched import Emitter, Schedule, ScheduleExecutor
+from repro.sched import Emitter, Ns, Schedule
+from repro.sched.plans.intranode import (
+    emit_intra_bcast,
+    emit_intra_gather,
+    emit_intra_reduce_binomial,
+    emit_intra_reduce_chunked,
+)
 from repro.shmem import PipShmem
 
 from tests.helpers import make_world, rank_inputs
@@ -22,6 +28,31 @@ def node_world(ppn):
     return make_world(1, ppn, mechanism=PipShmem())
 
 
+def node_schedule(emit, ppn, *args):
+    """One node's schedule: ``emit(em, local_rank, ppn, *args, ns_key)``
+    for every local rank, under the schedule's one namespace."""
+    programs = []
+    for lr in range(ppn):
+        em = Emitter()
+        emit(em, lr, ppn, *args, ("intra", Ns(0)))
+        programs.append(em.build())
+    return Schedule(tuple(programs), num_namespaces=1)
+
+
+def run_on_node(ctx, schedule, bindings, op=None):
+    """Replay a node schedule on this rank (program = local rank)."""
+    return replay(ctx, schedule, (), bindings, op, node_group(ctx))
+
+
+def node_reduce_binomial(ppn, count, root_local=0):
+    return node_schedule(emit_intra_reduce_binomial, ppn, count, root_local)
+
+
+def node_reduce_chunked(ppn, count, root_local=0):
+    return node_schedule(emit_intra_reduce_chunked, ppn, count, root_local,
+                         False)
+
+
 class TestIntraBarrier:
     """The counter barrier planners inline (``Emitter.barrier``)."""
 
@@ -31,12 +62,12 @@ class TestIntraBarrier:
         enter, exit_ = {}, {}
         em = Emitter()
         em.barrier("bar", ppn)
-        barrier = ScheduleExecutor(Schedule((em.build(),) * ppn))
+        barrier = Schedule((em.build(),) * ppn)
 
         def body(ctx):
             yield from ctx.compute((ctx.rank + 1) * 1e-5)
             enter[ctx.rank] = world.engine.now
-            yield from barrier.run(ctx, {})
+            yield from run_on_node(ctx, barrier, {})
             exit_[ctx.rank] = world.engine.now
 
         world.run(body)
@@ -56,8 +87,10 @@ class TestIntraBcast:
             for r in range(ppn)
         ]
 
+        bcast = node_schedule(emit_intra_bcast, ppn, 9, rl, large)
+
         def body(ctx):
-            yield from intra_bcast(ctx, bufs[ctx.rank], rl, large=large)
+            yield from run_on_node(ctx, bcast, {"buf": bufs[ctx.rank]})
 
         world.run(body)
         for b in bufs:
@@ -71,10 +104,12 @@ class TestIntraBcast:
         root_done = [0.0]
         slow = 1e-2
 
+        bcast = node_schedule(emit_intra_bcast, 4, 4, 0, False)
+
         def body(ctx):
             if ctx.rank != 0:
                 yield from ctx.compute(slow)  # readers are late
-            yield from intra_bcast(ctx, bufs[ctx.rank], 0, large=False)
+            yield from run_on_node(ctx, bcast, {"buf": bufs[ctx.rank]})
             if ctx.rank == 0:
                 root_done[0] = world.engine.now
 
@@ -87,10 +122,12 @@ class TestIntraBcast:
         root_done = [0.0]
         slow = 1e-2
 
+        bcast = node_schedule(emit_intra_bcast, 4, 4, 0, True)
+
         def body(ctx):
             if ctx.rank != 0:
                 yield from ctx.compute(slow)
-            yield from intra_bcast(ctx, bufs[ctx.rank], 0, large=True)
+            yield from run_on_node(ctx, bcast, {"buf": bufs[ctx.rank]})
             if ctx.rank == 0:
                 root_done[0] = world.engine.now
 
@@ -108,9 +145,12 @@ class TestIntraGather:
         inputs = rank_inputs(world, count)
         recvbuf = Buffer.alloc(DOUBLE, ppn * count)
 
+        gather = node_schedule(emit_intra_gather, ppn, count, rl)
+
         def body(ctx):
             rb = recvbuf if ctx.local_rank == rl else None
-            yield from intra_gather(ctx, inputs[ctx.rank], rb, rl)
+            yield from run_on_node(ctx, gather,
+                                   {"send": inputs[ctx.rank], "recv": rb})
 
         world.run(body)
         expected = np.concatenate([b.array() for b in inputs])
@@ -120,7 +160,7 @@ class TestIntraGather:
 class TestIntraReduce:
     @pytest.mark.parametrize("ppn", PPNS)
     @pytest.mark.parametrize(
-        "fn", [intra_reduce_binomial, intra_reduce_chunked],
+        "fn", [node_reduce_binomial, node_reduce_chunked],
         ids=["binomial", "chunked"],
     )
     @pytest.mark.parametrize("op,npop", [(SUM, np.sum), (MAX, np.max)])
@@ -129,27 +169,32 @@ class TestIntraReduce:
         count = 5
         inputs = rank_inputs(world, count)
         recvbuf = Buffer.alloc(DOUBLE, count)
+        reduce = fn(ppn, count)
 
         def body(ctx):
             rb = recvbuf if ctx.local_rank == 0 else None
-            yield from fn(ctx, inputs[ctx.rank], rb, op)
+            yield from run_on_node(ctx, reduce,
+                                   {"send": inputs[ctx.rank], "recv": rb}, op)
 
         world.run(body)
         expected = npop([b.array() for b in inputs], axis=0)
         np.testing.assert_allclose(recvbuf.array(), expected, rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "fn", [intra_reduce_binomial, intra_reduce_chunked],
+        "fn", [node_reduce_binomial, node_reduce_chunked],
         ids=["binomial", "chunked"],
     )
     def test_nonzero_root(self, fn):
         world = node_world(5)
         inputs = rank_inputs(world, 4)
         recvbuf = Buffer.alloc(DOUBLE, 4)
+        reduce = fn(5, 4, 3)
 
         def body(ctx):
             rb = recvbuf if ctx.local_rank == 3 else None
-            yield from fn(ctx, inputs[ctx.rank], rb, SUM, 3)
+            yield from run_on_node(ctx, reduce,
+                                   {"send": inputs[ctx.rank], "recv": rb},
+                                   SUM)
 
         world.run(body)
         expected = np.sum([b.array() for b in inputs], axis=0)
@@ -160,9 +205,13 @@ class TestIntraReduce:
         inputs = rank_inputs(world, 3)  # 3 elements, 8 chunk slots
         recvbuf = Buffer.alloc(DOUBLE, 3)
 
+        reduce = node_reduce_chunked(8, 3)
+
         def body(ctx):
             rb = recvbuf if ctx.local_rank == 0 else None
-            yield from intra_reduce_chunked(ctx, inputs[ctx.rank], rb, SUM)
+            yield from run_on_node(ctx, reduce,
+                                   {"send": inputs[ctx.rank], "recv": rb},
+                                   SUM)
 
         world.run(body)
         expected = np.sum([b.array() for b in inputs], axis=0)
@@ -176,11 +225,14 @@ class TestIntraReduce:
             world = node_world(8)
             inputs = rank_inputs(world, count)
             recvbuf = Buffer.alloc(DOUBLE, count)
+            reduce = fn(8, count)
 
             def body(ctx):
                 rb = recvbuf if ctx.local_rank == 0 else None
-                yield from fn(ctx, inputs[ctx.rank], rb, SUM)
+                yield from run_on_node(
+                    ctx, reduce, {"send": inputs[ctx.rank], "recv": rb}, SUM
+                )
 
             return world.run(body).elapsed
 
-        assert run(intra_reduce_chunked) < run(intra_reduce_binomial)
+        assert run(node_reduce_chunked) < run(node_reduce_binomial)

@@ -8,14 +8,16 @@ everywhere.
 import numpy as np
 import pytest
 
-from repro.core import (
-    mcoll_allgather_large,
-    mcoll_allgather_small,
-    mcoll_allreduce_large,
-    mcoll_allreduce_small,
-    mcoll_scatter,
-)
+from repro.baselines.base import replay
+from repro.core import PiPMColl, Thresholds
 from repro.mpi import DOUBLE, MAX, SUM, Buffer
+from repro.sched.plans.mcoll import (
+    plan_allgather_large,
+    plan_allgather_small,
+    plan_allreduce_large,
+    plan_allreduce_small,
+    plan_scatter,
+)
 from repro.shmem import PipShmem
 
 from tests.helpers import alloc_outputs, gathered_matrix, make_world, rank_inputs
@@ -46,9 +48,12 @@ class TestMcollScatter:
         sendbuf = Buffer.real(full.copy())
         recvs = alloc_outputs(world, count)
 
+        scatter = plan_scatter(*shape, count, 0, True)
+
         def body(ctx):
             sb = sendbuf if ctx.rank == 0 else None
-            yield from mcoll_scatter(ctx, sb, recvs[ctx.rank], root=0)
+            yield from replay(ctx, scatter, (),
+                              {"send": sb, "recv": recvs[ctx.rank]})
 
         world.run(body)
         for i, r in enumerate(recvs):
@@ -68,9 +73,12 @@ class TestMcollScatter:
         sendbuf = Buffer.real(full.copy())
         recvs = alloc_outputs(world, count)
 
+        scatter = plan_scatter(*shape, count, root, True)
+
         def body(ctx):
             sb = sendbuf if ctx.rank == root else None
-            yield from mcoll_scatter(ctx, sb, recvs[ctx.rank], root=root)
+            yield from replay(ctx, scatter, (),
+                              {"send": sb, "recv": recvs[ctx.rank]})
 
         world.run(body)
         for i, r in enumerate(recvs):
@@ -79,12 +87,15 @@ class TestMcollScatter:
             ), f"rank {i}"
 
 
-ALLGATHERS = [mcoll_allgather_small, mcoll_allgather_large]
+ALLGATHERS = [plan_allgather_small, plan_allgather_large]
+ALLGATHER_IDS = ["mcoll_allgather_small", "mcoll_allgather_large"]
+#: the library forced onto each allgather algorithm, same ids
+FORCED = [Thresholds.always_small(), Thresholds.always_large()]
 
 
 class TestMcollAllgather:
     @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-    @pytest.mark.parametrize("algo", ALLGATHERS, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("algo", ALLGATHERS, ids=ALLGATHER_IDS)
     def test_everyone_gets_everything(self, shape, algo):
         world = pip_world(shape)
         count = 3
@@ -94,22 +105,26 @@ class TestMcollAllgather:
             for _ in range(world.world_size)
         ]
         expected = gathered_matrix(inputs)
+        allgather = algo(*shape, count)
 
         def body(ctx):
-            yield from algo(ctx, inputs[ctx.rank], outputs[ctx.rank])
+            yield from replay(ctx, allgather, (),
+                              {"send": inputs[ctx.rank],
+                               "recv": outputs[ctx.rank]})
 
         world.run(body)
         for rank, out in enumerate(outputs):
             assert np.array_equal(out.array(), expected), f"rank {rank}"
 
-    @pytest.mark.parametrize("algo", ALLGATHERS, ids=lambda a: a.__name__)
-    def test_recvbuf_size_validated(self, algo):
+    @pytest.mark.parametrize("thresholds", FORCED, ids=ALLGATHER_IDS)
+    def test_recvbuf_size_validated(self, thresholds):
+        lib = PiPMColl(thresholds)
         world = pip_world((2, 2))
         inputs = rank_inputs(world, 4)
         bad = [Buffer.alloc(DOUBLE, 4) for _ in range(4)]
 
         def body(ctx):
-            yield from algo(ctx, inputs[ctx.rank], bad[ctx.rank])
+            yield from lib.allgather(ctx, inputs[ctx.rank], bad[ctx.rank])
 
         with pytest.raises(ValueError, match="elements"):
             world.run(body)
@@ -125,20 +140,35 @@ class TestMcollAllgather:
         ]
         expected = gathered_matrix(inputs)
 
+        allgather = plan_allgather_large(3, 2, count)
+
         def body(ctx):
-            yield from mcoll_allgather_large(ctx, inputs[ctx.rank], outputs[ctx.rank])
+            yield from replay(ctx, allgather, (),
+                              {"send": inputs[ctx.rank],
+                               "recv": outputs[ctx.rank]})
 
         world.run(body)
         for out in outputs:
             assert np.array_equal(out.array(), expected)
 
 
-ALLREDUCES = [mcoll_allreduce_small, mcoll_allreduce_large]
+ALLREDUCES = [plan_allreduce_small, plan_allreduce_large]
+ALLREDUCE_IDS = ["mcoll_allreduce_small", "mcoll_allreduce_large"]
+
+
+def run_allreduce(world, schedule, inputs, outputs, op):
+    """Replay an allreduce schedule on every rank of ``world``."""
+    def body(ctx):
+        yield from replay(ctx, schedule, (),
+                          {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]},
+                          op)
+
+    world.run(body)
 
 
 class TestMcollAllreduce:
     @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-    @pytest.mark.parametrize("algo", ALLREDUCES, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("algo", ALLREDUCES, ids=ALLREDUCE_IDS)
     @pytest.mark.parametrize("count", [1, 5, 16])
     def test_everyone_gets_global_sum(self, shape, algo, count):
         world = pip_world(shape)
@@ -146,26 +176,20 @@ class TestMcollAllreduce:
         outputs = alloc_outputs(world, count)
         expected = np.sum([b.array() for b in inputs], axis=0)
 
-        def body(ctx):
-            yield from algo(ctx, inputs[ctx.rank], outputs[ctx.rank], SUM)
-
-        world.run(body)
+        run_allreduce(world, algo(*shape, count), inputs, outputs, SUM)
         for rank, out in enumerate(outputs):
             np.testing.assert_allclose(
                 out.array(), expected, rtol=1e-12, err_msg=f"rank {rank}"
             )
 
-    @pytest.mark.parametrize("algo", ALLREDUCES, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("algo", ALLREDUCES, ids=ALLREDUCE_IDS)
     def test_max_reduction(self, algo):
         world = pip_world((5, 3))
         inputs = rank_inputs(world, 9)
         outputs = alloc_outputs(world, 9)
         expected = np.max([b.array() for b in inputs], axis=0)
 
-        def body(ctx):
-            yield from algo(ctx, inputs[ctx.rank], outputs[ctx.rank], MAX)
-
-        world.run(body)
+        run_allreduce(world, algo(5, 3, 9), inputs, outputs, MAX)
         for out in outputs:
             np.testing.assert_allclose(out.array(), expected, rtol=1e-12)
 
@@ -176,12 +200,8 @@ class TestMcollAllreduce:
         outputs = alloc_outputs(world, 3)
         expected = np.sum([b.array() for b in inputs], axis=0)
 
-        def body(ctx):
-            yield from mcoll_allreduce_large(
-                ctx, inputs[ctx.rank], outputs[ctx.rank], SUM
-            )
-
-        world.run(body)
+        run_allreduce(world, plan_allreduce_large(8, 2, 3), inputs, outputs,
+                      SUM)
         for out in outputs:
             np.testing.assert_allclose(out.array(), expected, rtol=1e-12)
 
@@ -192,24 +212,19 @@ class TestMcollAllreduce:
         outputs = alloc_outputs(world, 4)
         expected = np.sum([b.array() for b in inputs], axis=0)
 
-        def body(ctx):
-            yield from mcoll_allreduce_small(
-                ctx, inputs[ctx.rank], outputs[ctx.rank], SUM
-            )
-
-        world.run(body)
+        run_allreduce(world, plan_allreduce_small(9, 2, 4), inputs, outputs,
+                      SUM)
         for out in outputs:
             np.testing.assert_allclose(out.array(), expected, rtol=1e-12)
 
     def test_recvbuf_size_validated(self):
+        lib = PiPMColl(Thresholds.always_small())
         world = pip_world((2, 2))
         inputs = rank_inputs(world, 4)
         bad = [Buffer.alloc(DOUBLE, 3) for _ in range(4)]
 
         def body(ctx):
-            yield from mcoll_allreduce_small(
-                ctx, inputs[ctx.rank], bad[ctx.rank], SUM
-            )
+            yield from lib.allreduce(ctx, inputs[ctx.rank], bad[ctx.rank], SUM)
 
         with pytest.raises(ValueError, match="elements"):
             world.run(body)

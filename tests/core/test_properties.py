@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import (
-    mcoll_allgather_large,
-    mcoll_allgather_small,
-    mcoll_allreduce_large,
-    mcoll_allreduce_small,
-    mcoll_scatter,
-)
+from repro.baselines.base import replay
 from repro.mpi import DOUBLE, MAX, MIN, PROD, SUM, Buffer
+from repro.sched.plans.mcoll import (
+    plan_allgather_large,
+    plan_allgather_small,
+    plan_allreduce_large,
+    plan_allreduce_small,
+    plan_scatter,
+)
 from repro.shmem import PipShmem
 
 from tests.helpers import make_world
@@ -51,9 +52,11 @@ def test_scatter_property(shape, count, seed):
     sendbuf = Buffer.real(full.copy())
     recvs = [Buffer.alloc(DOUBLE, count) for _ in range(size)]
 
+    scatter = plan_scatter(*shape, count, 0, True)
+
     def body(ctx):
         sb = sendbuf if ctx.rank == 0 else None
-        yield from mcoll_scatter(ctx, sb, recvs[ctx.rank])
+        yield from replay(ctx, scatter, (), {"send": sb, "recv": recvs[ctx.rank]})
 
     world.run(body)
     for i, r in enumerate(recvs):
@@ -65,7 +68,7 @@ def test_scatter_property(shape, count, seed):
     shape=shapes,
     count=counts,
     seed=st.integers(0, 10**6),
-    algo=st.sampled_from([mcoll_allgather_small, mcoll_allgather_large]),
+    algo=st.sampled_from([plan_allgather_small, plan_allgather_large]),
 )
 def test_allgather_property(shape, count, seed, algo):
     world = pip_world(shape)
@@ -73,9 +76,11 @@ def test_allgather_property(shape, count, seed, algo):
     inputs = make_inputs(world, count, seed)
     outputs = [Buffer.alloc(DOUBLE, size * count) for _ in range(size)]
     expected = np.concatenate([b.array() for b in inputs])
+    allgather = algo(*shape, count)
 
     def body(ctx):
-        yield from algo(ctx, inputs[ctx.rank], outputs[ctx.rank])
+        yield from replay(ctx, allgather, (),
+                          {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]})
 
     world.run(body)
     for out in outputs:
@@ -88,7 +93,7 @@ def test_allgather_property(shape, count, seed, algo):
     count=counts,
     seed=st.integers(0, 10**6),
     op=ops,
-    algo=st.sampled_from([mcoll_allreduce_small, mcoll_allreduce_large]),
+    algo=st.sampled_from([plan_allreduce_small, plan_allreduce_large]),
 )
 def test_allreduce_property(shape, count, seed, op, algo):
     world = pip_world(shape)
@@ -102,8 +107,12 @@ def test_allreduce_property(shape, count, seed, op, algo):
         "min": stacked.min(axis=0),
     }[op.name]
 
+    allreduce = algo(*shape, count)
+
     def body(ctx):
-        yield from algo(ctx, inputs[ctx.rank], outputs[ctx.rank], op)
+        yield from replay(ctx, allreduce, (),
+                          {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]},
+                          op)
 
     world.run(body)
     for out in outputs:
@@ -157,8 +166,11 @@ def test_timing_is_positive_and_deterministic(shape, seed):
         sends = [Buffer.phantom(64) for _ in range(size)]
         recvs = [Buffer.phantom(64 * size) for _ in range(size)]
 
+        allgather = plan_allgather_small(*shape, 64)
+
         def body(ctx):
-            yield from mcoll_allgather_small(ctx, sends[ctx.rank], recvs[ctx.rank])
+            yield from replay(ctx, allgather, (),
+                              {"send": sends[ctx.rank], "recv": recvs[ctx.rank]})
 
         return world.run(body).elapsed
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import replay
 from repro.bench.microbench import ENGINES, run_point
 from repro.hw import Topology, tiny_test_machine
 from repro.mpi import DOUBLE, Buffer, World
 from repro.mpi.collectives import Group
+from repro.sched.plans.baseline import plan_group
 from repro.shmem import PosixShmem
 
 
@@ -23,6 +25,14 @@ def make_world(nodes: int, ppn: int, mechanism=None, params=None) -> World:
 
 def world_group(world: World) -> Group:
     return Group(range(world.world_size))
+
+
+def replay_group(ctx, group: Group, emit, count: int, bindings, *root,
+                 op=None):
+    """Replay group algorithm ``emit`` (a ``plan_group`` emitter) over
+    ``group`` on this rank; ``root`` is a rooted algorithm's root index."""
+    schedule = plan_group(emit, group.ranks, count, *root)
+    return replay(ctx, schedule, ("tag",), bindings, op, group)
 
 
 def rank_inputs(world: World, count: int, seed: int = 0) -> list[Buffer]:

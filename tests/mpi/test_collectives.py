@@ -1,28 +1,36 @@
-"""Correctness of the classical collective algorithms vs numpy ground truth."""
+"""Correctness of the classical collective algorithms vs numpy ground truth.
+
+Each group algorithm is replayed from its group schedule
+(:func:`~repro.sched.plans.baseline.plan_group`) over the world group.
+"""
 
 import numpy as np
 import pytest
 
+from repro.baselines import make_library
 from repro.mpi import DOUBLE, MAX, SUM, Buffer
-from repro.mpi.collectives import (
-    allgather_bruck,
-    allgather_recursive_doubling,
-    allgather_ring,
-    allreduce_rabenseifner,
-    allreduce_recursive_doubling,
-    barrier_dissemination,
-    bcast_binomial,
-    block_partition,
-    gather_binomial,
-    reduce_binomial,
-    scatter_binomial,
+from repro.mpi.collectives import block_partition
+from repro.sched.plans.baseline import (
+    emit_allgather_bruck,
+    emit_allgather_recursive_doubling,
+    emit_allgather_ring,
+    emit_allreduce_rabenseifner,
+    emit_allreduce_recursive_doubling,
+    emit_barrier_dissemination,
+    emit_bcast_binomial,
+    emit_gather_binomial,
+    emit_reduce_binomial,
+    emit_scatter_binomial,
+    plan_group,
 )
+from repro.sched.plans.hierarchical import plan_hier_allgather
 
 from tests.helpers import (
     alloc_outputs,
     gathered_matrix,
     make_world,
     rank_inputs,
+    replay_group,
     world_group,
 )
 
@@ -48,7 +56,8 @@ class TestBcast:
         ]
 
         def body(ctx):
-            yield from bcast_binomial(ctx, group, bufs[ctx.rank], root_index)
+            yield from replay_group(ctx, group, emit_bcast_binomial, 17,
+                                    {"buf": bufs[ctx.rank]}, root_index)
 
         world.run(body)
         for buf in bufs:
@@ -70,7 +79,9 @@ class TestScatter:
 
         def body(ctx):
             sb = sendbuf if ctx.rank == group.rank_at(root_index) else None
-            yield from scatter_binomial(ctx, group, sb, recvs[ctx.rank], root_index)
+            yield from replay_group(ctx, group, emit_scatter_binomial, count,
+                                    {"send": sb, "recv": recvs[ctx.rank]},
+                                    root_index)
 
         world.run(body)
         for i, r in enumerate(recvs):
@@ -90,7 +101,9 @@ class TestGather:
 
         def body(ctx):
             rb = recvbuf if ctx.rank == group.rank_at(root_index) else None
-            yield from gather_binomial(ctx, group, inputs[ctx.rank], rb, root_index)
+            yield from replay_group(ctx, group, emit_gather_binomial, count,
+                                    {"send": inputs[ctx.rank], "recv": rb},
+                                    root_index)
 
         world.run(body)
         assert np.array_equal(recvbuf.array(), gathered_matrix(inputs))
@@ -108,7 +121,9 @@ class TestReduce:
 
         def body(ctx):
             rb = recvbuf if ctx.rank == 0 else None
-            yield from reduce_binomial(ctx, group, inputs[ctx.rank], rb, op)
+            yield from replay_group(ctx, group, emit_reduce_binomial, count,
+                                    {"send": inputs[ctx.rank], "recv": rb},
+                                    0, op=op)
 
         world.run(body)
         expected = npop([b.array() for b in inputs], axis=0)
@@ -123,7 +138,9 @@ class TestReduce:
 
         def body(ctx):
             rb = recvbuf if ctx.rank == group.rank_at(root_index) else None
-            yield from reduce_binomial(ctx, group, inputs[ctx.rank], rb, SUM, root_index)
+            yield from replay_group(ctx, group, emit_reduce_binomial, 4,
+                                    {"send": inputs[ctx.rank], "recv": rb},
+                                    root_index, op=SUM)
 
         world.run(body)
         expected = np.sum([b.array() for b in inputs], axis=0)
@@ -131,19 +148,23 @@ class TestReduce:
 
 
 ALLGATHERS = [
-    allgather_bruck,
-    allgather_ring,
-    allgather_recursive_doubling,
+    emit_allgather_bruck,
+    emit_allgather_ring,
+    emit_allgather_recursive_doubling,
+]
+ALLGATHER_IDS = [
+    "allgather_bruck", "allgather_ring", "allgather_recursive_doubling",
 ]
 
 
 class TestAllgather:
     @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-    @pytest.mark.parametrize("algo", ALLGATHERS, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("algo", ALLGATHERS, ids=ALLGATHER_IDS)
     def test_everyone_gets_everything(self, shape, algo):
         world = make_world(*shape)
         group = world_group(world)
-        if algo is allgather_recursive_doubling and group.size & (group.size - 1):
+        if (algo is emit_allgather_recursive_doubling
+                and group.size & (group.size - 1)):
             pytest.skip("recursive doubling needs power-of-two sizes")
         count = 2
         inputs = rank_inputs(world, count)
@@ -151,45 +172,47 @@ class TestAllgather:
         expected = gathered_matrix(inputs)
 
         def body(ctx):
-            yield from algo(ctx, group, inputs[ctx.rank], outputs[ctx.rank])
+            yield from replay_group(
+                ctx, group, algo, count,
+                {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]},
+            )
 
         world.run(body)
         for rank, out in enumerate(outputs):
             assert np.array_equal(out.array(), expected), f"rank {rank}"
 
     def test_recursive_doubling_rejects_non_pow2(self):
-        world = make_world(3, 1)
-        group = world_group(world)
-        inputs = rank_inputs(world, 1)
-        outputs = [Buffer.alloc(DOUBLE, 3) for _ in range(3)]
-
-        def body(ctx):
-            yield from allgather_recursive_doubling(
-                ctx, group, inputs[ctx.rank], outputs[ctx.rank]
-            )
-
         with pytest.raises(ValueError, match="power-of-two"):
-            world.run(body)
+            plan_group(emit_allgather_recursive_doubling, (0, 1, 2), 4)
+
+    def test_recursive_doubling_rejects_non_pow2_leader_group(self):
+        """Three nodes' leaders: the leader composition refuses too."""
+        with pytest.raises(ValueError, match="power-of-two"):
+            plan_hier_allgather(3, 2, 4, emit_allgather_recursive_doubling)
 
     def test_recvbuf_size_validated(self):
-        world = make_world(2, 1)
-        group = world_group(world)
+        """A flat library on a non-power-of-two world refuses a receive
+        buffer of the wrong size before the run starts."""
+        lib = make_library("PiP-MPICH")
+        world = make_world(3, 1, mechanism=lib.make_mechanism())
         inputs = rank_inputs(world, 4)
-        bad = [Buffer.alloc(DOUBLE, 4) for _ in range(2)]  # needs 8
+        bad = [Buffer.alloc(DOUBLE, 4) for _ in range(3)]  # needs 12
 
         def body(ctx):
-            yield from allgather_bruck(ctx, group, inputs[ctx.rank], bad[ctx.rank])
+            yield from lib.allgather(ctx, inputs[ctx.rank], bad[ctx.rank])
 
         with pytest.raises(ValueError, match="elements"):
             world.run(body)
+        assert world.engine.now == 0.0
 
 
-ALLREDUCES = [allreduce_recursive_doubling, allreduce_rabenseifner]
+ALLREDUCES = [emit_allreduce_recursive_doubling, emit_allreduce_rabenseifner]
+ALLREDUCE_IDS = ["allreduce_recursive_doubling", "allreduce_rabenseifner"]
 
 
 class TestAllreduce:
     @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-    @pytest.mark.parametrize("algo", ALLREDUCES, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("algo", ALLREDUCES, ids=ALLREDUCE_IDS)
     @pytest.mark.parametrize("count", [1, 4, 16])
     def test_everyone_gets_global_sum(self, shape, algo, count):
         world = make_world(*shape)
@@ -199,7 +222,10 @@ class TestAllreduce:
         expected = np.sum([b.array() for b in inputs], axis=0)
 
         def body(ctx):
-            yield from algo(ctx, group, inputs[ctx.rank], outputs[ctx.rank], SUM)
+            yield from replay_group(
+                ctx, group, algo, count,
+                {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]}, op=SUM,
+            )
 
         world.run(body)
         for rank, out in enumerate(outputs):
@@ -207,7 +233,7 @@ class TestAllreduce:
                 out.array(), expected, rtol=1e-12, err_msg=f"rank {rank}"
             )
 
-    @pytest.mark.parametrize("algo", ALLREDUCES, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("algo", ALLREDUCES, ids=ALLREDUCE_IDS)
     def test_max_reduction(self, algo):
         world = make_world(3, 2)
         group = world_group(world)
@@ -216,7 +242,10 @@ class TestAllreduce:
         expected = np.max([b.array() for b in inputs], axis=0)
 
         def body(ctx):
-            yield from algo(ctx, group, inputs[ctx.rank], outputs[ctx.rank], MAX)
+            yield from replay_group(
+                ctx, group, algo, 7,
+                {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]}, op=MAX,
+            )
 
         world.run(body)
         for out in outputs:
@@ -231,8 +260,9 @@ class TestAllreduce:
         expected = np.sum([b.array() for b in inputs], axis=0)
 
         def body(ctx):
-            yield from allreduce_rabenseifner(
-                ctx, group, inputs[ctx.rank], outputs[ctx.rank], SUM
+            yield from replay_group(
+                ctx, group, emit_allreduce_rabenseifner, 3,
+                {"send": inputs[ctx.rank], "recv": outputs[ctx.rank]}, op=SUM,
             )
 
         world.run(body)
@@ -252,7 +282,8 @@ class TestBarrier:
             # stagger arrivals
             yield from ctx.compute(ctx.rank * 1e-4)
             enter[ctx.rank] = world.engine.now
-            yield from barrier_dissemination(ctx, group)
+            yield from replay_group(ctx, group, emit_barrier_dissemination,
+                                    0, {"token": ctx.alloc_bytes(0)})
             exit_[ctx.rank] = world.engine.now
 
         world.run(body)

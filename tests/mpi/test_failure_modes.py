@@ -76,8 +76,9 @@ class TestDeadlockDetection:
 
     def test_partial_collective_participation_deadlocks(self):
         """A rank skipping a collective hangs the others — as in MPI."""
-        from repro.core import mcoll_allreduce_small
+        from repro.baselines.base import replay
         from repro.mpi import DOUBLE, SUM
+        from repro.sched.plans.mcoll import plan_allreduce_small
 
         world = make_world(mechanism=PipShmem(), nodes=2, ppn=2)
         sends = [Buffer.alloc(DOUBLE, 4) for _ in range(4)]
@@ -87,8 +88,9 @@ class TestDeadlockDetection:
             if ctx.rank == 3:
                 return
                 yield  # pragma: no cover
-            yield from mcoll_allreduce_small(
-                ctx, sends[ctx.rank], recvs[ctx.rank], SUM
+            yield from replay(
+                ctx, plan_allreduce_small(2, 2, 4), (),
+                {"send": sends[ctx.rank], "recv": recvs[ctx.rank]}, SUM,
             )
 
         with pytest.raises(DeadlockError):

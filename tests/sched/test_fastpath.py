@@ -171,7 +171,7 @@ def test_repeated_points_do_not_replan():
     evaluate_point(*spec)  # plans on first sight (or earlier test)
     before = planner_cache_info()
     evaluate_point(*spec)
-    run_point(*spec, engine="event")  # executor wrappers share the caches
+    run_point(*spec, engine="event")  # the event loop shares the caches
     after = planner_cache_info()
     assert set(after) == set(before) and len(after) == 16
     for name in after:

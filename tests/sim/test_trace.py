@@ -125,7 +125,8 @@ class TestTracer:
     def test_overlap_visible_in_trace(self):
         """The multi-object scatter's overlapped intranode copy shows up as
         a copy span that starts before the rank's isend wait finishes."""
-        from repro.core import mcoll_scatter
+        from repro.baselines.base import replay
+        from repro.sched.plans.mcoll import plan_scatter
 
         world, tracer = traced_world(nodes=3, ppn=2)
         size = world.world_size
@@ -134,7 +135,8 @@ class TestTracer:
 
         def body(ctx):
             sb = full if ctx.rank == 0 else None
-            yield from mcoll_scatter(ctx, sb, recvs[ctx.rank])
+            yield from replay(ctx, plan_scatter(3, 2, 4, 0, True), (),
+                              {"send": sb, "recv": recvs[ctx.rank]})
 
         world.run(body)
         root_copies = [
